@@ -47,7 +47,6 @@ from .model import (
     WallField,
     contraction_margin,
     validate_config,
-    weighted_fluid_norm,
 )
 from .qualcheck import (
     BoundEnvelope,
@@ -59,7 +58,7 @@ from .qualcheck import (
     check_nonnegativity,
     energy_growth_report,
 )
-from .wall_evolve import WallStepInput, step_wall
+from .wall_evolve import WallStepInput, step_wall, surface_rhs
 
 __version__ = "0.1.0"
 
@@ -99,10 +98,10 @@ __all__ = [
     "march_fluid",
     "run_simulation",
     "step_wall",
+    "surface_rhs",
     "validate_config",
     "verify_hypotheses",
     "wall_flux_gradient",
     "wall_flux_integral",
-    "weighted_fluid_norm",
     "zero_model",
 ]

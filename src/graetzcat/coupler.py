@@ -42,7 +42,7 @@ from .qualcheck import (
     check_nonnegativity,
     energy_growth_report,
 )
-from .wall_evolve import WallStepInput, step_wall
+from .wall_evolve import WallStepInput, step_wall, surface_rhs
 
 log = logging.getLogger("graetzcat")
 
@@ -166,9 +166,6 @@ class Snapshot:
     fluid_min: np.ndarray             # (ns,)
     fluid_max: np.ndarray             # (ns,)
     station_energy: np.ndarray        # (ns, nz+1): int C_f^2 r(1-r^2) dr per z
-    rates_sup: float                  # sup over species and z of |rate|
-    wall_rate_sup: float              # sup over species and z of |dC_is/dt|
-    iterations: int
     residuals: tuple[float, ...]
 
 
@@ -239,30 +236,6 @@ class RunReport:
         }
 
 
-def _wall_rhs_sup(
-    wall: WallField,
-    fluid: FluidField,
-    params: Sequence[SpeciesParams],
-    kinetics: KineticsModel,
-    grid: Grid,
-    settings: CouplerSettings,
-) -> tuple[float, float]:
-    """(sup |channel rates|, sup |surface equation right-hand side|)."""
-    from .wall_evolve import _mirrored_second_difference
-
-    rates = eval_rates(kinetics, wall.values.T).T
-    flux = _flux_of(settings.flux_form, fluid, grid, params)
-    gammas = np.array([s.gamma_s for s in params])[:, None]
-    deltas = np.array([float(s.delta) for s in params])[:, None]
-    thetas = np.array([s.theta_s for s in params])[:, None]
-    rhs = (
-        -gammas * flux
-        + deltas * rates
-        + thetas * _mirrored_second_difference(wall.values, grid.dz)
-    )
-    return float(np.max(np.abs(rates))), float(np.max(np.abs(rhs)))
-
-
 def run_simulation(
     cfg: ModelConfig,
     settings: CouplerSettings = CouplerSettings(),
@@ -309,16 +282,14 @@ def run_simulation(
     iterations: list[int] = []
     reaction_ended = math.inf
 
-    trap_r = np.full(grid.nr + 1, grid.dr)
-    trap_r[0] = trap_r[-1] = grid.dr / 2.0
-    wq = grid.radial_weight() * trap_r
+    wq = grid.radial_quadrature()
 
     def record(st: CouplingState) -> None:
         nonlocal reaction_ended
-        rates_sup, rhs_sup = _wall_rhs_sup(
-            st.wall, st.fluid, params, kinetics, grid, settings
-        )
-        if math.isinf(reaction_ended) and rhs_sup < SETTLE_TOL:
+        rates = eval_rates(kinetics, st.wall.values.T).T
+        flux = _flux_of(settings.flux_form, st.fluid, grid, params)
+        rhs = surface_rhs(st.wall.values, flux, rates, params)
+        if math.isinf(reaction_ended) and float(np.max(np.abs(rhs))) < SETTLE_TOL:
             reaction_ended = st.time
         station = np.einsum("ijk,j->ik", st.fluid.values**2, wq)
         trajectory.append(
@@ -328,17 +299,13 @@ def run_simulation(
                 fluid_min=st.fluid.values.min(axis=(1, 2)),
                 fluid_max=st.fluid.values.max(axis=(1, 2)),
                 station_energy=station,
-                rates_sup=rates_sup,
-                wall_rate_sup=rhs_sup,
-                iterations=st.iterations_last_step,
                 residuals=st.residual_history,
             )
         )
         nonneg_reports.append(check_nonnegativity(st.fluid, st.wall))
 
     record(state)
-    n_steps = grid.n_steps
-    for k in range(1, n_steps + 1):
+    for k in range(1, grid.n_steps + 1):
         state = advance_step(
             state, cfg.initial, settings, params, kinetics, grid, step_index=k
         )
@@ -349,13 +316,6 @@ def run_simulation(
     merged = NonnegReport.merge(nonneg_reports)
     env_checks = check_envelopes(trajectory, envelope, params)
     energy = energy_growth_report(trajectory)
-
-    # weighted norm of the bulk field: time-integrated station energies, sup
-    # over stations (left rectangle rule over the recorded levels)
-    acc = np.zeros_like(trajectory[0].station_energy)
-    for a, b in zip(trajectory[:-1], trajectory[1:]):
-        acc += (b.time - a.time) * a.station_energy
-    weighted = acc.max(axis=1) if n_steps else np.zeros(len(params))
 
     stride = max(int(probe_every), 1)
     probe_idx = list(range(0, len(trajectory), stride))
@@ -380,7 +340,8 @@ def run_simulation(
         reaction_ended=reaction_ended,
         probe_times=probe_times,
         probe_values=probe_values,
-        weighted_norms=tuple(float(v) for v in weighted),
+        # weighted bulk norm: sup over stations of the time-integrated energy
+        weighted_norms=tuple(float(v) for v in energy.fluid_station_energy.max(axis=1)),
         wall_time=_time.perf_counter() - t0,
     )
     return run_report, trajectory

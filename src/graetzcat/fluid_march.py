@@ -46,16 +46,14 @@ class RadialOperator:
 
     lower/diag/upper are the tridiagonal coefficients over the nr+1 nodes
     including the symmetry row at the axis and the Dirichlet row at r = 1.
-    weights is the nodal quadrature weight r (1 - r^2).  The factored form
-    (drop the Dirichlet unknown, rescale by cell volumes) is symmetric
-    positive definite and is Cholesky-factored once per march.
+    The factored form (drop the Dirichlet unknown, rescale by cell volumes)
+    is symmetric positive definite and is Cholesky-factored once per march.
     """
 
     beta: float
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-    weights: np.ndarray
     face_r: np.ndarray
     cho_factor: np.ndarray
 
@@ -109,7 +107,6 @@ class RadialOperator:
             lower=lower,
             diag=diag,
             upper=upper,
-            weights=grid.radial_weight(),
             face_r=face_r,
             cho_factor=cho,
         )
@@ -204,9 +201,6 @@ def wall_flux_integral(
     dcdz[:, :, 0] = (v[:, :, 1] - v[:, :, 0]) / dz
     dcdz[:, :, -1] = (v[:, :, -1] - v[:, :, -2]) / dz
 
-    trap = np.full(grid.nr + 1, grid.dr)
-    trap[0] = trap[-1] = grid.dr / 2.0
-    wq = grid.radial_weight() * trap
-    flux = np.einsum("ijk,j->ik", dcdz, wq)
+    flux = np.einsum("ijk,j->ik", dcdz, grid.radial_quadrature())
     betas = np.array([s.beta_f for s in params])
     return flux / betas[:, None]

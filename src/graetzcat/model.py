@@ -69,10 +69,12 @@ class Grid:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
-    def radial_weight(self) -> np.ndarray:
-        """Nodal weight r (1 - r^2) used by flux and energy quadratures."""
+    def radial_quadrature(self) -> np.ndarray:
+        """Trapezoid weights in r against r (1 - r^2), for flux and energy integrals."""
         r = self.r
-        return r * (1.0 - r * r)
+        trap = np.full(self.nr + 1, self.dr)
+        trap[0] = trap[-1] = self.dr / 2.0
+        return r * (1.0 - r * r) * trap
 
 
 @dataclass(frozen=True)
@@ -248,40 +250,3 @@ def contraction_margin(params: Sequence[SpeciesParams]) -> ContractionDiagnostic
         alpha_opt=alpha_opt,
         satisfied=satisfied,
     )
-
-
-def weighted_fluid_norm(history: Sequence[FluidField]) -> np.ndarray:
-    """Squared weighted norm sup_k int_0^T int_0^1 U^2 r(1-r^2) dr dt per species.
-
-    Trapezoid quadrature in r against the nodal weight r_j (1 - r_j^2),
-    left-endpoint rectangle rule in t, supremum over the axial stations.
-    Returns one nonnegative scalar per species.
-    """
-    if not history:
-        raise ValueError("weighted_fluid_norm needs a non-empty history")
-    shape = history[0].values.shape
-    for f in history:
-        if f.values.shape != shape:
-            raise ValueError(
-                f"mismatched grids in history: {f.values.shape} vs {shape}"
-            )
-
-    ns, nrp1, _ = shape
-    r = np.linspace(0.0, 1.0, nrp1)
-    w = r * (1.0 - r * r)
-    dr = 1.0 / (nrp1 - 1)
-    trap = np.full(nrp1, dr)
-    trap[0] = trap[-1] = dr / 2.0
-    wq = w * trap
-
-    times = [f.time_tag for f in history]
-    if len(times) == 1:
-        return np.zeros(ns)
-
-    acc = np.zeros((ns, shape[2]))
-    for n in range(len(history) - 1):
-        dt_n = times[n + 1] - times[n]
-        u = history[n].values
-        # station energies int u^2 r(1-r^2) dr at each z, weighted by dt
-        acc += dt_n * np.einsum("ijk,j->ik", u * u, wq)
-    return acc.max(axis=1)

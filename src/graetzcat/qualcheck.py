@@ -33,13 +33,10 @@ _EXP_CLAMP = 700.0  # exp argument above this overflows float64
 class BoundEnvelope:
     """Data-derived bounds: per-species sup/inf of the initial profiles.
 
-    a_i0_max and A_i0 are the same number under two names because the upper
-    envelope of consumed species and the exponential envelope of produced
-    species both start from max(sup inlet, sup wall_init).
+    The upper envelope of consumed species and the exponential envelope of
+    produced species both start from a_i0_max = max(sup inlet, sup wall_init).
     """
 
-    species: tuple[str, ...]
-    A_i0: np.ndarray
     a_i0_min: np.ndarray
     a_i0_max: np.ndarray
     lam: float
@@ -50,13 +47,7 @@ def build_envelope(initial: InitialData, lam: float) -> BoundEnvelope:
     inf = np.minimum(initial.inlet.min(axis=1), initial.wall_init.min(axis=1))
     if np.any(inf > sup):
         raise ValueError("initial data with inf > sup")
-    return BoundEnvelope(
-        species=tuple(f"s{i}" for i in range(initial.inlet.shape[0])),
-        A_i0=sup.copy(),
-        a_i0_min=inf,
-        a_i0_max=sup.copy(),
-        lam=float(lam),
-    )
+    return BoundEnvelope(a_i0_min=inf, a_i0_max=sup, lam=float(lam))
 
 
 @dataclass(frozen=True)
@@ -127,48 +118,33 @@ def check_envelopes(
 ) -> list[EnvelopeCheck]:
     """Per-species verdicts for the data-derived bounds along a trajectory.
 
-    Consumed species (delta = -1) must stay below A_i0; produced species
+    Consumed species (delta = -1) must stay below a_i0_max; produced species
     (delta = +1) must stay above their initial infimum and below
     a_i0_max * exp(lambda t).  Snapshots provide wall vectors and bulk
-    min/max, which is exactly the information the bounds constrain.
+    min/max, which is exactly the information the bounds constrain.  A
+    verdict reports the first snapshot with the largest positive gap.
     """
-    checks: list[EnvelopeCheck] = []
-    lam = envelope.lam
-    for i, s in enumerate(params):
-        if s.delta == -1:
-            worst, t_at = 0.0, None
-            cap = float(envelope.A_i0[i]) + tol
-            for snap in trajectory:
-                high = max(float(snap.fluid_max[i]), float(snap.wall[i].max()))
-                gap = high - cap
-                if gap > worst:
-                    worst, t_at = gap, snap.time
-            checks.append(
-                EnvelopeCheck(s.name, "upper_bound", worst <= 0.0, worst, t_at)
-            )
-        else:
-            worst, t_at = 0.0, None
-            floor = float(envelope.a_i0_min[i]) - tol
-            for snap in trajectory:
-                low = min(float(snap.fluid_min[i]), float(snap.wall[i].min()))
-                gap = floor - low
-                if gap > worst:
-                    worst, t_at = gap, snap.time
-            checks.append(
-                EnvelopeCheck(s.name, "lower_bound", worst <= 0.0, worst, t_at)
-            )
+    times = [snap.time for snap in trajectory]
 
-            worst, t_at = 0.0, None
-            a0 = float(envelope.a_i0_max[i])
-            for snap in trajectory:
-                bound = a0 * math.exp(min(lam * snap.time, _EXP_CLAMP)) + tol
-                high = max(float(snap.fluid_max[i]), float(snap.wall[i].max()))
-                gap = high - bound
-                if gap > worst:
-                    worst, t_at = gap, snap.time
-            checks.append(
-                EnvelopeCheck(s.name, "exp_bound", worst <= 0.0, worst, t_at)
-            )
+    def verdict(name: str, item: str, gaps) -> EnvelopeCheck:
+        worst, t_at = 0.0, None
+        for gap, t in zip(gaps, times):
+            if gap > worst:
+                worst, t_at = gap, t
+        return EnvelopeCheck(name, item, worst <= 0.0, worst, t_at)
+
+    checks: list[EnvelopeCheck] = []
+    for i, s in enumerate(params):
+        high = [max(float(snap.fluid_max[i]), float(snap.wall[i].max())) for snap in trajectory]
+        a0 = float(envelope.a_i0_max[i])
+        if s.delta == -1:
+            checks.append(verdict(s.name, "upper_bound", [h - (a0 + tol) for h in high]))
+            continue
+        floor = float(envelope.a_i0_min[i]) - tol
+        low = [min(float(snap.fluid_min[i]), float(snap.wall[i].min())) for snap in trajectory]
+        checks.append(verdict(s.name, "lower_bound", [floor - v for v in low]))
+        bounds = [a0 * math.exp(min(envelope.lam * t, _EXP_CLAMP)) + tol for t in times]
+        checks.append(verdict(s.name, "exp_bound", [h - b for h, b in zip(high, bounds)]))
     return checks
 
 

@@ -42,6 +42,28 @@ def _mirrored_second_difference(values: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
+def surface_rhs(
+    wall: np.ndarray,
+    flux: np.ndarray,
+    rates: np.ndarray,
+    params: Sequence[SpeciesParams],
+) -> np.ndarray:
+    """Right-hand side -gamma_is flux + delta_i rate + theta_is d2C/dz2 per node.
+
+    wall, flux and rates share the layout (ns, nz+1); the second difference
+    uses the mirrored zero-flux ends of the step.
+    """
+    gammas = np.array([s.gamma_s for s in params])
+    deltas = np.array([float(s.delta) for s in params])
+    thetas = np.array([s.theta_s for s in params])
+    dz = 1.0 / (wall.shape[1] - 1)
+    return (
+        -gammas[:, None] * flux
+        + deltas[:, None] * rates
+        + thetas[:, None] * _mirrored_second_difference(wall, dz)
+    )
+
+
 def step_wall(inp: WallStepInput) -> WallField:
     ns, nn = inp.wall_prev.values.shape
     if inp.flux.shape != (ns, nn) or inp.rates.shape != (ns, nn):
@@ -52,16 +74,7 @@ def step_wall(inp: WallStepInput) -> WallField:
     dt = inp.dt
     dz = 1.0 / (nn - 1)
     prev = inp.wall_prev.values
-    gammas = np.array([s.gamma_s for s in inp.params])
-    deltas = np.array([float(s.delta) for s in inp.params])
-    thetas = np.array([s.theta_s for s in inp.params])
-
-    diffusion_prev = _mirrored_second_difference(prev, dz)
-    rhs = dt * (
-        -gammas[:, None] * inp.flux
-        + deltas[:, None] * inp.rates
-        + thetas[:, None] * diffusion_prev
-    )
+    rhs = dt * surface_rhs(prev, inp.flux, inp.rates, inp.params)
 
     new = np.empty_like(prev)
     # species sharing one diffusivity share one matrix (multi-RHS solve)

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from graetzcat.coupler import Snapshot
 from graetzcat.model import (
-    FluidField,
     Grid,
     InitialData,
     ModelConfig,
     SpeciesParams,
     contraction_margin,
     validate_config,
-    weighted_fluid_norm,
 )
+from graetzcat.qualcheck import energy_growth_report
 
 from conftest import constant_config
 
@@ -130,19 +130,34 @@ class TestContractionMargin:
 
 
 class TestWeightedFluidNorm:
-    def make_history(self, values, times):
-        return [FluidField(values, t) for t in times]
+    """sup_z int_0^T int_0^1 U^2 r(1-r^2) dr dt per species, the weighted
+    bulk norm a run reports, from station energies as the run records them."""
+
+    def norm(self, values, times):
+        _, nrp1, nzp1 = values.shape
+        grid = Grid(nr=nrp1 - 1, nz=nzp1 - 1, dt=1.0, t_end=1.0)
+        station = np.einsum("ijk,j->ik", values**2, grid.radial_quadrature())
+        trajectory = [
+            Snapshot(
+                time=t,
+                wall=values[:, -1, :],
+                fluid_min=values.min(axis=(1, 2)),
+                fluid_max=values.max(axis=(1, 2)),
+                station_energy=station,
+                residuals=(),
+            )
+            for t in times
+        ]
+        return energy_growth_report(trajectory).fluid_station_energy.max(axis=1)
 
     def test_constant_unit_field(self):
         vals = np.ones((1, 129, 5))
-        hist = self.make_history(vals, np.linspace(0.0, 2.0, 41))
         # int_0^1 r(1-r^2) dr = 1/4, horizon T = 2
-        assert weighted_fluid_norm(hist)[0] == pytest.approx(0.5, abs=2e-4)
+        assert self.norm(vals, np.linspace(0.0, 2.0, 41))[0] == pytest.approx(0.5, abs=2e-4)
 
     def test_zero_field(self):
         vals = np.zeros((2, 17, 5))
-        hist = self.make_history(vals, [0.0, 0.5, 1.0])
-        assert np.all(weighted_fluid_norm(hist) == 0.0)
+        assert np.all(self.norm(vals, [0.0, 0.5, 1.0]) == 0.0)
 
     def test_linear_radial_profile_against_quadrature_oracle(self):
         # oracle: dense trapezoid of r^2 * r(1-r^2) over r
@@ -152,22 +167,12 @@ class TestWeightedFluidNorm:
 
         r = np.linspace(0.0, 1.0, 257)
         vals = np.broadcast_to(r[None, :, None], (1, 257, 9)).copy()
-        hist = self.make_history(vals, np.linspace(0.0, 1.0, 11))
-        assert weighted_fluid_norm(hist)[0] == pytest.approx(oracle, abs=1e-4)
+        assert self.norm(vals, np.linspace(0.0, 1.0, 11))[0] == pytest.approx(oracle, abs=1e-4)
 
     def test_degree_two_homogeneity(self):
         rng = np.random.default_rng(3)
         vals = rng.uniform(0.0, 1.0, (2, 33, 9))
-        hist = self.make_history(vals, np.linspace(0.0, 1.0, 6))
-        base = weighted_fluid_norm(hist)
-        scaled = weighted_fluid_norm(self.make_history(4.0 * vals, np.linspace(0.0, 1.0, 6)))
+        times = np.linspace(0.0, 1.0, 6)
+        base = self.norm(vals, times)
+        scaled = self.norm(4.0 * vals, times)
         assert np.allclose(scaled, 16.0 * base, rtol=1e-13)
-
-    def test_mismatched_grids_rejected(self):
-        hist = [FluidField(np.ones((1, 9, 5)), 0.0), FluidField(np.ones((1, 17, 5)), 1.0)]
-        with pytest.raises(ValueError):
-            weighted_fluid_norm(hist)
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_fluid_norm([])

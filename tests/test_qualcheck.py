@@ -27,9 +27,6 @@ def snap(t, wall, fmin, fmax, station=None):
         fluid_min=np.asarray(fmin, dtype=float),
         fluid_max=np.asarray(fmax, dtype=float),
         station_energy=station,
-        rates_sup=0.0,
-        wall_rate_sup=0.0,
-        iterations=1,
         residuals=(0.0,),
     )
 
@@ -87,9 +84,8 @@ class TestEnvelopes:
 
     def test_build_envelope_values(self):
         env = self.envelope()
-        assert env.A_i0[0] == 0.02
+        assert env.a_i0_max[0] == 0.02
         assert env.a_i0_min[1] == 0.5
-        assert np.array_equal(env.A_i0, env.a_i0_max)
 
     def test_consumed_species_upper_bound(self):
         env = self.envelope()
