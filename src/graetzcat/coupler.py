@@ -115,7 +115,8 @@ def advance_step(
     exercises).  Rates are evaluated once, at the previous time level.
     """
     dt = grid.dt
-    t_new = state.time + dt
+    # on the grid k dt, so the levels do not drift with the step count
+    t_new = (round(state.time / dt) + 1) * dt
     wall_prev = state.wall
 
     rates_prev = eval_rates(kinetics, wall_prev.values.T).T

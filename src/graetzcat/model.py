@@ -18,6 +18,7 @@ import numpy as np
 CONTRACTION_THRESHOLD = 2.0 / math.sqrt(math.e)
 
 COMPATIBILITY_TOL = 1e-12
+STEP_COUNT_TOL = 1e-9  # relative slack on t_end / dt being a whole number
 
 
 @dataclass(frozen=True)
@@ -149,10 +150,17 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
         errors.append(f"grid.nr = {g.nr} is too small (need nr >= 4)")
     if g.nz < 4:
         errors.append(f"grid.nz = {g.nz} is too small (need nz >= 4)")
-    if not (g.dt > 0.0):
+    if not (math.isfinite(g.dt) and math.isfinite(g.t_end)):
+        errors.append(f"grid.dt = {g.dt} and grid.t_end = {g.t_end} must be finite")
+    elif not (g.dt > 0.0):
         errors.append(f"grid.dt = {g.dt} must be positive")
     elif g.t_end < g.dt:
         errors.append(f"grid.t_end = {g.t_end} is shorter than one step dt = {g.dt}")
+    elif not (
+        math.isfinite(steps := g.t_end / g.dt)
+        and abs(steps - round(steps)) <= STEP_COUNT_TOL * steps
+    ):
+        errors.append(f"grid.t_end = {g.t_end} is not a whole number of steps dt = {g.dt}")
 
     if not cfg.species:
         errors.append("at least one species is required")

@@ -205,6 +205,20 @@ class TestCli:
         cfg.write_text(MINIMAL.replace("dt = 0.05", "dt = -1"))
         assert self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
+    def test_bad_time_grid_exit_two(self, tmp_path, capsys):
+        # non-finite values and a t_end that is no whole number of steps
+        for grid in ("t_end = inf", "t_end = nan", "dt = inf", "dt = nan", "t_end = 0.525"):
+            key = grid.split()[0]
+            old = "dt = 0.05" if key == "dt" else "t_end = 0.5"
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(MINIMAL.replace(old, grid))
+            code = self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+            err = capsys.readouterr().err
+            assert code == 2, grid
+            assert any(
+                line.startswith("config error: grid.") for line in err.splitlines()
+            ), (grid, err)
+
     def test_missing_config_file_exit_two(self, tmp_path):
         assert (
             self.run_cli(

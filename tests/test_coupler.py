@@ -135,6 +135,15 @@ class TestRunSimulation:
         assert report.nonneg.passed
         assert all(c.passed for c in report.envelope_checks)
 
+    def test_time_levels_are_exact_multiples_of_dt(self):
+        # 0.02 is not a binary fraction: summing it drifts off k * dt
+        cfg = constant_config(nr=8, nz=8, dt=0.02, t_end=2.0)
+        report, traj = run_simulation(cfg, CouplerSettings())
+        assert len(traj) == 101
+        for k, snap in enumerate(traj):
+            assert snap.time == k * 0.02
+        assert report.probe_times[-1] == 100 * 0.02
+
     def test_determinism_bitwise(self, scenario):
         cfg, settings = short_scenario(scenario, 0.5)
         r1, t1 = run_simulation(cfg, settings, seed=3)

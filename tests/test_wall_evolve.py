@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graetzcat.model import SpeciesParams, WallField
-from graetzcat.wall_evolve import WallStepInput, step_wall
+from graetzcat.wall_evolve import WallStepInput, step_wall, surface_rhs
 
 
 def params(theta=1.0, gamma=1.0, delta=1, n=1):
@@ -106,3 +106,18 @@ class TestStepWall:
         wall = WallField(np.ones((1, 9)), 0.0)
         with pytest.raises(ValueError):
             step_wall(WallStepInput(wall, zeros(1, 8), zeros(1, 9), 0.1, params()))
+
+
+class TestSurfaceRhs:
+    def test_step_wall_integrates_surface_rhs(self):
+        # without axial diffusion the step is explicit: prev + dt * rhs, bitwise
+        rng = np.random.default_rng(7)
+        p = (SpeciesParams("a", 1.0, 2.0, 0.0, -1), SpeciesParams("b", 1.0, 0.5, 0.0, 1))
+        prev, flux, rates = rng.standard_normal((3, 2, 17))
+        out = step_wall(WallStepInput(WallField(prev, 0.0), flux, rates, 0.03, p))
+        assert np.array_equal(out.values, prev + 0.03 * surface_rhs(prev, flux, rates, p))
+
+    def test_constant_data_is_exactly_zero(self):
+        p = (SpeciesParams("a", 1.0, 2.0, 0.7, -1), SpeciesParams("b", 1.0, 0.5, 1.3, 1))
+        wall = np.array([[7.25] * 33, [0.1] * 33])
+        assert np.all(surface_rhs(wall, zeros(2, 33), zeros(2, 33), p) == 0.0)
