@@ -207,17 +207,19 @@ class TestCli:
 
     def test_bad_time_grid_exit_two(self, tmp_path, capsys):
         # non-finite values and a t_end that is no whole number of steps
-        for grid in ("t_end = inf", "t_end = nan", "dt = inf", "dt = nan", "t_end = 0.525"):
-            key = grid.split()[0]
-            old = "dt = 0.05" if key == "dt" else "t_end = 0.5"
+        for old, new in (
+            ("t_end = 0.5", "t_end = inf"),
+            ("t_end = 0.5", "t_end = nan"),
+            ("dt = 0.05", "dt = inf"),
+            ("dt = 0.05", "dt = nan"),
+            ("t_end = 0.5", "t_end = 0.525"),
+        ):
             cfg = tmp_path / "bad.cfg"
-            cfg.write_text(MINIMAL.replace(old, grid))
+            cfg.write_text(MINIMAL.replace(old, new))
             code = self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
             err = capsys.readouterr().err
-            assert code == 2, grid
-            assert any(
-                line.startswith("config error: grid.") for line in err.splitlines()
-            ), (grid, err)
+            assert code == 2, new
+            assert any(line.startswith("config error: grid.") for line in err.splitlines()), err
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert (
