@@ -32,7 +32,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,7 +41,6 @@ import numpy as np
 from .coupler import CouplerSettings, NonConvergedError, RunReport, run_simulation
 from .fluid_march import march_fluid, wall_flux_gradient, wall_flux_integral
 from .kinetics import (
-    BUILTIN_MODELS,
     KineticsModel,
     co_oxidation,
     estimate_lipschitz,
@@ -60,8 +59,6 @@ from .model import (
     validate_config,
 )
 
-log = logging.getLogger("graetzcat")
-
 GRID_KEYS = ("nr", "nz", "dt", "t_end")
 COUPLER_KEYS = ("tol", "max_iter", "flux_form", "relaxation")
 SPECIES_KEYS = ("beta_f", "gamma_s", "theta_s", "delta", "inlet", "wall_init")
@@ -70,6 +67,8 @@ MODEL_CONSTANTS = {
     "linear_consumption": ("rate",),
     "co_oxidation": ("prefactor", "activation_temp", "heat_release"),
 }
+
+_Entries = dict[str, tuple[str, int]]  # key -> (raw value, line number)
 
 
 @dataclass(frozen=True)
@@ -91,201 +90,56 @@ class ConfigError(Exception):
         super().__init__("\n".join(str(i) for i in self.issues))
 
 
-@dataclass
-class _Entry:
-    value: str
-    line: int
-
-
-@dataclass
-class _Section:
-    name: str
-    line: int
-    entries: dict[str, _Entry] = field(default_factory=dict)
-
-
-@dataclass
-class ConfigDocument:
-    """Parsed but unresolved configuration: raw values with line numbers."""
-
-    grid: _Section
-    coupler: Optional[_Section]
-    kinetics: _Section
-    species: list[_Section]
-
-
-def _known_keys(section: str, species_names: Sequence[str], model: str) -> tuple[str, ...]:
+def _schema(
+    section: str, model: str, species_names: Sequence[str]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(known keys, required keys) of one section; only [coupler] has defaults."""
     if section == "grid":
-        return GRID_KEYS
+        return GRID_KEYS, GRID_KEYS
     if section == "coupler":
-        return COUPLER_KEYS
+        return COUPLER_KEYS, ()
     if section == "kinetics":
-        base = ("model",) + MODEL_CONSTANTS.get(model, ())
-        return base + tuple(f"box.{n}" for n in species_names)
-    return SPECIES_KEYS
+        required = ("model",) + MODEL_CONSTANTS.get(model, ())
+        return required + tuple(f"box.{n}" for n in species_names), required
+    return SPECIES_KEYS, SPECIES_KEYS
 
 
-def parse_document(text: str) -> ConfigDocument:
-    """Split the text into validated sections; all issues are collected."""
-    issues: list[ConfigIssue] = []
-    sections: dict[str, _Section] = {}
-    order: list[_Section] = []
-    current: Optional[_Section] = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            ok = name in ("grid", "coupler", "kinetics") or (
-                name.startswith("species.") and len(name) > len("species.")
-            )
-            if not ok:
-                issues.append(
-                    ConfigIssue("UNKNOWN_KEY", name, "", lineno, "unknown section")
-                )
-                current = None
-                continue
-            if name in sections:
-                issues.append(
-                    ConfigIssue("UNKNOWN_KEY", name, "", lineno, "duplicate section")
-                )
-                current = sections[name]
-                continue
-            current = _Section(name=name, line=lineno)
-            sections[name] = current
-            order.append(current)
-            continue
-        if "=" not in line:
-            sec = current.name if current else ""
-            issues.append(
-                ConfigIssue(
-                    "UNKNOWN_KEY", sec, line, lineno, "expected key = value"
-                )
-            )
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if current is None:
-            issues.append(
-                ConfigIssue("UNKNOWN_KEY", "", key, lineno, "key outside any section")
-            )
-            continue
-        if key in current.entries:
-            issues.append(
-                ConfigIssue("UNKNOWN_KEY", current.name, key, lineno, "duplicate key")
-            )
-            continue
-        current.entries[key] = _Entry(value, lineno)
-
-    species = [s for s in order if s.name.startswith("species.")]
-    species_names = [s.name.split(".", 1)[1] for s in species]
-
-    for required in ("grid", "kinetics"):
-        if required not in sections:
-            issues.append(
-                ConfigIssue("MISSING_KEY", required, "", 0, "section is required")
-            )
-    if not species:
-        issues.append(
-            ConfigIssue("MISSING_KEY", "species.<name>", "", 0, "no species declared")
-        )
-
-    model = ""
-    if "kinetics" in sections:
-        ent = sections["kinetics"].entries.get("model")
-        if ent is None:
-            issues.append(
-                ConfigIssue(
-                    "MISSING_KEY",
-                    "kinetics",
-                    "model",
-                    sections["kinetics"].line,
-                    "kinetics model name is required",
-                )
-            )
-        else:
-            model = ent.value
-            if model not in BUILTIN_MODELS:
-                issues.append(
-                    ConfigIssue(
-                        "UNKNOWN_KEY",
-                        "kinetics",
-                        "model",
-                        ent.line,
-                        f"unknown model {model!r}; known: {', '.join(BUILTIN_MODELS)}",
-                    )
-                )
-
-    # unknown / missing keys per section
-    for sec in order:
-        kind = "species" if sec.name.startswith("species.") else sec.name
-        known = _known_keys(kind if kind != "species" else "species", species_names, model)
-        for key, ent in sec.entries.items():
-            if key not in known:
-                issues.append(
-                    ConfigIssue("UNKNOWN_KEY", sec.name, key, ent.line, "unknown key")
-                )
-        required: tuple[str, ...] = ()
-        if kind == "grid":
-            required = GRID_KEYS
-        elif kind == "kinetics":
-            required = ("model",) + MODEL_CONSTANTS.get(model, ())
-        elif kind == "species":
-            required = SPECIES_KEYS
-        for key in required:
-            if key not in sec.entries:
-                issues.append(
-                    ConfigIssue("MISSING_KEY", sec.name, key, sec.line, "key is required")
-                )
-
-    if issues:
-        raise ConfigError(issues)
-    return ConfigDocument(
-        grid=sections["grid"],
-        coupler=sections.get("coupler"),
-        kinetics=sections["kinetics"],
-        species=species,
-    )
-
-
-def _number(sec: _Section, key: str, issues: list[ConfigIssue], kind=float):
-    ent = sec.entries[key]
+def _number(section: str, entries: _Entries, key: str, issues: list[ConfigIssue], kind=float):
+    value, line = entries[key]
     try:
-        return kind(ent.value)
+        return kind(value)
     except ValueError:
         issues.append(
-            ConfigIssue(
-                "BAD_NUMBER", sec.name, key, ent.line, f"cannot parse {ent.value!r}"
-            )
+            ConfigIssue("BAD_NUMBER", section, key, line, f"cannot parse {value!r}")
         )
         return None
 
 
 def _profile(
-    sec: _Section,
+    section: str,
+    entries: _Entries,
     key: str,
     n_nodes: int,
     base_dir: Path,
     issues: list[ConfigIssue],
 ) -> Optional[np.ndarray]:
-    ent = sec.entries[key]
-    spec = ent.value
+    spec, line = entries[key]
+
+    def issue(code: str, message: str) -> None:
+        issues.append(ConfigIssue(code, section, key, line, message))
+
     if spec.startswith("const:"):
         try:
-            return np.full(n_nodes, float(spec[len("const:"):]))
+            value = float(spec[len("const:"):])
         except ValueError:
-            issues.append(
-                ConfigIssue("BAD_NUMBER", sec.name, key, ent.line, f"bad constant {spec!r}")
-            )
+            issue("BAD_NUMBER", f"bad constant {spec!r}")
             return None
+        # a negative node count is a grid error, which validate_config reports
+        return np.full(max(n_nodes, 0), value)
     if spec.startswith("file:"):
         path = base_dir / spec[len("file:"):]
         if not path.is_file():
-            issues.append(
-                ConfigIssue("FILE_NOT_FOUND", sec.name, key, ent.line, str(path))
-            )
+            issue("FILE_NOT_FOUND", str(path))
             return None
         values = []
         for ln in path.read_text().splitlines():
@@ -295,203 +149,220 @@ def _profile(
             try:
                 values.append(float(ln))
             except ValueError:
-                issues.append(
-                    ConfigIssue(
-                        "BAD_NUMBER", sec.name, key, ent.line, f"bad value {ln!r} in {path}"
-                    )
-                )
+                issue("BAD_NUMBER", f"bad value {ln!r} in {path}")
                 return None
         if len(values) != n_nodes:
-            issues.append(
-                ConfigIssue(
-                    "LENGTH_MISMATCH",
-                    sec.name,
-                    key,
-                    ent.line,
-                    f"{path} has {len(values)} values, grid needs {n_nodes}",
-                )
+            issue(
+                "LENGTH_MISMATCH", f"{path} has {len(values)} values, grid needs {n_nodes}"
             )
             return None
         return np.array(values)
-    issues.append(
-        ConfigIssue(
-            "BAD_NUMBER", sec.name, key, ent.line, f"expected const:<x> or file:<path>, got {spec!r}"
-        )
-    )
+    issue("BAD_NUMBER", f"expected const:<x> or file:<path>, got {spec!r}")
     return None
 
 
-def resolve_document(
-    doc: ConfigDocument, base_dir: Path
-) -> tuple[ModelConfig, CouplerSettings]:
-    issues: list[ConfigIssue] = []
+def _build_kinetics(
+    entries: _Entries,
+    species_names: Sequence[str],
+    initial: InitialData,
+    issues: list[ConfigIssue],
+) -> Optional[KineticsModel]:
+    model, model_line = entries["model"]
+    ns = len(species_names)
 
-    nr = _number(doc.grid, "nr", issues, int)
-    nz = _number(doc.grid, "nz", issues, int)
-    dt = _number(doc.grid, "dt", issues)
-    t_end = _number(doc.grid, "t_end", issues)
+    # evaluation box: explicit per-species entries win, otherwise derived
+    # from the initial data (twice its sup, floor 1.0; the empty profiles of
+    # a negative grid size are left to validate_config)
+    hi = np.maximum(
+        1.0,
+        2.0 * np.maximum(
+            initial.inlet.max(axis=1, initial=0.0), initial.wall_init.max(axis=1, initial=0.0)
+        ),
+    )
+    for i, name in enumerate(species_names):
+        key = f"box.{name}"
+        if key not in entries:
+            continue
+        value, line = entries[key]
+        parts = [p.strip() for p in value.split(",")]
+        try:
+            lo_v, hi_v = (float(parts[0]), float(parts[1]))
+        except (ValueError, IndexError):
+            message = f"expected lo,hi got {value!r}"
+        else:
+            if lo_v != 0.0:
+                message = "box lower bound must be 0"
+            elif not math.isfinite(hi_v):
+                message = f"box upper bound {hi_v} must be finite"
+            else:
+                hi[i] = hi_v
+                continue
+        issues.append(ConfigIssue("BAD_NUMBER", "kinetics", key, line, message))
+
+    if model == "co_oxidation" and ns != 4:
+        issues.append(
+            ConfigIssue(
+                "UNKNOWN_KEY",
+                "kinetics",
+                "model",
+                model_line,
+                f"co_oxidation binds to exactly 4 species (CO, O2, CO2, T); got {ns}",
+            )
+        )
+        return None
+    constants = {}
+    for key in MODEL_CONSTANTS[model]:
+        value = _number("kinetics", entries, key, issues)
+        if value is not None and not math.isfinite(value):
+            issues.append(
+                ConfigIssue(
+                    "BAD_NUMBER", "kinetics", key, entries[key][1], f"{value} is not finite"
+                )
+            )
+        constants[key] = value
+    if issues:
+        return None
+    if model == "zero":
+        return zero_model(ns, box_hi=hi)
+    if model == "linear_consumption":
+        return linear_consumption(ns, k=constants["rate"], box_hi=hi)
+    return co_oxidation(**constants, box_hi=hi)
+
+
+def parse_config(text: str, base_dir: Path | str = ".") -> tuple[ModelConfig, CouplerSettings]:
+    """Config text -> (ModelConfig, CouplerSettings), or ConfigError with every issue.
+
+    The layout (sections, unknown, duplicate and missing keys) is checked
+    first, then the values: the grid, then the coupler and species, then
+    the kinetics, each stage reporting all of its issues at once.
+    """
+    issues: list[ConfigIssue] = []
+    sections: dict[str, _Entries] = {}
+    opened: dict[str, int] = {}  # section -> line of its header
+    current: Optional[str] = None
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#;":
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in ("grid", "coupler", "kinetics") and not (
+                name.startswith("species.") and len(name) > len("species.")
+            ):
+                issues.append(
+                    ConfigIssue("UNKNOWN_KEY", name, "", lineno, "unknown section")
+                )
+                current = None
+            elif name in sections:
+                issues.append(
+                    ConfigIssue("UNKNOWN_KEY", name, "", lineno, "duplicate section")
+                )
+                current = name
+            else:
+                sections[name], opened[name] = {}, lineno
+                current = name
+            continue
+        if "=" not in line:
+            issues.append(
+                ConfigIssue("UNKNOWN_KEY", current or "", line, lineno, "expected key = value")
+            )
+            continue
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if current is None:
+            issues.append(
+                ConfigIssue("UNKNOWN_KEY", "", key, lineno, "key outside any section")
+            )
+        elif key in sections[current]:
+            issues.append(ConfigIssue("UNKNOWN_KEY", current, key, lineno, "duplicate key"))
+        else:
+            sections[current][key] = (value, lineno)
+
+    species = [name for name in sections if name.startswith("species.")]
+    species_names = [name.split(".", 1)[1] for name in species]
+    for required in ("grid", "kinetics"):
+        if required not in sections:
+            issues.append(
+                ConfigIssue("MISSING_KEY", required, "", 0, "section is required")
+            )
+    if not species:
+        issues.append(
+            ConfigIssue("MISSING_KEY", "species.<name>", "", 0, "no species declared")
+        )
+    model, model_line = sections.get("kinetics", {}).get("model", ("", 0))
+    if model_line and model not in MODEL_CONSTANTS:  # a missing model is a missing key below
+        issues.append(
+            ConfigIssue(
+                "UNKNOWN_KEY",
+                "kinetics",
+                "model",
+                model_line,
+                f"unknown model {model!r}; known: {', '.join(MODEL_CONSTANTS)}",
+            )
+        )
+    for name, entries in sections.items():
+        known, required = _schema(name, model, species_names)
+        for key, (_, lineno) in entries.items():
+            if key not in known:
+                issues.append(ConfigIssue("UNKNOWN_KEY", name, key, lineno, "unknown key"))
+        for key in required:
+            if key not in entries:
+                issues.append(
+                    ConfigIssue("MISSING_KEY", name, key, opened[name], "key is required")
+                )
+    if issues:
+        raise ConfigError(issues)
+
+    nr, nz = (_number("grid", sections["grid"], k, issues, int) for k in ("nr", "nz"))
+    dt, t_end = (_number("grid", sections["grid"], k, issues) for k in ("dt", "t_end"))
     if issues:
         raise ConfigError(issues)
     grid = Grid(nr=nr, nz=nz, dt=dt, t_end=t_end)
 
-    settings_kwargs = {}
-    if doc.coupler is not None:
-        c = doc.coupler
-        if "tol" in c.entries:
-            settings_kwargs["tol"] = _number(c, "tol", issues)
-        if "max_iter" in c.entries:
-            settings_kwargs["max_iter"] = _number(c, "max_iter", issues, int)
-        if "relaxation" in c.entries:
-            settings_kwargs["relaxation"] = _number(c, "relaxation", issues)
-        if "flux_form" in c.entries:
-            v = c.entries["flux_form"].value
-            if v not in ("gradient", "integral"):
-                issues.append(
-                    ConfigIssue(
-                        "UNKNOWN_KEY",
-                        "coupler",
-                        "flux_form",
-                        c.entries["flux_form"].line,
-                        f"expected gradient or integral, got {v!r}",
-                    )
-                )
-            else:
-                settings_kwargs["flux_form"] = v
+    coupler, defaults = sections.get("coupler", {}), CouplerSettings()
+    settings = {}
+    for key in COUPLER_KEYS:
+        if key not in coupler:
+            continue
+        kind = type(getattr(defaults, key))
+        value = _number("coupler", coupler, key, issues, kind)
+        if value is None:
+            continue
+        # each check of CouplerSettings reads one field, so this names the key
+        try:
+            CouplerSettings(**{key: value})
+        except ValueError as exc:
+            code = "UNKNOWN_KEY" if kind is str else "BAD_NUMBER"
+            issues.append(ConfigIssue(code, "coupler", key, coupler[key][1], str(exc)))
+        else:
+            settings[key] = value
 
-    species: list[SpeciesParams] = []
+    params: list[SpeciesParams] = []
     inlets: list[np.ndarray] = []
     walls: list[np.ndarray] = []
-    for sec in doc.species:
-        name = sec.name.split(".", 1)[1]
-        beta = _number(sec, "beta_f", issues)
-        gamma = _number(sec, "gamma_s", issues)
-        theta = _number(sec, "theta_s", issues)
-        delta = _number(sec, "delta", issues, int)
-        inlet = _profile(sec, "inlet", grid.nr + 1, base_dir, issues)
-        wall = _profile(sec, "wall_init", grid.nz + 1, base_dir, issues)
-        if None in (beta, gamma, theta, delta) or inlet is None or wall is None:
+    for name, species_name in zip(species, species_names):
+        entries = sections[name]
+        numbers = {
+            k: _number(name, entries, k, issues, int if k == "delta" else float)
+            for k in SPECIES_KEYS[:4]
+        }
+        inlet = _profile(name, entries, "inlet", grid.nr + 1, Path(base_dir), issues)
+        wall = _profile(name, entries, "wall_init", grid.nz + 1, Path(base_dir), issues)
+        if None in numbers.values() or inlet is None or wall is None:
             continue
-        species.append(
-            SpeciesParams(name=name, beta_f=beta, gamma_s=gamma, theta_s=theta, delta=delta)
-        )
+        params.append(SpeciesParams(name=species_name, **numbers))
         inlets.append(inlet)
         walls.append(wall)
     if issues:
         raise ConfigError(issues)
 
     initial = InitialData(inlet=np.stack(inlets), wall_init=np.stack(walls))
-    kin = _build_kinetics(doc.kinetics, species, initial, issues)
+    kinetics = _build_kinetics(sections["kinetics"], species_names, initial, issues)
     if issues:
         raise ConfigError(issues)
-
-    cfg = ModelConfig(
-        species=tuple(species), grid=grid, initial=initial, kinetics=kin
-    )
-    return cfg, CouplerSettings(**settings_kwargs)
-
-
-def _build_kinetics(
-    sec: _Section,
-    species: list[SpeciesParams],
-    initial: InitialData,
-    issues: list[ConfigIssue],
-) -> Optional[KineticsModel]:
-    model = sec.entries["model"].value
-    ns = len(species)
-
-    # evaluation box: explicit per-species entries win, otherwise derived
-    # from the initial data (twice its sup, floor 1.0)
-    hi = np.maximum(
-        1.0,
-        2.0 * np.maximum(initial.inlet.max(axis=1), initial.wall_init.max(axis=1)),
-    )
-    for i, s in enumerate(species):
-        key = f"box.{s.name}"
-        if key in sec.entries:
-            ent = sec.entries[key]
-            parts = [p.strip() for p in ent.value.split(",")]
-            try:
-                lo_v, hi_v = (float(parts[0]), float(parts[1]))
-            except (ValueError, IndexError):
-                issues.append(
-                    ConfigIssue(
-                        "BAD_NUMBER", sec.name, key, ent.line, f"expected lo,hi got {ent.value!r}"
-                    )
-                )
-                continue
-            if lo_v != 0.0:
-                issues.append(
-                    ConfigIssue(
-                        "BAD_NUMBER", sec.name, key, ent.line, "box lower bound must be 0"
-                    )
-                )
-                continue
-            hi[i] = hi_v
-
-    if model == "zero":
-        return zero_model(ns, box_hi=hi)
-    if model == "linear_consumption":
-        k = _number(sec, "rate", issues)
-        if k is None:
-            return None
-        return linear_consumption(ns, k=k, box_hi=hi)
-    if model == "co_oxidation":
-        if ns != 4:
-            issues.append(
-                ConfigIssue(
-                    "UNKNOWN_KEY",
-                    sec.name,
-                    "model",
-                    sec.entries["model"].line,
-                    f"co_oxidation binds to exactly 4 species (CO, O2, CO2, T); got {ns}",
-                )
-            )
-            return None
-        a = _number(sec, "prefactor", issues)
-        e = _number(sec, "activation_temp", issues)
-        c = _number(sec, "heat_release", issues)
-        if None in (a, e, c):
-            return None
-        return co_oxidation(a, e, c, box_hi=hi)
-    return None
-
-
-def parse_config(text: str, base_dir: Path | str = ".") -> tuple[ModelConfig, CouplerSettings]:
-    """Full pipeline: text -> (ModelConfig, CouplerSettings) or ConfigError."""
-    doc = parse_document(text)
-    return resolve_document(doc, Path(base_dir))
-
-
-def serialize_config(doc: ConfigDocument) -> str:
-    """Canonical rendering: fixed section and key order, coupler defaults filled."""
-    out: list[str] = []
-
-    def emit(name: str, keys: Sequence[str], entries: dict[str, _Entry], defaults=None):
-        out.append(f"[{name}]")
-        for k in keys:
-            if k in entries:
-                out.append(f"{k} = {entries[k].value}")
-            elif defaults and k in defaults:
-                out.append(f"{k} = {defaults[k]}")
-        out.append("")
-
-    emit("grid", GRID_KEYS, doc.grid.entries)
-    d = CouplerSettings()
-    defaults = {
-        "tol": repr(d.tol),
-        "max_iter": str(d.max_iter),
-        "flux_form": d.flux_form,
-        "relaxation": repr(d.relaxation),
-    }
-    emit("coupler", COUPLER_KEYS, doc.coupler.entries if doc.coupler else {}, defaults)
-    model = doc.kinetics.entries["model"].value
-    kin_keys = ("model",) + MODEL_CONSTANTS.get(model, ()) + tuple(
-        k for k in sorted(doc.kinetics.entries) if k.startswith("box.")
-    )
-    emit("kinetics", kin_keys, doc.kinetics.entries)
-    for sec in doc.species:
-        emit(sec.name, SPECIES_KEYS, sec.entries)
-    return "\n".join(out)
+    cfg = ModelConfig(species=tuple(params), grid=grid, initial=initial, kinetics=kinetics)
+    return cfg, CouplerSettings(**settings)
 
 
 # ---------------------------------------------------------------------------

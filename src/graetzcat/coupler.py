@@ -57,8 +57,8 @@ class CouplerSettings:
     relaxation: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.flux_form not in ("gradient", "integral"):
@@ -79,7 +79,8 @@ class CouplingState:
 
 
 class NonConvergedError(RuntimeError):
-    """The fixed-point loop hit max_iter with the residual above tol."""
+    """The fixed-point loop hit max_iter with the residual above tol, or the
+    residual stopped being finite."""
 
     def __init__(self, time: float, step_index: int, residuals: tuple[float, ...]):
         self.time = time
@@ -137,6 +138,8 @@ def advance_step(
         )
         residual = float(np.max(np.abs(new_values - iterate.values)))
         residuals.append(residual)
+        if not math.isfinite(residual):
+            break  # the iterate has blown up; more iterations cannot recover it
         iterate = WallField(values=new_values, time_tag=t_new)
         if residual < settings.tol:
             converged = True
@@ -248,14 +251,13 @@ def run_simulation(
     Returns the report plus the per-step snapshot trajectory.  The
     REACTION_ENDED time is the first level at which the surface equation's
     right-hand side is below 1e-8 everywhere, i.e. the state has stopped
-    evolving to that tolerance.
+    evolving to that tolerance.  An invalid config raises ValueError; the
+    validation warnings are the caller's to report (the CLI prints them).
     """
     t0 = _time.perf_counter()
     report = validate_config(cfg)
     if not report.ok:
         raise ValueError("invalid configuration: " + "; ".join(report.errors))
-    for w in report.warnings:
-        log.warning("%s", w)
 
     params = cfg.species
     grid = cfg.grid

@@ -160,7 +160,8 @@ def march_fluid(
             kc[:, 0] = -diff[:, 0] / dr
             kc[:, 1:] = (diff[:, :-1] - diff[:, 1:]) / dr
             rhs = -beta * kc
-            delta = cho_solve_banded((op.cho_factor, False), rhs.T)
+            # unchecked: a blown-up trace shows in the coupler's residual instead
+            delta = cho_solve_banded((op.cho_factor, False), rhs.T, check_finite=False)
             values[idx, :nr, k] = pad[:, :nr] + delta.T
 
     values[:, nr, :] = wall.values  # trace, bitwise (owns the z = 0 corner)

@@ -150,9 +150,6 @@ def co_oxidation(
     )
 
 
-BUILTIN_MODELS = ("zero", "linear_consumption", "co_oxidation")
-
-
 # ---------------------------------------------------------------------------
 # hypothesis sampling
 

@@ -170,13 +170,16 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
             errors.append(f"species.{s.name}.beta_f = {s.beta_f} must be > 0")
         if not (s.gamma_s > 0.0):
             errors.append(f"species.{s.name}.gamma_s = {s.gamma_s} must be > 0")
-        if s.theta_s < 0.0:
+        if not (s.theta_s >= 0.0):
             errors.append(f"species.{s.name}.theta_s = {s.theta_s} must be >= 0")
         elif s.theta_s == 0.0:
             warnings.append(
                 f"species.{s.name}.theta_s = 0 is DEGENERATE "
                 "(no axial surface diffusion; convergence guarantees lapse)"
             )
+        for key in ("beta_f", "gamma_s", "theta_s"):
+            if getattr(s, key) == math.inf:
+                errors.append(f"species.{s.name}.{key} = inf must be finite")
         if s.delta not in (-1, 1):
             errors.append(f"species.{s.name}.delta = {s.delta} must be -1 or +1")
 

@@ -93,7 +93,7 @@ def step_wall(inp: WallStepInput) -> WallField:
         ab[0, 2:] = -a
         ab[2, :-2] = -a
         ab[2, -2] = -2.0 * a  # mirrored ghost at z = 1
-        delta = solve_banded((1, 1), ab, rhs[idx].T)
+        delta = solve_banded((1, 1), ab, rhs[idx].T, check_finite=False)
         new[idx] = prev[idx] + delta.T
 
     return WallField(values=new, time_tag=inp.wall_prev.time_tag + dt)

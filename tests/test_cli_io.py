@@ -1,14 +1,20 @@
+import contextlib
+import io
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graetzcat.cli_io import (
     ConfigError,
     main,
     parse_config,
-    parse_document,
-    serialize_config,
     write_probe_csv,
     write_report,
     write_snapshot_csv,
@@ -55,18 +61,6 @@ def issues_of(text, base="."):
 
 
 class TestParseConfig:
-    def test_minimal_round_trip_is_stable(self):
-        doc = parse_document(MINIMAL)
-        once = serialize_config(doc)
-        twice = serialize_config(parse_document(once))
-        assert once == twice
-        cfg, settings = parse_config(MINIMAL)
-        cfg2, settings2 = parse_config(once)
-        assert cfg.species == cfg2.species
-        assert cfg.grid == cfg2.grid
-        assert settings == settings2
-        assert np.array_equal(cfg.initial.inlet, cfg2.initial.inlet)
-
     def test_coupler_defaults_applied(self):
         _, settings = parse_config(MINIMAL)
         assert settings == CouplerSettings()
@@ -114,6 +108,18 @@ class TestParseConfig:
         text = MINIMAL.replace("nr = 8", "nr = 8\nnr = 9")
         issues = issues_of(text)
         assert any("duplicate" in i.message for i in issues)
+
+    def test_non_finite_rate_law_values_are_bad_numbers(self):
+        text = SCENARIO_CFG.read_text()
+        for old, new in (
+            ("prefactor = 400.0", "prefactor = nan"),
+            ("activation_temp = 3000.0", "activation_temp = -inf"),
+            ("box.CO = 0, 0.05", "box.CO = 0, nan"),
+            ("box.T = 0, 520", "box.T = 0, inf"),
+        ):
+            key = new.partition(" ")[0]
+            issues = issues_of(text.replace(old, new), SCENARIO_CFG.parent)
+            assert [(i.code, i.key) for i in issues] == [("BAD_NUMBER", key)], new
 
     def test_co_oxidation_needs_four_species(self):
         text = MINIMAL.replace(
@@ -206,13 +212,16 @@ class TestCli:
         assert self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
     def test_bad_time_grid_exit_two(self, tmp_path, capsys):
-        # non-finite values and a t_end that is no whole number of steps
+        # non-finite values, a t_end that is no whole number of steps and
+        # sizes too small to hold a profile
         for old, new in (
             ("t_end = 0.5", "t_end = inf"),
             ("t_end = 0.5", "t_end = nan"),
             ("dt = 0.05", "dt = inf"),
             ("dt = 0.05", "dt = nan"),
             ("t_end = 0.5", "t_end = 0.525"),
+            ("nr = 8", "nr = -1"),
+            ("nz = 8", "nz = -1"),
         ):
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(MINIMAL.replace(old, new))
@@ -220,6 +229,36 @@ class TestCli:
             err = capsys.readouterr().err
             assert code == 2, new
             assert any(line.startswith("config error: grid.") for line in err.splitlines()), err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("relaxation = 1.0", "relaxation = 1.5"),
+            ("tol = 1e-10", "tol = -1"),
+            ("max_iter = 50", "max_iter = 0"),
+            ("flux_form = gradient", "flux_form = sideways"),
+        ],
+    )
+    def test_bad_coupler_value_exit_two(self, tmp_path, capsys, old, new):
+        text = SCENARIO_CFG.read_text()
+        lineno = text.splitlines().index(old) + 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        assert self.run_cli("check", "--config", str(cfg)) == 2
+        key = new.partition(" ")[0]
+        err = capsys.readouterr().err.splitlines()
+        assert any(
+            line.startswith(f"config error: line {lineno}: ") and f" [coupler].{key}: " in line
+            for line in err
+        ), err
+
+    def test_simulate_prints_each_warning_once(self, tmp_path, capsys, caplog):
+        # species a starts off its inlet value at the corner: one warning
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINIMAL.replace("wall_init = const:0.5", "wall_init = const:0.4", 1))
+        self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        emitted = capsys.readouterr().err + "".join(r.getMessage() for r in caplog.records)
+        assert emitted.count("corner compatibility mismatch") == 1
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert (
@@ -267,3 +306,26 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "MU=" in proc.stdout
+
+
+SHORT_SCENARIO = SCENARIO_CFG.read_text().replace("t_end = 60", "t_end = 0.04")
+KEY_LINES = [
+    i for i, line in enumerate(SHORT_SCENARIO.splitlines()) if re.match(r"[\w.]+\s*=", line)
+]
+NON_FINITE = ("nan", "inf", "-inf", "0, nan", "const:nan")
+TOKENS = NON_FINITE + ("-1", "0", "1e300", "", "x", "0,1", "file:missing.txt")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(KEY_LINES), st.sampled_from(TOKENS))
+def test_check_ends_in_an_exit_code_for_any_value(index, token):
+    lines = SHORT_SCENARIO.splitlines()
+    lines[index] = lines[index].partition("=")[0] + "= " + token
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", "--config", str(cfg)])
+    assert code in (0, 2, 4)
+    if token in NON_FINITE:
+        assert code == 2

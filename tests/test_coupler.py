@@ -92,6 +92,21 @@ class TestAdvanceStep:
         assert len(exc.value.residuals) == 2
         assert exc.value.step_index == 1
 
+    def test_non_finite_residual_stops_at_once(self):
+        cfg = constant_config(nr=8, nz=8, dt=0.05, t_end=0.05)
+        guess = WallField(np.full_like(cfg.initial.wall_init, np.nan), 0.0)
+        with pytest.raises(NonConvergedError) as exc:
+            advance_step(
+                initial_state(cfg),
+                cfg.initial,
+                CouplerSettings(),
+                cfg.species,
+                cfg.kinetics,
+                cfg.grid,
+                initial_guess=guess,
+            )
+        assert len(exc.value.residuals) == 1
+
     def test_relaxation_converges_to_same_fixed_point(self, scenario):
         cfg, settings = scenario
         state = initial_state(cfg)
@@ -213,3 +228,5 @@ class TestCouplerSettings:
             CouplerSettings(flux_form="sideways")
         with pytest.raises(ValueError):
             CouplerSettings(relaxation=1.5)
+        with pytest.raises(ValueError):
+            CouplerSettings(tol=float("inf"))

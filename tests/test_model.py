@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +65,18 @@ class TestValidateConfig:
     def test_idempotent_and_pure(self):
         cfg = constant_config()
         assert validate_config(cfg) == validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beta_f", math.inf), ("gamma_s", math.inf), ("theta_s", math.inf), ("theta_s", math.nan)],
+    )
+    def test_non_finite_transport_constant_is_an_error(self, key, value):
+        cfg = constant_config()
+        bad = dataclasses.replace(cfg.species[0], **{key: value})
+        report = validate_config(
+            ModelConfig((bad,) + cfg.species[1:], cfg.grid, cfg.initial, cfg.kinetics)
+        )
+        assert any(e.startswith(f"species.s0.{key} = ") for e in report.errors)
 
     def test_non_finite_initial_data_is_an_error(self):
         cfg = constant_config()
