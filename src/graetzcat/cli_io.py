@@ -172,16 +172,21 @@ def _build_kinetics(
 
     # evaluation box: explicit per-species entries win, otherwise derived
     # from the initial data (twice its sup, floor 1.0; the empty profiles of
-    # a negative grid size are left to validate_config)
-    hi = np.maximum(
-        1.0,
-        2.0 * np.maximum(
-            initial.inlet.max(axis=1, initial=0.0), initial.wall_init.max(axis=1, initial=0.0)
-        ),
-    )
+    # a negative grid size are left to validate_config, an overflow is
+    # reported below)
+    with np.errstate(over="ignore"):
+        hi = np.maximum(
+            1.0,
+            2.0 * np.maximum(
+                initial.inlet.max(axis=1, initial=0.0), initial.wall_init.max(axis=1, initial=0.0)
+            ),
+        )
     for i, name in enumerate(species_names):
         key = f"box.{name}"
         if key not in entries:
+            if not math.isfinite(hi[i]):
+                message = f"derived upper bound (twice the sup of {name}'s data) overflows"
+                issues.append(ConfigIssue("BAD_NUMBER", "kinetics", key, model_line, message))
             continue
         value, line = entries[key]
         parts = [p.strip() for p in value.split(",")]
@@ -194,6 +199,8 @@ def _build_kinetics(
                 message = "box lower bound must be 0"
             elif not math.isfinite(hi_v):
                 message = f"box upper bound {hi_v} must be finite"
+            elif not hi_v > 0.0:
+                message = f"box upper bound {hi_v} must be > 0"
             else:
                 hi[i] = hi_v
                 continue

@@ -27,15 +27,21 @@ consistency checks of the scheme.
 
 Operators are applied in face-difference form throughout, so constant data
 reproduces itself bitwise (exact fixed points, no drift).
+
+The Cholesky factor depends only on (nr, nz, beta), so it is built once per
+process for each such triple and every march reuses it; each station is one
+direct LAPACK ``dpbtrs`` call on that factor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .model import FluidField, Grid, InitialData, SpeciesParams, WallField
 
@@ -47,7 +53,10 @@ class RadialOperator:
     lower/diag/upper are the tridiagonal coefficients over the nr+1 nodes
     including the symmetry row at the axis and the Dirichlet row at r = 1.
     The factored form (drop the Dirichlet unknown, rescale by cell volumes)
-    is symmetric positive definite and is Cholesky-factored once per march.
+    is symmetric positive definite; march_fluid takes its Cholesky factor
+    from ``radial_operator``, which builds it once per (nr, nz, beta).
+    lower/diag/upper are not used by the march: they are the M-matrix
+    witness (``m_matrix_ok``) behind the discrete maximum principle.
     """
 
     beta: float
@@ -118,6 +127,19 @@ class RadialOperator:
         return offdiag_ok and bool(np.all(self.diag > 0.0)) and bool(np.all(dom >= -1e-14))
 
 
+@functools.lru_cache(maxsize=32)
+def radial_operator(nr: int, nz: int, beta: float) -> RadialOperator:
+    """The operator for one (nr, nz, beta), built once per process, arrays read-only.
+
+    The operator does not depend on the time grid, so dt and t_end are
+    placeholders here.
+    """
+    op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
+    for a in (op.lower, op.diag, op.upper, op.face_r, op.cho_factor):
+        a.flags.writeable = False
+    return op
+
+
 def march_fluid(
     wall: WallField,
     init: InitialData,
@@ -148,21 +170,37 @@ def march_fluid(
 
     dr = grid.dr
     for beta, idx in groups.items():
-        op = RadialOperator.build(grid, beta)
-        fr = op.face_r
-        wvals = wall.values[idx]
-        pad = np.empty((len(idx), nr + 1))
+        op = radial_operator(nr, nz, beta)
+        fr, cho = op.face_r, op.cho_factor
+        g = len(idx)
+        # a contiguous group is written through a basic slice, not a fancy index
+        rows = slice(idx[0], idx[0] + g) if idx[-1] - idx[0] == g - 1 else idx
+        wvals = wall.values[rows]
+        # rolling column: station k-1 in [:nr], the wall trace at k in [nr];
+        # the views below are taken once, the loop only calls into numpy
+        col = np.empty((g, nr + 1))
+        inner, c_hi, c_lo = col[:, :nr], col[:, 1:], col[:, :-1]
+        inner[...] = init.inlet[rows, :nr]
+        # face differences in [:, 1:] after a fixed -0.0 column, so one
+        # subtraction also gives the axis row: -0.0 - d == -d exactly
+        faces = np.empty((g, nr + 1))
+        faces[:, 0] = -0.0
+        diff, d_lo = faces[:, 1:], faces[:, :-1]
+        rhs = np.empty((g, nr))
+        rhs_t = rhs.T
         for k in range(1, nz + 1):
-            pad[:, :nr] = values[idx, :nr, k - 1]
-            pad[:, nr] = wvals[:, k]
-            diff = fr * (pad[:, 1:] - pad[:, :-1])
-            kc = np.empty((len(idx), nr))
-            kc[:, 0] = -diff[:, 0] / dr
-            kc[:, 1:] = (diff[:, :-1] - diff[:, 1:]) / dr
-            rhs = -beta * kc
+            col[:, nr] = wvals[:, k]
+            np.subtract(c_hi, c_lo, out=diff)
+            np.multiply(fr, diff, out=diff)
+            np.subtract(d_lo, diff, out=rhs)
+            np.divide(rhs, dr, out=rhs)
+            np.multiply(-beta, rhs, out=rhs)
             # unchecked: a blown-up trace shows in the coupler's residual instead
-            delta = cho_solve_banded((op.cho_factor, False), rhs.T, check_finite=False)
-            values[idx, :nr, k] = pad[:, :nr] + delta.T
+            delta, info = dpbtrs(cho, rhs_t, lower=0, overwrite_b=1)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
+            np.add(inner, delta.T, out=inner)
+            values[rows, :nr, k] = inner
 
     values[:, nr, :] = wall.values  # trace, bitwise (owns the z = 0 corner)
     return FluidField(values=values, time_tag=wall.time_tag)

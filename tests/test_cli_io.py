@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graetzcat
 from graetzcat.cli_io import (
     ConfigError,
     main,
@@ -121,6 +123,13 @@ class TestParseConfig:
             issues = issues_of(text.replace(old, new), SCENARIO_CFG.parent)
             assert [(i.code, i.key) for i in issues] == [("BAD_NUMBER", key)], new
 
+    def test_box_upper_bound_must_be_positive(self):
+        text = SCENARIO_CFG.read_text()
+        for new in ("box.CO = 0, 0", "box.CO = 0, -1"):
+            issues = issues_of(text.replace("box.CO = 0, 0.05", new), SCENARIO_CFG.parent)
+            assert [(i.code, i.key) for i in issues] == [("BAD_NUMBER", "box.CO")], new
+            assert "must be > 0" in issues[0].message
+
     def test_co_oxidation_needs_four_species(self):
         text = MINIMAL.replace(
             "model = zero",
@@ -230,6 +239,26 @@ class TestCli:
             assert code == 2, new
             assert any(line.startswith("config error: grid.") for line in err.splitlines()), err
 
+    def test_rejected_grid_size_is_reported_once(self, tmp_path, capsys):
+        # a rejected size has no expected profile shape to compare against
+        for old, new in (("nr = 8", "nr = -100"), ("nz = 8", "nz = -100")):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(MINIMAL.replace(old, new))
+            assert self.run_cli("check", "--config", str(cfg)) == 2
+            errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+            key = new.partition(" ")[0]
+            assert errors == [f"config error: grid.{key} = -100 is too small (need {key} >= 4)"]
+
+    def test_overflowing_derived_box_exit_two(self, tmp_path, capsys):
+        # no box.CO line: twice the sup of CO's data overflows to inf
+        text = SCENARIO_CFG.read_text().replace("box.CO = 0, 0.05\n", "")
+        text = text.replace("const:0.02", "const:1e308")
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        assert self.run_cli("check", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "[kinetics].box.CO:" in err, err
+
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -299,10 +328,14 @@ class TestCli:
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(MINIMAL)
+        # the child imports the same graetzcat as this process
+        src = str(Path(graetzcat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "graetzcat.cli_io", "check", "--config", str(cfg)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "MU=" in proc.stdout

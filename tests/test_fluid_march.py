@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve_banded
 
+from graetzcat import fluid_march
 from graetzcat.fluid_march import (
     RadialOperator,
     march_fluid,
+    radial_operator,
     wall_flux_gradient,
     wall_flux_integral,
 )
@@ -24,6 +29,33 @@ def graetz(nr, nz, inlet=None, wall=None, beta=1.0):
         WallField(wall, 0.0), InitialData(inlet, wall.copy()), single(beta), grid
     )
     return grid, field
+
+
+def reference_march(wall, inlet, betas, grid):
+    """The march as one scipy cho_solve_banded call per station and beta group."""
+    nr, nz, dr = grid.nr, grid.nz, grid.dr
+    values = np.empty((len(betas), nr + 1, nz + 1))
+    values[:, :, 0] = inlet
+    for beta in dict.fromkeys(betas):
+        idx = [i for i, b in enumerate(betas) if b == beta]
+        op = RadialOperator.build(grid, beta)
+        pad = np.empty((len(idx), nr + 1))
+        for k in range(1, nz + 1):
+            pad[:, :nr] = values[idx, :nr, k - 1]
+            pad[:, nr] = wall[idx, k]
+            diff = op.face_r * (pad[:, 1:] - pad[:, :-1])
+            kc = np.empty((len(idx), nr))
+            kc[:, 0] = -diff[:, 0] / dr
+            kc[:, 1:] = (diff[:, :-1] - diff[:, 1:]) / dr
+            delta = cho_solve_banded((op.cho_factor, False), (-beta * kc).T)
+            values[idx, :nr, k] = pad[:, :nr] + delta.T
+    values[:, nr, :] = wall
+    return values
+
+
+def march(betas, grid, inlet, wall):
+    params = tuple(SpeciesParams(f"s{i}", b, 1.0, 1.0, -1) for i, b in enumerate(betas))
+    return march_fluid(WallField(wall, 0.0), InitialData(inlet, wall.copy()), params, grid)
 
 
 class TestRadialOperator:
@@ -102,6 +134,47 @@ class TestMarchFluid:
             )
             assert np.array_equal(batched.values[i], solo.values[0])
 
+    @pytest.mark.parametrize(
+        "betas, nr, nz",
+        [
+            ((1.0,), 16, 16),  # one species
+            ((1.3, 1.3, 1.3, 1.3), 32, 32),  # one batch of four
+            ((1.0, 2.0, 1.0), 8, 12),  # a group that is not contiguous
+            ((0.7, 1.9), 40, 24),  # nr != nz
+        ],
+    )
+    def test_matches_reference_march_bitwise(self, betas, nr, nz):
+        rng = np.random.default_rng(nr * nz + len(betas))
+        grid = Grid(nr=nr, nz=nz, dt=0.1, t_end=1.0)
+        scale = rng.uniform(0.01, 500.0, (len(betas), 1))
+        inlet = scale * rng.uniform(0.0, 1.0, (len(betas), nr + 1))
+        wall = scale * rng.uniform(0.0, 1.0, (len(betas), nz + 1))
+        field = march(betas, grid, inlet, wall)
+        assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid))
+
+    def test_factor_is_built_once_per_grid_and_beta(self):
+        nr, nz, beta = 12, 20, 1.2345
+        rng = np.random.default_rng(4)
+        inlet, wall = rng.uniform(0.0, 1.0, (1, nr + 1)), rng.uniform(0.0, 1.0, (1, nz + 1))
+        misses = radial_operator.cache_info().misses
+        for dt in (0.1, 0.25):  # the operator does not depend on the time grid
+            march((beta,), Grid(nr=nr, nz=nz, dt=dt, t_end=1.0), inlet, wall)
+        assert radial_operator.cache_info().misses == misses + 1
+        op = radial_operator(nr, nz, beta)
+        assert op is radial_operator(nr, nz, beta)
+        fresh = RadialOperator.build(Grid(nr=nr, nz=nz, dt=0.5, t_end=1.0), beta)
+        for name in ("lower", "diag", "upper", "face_r", "cho_factor"):
+            cached = getattr(op, name)
+            assert not cached.flags.writeable, name
+            assert np.array_equal(cached, getattr(fresh, name)), name
+        with pytest.raises(ValueError):
+            op.cho_factor[0, 0] = 1.0
+
+    def test_lapack_error_raises(self, monkeypatch):
+        monkeypatch.setattr(fluid_march, "dpbtrs", lambda cb, b, lower, overwrite_b: (b, -2))
+        with pytest.raises(ValueError, match="argument 2"):
+            graetz(8, 8)
+
     def test_shape_mismatch_rejected(self):
         grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         with pytest.raises(ValueError):
@@ -111,6 +184,36 @@ class TestMarchFluid:
                 single(),
                 grid,
             )
+
+
+GRID_SIZE = st.integers(min_value=4, max_value=24)
+BETAS = st.lists(st.sampled_from([0.05, 0.3, 1.0, 2.5, 20.0]), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(GRID_SIZE, GRID_SIZE, BETAS, st.integers(0, 2**32 - 1))
+def test_marched_field_stays_in_the_data_envelope(nr, nz, betas, seed):
+    # discrete maximum principle, per species: the field stays between the
+    # smallest and the largest of its inlet and wall data
+    rng = np.random.default_rng(seed)
+    ns = len(betas)
+    lo = rng.uniform(-10.0, 10.0, (ns, 1))
+    width = rng.uniform(1e-3, 10.0, (ns, 1))
+    inlet = lo + width * rng.uniform(0.0, 1.0, (ns, nr + 1))
+    wall = lo + width * rng.uniform(0.0, 1.0, (ns, nz + 1))
+    values = march(betas, Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), inlet, wall).values
+    data = np.concatenate([inlet, wall], axis=1)
+    slack = 1e-12 * np.abs(data).max(axis=1)
+    assert np.all(values.min(axis=(1, 2)) >= data.min(axis=1) - slack)
+    assert np.all(values.max(axis=(1, 2)) <= data.max(axis=1) + slack)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(GRID_SIZE, GRID_SIZE, BETAS, st.integers(0, 2**32 - 1))
+def test_constant_data_is_an_exact_fixed_point(nr, nz, betas, seed):
+    c = np.random.default_rng(seed).uniform(-1e3, 1e3, (len(betas), 1))
+    field = march(betas, Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), np.tile(c, nr + 1), np.tile(c, nz + 1))
+    assert np.array_equal(field.values, np.broadcast_to(c[:, :, None], field.values.shape))
 
 
 class TestWallFluxGradient:
