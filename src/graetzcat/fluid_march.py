@@ -182,7 +182,8 @@ def march_fluid(
         inner, c_hi, c_lo = col[:, :nr], col[:, 1:], col[:, :-1]
         inner[...] = init.inlet[rows, :nr]
         # face differences in [:, 1:] after a fixed -0.0 column, so one
-        # subtraction also gives the axis row: -0.0 - d == -d exactly
+        # subtraction also gives the axis row: -0.0 - d == -d exactly (numpy
+        # 2.4.6 gives wrong values for np.negative into some strided outputs)
         faces = np.empty((g, nr + 1))
         faces[:, 0] = -0.0
         diff, d_lo = faces[:, 1:], faces[:, :-1]

@@ -146,9 +146,10 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
     warnings: list[str] = []
 
     g = cfg.grid
-    if g.nr < 4:
+    nr_ok, nz_ok = g.nr >= 4, g.nz >= 4
+    if not nr_ok:
         errors.append(f"grid.nr = {g.nr} is too small (need nr >= 4)")
-    if g.nz < 4:
+    if not nz_ok:
         errors.append(f"grid.nz = {g.nz} is too small (need nz >= 4)")
     if not (math.isfinite(g.dt) and math.isfinite(g.t_end)):
         errors.append(f"grid.dt = {g.dt} and grid.t_end = {g.t_end} must be finite")
@@ -186,11 +187,11 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
     ns = len(cfg.species)
     inlet, wall = cfg.initial.inlet, cfg.initial.wall_init
     # an axis whose size was rejected above has no expected shape
-    if g.nr >= 4 and inlet.shape != (ns, g.nr + 1):
+    if nr_ok and inlet.shape != (ns, g.nr + 1):
         errors.append(
             f"inlet profiles have shape {inlet.shape}, expected {(ns, g.nr + 1)}"
         )
-    if g.nz >= 4 and wall.shape != (ns, g.nz + 1):
+    if nz_ok and wall.shape != (ns, g.nz + 1):
         errors.append(
             f"wall_init profiles have shape {wall.shape}, expected {(ns, g.nz + 1)}"
         )

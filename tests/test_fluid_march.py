@@ -152,6 +152,17 @@ class TestMarchFluid:
         field = march(betas, grid, inlet, wall)
         assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid))
 
+    def test_matches_reference_march_on_small_radial_grids(self):
+        # each nr gives the column buffers other strides; numpy picks its
+        # inner loops by stride
+        rng = np.random.default_rng(5)
+        betas = (1.0, 2.0, 1.0)
+        for nr in range(4, 20):
+            grid = Grid(nr=nr, nz=5, dt=0.1, t_end=1.0)
+            inlet, wall = rng.uniform(0.0, 1.0, (3, nr + 1)), rng.uniform(0.0, 1.0, (3, 6))
+            field = march(betas, grid, inlet, wall)
+            assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid)), nr
+
     def test_factor_is_built_once_per_grid_and_beta(self):
         nr, nz, beta = 12, 20, 1.2345
         rng = np.random.default_rng(4)
