@@ -639,7 +639,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"{tag}_WORST species={worst.species} magnitude={worst.magnitude!r} "
                     f"x={tuple(round(v, 6) for v in worst.x)}"
                 )
-        return 0 if hypo.all_pass else 4
+        return 0 if hypo.all_pass and math.isfinite(lam) else 4
 
     # simulate
     out_dir = Path(args.out)

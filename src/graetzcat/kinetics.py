@@ -8,7 +8,7 @@ which is what makes a global Lipschitz constant exist for smooth laws.
 The three structural hypotheses are checked by sampling, not symbolically,
 because rate functions are opaque user code:
 
-  H1  rates are elementwise nonnegative on the box;
+  H1  rates are elementwise finite and nonnegative on the box;
   H2  a channel that consumes an absent species is silent: for consumed
       species i (delta_i = -1), x_i = 0 implies rate_i = 0;
   H3  weighted monotonicity: for all x, y >= 0,
@@ -17,16 +17,19 @@ because rate functions are opaque user code:
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .model import SpeciesParams
 
 HYPOTHESIS_SLACK = 1e-12
 LIPSCHITZ_SAFETY = 1.25
+SOBOL_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -177,16 +180,80 @@ class HypothesisReport:
         return self.h1_pass and self.h2_pass and self.h3_pass
 
 
+@functools.lru_cache(maxsize=8)
+def _direction_numbers(d: int) -> np.ndarray:
+    """Joe-Kuo Sobol direction numbers of the first d dimensions, (d, 30), read-only.
+
+    The primitive polynomials and initial numbers are scipy's own table, read
+    from the installed package without importing scipy.stats; column j
+    holds the j-th direction number scaled to 30 bits.
+    """
+    pkg = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    with np.load(Path(pkg) / "stats" / "_sobol_direction_numbers.npz") as table:
+        poly, vinit = table["poly"], table["vinit"]
+    v = [[1] * SOBOL_BITS]
+    for j in range(1, d):
+        p = int(poly[j])
+        m = p.bit_length() - 1
+        row = [int(c) for c in vinit[j, :m]]
+        for b in range(m, SOBOL_BITS):
+            new = row[b - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[b - k - 1] << (k + 1)
+            row.append(new)
+        v.append(row)
+    sv = np.array(v, dtype=np.uint32) << np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    sv.flags.writeable = False
+    return sv
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each uint32, by folding the halves together."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint32(shift))
+    return x & np.uint32(1)
+
+
+def _sobol(d: int, seed: int, n: int) -> np.ndarray:
+    """The first n points of a scrambled Sobol sequence in [0, 1)^d, shape (n, d).
+
+    Bitwise equal to scipy's ``qmc.Sobol(d, scramble=True, seed=seed).random(n)``:
+    linear matrix scrambling plus a digital shift (Matousek 1998), drawn from
+    ``default_rng(seed)`` in scipy's order, and points in Gray-code order.
+    """
+    if n > 2**SOBOL_BITS:
+        raise ValueError(f"at most 2**{SOBOL_BITS} = {2**SOBOL_BITS} Sobol points, asked for {n}")
+    rng = np.random.default_rng(seed)
+    place = np.arange(SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << place)
+    ltm = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    ltm[:, place, place] = 1
+    # row p of a matrix as a mask with column c at bit 29 - c; bit 29 - p of
+    # a scrambled direction number is the parity of that row against it
+    place = place[::-1]
+    rows = ltm @ (np.uint32(1) << place)
+    bits = _parity(rows[:, :, None] & _direction_numbers(d)[:, None, :])
+    sv = np.bitwise_or.reduce(bits << place[:, None], axis=1)
+    # Gray-code order by reflection: point i is the shift xor-ed with the
+    # direction numbers of the set bits of i ^ (i >> 1)
+    q = shift[None, :]
+    for k in range(max(n - 1, 0).bit_length()):
+        q = np.concatenate([q, q[::-1] ^ sv[:, k]])
+    return q[:n] * 2.0**-SOBOL_BITS
+
+
 def _sample_pairs(model: KineticsModel, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n quasi-random (x, y) pairs in the model box, prefix-stable in seed."""
     lo, hi = model.domain_box
-    eng = qmc.Sobol(d=2 * model.arity, scramble=True, seed=seed)
-    u = eng.random(n)
+    u = _sobol(2 * model.arity, seed, n)
     x = lo + u[:, : model.arity] * (hi - lo)
     y = lo + u[:, model.arity :] * (hi - lo)
     return x, y
 
 
+# Rates that overflow are judged (H1, a non-finite lambda), not warned about.
+@np.errstate(all="ignore")
 def verify_hypotheses(
     model: KineticsModel,
     params: Sequence[SpeciesParams],
@@ -209,16 +276,17 @@ def verify_hypotheses(
     rx = eval_rates(model, x)
     ry = eval_rates(model, y)
 
-    # H1: nonnegative channel rates everywhere in the box.
+    # H1: finite, nonnegative channel rates everywhere in the box; a
+    # non-finite rate is the worst violation there is.
     allpts = np.concatenate([x, y])
     allrates = np.concatenate([rx, ry])
     worst_h1 = None
-    neg = allrates < -HYPOTHESIS_SLACK
-    if neg.any():
-        flat = np.unravel_index(np.argmin(allrates), allrates.shape)
+    shortfall = np.where(np.isfinite(allrates), -allrates, np.inf)
+    flat = np.unravel_index(np.argmax(shortfall), shortfall.shape)
+    if shortfall[flat] > HYPOTHESIS_SLACK:
         worst_h1 = Violation(
             species=int(flat[1]),
-            magnitude=float(-allrates[flat]),
+            magnitude=float(shortfall[flat]),
             x=tuple(float(v) for v in allpts[flat[0]]),
         )
 
@@ -267,6 +335,7 @@ def verify_hypotheses(
     )
 
 
+@np.errstate(all="ignore")
 def estimate_lipschitz(
     model: KineticsModel, seed: int = 0, samples: int = 16384
 ) -> tuple[np.ndarray, float]:

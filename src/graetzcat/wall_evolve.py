@@ -7,15 +7,20 @@ enter explicitly from the caller-supplied vectors; both ends are zero-flux,
 closed with mirrored ghost nodes, which keeps the trapezoid mass integral
 exact for flux-free, reaction-free steps.  The update is computed in
 increment form so fixed points are preserved bitwise.
+
+The tridiagonal LU factor depends only on (nn, dt, theta), so it is built
+once per process for each such triple and every step reuses it; each solve
+is one direct LAPACK ``dgttrs`` call on that factor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .model import SpeciesParams, WallField
 
@@ -64,6 +69,26 @@ def surface_rhs(
     )
 
 
+@functools.lru_cache(maxsize=32)
+def surface_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...]:
+    """LU factor (dl, d, du, du2, ipiv) of I - dt theta D2 on nn nodes, read-only.
+
+    D2 is the mirrored-ghost second difference, so the first superdiagonal
+    and the last subdiagonal entries carry the doubled ghost weight.
+    """
+    a = dt * theta / (1.0 / (nn - 1)) ** 2
+    off = np.full(nn - 1, -a)
+    du, dl = off.copy(), off.copy()
+    du[0] = -2.0 * a  # mirrored ghost at z = 0
+    dl[-1] = -2.0 * a  # mirrored ghost at z = 1
+    *factor, info = dgttrf(dl, np.full(nn, 1.0 + 2.0 * a), du)
+    if info:  # cannot happen: the matrix is strictly diagonally dominant
+        raise RuntimeError(f"surface diffusion matrix is singular (LAPACK dgttrf info={info})")
+    for arr in factor:
+        arr.flags.writeable = False
+    return tuple(factor)
+
+
 def step_wall(inp: WallStepInput) -> WallField:
     ns, nn = inp.wall_prev.values.shape
     if inp.flux.shape != (ns, nn) or inp.rates.shape != (ns, nn):
@@ -72,7 +97,6 @@ def step_wall(inp: WallStepInput) -> WallField:
         raise ValueError(f"dt = {inp.dt} must be positive")
 
     dt = inp.dt
-    dz = 1.0 / (nn - 1)
     prev = inp.wall_prev.values
     rhs = dt * surface_rhs(prev, inp.flux, inp.rates, inp.params)
 
@@ -86,14 +110,11 @@ def step_wall(inp: WallStepInput) -> WallField:
         if theta == 0.0:
             new[idx] = prev[idx] + rhs[idx]
             continue
-        a = dt * theta / dz**2
-        ab = np.zeros((3, nn))
-        ab[1, :] = 1.0 + 2.0 * a
-        ab[0, 1] = -2.0 * a  # mirrored ghost at z = 0
-        ab[0, 2:] = -a
-        ab[2, :-2] = -a
-        ab[2, -2] = -2.0 * a  # mirrored ghost at z = 1
-        delta = solve_banded((1, 1), ab, rhs[idx].T, check_finite=False)
+        # rhs[idx] is a fresh C-ordered copy, so its transpose is the
+        # Fortran-ordered (nn, g) block dgttrs solves in place
+        delta, info = dgttrs(*surface_factor(nn, dt, theta), rhs[idx].T, overwrite_b=1)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrs")
         new[idx] = prev[idx] + delta.T
 
     return WallField(values=new, time_tag=inp.wall_prev.time_tag + dt)

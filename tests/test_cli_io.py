@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +261,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "[kinetics].box.CO:" in err, err
 
+    def test_overflowing_rates_fail_check_without_warnings(self, tmp_path, capsys):
+        # the derived box (1e308) is finite, but the CO rates overflow in it:
+        # a non-finite rate fails H1 and a non-finite lambda fails the check
+        text = SCENARIO_CFG.read_text().replace("box.CO = 0, 0.05\n", "")
+        text = text.replace("const:0.02", "const:5e307")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli("check", "--config", str(cfg)) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert "H1=FAIL" in out and "LAMBDA=nan" in out
+        assert any(ln.startswith("H1_WORST species=0 magnitude=inf ") for ln in out), out
+
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -324,6 +340,24 @@ class TestCli:
         assert self.run_cli("check", "--config", str(SCENARIO_CFG)) == 4
         out = capsys.readouterr().out
         assert "H3=FAIL" in out
+
+    def test_check_and_convergence_never_import_scipy_stats(self):
+        # scipy.stats alone costs most of the start-up time; the Sobol
+        # sampler reads its direction numbers without importing it
+        src = str(Path(graetzcat.__file__).resolve().parents[1])
+        script = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            sys.path.insert(0, {src!r})
+            from graetzcat.cli_io import main
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = (main(["check", "--config", {str(SCENARIO_CFG)!r}]),
+                         main(["convergence", "--levels", "3"]))
+            print(codes, "scipy.stats" in sys.modules)
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.stdout.split() == ["(4,", "0)", "False"], proc.stdout + proc.stderr
 
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "c.cfg"

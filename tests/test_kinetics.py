@@ -1,10 +1,14 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from graetzcat.kinetics import (
+    SOBOL_BITS,
     KineticsModel,
+    _direction_numbers,
+    _sobol,
     co_oxidation,
     estimate_lipschitz,
     eval_rates,
@@ -61,6 +65,52 @@ class TestEvalRates:
             eval_rates(zero_model(3), np.zeros(4))
 
 
+class TestSobol:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 40])
+    def test_bitwise_equal_to_scipy(self, d):
+        from scipy.stats import qmc  # the reference; the package never imports it
+        for seed in (0, 1, 7, 12345):
+            for n in (0, 1, 2, 5, 1000, 1024, 1025, 4096):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # n not a power of two
+                    ref = qmc.Sobol(d, scramble=True, seed=seed).random(n)
+                got = _sobol(d, seed, n)
+                assert got.dtype == ref.dtype and got.shape == ref.shape, (seed, n)
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (seed, n)
+
+    def test_prefix_stable(self):
+        long = _sobol(8, 3, 16384)
+        for n in (1, 2, 3, 1000, 1024, 5000):
+            assert np.array_equal(_sobol(8, 3, n), long[:n]), n
+
+    def test_points_lie_in_the_unit_cube_on_the_30_bit_lattice(self):
+        u = _sobol(4, 0, 4096)
+        assert np.all((u >= 0.0) & (u < 1.0))
+        assert np.array_equal(u * 2.0**SOBOL_BITS, np.floor(u * 2.0**SOBOL_BITS))
+        # a scrambled digital net: each of the 2^12 boxes of side 2^-12 in
+        # any one coordinate holds exactly one point
+        for j in range(4):
+            assert np.array_equal(np.sort(np.floor(u[:, j] * 4096)), np.arange(4096.0))
+
+    def test_point_limit(self):
+        with pytest.raises(ValueError, match=r"2\*\*30"):
+            _sobol(2, 0, 2**SOBOL_BITS + 1)
+
+    def test_direction_table_is_cached_read_only(self):
+        table = _direction_numbers(6)
+        assert table is _direction_numbers(6)
+        assert table.shape == (6, SOBOL_BITS) and not table.flags.writeable
+
+
+def overflowing(arity):
+    """Rates that overflow to inf (and to nan, inf - inf) inside the box."""
+
+    def rate(x):
+        return np.exp(1e4 * x) * x
+
+    return KineticsModel("overflow", arity, rate, (np.zeros(arity), np.ones(arity)))
+
+
 class TestVerifyHypotheses:
     def test_zero_model_passes_everything(self):
         rep = verify_hypotheses(zero_model(2), consuming(2), seed=1)
@@ -83,6 +133,16 @@ class TestVerifyHypotheses:
         assert not rep.h1_pass
         assert rep.worst_h1.species == 1
         assert rep.worst_h1.magnitude == pytest.approx(1.0)
+
+    def test_non_finite_rate_is_the_worst_h1_violation(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_hypotheses(overflowing(2), consuming(2), seed=0)
+        assert not rep.h1_pass and not rep.all_pass
+        assert rep.worst_h1.magnitude == np.inf
+        with np.errstate(over="ignore"):
+            worst = eval_rates(overflowing(2), np.array(rep.worst_h1.x))
+        assert not np.isfinite(worst[rep.worst_h1.species])
 
     def test_h2_violation_detected(self):
         # a consumer that keeps reacting with its own species absent
@@ -141,6 +201,12 @@ class TestEstimateLipschitz:
         m = KineticsModel("lin", 2, rate, (np.zeros(2), np.ones(2)))
         k, lam = estimate_lipschitz(m, seed=0)
         assert 2.0 <= lam <= 2.5
+
+    def test_overflowing_rates_give_a_non_finite_lambda_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, lam = estimate_lipschitz(overflowing(2), seed=0)
+        assert not np.isfinite(lam)
 
     def test_zero_model_is_exactly_zero(self):
         _, lam = estimate_lipschitz(zero_model(4), seed=0)

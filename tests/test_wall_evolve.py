@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
+from graetzcat import wall_evolve
 from graetzcat.model import SpeciesParams, WallField
-from graetzcat.wall_evolve import WallStepInput, step_wall, surface_rhs
+from graetzcat.wall_evolve import WallStepInput, step_wall, surface_factor, surface_rhs
 
 
 def params(theta=1.0, gamma=1.0, delta=1, n=1):
@@ -18,6 +22,30 @@ def trapz_z(values):
     w = np.full(nn, 1.0 / (nn - 1))
     w[0] = w[-1] = 0.5 / (nn - 1)
     return values @ w
+
+
+def reference_step(inp):
+    """The step as one scipy solve_banded call per diffusivity group."""
+    prev = inp.wall_prev.values
+    nn = prev.shape[1]
+    dz = 1.0 / (nn - 1)
+    rhs = inp.dt * surface_rhs(prev, inp.flux, inp.rates, inp.params)
+    new = np.empty_like(prev)
+    thetas = [s.theta_s for s in inp.params]
+    for theta in dict.fromkeys(thetas):
+        idx = [i for i, t in enumerate(thetas) if t == theta]
+        if theta == 0.0:
+            new[idx] = prev[idx] + rhs[idx]
+            continue
+        a = inp.dt * theta / dz**2
+        ab = np.zeros((3, nn))
+        ab[1, :] = 1.0 + 2.0 * a
+        ab[0, 1] = -2.0 * a
+        ab[0, 2:] = -a
+        ab[2, :-2] = -a
+        ab[2, -2] = -2.0 * a
+        new[idx] = prev[idx] + solve_banded((1, 1), ab, rhs[idx].T).T
+    return new
 
 
 class TestStepWall:
@@ -97,6 +125,41 @@ class TestStepWall:
         out = step_wall(WallStepInput(wall, flux, zeros(1, 9), 0.1, p))
         assert np.allclose(out.values, 2.0 - 0.1 * 3.0 * 0.5)
 
+    def test_matches_reference_step_bitwise(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            nn = int(rng.integers(3, 130))
+            ns = int(rng.integers(1, 5))
+            thetas = rng.choice([0.0, 0.4, 1.0, 6.5], ns)
+            p = tuple(
+                SpeciesParams(f"s{i}", 1.0, float(rng.uniform(0.1, 3.0)), float(t), 1)
+                for i, t in enumerate(thetas)
+            )
+            wall, flux, rates = rng.standard_normal((3, ns, nn)) * 10.0 ** rng.uniform(-3, 3)
+            dt = float(10.0 ** rng.uniform(-5, 0))
+            inp = WallStepInput(WallField(wall, 0.0), flux, rates, dt, p)
+            assert np.array_equal(step_wall(inp).values, reference_step(inp)), (nn, ns, dt)
+
+    def test_factor_is_built_once_per_grid_step_and_diffusivity(self):
+        nn, dt, theta = 23, 0.0123, 0.789
+        p = params(theta=theta, n=3)
+        misses = surface_factor.cache_info().misses
+        for seed in range(4):
+            wall, flux, rates = np.random.default_rng(seed).standard_normal((3, 3, nn))
+            step_wall(WallStepInput(WallField(wall, 0.0), flux, rates, dt, p))
+        assert surface_factor.cache_info().misses == misses + 1
+        factor = surface_factor(nn, dt, theta)
+        assert factor is surface_factor(nn, dt, theta)
+        assert all(not arr.flags.writeable for arr in factor)
+        with pytest.raises(ValueError):
+            factor[1][0] = 1.0
+
+    def test_lapack_error_raises(self, monkeypatch):
+        monkeypatch.setattr(wall_evolve, "dgttrs", lambda *args, overwrite_b: (args[-1], -6))
+        wall = WallField(np.ones((1, 9)), 0.0)
+        with pytest.raises(ValueError, match="argument 6"):
+            step_wall(WallStepInput(wall, zeros(1, 9), zeros(1, 9), 0.1, params()))
+
     def test_bad_dt_rejected(self):
         wall = WallField(np.ones((1, 9)), 0.0)
         with pytest.raises(ValueError):
@@ -106,6 +169,24 @@ class TestStepWall:
         wall = WallField(np.ones((1, 9)), 0.0)
         with pytest.raises(ValueError):
             step_wall(WallStepInput(wall, zeros(1, 8), zeros(1, 9), 0.1, params()))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(min_value=4, max_value=200),
+    st.floats(min_value=1e-5, max_value=10.0),
+    st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_flux_and_reaction_free_steps_conserve_surface_mass(nz, dt, thetas, seed):
+    # the mirrored ghost ends make the trapezoid integral a left null
+    # vector of the diffusion matrix, so mass moves only by rounding
+    ns = len(thetas)
+    p = tuple(SpeciesParams(f"s{i}", 1.0, 1.0, t, 1) for i, t in enumerate(thetas))
+    wall = np.random.default_rng(seed).uniform(-100.0, 100.0, (ns, nz + 1))
+    out = step_wall(WallStepInput(WallField(wall, 0.0), zeros(ns, nz + 1), zeros(ns, nz + 1), dt, p))
+    scale = trapz_z(np.abs(wall)) * (1.0 + dt * max(thetas) * nz**2)
+    assert np.all(np.abs(trapz_z(out.values) - trapz_z(wall)) <= 1e-15 * nz * scale)
 
 
 class TestSurfaceRhs:
