@@ -225,16 +225,16 @@ def _sobol(d: int, seed: int, n: int) -> np.ndarray:
     if n > 2**SOBOL_BITS:
         raise ValueError(f"at most 2**{SOBOL_BITS} = {2**SOBOL_BITS} Sobol points, asked for {n}")
     rng = np.random.default_rng(seed)
-    place = np.arange(SOBOL_BITS, dtype=np.uint32)
-    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << place)
+    bit = np.arange(SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << bit)
     ltm = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
-    ltm[:, place, place] = 1
+    ltm[:, bit, bit] = 1
     # row p of a matrix as a mask with column c at bit 29 - c; bit 29 - p of
     # a scrambled direction number is the parity of that row against it
-    place = place[::-1]
-    rows = ltm @ (np.uint32(1) << place)
+    msb_first = bit[::-1]
+    rows = ltm @ (np.uint32(1) << msb_first)
     bits = _parity(rows[:, :, None] & _direction_numbers(d)[:, None, :])
-    sv = np.bitwise_or.reduce(bits << place[:, None], axis=1)
+    sv = np.bitwise_or.reduce(bits << msb_first[:, None], axis=1)
     # Gray-code order by reflection: point i is the shift xor-ed with the
     # direction numbers of the set bits of i ^ (i >> 1)
     q = shift[None, :]

@@ -77,8 +77,7 @@ def surface_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...]:
     and the last subdiagonal entries carry the doubled ghost weight.
     """
     a = dt * theta / (1.0 / (nn - 1)) ** 2
-    off = np.full(nn - 1, -a)
-    du, dl = off.copy(), off.copy()
+    dl, du = np.full((2, nn - 1), -a)
     du[0] = -2.0 * a  # mirrored ghost at z = 0
     dl[-1] = -2.0 * a  # mirrored ghost at z = 1
     *factor, info = dgttrf(dl, np.full(nn, 1.0 + 2.0 * a), du)
