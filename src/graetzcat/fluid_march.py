@@ -31,6 +31,26 @@ reproduces itself bitwise (exact fixed points, no drift).
 The Cholesky factor depends only on (nr, nz, beta), so it is built once per
 process for each such triple and every march reuses it; each station is one
 direct LAPACK ``dpbtrs`` call on that factor.
+
+On small radial grids the march runs in deviation form instead.  With
+D_k = C_k - w_k 1 over the nr interior nodes, the volume-scaled system
+S = M + beta K (M the diagonal of cell volumes times (1 - r^2)/dz) reads
+
+    S D_k = M (D_{k-1} + (w_{k-1} - w_k) 1),
+
+linear in the previous deviation and the wall drop, and the same at every
+station.  So B = BLOCK stations are one product
+
+    [D_{k+1} .. D_{k+B}] = [D_k | drops into k+1 .. k+B] @ Qt
+
+with the (nr + B) x (B nr) impulse-response block Qt (``impulse_block``),
+built once per (nr, nz, beta) by running the station march on nr + B unit
+impulses.  This is the discrete Duhamel superposition of Graetz problems
+with axially varying wall data (Shah & London, 1978).  S^-1 >= 0 and M >= 0,
+so Qt >= 0: the block keeps the maximum principle, and constant data gives
+D = 0 exactly.  A block costs O(nr^2) per station against the station
+loop's O(nr), so the station loop stays for nr > BLOCK_MAX_NR, where it is
+the faster of the two.
 """
 
 from __future__ import annotations
@@ -45,6 +65,12 @@ from scipy.linalg.lapack import dpbtrs
 
 from .model import FluidField, Grid, InitialData, SpeciesParams, WallField
 
+# Stations one block product advances, and the largest radial grid that
+# marches by blocks: a block costs O(nr^2) per station against the station
+# loop's O(nr), and both were timed per grid (CHANGES.md).
+BLOCK = 16
+BLOCK_MAX_NR = 64
+
 
 @dataclass(frozen=True)
 class RadialOperator:
@@ -57,6 +83,12 @@ class RadialOperator:
     from ``radial_operator``, which builds it once per (nr, nz, beta).
     lower/diag/upper are not used by the march: they are the M-matrix
     witness (``m_matrix_ok``) behind the discrete maximum principle.
+
+    For nr <= BLOCK_MAX_NR march_fluid does not solve with this factor
+    directly: ``impulse_block`` marches unit impulses through it once and
+    the march replays that response, BLOCK stations per product on the
+    deviation from the wall.  Above that size a dense block costs more than
+    the banded solves it replaces, and the factor is used station by station.
     """
 
     beta: float
@@ -140,6 +172,36 @@ def radial_operator(nr: int, nz: int, beta: float) -> RadialOperator:
     return op
 
 
+@functools.lru_cache(maxsize=32)
+def impulse_block(nr: int, nz: int, beta: float) -> np.ndarray:
+    """Qt: how BLOCK stations respond to the deviation before them and to
+    the wall drops across them, for one (nr, nz, beta); read-only.
+
+    Row i < nr is the response to a unit deviation at node i, row nr + m to
+    a unit drop w_m - w_{m+1} into station m + 1; column j * nr + i is node
+    i at station j + 1.  It is the station march of those nr + BLOCK
+    impulses, run as one batch, so every entry is bitwise what that march
+    gives.  Qt >= 0 is the discrete maximum principle; a negative (or NaN)
+    entry raises rather than being clipped.
+    """
+    n = nr + BLOCK
+    values = np.zeros((n, nr + 1, BLOCK + 1))
+    wall = np.zeros((n, BLOCK + 1))
+    values[np.arange(nr), np.arange(nr), 0] = 1.0  # deviation e_i under a zero wall
+    # a drop into station m + 1: ones up to station m, zeros after
+    values[nr:, :nr, 0] = 1.0
+    wall[nr:] = np.arange(BLOCK + 1) <= np.arange(BLOCK)[:, None]
+    _march_stations(values, slice(None), wall, radial_operator(nr, nz, beta))
+    dev = values[:, :nr, 1:] - wall[:, None, 1:]  # C - w: C itself, or 1 - 1 before the drop
+    qt = dev.transpose(0, 2, 1).reshape(n, BLOCK * nr)
+    if not np.all(qt >= 0.0):
+        raise RuntimeError(
+            f"impulse block lost the maximum principle (nr={nr}, nz={nz}, beta={beta})"
+        )
+    qt.flags.writeable = False
+    return qt
+
+
 def march_fluid(
     wall: WallField,
     init: InitialData,
@@ -162,49 +224,85 @@ def march_fluid(
     values = np.empty((ns, nr + 1, nz + 1))
     values[:, :, 0] = init.inlet
 
-    # species with equal diffusivity share one factorization and are solved
-    # as a multi right-hand-side batch
+    # species with equal diffusivity share one factor (or impulse block) and
+    # are marched as one batch
     groups: dict[float, list[int]] = {}
     for i, s in enumerate(params):
         groups.setdefault(s.beta_f, []).append(i)
 
-    dr = grid.dr
     for beta, idx in groups.items():
-        op = radial_operator(nr, nz, beta)
-        fr, cho = op.face_r, op.cho_factor
         g = len(idx)
         # a contiguous group is written through a basic slice, not a fancy index
         rows = slice(idx[0], idx[0] + g) if idx[-1] - idx[0] == g - 1 else idx
-        wvals = wall.values[rows]
-        # rolling column: station k-1 in [:nr], the wall trace at k in [nr];
-        # the views below are taken once, the loop only calls into numpy
-        col = np.empty((g, nr + 1))
-        inner, c_hi, c_lo = col[:, :nr], col[:, 1:], col[:, :-1]
-        inner[...] = init.inlet[rows, :nr]
-        # face differences in [:, 1:] after a fixed -0.0 column, so one
-        # subtraction also gives the axis row: -0.0 - d == -d exactly (numpy
-        # 2.4.6 gives wrong values for np.negative into some strided outputs)
-        faces = np.empty((g, nr + 1))
-        faces[:, 0] = -0.0
-        diff, d_lo = faces[:, 1:], faces[:, :-1]
-        rhs = np.empty((g, nr))
-        rhs_t = rhs.T
-        for k in range(1, nz + 1):
-            col[:, nr] = wvals[:, k]
-            np.subtract(c_hi, c_lo, out=diff)
-            np.multiply(fr, diff, out=diff)
-            np.subtract(d_lo, diff, out=rhs)
-            np.divide(rhs, dr, out=rhs)
-            np.multiply(-beta, rhs, out=rhs)
-            # unchecked: a blown-up trace shows in the coupler's residual instead
-            delta, info = dpbtrs(cho, rhs_t, lower=0, overwrite_b=1)
-            if info:
-                raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
-            np.add(inner, delta.T, out=inner)
-            values[rows, :nr, k] = inner
+        if nr <= BLOCK_MAX_NR:
+            _march_blocks(values, rows, wall.values[rows], impulse_block(nr, nz, beta))
+        else:
+            _march_stations(values, rows, wall.values[rows], radial_operator(nr, nz, beta))
 
     values[:, nr, :] = wall.values  # trace, bitwise (owns the z = 0 corner)
     return FluidField(values=values, time_tag=wall.time_tag)
+
+
+def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None:
+    """Backward Euler one station at a time, one ``dpbtrs`` call per station.
+
+    Fills ``values[rows, :nr, 1:]`` from the column ``values[rows, :nr, 0]``
+    and the wall trace ``wvals`` (one row per species, one entry per station).
+    """
+    fr, cho, beta = op.face_r, op.cho_factor, op.beta
+    nr = fr.size
+    dr = 1.0 / nr
+    g, stations = wvals.shape
+    # rolling column: station k-1 in [:nr], the wall trace at k in [nr];
+    # the views below are taken once, the loop only calls into numpy
+    col = np.empty((g, nr + 1))
+    inner, c_hi, c_lo = col[:, :nr], col[:, 1:], col[:, :-1]
+    inner[...] = values[rows, :nr, 0]
+    # face differences in [:, 1:] after a fixed -0.0 column, so one
+    # subtraction also gives the axis row: -0.0 - d == -d exactly (numpy
+    # 2.4.6 gives wrong values for np.negative into some strided outputs)
+    faces = np.empty((g, nr + 1))
+    faces[:, 0] = -0.0
+    diff, d_lo = faces[:, 1:], faces[:, :-1]
+    rhs = np.empty((g, nr))
+    rhs_t = rhs.T
+    for k in range(1, stations):
+        col[:, nr] = wvals[:, k]
+        np.subtract(c_hi, c_lo, out=diff)
+        np.multiply(fr, diff, out=diff)
+        np.subtract(d_lo, diff, out=rhs)
+        np.divide(rhs, dr, out=rhs)
+        np.multiply(-beta, rhs, out=rhs)
+        # unchecked: a blown-up trace shows in the coupler's residual instead
+        delta, info = dpbtrs(cho, rhs_t, lower=0, overwrite_b=1)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
+        np.add(inner, delta.T, out=inner)
+        values[rows, :nr, k] = inner
+
+
+def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
+    """The same march in deviation form, BLOCK stations per product with ``qt``.
+
+    Fills ``values[rows, :nr, 1:]`` like ``_march_stations``.  Each species
+    is its own (1, nr + B) @ (nr + B, B nr) product in a stacked matmul, so a
+    batch gives bitwise what each of its species gives alone (a plain
+    (g, K) @ (K, N) product runs gemv at g = 1 and gemm otherwise).
+    """
+    nr = qt.shape[1] // BLOCK
+    g, stations = wvals.shape
+    # [D_k | wall drops w_{k+m-1} - w_{k+m}, m = 1..B] per species
+    x = np.empty((g, 1, nr + BLOCK))
+    x[:, 0, :nr] = values[rows, :nr, 0] - wvals[:, :1]
+    drops = wvals[:, :-1] - wvals[:, 1:]
+    for k in range(0, stations - 1, BLOCK):
+        b = min(BLOCK, stations - 1 - k)  # a last, partial block drops causal zeros
+        x[:, 0, nr : nr + b] = drops[:, k : k + b]
+        dev = np.matmul(x[:, :, : nr + b], qt[: nr + b, : b * nr]).reshape(g, b, nr)
+        x[:, 0, :nr] = dev[:, -1]
+        values[rows, :nr, k + 1 : k + b + 1] = (dev + wvals[:, k + 1 : k + b + 1, None]).transpose(
+            0, 2, 1
+        )
 
 
 def wall_flux_gradient(

@@ -297,12 +297,13 @@ def verify_hypotheses(
         xz = x.copy()
         xz[:, i] = 0.0
         ri = eval_rates(model, xz)[:, i]
-        k = int(np.argmax(np.abs(ri)))
-        if abs(ri[k]) > HYPOTHESIS_SLACK:
-            if worst_h2 is None or abs(ri[k]) > worst_h2.magnitude:
+        size = np.where(np.isfinite(ri), np.abs(ri), np.inf)
+        k = int(np.argmax(size))
+        if size[k] > HYPOTHESIS_SLACK:
+            if worst_h2 is None or size[k] > worst_h2.magnitude:
                 worst_h2 = Violation(
                     species=i,
-                    magnitude=float(abs(ri[k])),
+                    magnitude=float(size[k]),
                     x=tuple(float(v) for v in xz[k]),
                 )
 
@@ -314,12 +315,14 @@ def verify_hypotheses(
     rxs = np.concatenate([rx, rx])
     rys = np.concatenate([ry, eval_rates(model, zeros)])
     s_val = -np.sum(weights * (rxs - rys) * (xs - ys), axis=1)
+    # a non-finite sum (inf - inf is nan) is the worst violation, as for H1
+    shortfall = np.where(np.isfinite(s_val), -s_val, np.inf)
     worst_h3 = None
-    k = int(np.argmin(s_val))
-    if s_val[k] < -HYPOTHESIS_SLACK:
+    k = int(np.argmax(shortfall))
+    if shortfall[k] > HYPOTHESIS_SLACK:
         worst_h3 = Violation(
             species=-1,  # the inequality couples all channels
-            magnitude=float(-s_val[k]),
+            magnitude=float(shortfall[k]),
             x=tuple(float(v) for v in xs[k]),
             y=tuple(float(v) for v in ys[k]),
         )

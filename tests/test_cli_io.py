@@ -272,7 +272,7 @@ class TestCli:
             warnings.simplefilter("error")
             assert self.run_cli("check", "--config", str(cfg)) == 4
         out = capsys.readouterr().out.splitlines()
-        assert "H1=FAIL" in out and "LAMBDA=nan" in out
+        assert "H1=FAIL" in out and "H3=FAIL" in out and "LAMBDA=nan" in out
         assert any(ln.startswith("H1_WORST species=0 magnitude=inf ") for ln in out), out
 
     @pytest.mark.parametrize(

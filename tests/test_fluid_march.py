@@ -6,7 +6,10 @@ from scipy.linalg import cho_solve_banded
 
 from graetzcat import fluid_march
 from graetzcat.fluid_march import (
+    BLOCK,
+    BLOCK_MAX_NR,
     RadialOperator,
+    impulse_block,
     march_fluid,
     radial_operator,
     wall_flux_gradient,
@@ -56,6 +59,19 @@ def reference_march(wall, inlet, betas, grid):
 def march(betas, grid, inlet, wall):
     params = tuple(SpeciesParams(f"s{i}", b, 1.0, 1.0, -1) for i, b in enumerate(betas))
     return march_fluid(WallField(wall, 0.0), InitialData(inlet, wall.copy()), params, grid)
+
+
+def station_march(betas, grid, inlet, wall):
+    """march_fluid with every beta group on the station path, whatever nr is."""
+    nr, nz = grid.nr, grid.nz
+    values = np.empty((len(betas), nr + 1, nz + 1))
+    values[:, :, 0] = inlet
+    for beta in dict.fromkeys(betas):
+        idx = [i for i, b in enumerate(betas) if b == beta]
+        rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+        fluid_march._march_stations(values, rows, wall[rows], radial_operator(nr, nz, beta))
+    values[:, nr, :] = wall
+    return values
 
 
 class TestRadialOperator:
@@ -149,8 +165,8 @@ class TestMarchFluid:
         scale = rng.uniform(0.01, 500.0, (len(betas), 1))
         inlet = scale * rng.uniform(0.0, 1.0, (len(betas), nr + 1))
         wall = scale * rng.uniform(0.0, 1.0, (len(betas), nz + 1))
-        field = march(betas, grid, inlet, wall)
-        assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid))
+        values = station_march(betas, grid, inlet, wall)
+        assert np.array_equal(values, reference_march(wall, inlet, betas, grid))
 
     def test_matches_reference_march_on_small_radial_grids(self):
         # each nr gives the column buffers other strides; numpy picks its
@@ -160,8 +176,38 @@ class TestMarchFluid:
         for nr in range(4, 20):
             grid = Grid(nr=nr, nz=5, dt=0.1, t_end=1.0)
             inlet, wall = rng.uniform(0.0, 1.0, (3, nr + 1)), rng.uniform(0.0, 1.0, (3, 6))
-            field = march(betas, grid, inlet, wall)
-            assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid)), nr
+            values = station_march(betas, grid, inlet, wall)
+            assert np.array_equal(values, reference_march(wall, inlet, betas, grid)), nr
+
+    def test_large_radial_grids_take_the_station_path(self):
+        rng = np.random.default_rng(6)
+        betas = (1.0, 2.0, 1.0)
+        nr = BLOCK_MAX_NR + 1
+        grid = Grid(nr=nr, nz=2 * BLOCK + 3, dt=0.1, t_end=1.0)
+        inlet, wall = rng.uniform(0.0, 1.0, (3, nr + 1)), rng.uniform(0.0, 1.0, (3, grid.nz + 1))
+        field = march(betas, grid, inlet, wall)
+        assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid))
+
+    @pytest.mark.parametrize("nr,nz,beta", [(4, 4, 1.0), (12, 40, 0.3), (BLOCK_MAX_NR, 64, 2.5)])
+    def test_impulse_block_is_the_station_march_of_its_impulses(self, nr, nz, beta):
+        qt = impulse_block(nr, nz, beta)
+        assert impulse_block(nr, nz, beta) is qt  # built once per (nr, nz, beta)
+        assert qt.shape == (nr + BLOCK, BLOCK * nr)
+        assert not qt.flags.writeable
+        assert np.all(qt >= 0.0)
+        op = radial_operator(nr, nz, beta)  # BLOCK stations at the nz grid's dz
+        for i in range(nr):  # a unit deviation at node i under a zero wall
+            values = np.zeros((1, nr + 1, BLOCK + 1))
+            values[0, i, 0] = 1.0
+            fluid_march._march_stations(values, slice(None), np.zeros((1, BLOCK + 1)), op)
+            assert np.array_equal(qt[i].reshape(BLOCK, nr), values[0, :nr, 1:].T), i
+        for m in range(BLOCK):  # a unit drop into station m + 1 from a constant 1
+            values = np.ones((1, nr + 1, BLOCK + 1))
+            wall = (np.arange(BLOCK + 1) <= m).astype(float)[None, :]
+            fluid_march._march_stations(values, slice(None), wall, op)
+            assert np.array_equal(qt[nr + m].reshape(BLOCK, nr), (values[0, :nr, 1:] - wall[:, 1:]).T)
+        # causal: a drop into station m + 1 leaves the stations before it at 0
+        assert np.all(qt[nr:].reshape(BLOCK, BLOCK, nr)[np.tril_indices(BLOCK, -1)] == 0.0)
 
     def test_factor_is_built_once_per_grid_and_beta(self):
         nr, nz, beta = 12, 20, 1.2345
@@ -181,10 +227,23 @@ class TestMarchFluid:
         with pytest.raises(ValueError):
             op.cho_factor[0, 0] = 1.0
 
+    def test_impulse_block_raises_on_a_negative_entry(self, monkeypatch):
+        station = fluid_march._march_stations
+
+        def undershoot(values, rows, wvals, op):
+            station(values, rows, wvals, op)
+            values[0, 1, 2] = -1e-300
+
+        monkeypatch.setattr(fluid_march, "_march_stations", undershoot)
+        with pytest.raises(RuntimeError, match="maximum principle"):
+            impulse_block.__wrapped__(8, 8, 1.0)
+
     def test_lapack_error_raises(self, monkeypatch):
         monkeypatch.setattr(fluid_march, "dpbtrs", lambda cb, b, lower, overwrite_b: (b, -2))
         with pytest.raises(ValueError, match="argument 2"):
-            graetz(8, 8)
+            graetz(BLOCK_MAX_NR + 1, 8)  # station path
+        with pytest.raises(ValueError, match="argument 2"):
+            impulse_block.__wrapped__(8, 8, 1.0)  # the block path's one LAPACK use, uncached
 
     def test_shape_mismatch_rejected(self):
         grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
@@ -217,6 +276,25 @@ def test_marched_field_stays_in_the_data_envelope(nr, nz, betas, seed):
     slack = 1e-12 * np.abs(data).max(axis=1)
     assert np.all(values.min(axis=(1, 2)) >= data.min(axis=1) - slack)
     assert np.all(values.max(axis=(1, 2)) <= data.max(axis=1) + slack)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(4, BLOCK_MAX_NR),
+    st.integers(4, 3 * BLOCK + 1),  # partial blocks and nz < BLOCK
+    BETAS,
+    st.integers(0, 2**32 - 1),
+)
+def test_block_march_matches_reference_march(nr, nz, betas, seed):
+    rng = np.random.default_rng(seed)
+    ns = len(betas)
+    scale = rng.uniform(0.01, 500.0, (ns, 1))
+    inlet = scale * rng.uniform(-1.0, 1.0, (ns, nr + 1))
+    wall = scale * rng.uniform(-1.0, 1.0, (ns, nz + 1))
+    grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
+    err = np.abs(march(betas, grid, inlet, wall).values - reference_march(wall, inlet, betas, grid))
+    data = np.concatenate([inlet, wall], axis=1)
+    assert np.all(err.max(axis=(1, 2)) <= 1e-13 * np.abs(data).max(axis=1))
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -144,6 +144,37 @@ class TestVerifyHypotheses:
             worst = eval_rates(overflowing(2), np.array(rep.worst_h1.x))
         assert not np.isfinite(worst[rep.worst_h1.species])
 
+    def test_non_finite_h2_rate_is_a_violation(self):
+        def rate(x):  # 0 * inf = nan with the consumed species absent
+            out = np.zeros_like(x)
+            out[..., 0] = x[..., 0] * np.exp(1e4 * x[..., 1])
+            return out
+
+        m = KineticsModel("nan_h2", 2, rate, (np.zeros(2), np.ones(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_hypotheses(m, consuming(2), seed=0)
+        assert not rep.h2_pass
+        assert rep.worst_h2.species == 0 and rep.worst_h2.magnitude == np.inf
+        assert rep.worst_h2.x[0] == 0.0
+
+    def test_non_finite_h3_sum_is_a_violation(self):
+        # finite, nonnegative rates whose H3 terms overflow to +inf and -inf:
+        # the sum is nan, which must not read as a pass
+        def rate(x):
+            return 1e290 * x
+
+        params = (
+            SpeciesParams("a", 1.0, 1.0, 1.0, -1),
+            SpeciesParams("b", 1.0, 1.0, 1.0, 1),
+        )
+        m = KineticsModel("nan_h3", 2, rate, (np.zeros(2), np.full(2, 1e10)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_hypotheses(m, params, seed=0)
+        assert rep.h1_pass and rep.h2_pass
+        assert not rep.h3_pass and rep.worst_h3.magnitude == np.inf
+
     def test_h2_violation_detected(self):
         # a consumer that keeps reacting with its own species absent
         def rate(x):
