@@ -66,8 +66,7 @@ from scipy.linalg.lapack import dpbtrs
 from .model import FluidField, Grid, InitialData, SpeciesParams, WallField
 
 # Stations one block product advances, and the largest radial grid that
-# marches by blocks: a block costs O(nr^2) per station against the station
-# loop's O(nr), and both were timed per grid (CHANGES.md).
+# marches by blocks; both set from timings of the two paths (CHANGES.md).
 BLOCK = 16
 BLOCK_MAX_NR = 64
 
@@ -84,11 +83,10 @@ class RadialOperator:
     lower/diag/upper are not used by the march: they are the M-matrix
     witness (``m_matrix_ok``) behind the discrete maximum principle.
 
-    For nr <= BLOCK_MAX_NR march_fluid does not solve with this factor
-    directly: ``impulse_block`` marches unit impulses through it once and
-    the march replays that response, BLOCK stations per product on the
-    deviation from the wall.  Above that size a dense block costs more than
-    the banded solves it replaces, and the factor is used station by station.
+    For nr <= BLOCK_MAX_NR the march uses the factor only through
+    ``impulse_block``, which marches unit impulses through it once; the
+    march then replays that response on the deviation from the wall (see
+    the module docstring).
     """
 
     beta: float
