@@ -383,16 +383,23 @@ def _fmt(x: float) -> str:
 def write_snapshot_csv(
     field: FluidField, grid: Grid, species_names: Sequence[str], path: Path | str
 ) -> None:
-    """Gnuplot-friendly dump: header r,z,<species...>, rows in z-major order."""
-    path = Path(path)
-    r, z = grid.r, grid.z
-    lines = ["r,z," + ",".join(species_names)]
+    """Gnuplot-friendly dump: header r,z,<species...>, rows in z-major order.
+
+    One ``%`` call formats a whole z station, row after row; ``'%.9g' % x``
+    is the text of ``_fmt(x)``.  Stations are written in turn, so the file
+    is never held in memory as a whole.
+    """
+    ns, nr = len(species_names), grid.nr
+    template = ("%.9g," * (ns + 1) + "%.9g\n") * (nr + 1)
+    station = np.empty((nr + 1, ns + 2))  # columns r, z, species
+    station[:, 0] = grid.r
     v = field.values
-    for k in range(grid.nz + 1):
-        for j in range(grid.nr + 1):
-            cells = [_fmt(r[j]), _fmt(z[k])] + [_fmt(v[i, j, k]) for i in range(len(species_names))]
-            lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        f.write("r,z," + ",".join(species_names) + "\n")
+        for k, z in enumerate(grid.z):
+            station[:, 1] = z
+            station[:, 2:] = v[:ns, :, k].T
+            f.write(template % tuple(station.ravel().tolist()))
 
 
 def write_probe_csv(
@@ -585,6 +592,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
 
     if args.command == "convergence":
+        if args.levels < 3:
+            p_cnv.error(f"--levels {args.levels}: need at least 3 levels for an observed order")
         study = convergence_study(args.levels)
         for i, v in enumerate(study["centerline"]):
             print(f"LEVEL_{i}_CENTERLINE={v!r}")

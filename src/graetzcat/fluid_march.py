@@ -69,6 +69,8 @@ from .model import FluidField, Grid, InitialData, SpeciesParams, WallField
 # marches by blocks; both set from timings of the two paths (CHANGES.md).
 BLOCK = 16
 BLOCK_MAX_NR = 64
+# Stations the station loop gathers before it writes them out in one slab.
+FLUSH = 64
 
 
 @dataclass(frozen=True)
@@ -264,6 +266,11 @@ def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None
     diff, d_lo = faces[:, 1:], faces[:, :-1]
     rhs = np.empty((g, nr))
     rhs_t = rhs.T
+    # stations k0..k wait in buf and go to values as one slab: a column of
+    # values is (nz + 1) * 8 bytes between nodes, so one column per station
+    # touches a fresh page per node on large grids
+    buf = np.empty((FLUSH, g, nr))
+    k0 = 1
     for k in range(1, stations):
         col[:, nr] = wvals[:, k]
         np.subtract(c_hi, c_lo, out=diff)
@@ -276,7 +283,10 @@ def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None
         if info:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
         np.add(inner, delta.T, out=inner)
-        values[rows, :nr, k] = inner
+        buf[k - k0] = inner
+        if k - k0 + 1 == FLUSH or k == stations - 1:
+            values[rows, :nr, k0 : k + 1] = buf[: k - k0 + 1].transpose(1, 2, 0)
+            k0 = k + 1
 
 
 def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
@@ -285,7 +295,9 @@ def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
     Fills ``values[rows, :nr, 1:]`` like ``_march_stations``.  Each species
     is its own (1, nr + B) @ (nr + B, B nr) product in a stacked matmul, so a
     batch gives bitwise what each of its species gives alone (a plain
-    (g, K) @ (K, N) product runs gemv at g = 1 and gemm otherwise).
+    (g, K) @ (K, N) product runs gemv at g = 1 and gemm otherwise).  The
+    products land in one z-major deviation buffer, which is added to the
+    wall and written to ``values`` once per group.
     """
     nr = qt.shape[1] // BLOCK
     g, stations = wvals.shape
@@ -293,14 +305,15 @@ def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
     x = np.empty((g, 1, nr + BLOCK))
     x[:, 0, :nr] = values[rows, :nr, 0] - wvals[:, :1]
     drops = wvals[:, :-1] - wvals[:, 1:]
+    dev = np.empty((g, 1, (stations - 1) * nr))  # D_1 .. D_nz, station-major
     for k in range(0, stations - 1, BLOCK):
         b = min(BLOCK, stations - 1 - k)  # a last, partial block drops causal zeros
         x[:, 0, nr : nr + b] = drops[:, k : k + b]
-        dev = np.matmul(x[:, :, : nr + b], qt[: nr + b, : b * nr]).reshape(g, b, nr)
-        x[:, 0, :nr] = dev[:, -1]
-        values[rows, :nr, k + 1 : k + b + 1] = (dev + wvals[:, k + 1 : k + b + 1, None]).transpose(
-            0, 2, 1
-        )
+        out = dev[:, :, k * nr : (k + b) * nr]
+        np.matmul(x[:, :, : nr + b], qt[: nr + b, : b * nr], out=out)
+        x[:, 0, :nr] = out[:, 0, -nr:]
+    dev = dev.reshape(g, stations - 1, nr)
+    values[rows, :nr, 1:] = (dev + wvals[:, 1:, None]).transpose(0, 2, 1)
 
 
 def wall_flux_gradient(

@@ -356,18 +356,18 @@ def estimate_lipschitz(
     x, y = _sample_pairs(model, seed, n)
 
     best = np.zeros(model.arity)
+    rx = eval_rates(model, x)  # every pair below starts at x
 
-    def absorb(a: np.ndarray, b: np.ndarray) -> None:
-        ra = eval_rates(model, a)
+    def absorb(b: np.ndarray) -> None:
         rb = eval_rates(model, b)
-        denom = np.sum(np.abs(a - b), axis=1)
+        denom = np.sum(np.abs(x - b), axis=1)
         ok = denom > 0.0
         if not ok.any():
             return
-        q = np.abs(ra[ok] - rb[ok]) / denom[ok, None]
+        q = np.abs(rx[ok] - rb[ok]) / denom[ok, None]
         np.maximum(best, q.max(axis=0), out=best)
 
-    absorb(x, y)
+    absorb(y)
     # Axis probes from the same stream keep the running-max prefix property.
     for j in range(model.arity):
         h = 1e-3 * span[j]
@@ -375,7 +375,7 @@ def estimate_lipschitz(
             continue
         xp = x.copy()
         xp[:, j] = np.minimum(x[:, j] + h, hi[j])
-        absorb(x, xp)
+        absorb(xp)
 
     k = LIPSCHITZ_SAFETY * best
     lam = float(k.max()) if k.size else 0.0

@@ -167,6 +167,28 @@ class TestWriters:
         first = [line.split(",")[1] for line in lines[1:6]]
         assert set(first) == {"0"}
 
+    def test_snapshot_csv_bytes_match_the_per_value_writer(self, tmp_path):
+        def per_value(field, grid, species_names, path):
+            r, z, v = grid.r, grid.z, field.values
+            lines = ["r,z," + ",".join(species_names)]
+            for k in range(grid.nz + 1):
+                for j in range(grid.nr + 1):
+                    cells = [r[j], z[k]] + [v[i, j, k] for i in range(len(species_names))]
+                    lines.append(",".join(f"{c:.9g}" for c in cells))
+            path.write_text("\n".join(lines) + "\n")
+
+        rng = np.random.default_rng(8)
+        grid = Grid(nr=5, nz=7, dt=0.1, t_end=0.1)
+        shape = (4, grid.nr + 1, grid.nz + 1)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 123456789.5]
+        values.flat[rng.choice(values.size, len(specials), replace=False)] = specials
+        field = FluidField(values, 0.0)
+        names = ("CO", "O2", "T")  # one species fewer than the field holds
+        write_snapshot_csv(field, grid, names, tmp_path / "new.csv")
+        per_value(field, grid, names, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_probe_csv_empty_series_is_header_only(self, tmp_path):
         out = tmp_path / "probe.csv"
         write_probe_csv([], [[], []], ("x", "y"), out)
@@ -216,6 +238,17 @@ class TestCli:
         assert self.run_cli("simulate", "--config", str(cfg), "--out", str(b)) == 0
         for name in ("report.txt", "probe.csv", "snapshot_final.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("levels", ["2", "-1"])
+    def test_too_few_convergence_levels_exit_two(self, levels, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("convergence", "--levels", levels)
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert errors == [
+            f"graetzcat convergence: error: --levels {levels}: "
+            "need at least 3 levels for an observed order"
+        ]
 
     def test_config_error_exit_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -8,6 +8,7 @@ from graetzcat import fluid_march
 from graetzcat.fluid_march import (
     BLOCK,
     BLOCK_MAX_NR,
+    FLUSH,
     RadialOperator,
     impulse_block,
     march_fluid,
@@ -179,11 +180,13 @@ class TestMarchFluid:
             values = station_march(betas, grid, inlet, wall)
             assert np.array_equal(values, reference_march(wall, inlet, betas, grid)), nr
 
-    def test_large_radial_grids_take_the_station_path(self):
+    # station counts around the flush size, where the station loop writes out
+    @pytest.mark.parametrize("nz", [2 * BLOCK + 3, FLUSH, FLUSH + 1, 2 * FLUSH + 5])
+    def test_large_radial_grids_take_the_station_path(self, nz):
         rng = np.random.default_rng(6)
         betas = (1.0, 2.0, 1.0)
         nr = BLOCK_MAX_NR + 1
-        grid = Grid(nr=nr, nz=2 * BLOCK + 3, dt=0.1, t_end=1.0)
+        grid = Grid(nr=nr, nz=nz, dt=0.1, t_end=1.0)
         inlet, wall = rng.uniform(0.0, 1.0, (3, nr + 1)), rng.uniform(0.0, 1.0, (3, grid.nz + 1))
         field = march(betas, grid, inlet, wall)
         assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from graetzcat.kinetics import (
+    LIPSCHITZ_SAFETY,
     SOBOL_BITS,
     KineticsModel,
+    _sample_pairs,
     _direction_numbers,
     _sobol,
     co_oxidation,
@@ -242,6 +244,34 @@ class TestEstimateLipschitz:
     def test_zero_model_is_exactly_zero(self):
         _, lam = estimate_lipschitz(zero_model(4), seed=0)
         assert lam == 0.0
+
+    def test_rates_at_the_base_points_are_evaluated_once(self):
+        inner = co_oxidation(prefactor=400.0, activation_temp=3000.0, heat_release=150.0)
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return inner.rate(x)
+
+        m = dataclasses.replace(inner, rate=counted)
+        k, lam = estimate_lipschitz(m, seed=2, samples=2048)
+        assert len(calls) == 1 + 1 + m.arity  # x, y and one axis probe per channel
+        # the same quotients with the rates at x evaluated anew for every pair
+        x, y = _sample_pairs(m, 2, 2048)
+        lo, hi = m.domain_box
+        best = np.zeros(m.arity)
+        probes = [y]
+        for j in range(m.arity):
+            xp = x.copy()
+            xp[:, j] = np.minimum(x[:, j] + 1e-3 * (hi[j] - lo[j]), hi[j])
+            probes.append(xp)
+        for b in probes:
+            denom = np.sum(np.abs(x - b), axis=1)
+            ok = denom > 0.0
+            q = np.abs(eval_rates(inner, x)[ok] - eval_rates(inner, b)[ok]) / denom[ok, None]
+            np.maximum(best, q.max(axis=0), out=best)
+        assert np.array_equal(k, LIPSCHITZ_SAFETY * best)
+        assert lam == float((LIPSCHITZ_SAFETY * best).max())
 
     def test_monotone_in_sample_count(self):
         m = co_oxidation(prefactor=400.0, activation_temp=3000.0, heat_release=150.0)
