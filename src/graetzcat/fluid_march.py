@@ -51,6 +51,11 @@ so Qt >= 0: the block keeps the maximum principle, and constant data gives
 D = 0 exactly.  A block costs O(nr^2) per station against the station
 loop's O(nr), so the station loop stays for nr > BLOCK_MAX_NR, where it is
 the faster of the two.
+
+Neither path stores the field station by station: a column of the
+(nr + 1, nz + 1) field is strided across memory.  The block path collects
+a group's products in one station-major buffer and stores the whole group
+once per march; the station loop stores FLUSH stations at a time.
 """
 
 from __future__ import annotations
@@ -266,9 +271,8 @@ def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None
     diff, d_lo = faces[:, 1:], faces[:, :-1]
     rhs = np.empty((g, nr))
     rhs_t = rhs.T
-    # stations k0..k wait in buf and go to values as one slab: a column of
-    # values is (nz + 1) * 8 bytes between nodes, so one column per station
-    # touches a fresh page per node on large grids
+    # stations k0..k wait in buf and go to values as one slab: nodes of a
+    # column of values are (nz + 1) * 8 bytes apart, 64 KB at nz = 8192
     buf = np.empty((FLUSH, g, nr))
     k0 = 1
     for k in range(1, stations):
@@ -296,8 +300,8 @@ def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
     is its own (1, nr + B) @ (nr + B, B nr) product in a stacked matmul, so a
     batch gives bitwise what each of its species gives alone (a plain
     (g, K) @ (K, N) product runs gemv at g = 1 and gemm otherwise).  The
-    products land in one z-major deviation buffer, which is added to the
-    wall and written to ``values`` once per group.
+    products land in one station-major deviation buffer, which is added to
+    the wall and written to ``values`` once per group.
     """
     nr = qt.shape[1] // BLOCK
     g, stations = wvals.shape
