@@ -14,7 +14,6 @@ from graetzcat import (
     Grid,
     InitialData,
     SpeciesParams,
-    WallField,
     march_fluid,
     wall_flux_gradient,
     wall_flux_integral,
@@ -25,8 +24,8 @@ grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
 species = (SpeciesParams(name="tracer", beta_f=1.0, gamma_s=1.0, theta_s=1.0, delta=-1),)
 
 inlet = np.ones((1, nr + 1))
-wall = WallField(values=np.zeros((1, nz + 1)), time_tag=0.0)
-field = march_fluid(wall, InitialData(inlet, wall.values.copy()), species, grid)
+wall = np.zeros((1, nz + 1))
+field = march_fluid(wall, InitialData(inlet, wall.copy()), species, grid)
 
 print("centerline decay (z, value):")
 for z_probe in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):

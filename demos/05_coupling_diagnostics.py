@@ -15,7 +15,6 @@ from graetzcat import (
     Grid,
     InitialData,
     SpeciesParams,
-    WallField,
     advance_step,
     contraction_margin,
     march_fluid,
@@ -36,8 +35,8 @@ r = grid.r
 init = InitialData(
     inlet=(1.0 - r * r)[None, :].copy(), wall_init=np.zeros((1, nz + 1))
 )
-wall = WallField(init.wall_init.copy(), 0.0)
-state = CouplingState(0.0, wall, march_fluid(wall, init, species, grid), 0, ())
+wall = init.wall_init
+state = CouplingState(0.0, wall, march_fluid(wall, init, species, grid), ())
 
 new = advance_step(state, init, CouplerSettings(), species, zero_model(1, box_hi=[2.0]), grid)
 print("\nPicard residuals for one step (mu = 1, margin 0.824):")

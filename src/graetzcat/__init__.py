@@ -44,7 +44,6 @@ from .model import (
     ModelConfig,
     SpeciesParams,
     ValidationReport,
-    WallField,
     contraction_margin,
     validate_config,
 )
@@ -58,7 +57,7 @@ from .qualcheck import (
     check_nonnegativity,
     energy_growth_report,
 )
-from .wall_evolve import WallStepInput, step_wall, surface_rhs
+from .wall_evolve import step_wall, surface_rhs
 
 __version__ = "0.1.0"
 
@@ -83,8 +82,6 @@ __all__ = [
     "Snapshot",
     "SpeciesParams",
     "ValidationReport",
-    "WallField",
-    "WallStepInput",
     "advance_step",
     "build_envelope",
     "check_envelopes",

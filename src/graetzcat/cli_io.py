@@ -54,7 +54,6 @@ from .model import (
     InitialData,
     ModelConfig,
     SpeciesParams,
-    WallField,
     contraction_margin,
     validate_config,
 )
@@ -141,8 +140,13 @@ def _profile(
         if not path.is_file():
             issue("FILE_NOT_FOUND", str(path))
             return None
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            issue("BAD_NUMBER", f"cannot read {path}: {exc}")
+            return None
         values = []
-        for ln in path.read_text().splitlines():
+        for ln in text.splitlines():
             ln = ln.strip()
             if not ln:
                 continue
@@ -376,18 +380,14 @@ def parse_config(text: str, base_dir: Path | str = ".") -> tuple[ModelConfig, Co
 # emission
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def write_snapshot_csv(
     field: FluidField, grid: Grid, species_names: Sequence[str], path: Path | str
 ) -> None:
     """Gnuplot-friendly dump: header r,z,<species...>, rows in z-major order.
 
-    One ``%`` call formats a whole z station, row after row; ``'%.9g' % x``
-    is the text of ``_fmt(x)``.  Stations are written in turn, so the file
-    is never held in memory as a whole.
+    One ``%`` call formats a whole z station, row after row, every value as
+    ``%.9g``.  Stations are written in turn, so the file is never held in
+    memory as a whole.
     """
     ns, nr = len(species_names), grid.nr
     template = ("%.9g," * (ns + 1) + "%.9g\n") * (nr + 1)
@@ -408,12 +408,13 @@ def write_probe_csv(
     species_names: Sequence[str],
     path: Path | str,
 ) -> None:
-    """Outlet series: header t,<species...>, one row per sampled time."""
-    path = Path(path)
-    lines = ["t," + ",".join(species_names)]
+    """Outlet series: header t,<species...>, one row per sampled time, values as ``%.9g``."""
+    ns = len(species_names)
+    row = "%.9g," * ns + "%.9g\n"
+    lines = ["t," + ",".join(species_names) + "\n"]
     for n, t in enumerate(times):
-        lines.append(",".join([_fmt(t)] + [_fmt(values[i][n]) for i in range(len(species_names))]))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(row % (t, *(values[i][n] for i in range(ns))))
+    Path(path).write_text("".join(lines))
 
 
 def write_report(report: RunReport, path: Path | str) -> None:
@@ -490,20 +491,19 @@ def write_report(report: RunReport, path: Path | str) -> None:
 # refinement study
 
 
-def _graetz_setup(nr: int, nz: int) -> tuple[Grid, InitialData, WallField, tuple[SpeciesParams, ...]]:
+def _graetz_setup(nr: int, nz: int) -> tuple[Grid, InitialData, tuple[SpeciesParams, ...]]:
     grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
     params = (SpeciesParams(name="c", beta_f=1.0, gamma_s=1.0, theta_s=1.0, delta=-1),)
     init = InitialData(
         inlet=np.ones((1, nr + 1)), wall_init=np.zeros((1, nz + 1))
     )
-    wall = WallField(values=np.zeros((1, nz + 1)), time_tag=0.0)
-    return grid, init, wall, params
+    return grid, init, params
 
 
 def graetz_centerline(nr: int, nz: int) -> float:
     """Outlet centerline value of the unit-inlet, cold-wall marching test."""
-    grid, init, wall, params = _graetz_setup(nr, nz)
-    field = march_fluid(wall, init, params, grid)
+    grid, init, params = _graetz_setup(nr, nz)
+    field = march_fluid(init.wall_init, init, params, grid)
     return float(field.values[0, 0, -1])
 
 
@@ -519,8 +519,8 @@ def flux_identity_gap(nr: int, nz: int, z_min: float = 0.0) -> float:
     fixed window away from that corner measures the schemes rather than the
     data.
     """
-    grid, init, wall, params = _graetz_setup(nr, nz)
-    field = march_fluid(wall, init, params, grid)
+    grid, init, params = _graetz_setup(nr, nz)
+    field = march_fluid(init.wall_init, init, params, grid)
     g = wall_flux_gradient(field, grid, params)[0]
     q = wall_flux_integral(field, grid, params)[0]
     k0 = max(1, int(math.ceil(z_min * nz)))
@@ -611,8 +611,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         cfg, settings = _load(args.config)
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         for issue in exc.issues:
@@ -652,7 +652,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     # simulate
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        p_sim.error(f"--out {args.out}: cannot create the output directory ({exc.strerror})")
     try:
         run_report, trajectory = run_simulation(
             cfg, settings, seed=args.seed, probe_every=args.probe_every
@@ -661,8 +664,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    final_wall = WallField(values=trajectory[-1].wall, time_tag=trajectory[-1].time)
-    final_fluid = march_fluid(final_wall, cfg.initial, cfg.species, cfg.grid)
+    final_fluid = march_fluid(trajectory[-1].wall, cfg.initial, cfg.species, cfg.grid)
     write_snapshot_csv(final_fluid, cfg.grid, cfg.species_names, out_dir / "snapshot_final.csv")
     write_probe_csv(
         run_report.probe_times, run_report.probe_values, cfg.species_names, out_dir / "probe.csv"

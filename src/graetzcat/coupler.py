@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time as _time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +28,6 @@ from .model import (
     InitialData,
     ModelConfig,
     SpeciesParams,
-    WallField,
     contraction_margin,
     validate_config,
 )
@@ -42,7 +40,7 @@ from .qualcheck import (
     check_nonnegativity,
     energy_growth_report,
 )
-from .wall_evolve import WallStepInput, step_wall, surface_rhs
+from .wall_evolve import step_wall, surface_rhs
 
 log = logging.getLogger("graetzcat")
 
@@ -69,13 +67,16 @@ class CouplerSettings:
 
 @dataclass(frozen=True)
 class CouplingState:
-    """Wall and bulk fields at one accepted time level."""
+    """Wall (ns, nz+1) and bulk fields at one accepted time level."""
 
     time: float
-    wall: WallField
+    wall: np.ndarray
     fluid: FluidField
-    iterations_last_step: int
     residual_history: tuple[float, ...]
+
+    @property
+    def iterations_last_step(self) -> int:
+        return len(self.residual_history)
 
 
 class NonConvergedError(RuntimeError):
@@ -106,7 +107,7 @@ def advance_step(
     params: Sequence[SpeciesParams],
     kinetics: KineticsModel,
     grid: Grid,
-    initial_guess: Optional[WallField] = None,
+    initial_guess: Optional[np.ndarray] = None,
     step_index: int = 0,
 ) -> CouplingState:
     """Advance the coupled system one dt by damped fixed-point iteration.
@@ -120,27 +121,23 @@ def advance_step(
     t_new = (round(state.time / dt) + 1) * dt
     wall_prev = state.wall
 
-    rates_prev = eval_rates(kinetics, wall_prev.values.T).T
+    rates_prev = eval_rates(kinetics, wall_prev.T).T
 
+    # never written in place: each iteration makes a new array
     iterate = wall_prev if initial_guess is None else initial_guess
-    iterate = WallField(values=iterate.values.copy(), time_tag=t_new)
 
     residuals: list[float] = []
     converged = False
     for _ in range(settings.max_iter):
-        fluid = march_fluid(WallField(iterate.values, t_new), init, params, grid)
+        fluid = march_fluid(iterate, init, params, grid)
         flux = _flux_of(settings.flux_form, fluid, grid, params)
-        stepped = step_wall(
-            WallStepInput(wall_prev, flux, rates_prev, dt, params)
-        )
-        new_values = iterate.values + settings.relaxation * (
-            stepped.values - iterate.values
-        )
-        residual = float(np.max(np.abs(new_values - iterate.values)))
+        stepped = step_wall(wall_prev, flux, rates_prev, dt, params)
+        new = iterate + settings.relaxation * (stepped - iterate)
+        residual = float(np.max(np.abs(new - iterate)))
         residuals.append(residual)
         if not math.isfinite(residual):
             break  # the iterate has blown up; more iterations cannot recover it
-        iterate = WallField(values=new_values, time_tag=t_new)
+        iterate = new
         if residual < settings.tol:
             converged = True
             break
@@ -152,7 +149,6 @@ def advance_step(
         time=t_new,
         wall=iterate,
         fluid=fluid,
-        iterations_last_step=len(residuals),
         residual_history=tuple(residuals),
     )
 
@@ -175,7 +171,7 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything a run measured, ready for serialization."""
+    """Everything a run measured; ``write_report`` writes it out."""
 
     species: tuple[str, ...]
     diagnostics: ContractionDiagnostics
@@ -190,54 +186,10 @@ class RunReport:
     probe_times: tuple[float, ...]
     probe_values: tuple[tuple[float, ...], ...]  # per species, outlet series
     weighted_norms: tuple[float, ...]
-    wall_time: float
 
     @property
     def checks_pass(self) -> bool:
         return self.nonneg.passed and all(c.passed for c in self.envelope_checks)
-
-    def to_dict(self) -> dict:
-        d = self.diagnostics
-        h = self.hypothesis_report
-        return {
-            "species": list(self.species),
-            "diagnostics": {
-                "mu": d.mu,
-                "threshold": d.threshold,
-                "margin": d.margin,
-                "alpha_opt": d.alpha_opt,
-                "satisfied": d.satisfied,
-            },
-            "hypotheses": {
-                "h1_pass": h.h1_pass,
-                "h2_pass": h.h2_pass,
-                "h3_pass": h.h3_pass,
-                "samples_used": h.samples_used,
-            },
-            "lipschitz": list(self.lipschitz),
-            "lambda": self.lam,
-            "iterations": list(self.iterations),
-            "nonneg": {
-                "passed": self.nonneg.passed,
-                "violation_count": self.nonneg.violation_count,
-            },
-            "envelope_checks": [
-                {
-                    "species": c.species,
-                    "item": c.item,
-                    "passed": c.passed,
-                    "worst": c.worst,
-                    "t_worst": c.t_worst,
-                }
-                for c in self.envelope_checks
-            ],
-            "energy": self.energy.to_dict(),
-            "reaction_ended": self.reaction_ended,
-            "probe_times": list(self.probe_times),
-            "probe_values": [list(row) for row in self.probe_values],
-            "weighted_norms": list(self.weighted_norms),
-            "wall_time": self.wall_time,
-        }
 
 
 def run_simulation(
@@ -254,7 +206,6 @@ def run_simulation(
     evolving to that tolerance.  An invalid config raises ValueError; the
     validation warnings are the caller's to report (the CLI prints them).
     """
-    t0 = _time.perf_counter()
     report = validate_config(cfg)
     if not report.ok:
         raise ValueError("invalid configuration: " + "; ".join(report.errors))
@@ -276,9 +227,9 @@ def run_simulation(
 
     envelope = build_envelope(cfg.initial, lam)
 
-    wall = WallField(values=cfg.initial.wall_init.copy(), time_tag=0.0)
+    wall = cfg.initial.wall_init.copy()
     fluid = march_fluid(wall, cfg.initial, params, grid)
-    state = CouplingState(0.0, wall, fluid, 0, ())
+    state = CouplingState(0.0, wall, fluid, ())
 
     trajectory: list[Snapshot] = []
     nonneg_reports: list[NonnegReport] = []
@@ -289,16 +240,16 @@ def run_simulation(
 
     def record(st: CouplingState) -> None:
         nonlocal reaction_ended
-        rates = eval_rates(kinetics, st.wall.values.T).T
+        rates = eval_rates(kinetics, st.wall.T).T
         flux = _flux_of(settings.flux_form, st.fluid, grid, params)
-        rhs = surface_rhs(st.wall.values, flux, rates, params)
+        rhs = surface_rhs(st.wall, flux, rates, params)
         if math.isinf(reaction_ended) and float(np.max(np.abs(rhs))) < SETTLE_TOL:
             reaction_ended = st.time
         station = np.einsum("ijk,j->ik", st.fluid.values**2, wq)
         trajectory.append(
             Snapshot(
                 time=st.time,
-                wall=st.wall.values.copy(),
+                wall=st.wall,
                 fluid_min=st.fluid.values.min(axis=(1, 2)),
                 fluid_max=st.fluid.values.max(axis=(1, 2)),
                 station_energy=station,
@@ -345,6 +296,5 @@ def run_simulation(
         probe_values=probe_values,
         # weighted bulk norm: sup over stations of the time-integrated energy
         weighted_norms=tuple(float(v) for v in energy.fluid_station_energy.max(axis=1)),
-        wall_time=_time.perf_counter() - t0,
     )
     return run_report, trajectory

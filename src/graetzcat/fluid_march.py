@@ -13,9 +13,11 @@ and we march it with backward Euler, one tridiagonal solve per step:
 L_r is the finite-volume radial operator; its axis row collapses to
 4 beta (C_1 - C_0)/dr^2 because the flux through the r = 0 face vanishes.
 The degenerate weight (1 - r^2) = 0 at r = 1 is harmless since that row is
-Dirichlet.  The assembled matrix is an M-matrix, which yields a discrete
-maximum principle: the marched field cannot leave the envelope of its inlet
-and wall data.
+Dirichlet.  The code holds one matrix per (nr, nz, beta): the Dirichlet
+unknown dropped and each row scaled by its cell volume, which makes it
+symmetric positive definite and banded (``RadialOperator.ab``).  It is an
+M-matrix, which yields a discrete maximum principle: the marched field
+cannot leave the envelope of its inlet and wall data.
 
 The wall gradient the surface equation consumes is extracted two ways:
 
@@ -68,7 +70,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
-from .model import FluidField, Grid, InitialData, SpeciesParams, WallField
+from .model import FluidField, Grid, InitialData, SpeciesParams
 
 # Stations one block product advances, and the largest radial grid that
 # marches by blocks; both set from timings of the two paths (CHANGES.md).
@@ -80,15 +82,16 @@ FLUSH = 64
 
 @dataclass(frozen=True)
 class RadialOperator:
-    """Rows of the marching matrix [(1-r^2)/dz I - L_r] for one diffusivity.
+    """The marching matrix [(1-r^2)/dz I - L_r] for one diffusivity.
 
-    lower/diag/upper are the tridiagonal coefficients over the nr+1 nodes
-    including the symmetry row at the axis and the Dirichlet row at r = 1.
-    The factored form (drop the Dirichlet unknown, rescale by cell volumes)
-    is symmetric positive definite; march_fluid takes its Cholesky factor
-    from ``radial_operator``, which builds it once per (nr, nz, beta).
-    lower/diag/upper are not used by the march: they are the M-matrix
-    witness (``m_matrix_ok``) behind the discrete maximum principle.
+    The Dirichlet row at r = 1 is dropped (the trace is known) and the
+    rows over the nr interior nodes, the axis row included, are scaled by
+    their cell volumes.  That one matrix is symmetric positive definite;
+    ``ab`` holds it in LAPACK upper banded form (ab[0, 1:] the
+    superdiagonal, ab[1] the diagonal) and ``cho_factor`` is its Cholesky
+    factor, built once per (nr, nz, beta) by ``radial_operator``.  ab is an
+    M-matrix (``m_matrix_ok``), the witness behind the discrete maximum
+    principle.
 
     For nr <= BLOCK_MAX_NR the march uses the factor only through
     ``impulse_block``, which marches unit impulses through it once; the
@@ -97,10 +100,8 @@ class RadialOperator:
     """
 
     beta: float
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
     face_r: np.ndarray
+    ab: np.ndarray
     cho_factor: np.ndarray
 
     @classmethod
@@ -112,22 +113,7 @@ class RadialOperator:
         conv = (1.0 - r * r) / dz
         face_r = (np.arange(nr) + 0.5) * dr
 
-        lower = np.zeros(nr + 1)
-        diag = np.zeros(nr + 1)
-        upper = np.zeros(nr + 1)
-
-        # axis row: finite-volume symmetry closure
-        diag[0] = conv[0] + 4.0 * beta / dr**2
-        upper[0] = -4.0 * beta / dr**2
-        # interior rows
-        j = np.arange(1, nr)
-        lower[j] = -beta * face_r[j - 1] / (r[j] * dr**2)
-        upper[j] = -beta * face_r[j] / (r[j] * dr**2)
-        diag[j] = conv[j] - lower[j] - upper[j]
-        # Dirichlet trace row at r = 1
-        diag[nr] = 1.0
-
-        # volume-scaled symmetric reduction over the nr interior unknowns
+        # cells r dr wide, the axis cell dr^2 / 8 (its symmetry closure)
         vol = np.empty(nr)
         vol[0] = dr * dr / 8.0
         vol[1:] = r[1:nr] * dr
@@ -135,12 +121,10 @@ class RadialOperator:
         k_diag[0] = face_r[0] / dr
         k_diag[1:] = (face_r[: nr - 1] + face_r[1:nr]) / dr
         k_sup = -face_r[: nr - 1] / dr
-        a_diag = vol * conv[:nr] + beta * k_diag
-        a_sup = beta * k_sup
 
         ab = np.zeros((2, nr))
-        ab[1, :] = a_diag
-        ab[0, 1:] = a_sup
+        ab[1, :] = vol * conv[:nr] + beta * k_diag
+        ab[0, 1:] = beta * k_sup
         try:
             cho = cholesky_banded(ab, lower=False)
         except LinAlgError as exc:  # cannot happen for beta > 0: SPD by design
@@ -148,20 +132,21 @@ class RadialOperator:
                 f"radial marching matrix lost positive definiteness (beta={beta})"
             ) from exc
 
-        return cls(
-            beta=beta,
-            lower=lower,
-            diag=diag,
-            upper=upper,
-            face_r=face_r,
-            cho_factor=cho,
-        )
+        return cls(beta=beta, face_r=face_r, ab=ab, cho_factor=cho)
 
     def m_matrix_ok(self) -> bool:
-        """Off-diagonals nonpositive, rows weakly diagonally dominant."""
-        offdiag_ok = bool(np.all(self.lower <= 0.0) and np.all(self.upper <= 0.0))
-        dom = self.diag - (np.abs(self.lower) + np.abs(self.upper))
-        return offdiag_ok and bool(np.all(self.diag > 0.0)) and bool(np.all(dom >= -1e-14))
+        """Superdiagonal nonpositive, diagonal positive, rows weakly diagonally dominant.
+
+        ab is symmetric, so row i's off-diagonal entries are ab[0, i] and
+        ab[0, i + 1]; dominance is judged to rounding of the diagonal.
+        """
+        sup, diag = self.ab[0, 1:], self.ab[1]
+        off = np.zeros_like(diag)
+        off[:-1] += np.abs(sup)
+        off[1:] += np.abs(sup)
+        return bool(
+            np.all(sup <= 0.0) and np.all(diag > 0.0) and np.all(diag - off >= -1e-15 * diag)
+        )
 
 
 @functools.lru_cache(maxsize=32)
@@ -172,7 +157,7 @@ def radial_operator(nr: int, nz: int, beta: float) -> RadialOperator:
     placeholders here.
     """
     op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
-    for a in (op.lower, op.diag, op.upper, op.face_r, op.cho_factor):
+    for a in (op.face_r, op.ab, op.cho_factor):
         a.flags.writeable = False
     return op
 
@@ -208,21 +193,21 @@ def impulse_block(nr: int, nz: int, beta: float) -> np.ndarray:
 
 
 def march_fluid(
-    wall: WallField,
+    wall: np.ndarray,
     init: InitialData,
     params: Sequence[SpeciesParams],
     grid: Grid,
 ) -> FluidField:
-    """March every species down the cylinder against the given wall trace.
+    """March every species down the cylinder against the wall trace (ns, nz+1).
 
-    Returns the field at the wall's time level.  The z = 0 column equals the
-    inlet samples (except the corner node, which belongs to the trace), and
-    the r = 1 row equals the wall vector bitwise.
+    The z = 0 column of the field equals the inlet samples (except the
+    corner node, which belongs to the trace), and the r = 1 row equals the
+    wall bitwise.
     """
     ns = len(params)
     nr, nz = grid.nr, grid.nz
-    if wall.values.shape != (ns, nz + 1):
-        raise ValueError(f"wall shape {wall.values.shape} != {(ns, nz + 1)}")
+    if wall.shape != (ns, nz + 1):
+        raise ValueError(f"wall shape {wall.shape} != {(ns, nz + 1)}")
     if init.inlet.shape != (ns, nr + 1):
         raise ValueError(f"inlet shape {init.inlet.shape} != {(ns, nr + 1)}")
 
@@ -240,12 +225,12 @@ def march_fluid(
         # a contiguous group is written through a basic slice, not a fancy index
         rows = slice(idx[0], idx[0] + g) if idx[-1] - idx[0] == g - 1 else idx
         if nr <= BLOCK_MAX_NR:
-            _march_blocks(values, rows, wall.values[rows], impulse_block(nr, nz, beta))
+            _march_blocks(values, rows, wall[rows], impulse_block(nr, nz, beta))
         else:
-            _march_stations(values, rows, wall.values[rows], radial_operator(nr, nz, beta))
+            _march_stations(values, rows, wall[rows], radial_operator(nr, nz, beta))
 
-    values[:, nr, :] = wall.values  # trace, bitwise (owns the z = 0 corner)
-    return FluidField(values=values, time_tag=wall.time_tag)
+    values[:, nr, :] = wall  # trace, bitwise (owns the z = 0 corner)
+    return FluidField(values)
 
 
 def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None:

@@ -39,14 +39,11 @@ class KineticsModel:
     rate receives an array of shape (..., arity) of clipped, clamped states
     and returns channel rates of the same shape.  domain_box is a pair of
     arrays (lo, hi); inputs are clamped into it before evaluation.
-    lipschitz_hint optionally carries exact per-channel constants.
     """
 
-    name: str
     arity: int
     rate: Callable[[np.ndarray], np.ndarray]
     domain_box: tuple[np.ndarray, np.ndarray]
-    lipschitz_hint: Optional[np.ndarray] = None
 
     def clamp(self, state: np.ndarray) -> np.ndarray:
         lo, hi = self.domain_box
@@ -84,11 +81,9 @@ def zero_model(arity: int, box_hi: Optional[Sequence[float]] = None) -> Kinetics
         return np.zeros_like(x)
 
     return KineticsModel(
-        name="zero",
         arity=arity,
         rate=rate,
         domain_box=(np.zeros(arity), hi),
-        lipschitz_hint=np.zeros(arity),
     )
 
 
@@ -102,11 +97,9 @@ def linear_consumption(
         return k * x
 
     return KineticsModel(
-        name="linear_consumption",
         arity=arity,
         rate=rate,
         domain_box=(np.zeros(arity), hi),
-        lipschitz_hint=np.full(arity, float(k)),
     )
 
 
@@ -146,7 +139,6 @@ def co_oxidation(
         return out
 
     return KineticsModel(
-        name="co_oxidation",
         arity=4,
         rate=rate,
         domain_box=(np.zeros(4), hi),

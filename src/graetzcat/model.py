@@ -36,10 +36,6 @@ class SpeciesParams:
     theta_s: float
     delta: int
 
-    @property
-    def degenerate(self) -> bool:
-        return self.theta_s == 0.0
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -100,15 +96,6 @@ class FluidField:
     """
 
     values: np.ndarray
-    time_tag: float
-
-
-@dataclass(frozen=True)
-class WallField:
-    """Concentrations on the reacting surface, shape (ns, nz+1)."""
-
-    values: np.ndarray
-    time_tag: float
 
 
 @dataclass(frozen=True)

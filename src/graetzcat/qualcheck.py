@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import FluidField, InitialData, SpeciesParams, WallField
+from .model import FluidField, InitialData, SpeciesParams
 
 DEFAULT_TOL = 1e-8
 _EXP_CLAMP = 700.0  # exp argument above this overflows float64
@@ -79,9 +79,9 @@ class NonnegReport:
 
 
 def check_nonnegativity(
-    fluid: FluidField, wall: WallField, tol: float = DEFAULT_TOL
+    fluid: FluidField, wall: np.ndarray, tol: float = DEFAULT_TOL
 ) -> NonnegReport:
-    """List every grid point more negative than -tol."""
+    """List every grid point of the field and the wall (ns, nz+1) more negative than -tol."""
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
     violations: list[NonnegViolation] = []
@@ -90,9 +90,8 @@ def check_nonnegativity(
         violations.append(
             NonnegViolation(int(i), "fluid", (int(j), int(k)), float(fv[i, j, k]))
         )
-    wv = wall.values
-    for i, k in zip(*np.nonzero(wv < -tol)):
-        violations.append(NonnegViolation(int(i), "wall", (int(k),), float(wv[i, k])))
+    for i, k in zip(*np.nonzero(wall < -tol)):
+        violations.append(NonnegViolation(int(i), "wall", (int(k),), float(wall[i, k])))
     violations.sort(key=lambda v: v.value)
     return NonnegReport(
         passed=not violations,
@@ -163,15 +162,6 @@ class EnergyGrowthReport:
         t = np.asarray(self.times)
         bound = self.slope[:, None] * t[None, :] + self.intercept[:, None]
         return bool(np.all(self.wall_energy <= bound + 1e-12))
-
-    def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "wall_energy": self.wall_energy.tolist(),
-            "slope": self.slope.tolist(),
-            "intercept": self.intercept.tolist(),
-            "fluid_station_energy": self.fluid_station_energy.tolist(),
-        }
 
 
 def energy_growth_report(trajectory: Sequence) -> EnergyGrowthReport:

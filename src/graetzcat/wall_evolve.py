@@ -16,25 +16,12 @@ is one direct LAPACK ``dgttrs`` call on that factor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .model import SpeciesParams, WallField
-
-
-@dataclass(frozen=True)
-class WallStepInput:
-    """Everything one step needs: previous wall, per-node flux dC_if/dr(1,z),
-    per-node channel rates (sign not yet applied), step size, species table."""
-
-    wall_prev: WallField
-    flux: np.ndarray
-    rates: np.ndarray
-    dt: float
-    params: Sequence[SpeciesParams]
+from .model import SpeciesParams
 
 
 def _mirrored_second_difference(values: np.ndarray, dz: float) -> np.ndarray:
@@ -88,21 +75,30 @@ def surface_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...]:
     return tuple(factor)
 
 
-def step_wall(inp: WallStepInput) -> WallField:
-    ns, nn = inp.wall_prev.values.shape
-    if inp.flux.shape != (ns, nn) or inp.rates.shape != (ns, nn):
-        raise ValueError("flux/rates must match the wall layout")
-    if not inp.dt > 0.0:
-        raise ValueError(f"dt = {inp.dt} must be positive")
+def step_wall(
+    prev: np.ndarray,
+    flux: np.ndarray,
+    rates: np.ndarray,
+    dt: float,
+    params: Sequence[SpeciesParams],
+) -> np.ndarray:
+    """The wall one dt after ``prev``, all of layout (ns, nz+1).
 
-    dt = inp.dt
-    prev = inp.wall_prev.values
-    rhs = dt * surface_rhs(prev, inp.flux, inp.rates, inp.params)
+    flux is dC_if/dr(1, z) per node and rates are the channel rates with the
+    sign not yet applied, as for ``surface_rhs``.
+    """
+    ns, nn = prev.shape
+    if flux.shape != (ns, nn) or rates.shape != (ns, nn):
+        raise ValueError("flux/rates must match the wall layout")
+    if not dt > 0.0:
+        raise ValueError(f"dt = {dt} must be positive")
+
+    rhs = dt * surface_rhs(prev, flux, rates, params)
 
     new = np.empty_like(prev)
     # species sharing one diffusivity share one matrix (multi-RHS solve)
     groups: dict[float, list[int]] = {}
-    for i, s in enumerate(inp.params):
+    for i, s in enumerate(params):
         groups.setdefault(s.theta_s, []).append(i)
 
     for theta, idx in groups.items():
@@ -116,4 +112,4 @@ def step_wall(inp: WallStepInput) -> WallField:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrs")
         new[idx] = prev[idx] + delta.T
 
-    return WallField(values=new, time_tag=inp.wall_prev.time_tag + dt)
+    return new

@@ -37,9 +37,9 @@ from graetzcat.cli_io import (
 from graetzcat.coupler import CouplerSettings, CouplingState, advance_step, run_simulation
 from graetzcat.fluid_march import march_fluid
 from graetzcat.kinetics import KineticsModel, eval_rates, verify_hypotheses
-from graetzcat.model import Grid, InitialData, SpeciesParams, WallField
+from graetzcat.model import Grid, InitialData, SpeciesParams
 from graetzcat.qualcheck import DEFAULT_TOL
-from graetzcat.wall_evolve import WallStepInput, step_wall
+from graetzcat.wall_evolve import step_wall
 
 from conftest import SCENARIO_CFG, constant_config
 
@@ -69,7 +69,7 @@ def test_c02_discrete_maximum_principle():
         inlet = rng.uniform(0.3, 0.7, (1, nr + 1))
         wallv = rng.uniform(0.3, 0.7, (1, nz + 1))
         params = (SpeciesParams("s", float(rng.uniform(0.2, 3.0)), 1.0, 1.0, -1),)
-        field = march_fluid(WallField(wallv, 0.0), InitialData(inlet, wallv), params, grid)
+        field = march_fluid(wallv, InitialData(inlet, wallv), params, grid)
         data_lo = min(inlet.min(), wallv.min())
         data_hi = max(inlet.max(), wallv.max())
         worst = max(worst, data_lo - field.values.min(), field.values.max() - data_hi)
@@ -119,16 +119,16 @@ def test_c05_heat_eigenmode_and_mass():
     nz, dt, steps = 128, 1e-4, 1000
     z = np.linspace(0.0, 1.0, nz + 1)
     params = (SpeciesParams("h", 1.0, 1.0, 1.0, 1),)
-    wall = WallField(np.cos(np.pi * z)[None, :].copy(), 0.0)
+    wall = np.cos(np.pi * z)[None, :]
     zero = np.zeros((1, nz + 1))
     trap = np.full(nz + 1, 1.0 / nz)
     trap[0] = trap[-1] = 0.5 / nz
-    mass0 = float(wall.values[0] @ trap)
+    mass0 = float(wall[0] @ trap)
     worst_mass = 0.0
     for _ in range(steps):
-        wall = step_wall(WallStepInput(wall, zero, zero, dt, params))
-        worst_mass = max(worst_mass, abs(float(wall.values[0] @ trap) - mass0))
-    amp = float(wall.values[0, 0])
+        wall = step_wall(wall, zero, zero, dt, params)
+        worst_mass = max(worst_mass, abs(float(wall[0] @ trap) - mass0))
+    amp = float(wall[0, 0])
     amp_err = abs(amp - math.exp(-math.pi**2 * 0.1))
     ok = amp_err < 2e-2 and worst_mass <= 1e-12
     verdict(
@@ -158,17 +158,15 @@ def test_c07_uniqueness_probe(scenario):
     cfg, settings = scenario
     text = SCENARIO_CFG.read_text().replace("t_end = 60", "t_end = 2")
     cfg, settings = parse_config(text, SCENARIO_CFG.parent)
-    wall = WallField(cfg.initial.wall_init.copy(), 0.0)
-    state = CouplingState(0.0, wall, march_fluid(wall, cfg.initial, cfg.species, cfg.grid), 0, ())
+    wall = cfg.initial.wall_init.copy()
+    state = CouplingState(0.0, wall, march_fluid(wall, cfg.initial, cfg.species, cfg.grid), ())
     rng = np.random.default_rng(7)
     worst = 0.0
     for k in range(1, 101):
         base = advance_step(
             state, cfg.initial, settings, cfg.species, cfg.kinetics, cfg.grid, step_index=k
         )
-        guess = WallField(
-            state.wall.values + rng.uniform(-0.5, 0.5, state.wall.values.shape), state.time
-        )
+        guess = state.wall + rng.uniform(-0.5, 0.5, state.wall.shape)
         probed = advance_step(
             state,
             cfg.initial,
@@ -179,7 +177,7 @@ def test_c07_uniqueness_probe(scenario):
             initial_guess=guess,
             step_index=k,
         )
-        worst = max(worst, float(np.max(np.abs(base.wall.values - probed.wall.values))))
+        worst = max(worst, float(np.max(np.abs(base.wall - probed.wall))))
         state = base
     ok = worst <= 1e-8
     verdict("07 uniqueness-probe", ok, f"worst disagreement={worst:.2e} over 100 steps")
@@ -297,7 +295,7 @@ def test_c10b_broken_model_flagged():
         out[..., 1] = -1.0
         return out
 
-    bad = KineticsModel("bad", 2, rate, (np.zeros(2), np.ones(2)))
+    bad = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
     params = tuple(SpeciesParams(n, 1.0, 1.0, 1.0, -1) for n in ("a", "b"))
     rep = verify_hypotheses(bad, params, seed=3)
     ok = (

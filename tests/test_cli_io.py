@@ -155,7 +155,7 @@ class TestParseConfig:
 class TestWriters:
     def test_snapshot_csv_constant_field(self, tmp_path):
         grid = Grid(nr=4, nz=4, dt=0.1, t_end=0.1)
-        field = FluidField(np.full((2, 5, 5), 1.0 / 3.0), 0.0)
+        field = FluidField(np.full((2, 5, 5), 1.0 / 3.0))
         out = tmp_path / "snap.csv"
         write_snapshot_csv(field, grid, ("a", "b"), out)
         lines = out.read_text().splitlines()
@@ -183,7 +183,7 @@ class TestWriters:
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
         specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 123456789.5]
         values.flat[rng.choice(values.size, len(specials), replace=False)] = specials
-        field = FluidField(values, 0.0)
+        field = FluidField(values)
         names = ("CO", "O2", "T")  # one species fewer than the field holds
         write_snapshot_csv(field, grid, names, tmp_path / "new.csv")
         per_value(field, grid, names, tmp_path / "old.csv")
@@ -345,6 +345,44 @@ class TestCli:
             )
             == 2
         )
+
+    def test_config_directory_exit_two(self, capsys):
+        assert self.run_cli("check", "--config", str(SCENARIO_CFG.parent)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot read "), err
+
+    def test_undecodable_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(MINIMAL.encode() + b"# \xff\xfe\n")
+        assert self.run_cli("check", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot read {cfg}: "), err
+
+    def test_undecodable_profile_file_exit_two(self, tmp_path, capsys):
+        (tmp_path / "inlet.txt").write_bytes(b"0.5\n\xff\n" * 4 + b"0.5\n")
+        text = MINIMAL.replace("inlet = const:0.5", "inlet = file:inlet.txt", 1)
+        lineno = text.splitlines().index("inlet = file:inlet.txt") + 1
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert self.run_cli("check", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"config error: line {lineno}: BAD_NUMBER [species.a].inlet: "), err
+
+    def test_out_is_an_existing_file_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINIMAL)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert errors == [
+            f"graetzcat simulate: error: --out {out}: "
+            "cannot create the output directory (File exists)"
+        ]
+        assert out.read_text() == "not a directory\n"
 
     def test_non_converged_exit_three(self, tmp_path):
         text = SCENARIO_CFG.read_text().replace("t_end = 60", "t_end = 0.1")

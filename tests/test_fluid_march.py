@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from graetzcat.fluid_march import (
     wall_flux_gradient,
     wall_flux_integral,
 )
-from graetzcat.model import FluidField, Grid, InitialData, SpeciesParams, WallField
+from graetzcat.model import FluidField, Grid, InitialData, SpeciesParams
 
 
 def single(beta=1.0):
@@ -29,9 +31,7 @@ def graetz(nr, nz, inlet=None, wall=None, beta=1.0):
         inlet = np.ones((1, nr + 1))
     if wall is None:
         wall = np.zeros((1, nz + 1))
-    field = march_fluid(
-        WallField(wall, 0.0), InitialData(inlet, wall.copy()), single(beta), grid
-    )
+    field = march_fluid(wall, InitialData(inlet, wall.copy()), single(beta), grid)
     return grid, field
 
 
@@ -59,7 +59,7 @@ def reference_march(wall, inlet, betas, grid):
 
 def march(betas, grid, inlet, wall):
     params = tuple(SpeciesParams(f"s{i}", b, 1.0, 1.0, -1) for i, b in enumerate(betas))
-    return march_fluid(WallField(wall, 0.0), InitialData(inlet, wall.copy()), params, grid)
+    return march_fluid(wall, InitialData(inlet, wall.copy()), params, grid)
 
 
 def station_march(betas, grid, inlet, wall):
@@ -76,18 +76,29 @@ def station_march(betas, grid, inlet, wall):
 
 
 class TestRadialOperator:
-    @pytest.mark.parametrize("beta", [0.3, 1.0, 4.7])
-    @pytest.mark.parametrize("nr,nz", [(8, 8), (32, 64), (100, 16)])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 4.7, 1e-6, 1e8])
+    @pytest.mark.parametrize("nr,nz", [(8, 8), (32, 64), (100, 16), (1024, 64), (1024, 8192)])
     def test_m_matrix_structure(self, beta, nr, nz):
         op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
         assert op.m_matrix_ok()
 
+    def test_m_matrix_witness_can_fail(self):
+        op = RadialOperator.build(Grid(nr=10, nz=8, dt=1.0, t_end=1.0), 1.0)
+        # a positive off-diagonal of the same size: every row stays dominant
+        ab = op.ab.copy()
+        ab[0, 5] = -ab[0, 5]
+        assert not dataclasses.replace(op, ab=ab).m_matrix_ok()
+        # a row whose diagonal is below the sum of its off-diagonals
+        ab = op.ab.copy()
+        ab[1, 4] = 0.5 * (abs(ab[0, 4]) + abs(ab[0, 5]))
+        assert not dataclasses.replace(op, ab=ab).m_matrix_ok()
+
     def test_axis_row_symmetry_closure(self):
         grid = Grid(nr=10, nz=8, dt=1.0, t_end=1.0)
         op = RadialOperator.build(grid, 2.0)
-        # axis row reduces to conv + 4 beta (C_0 - C_1)/dr^2
-        assert op.diag[0] == pytest.approx(1.0 / grid.dz + 4.0 * 2.0 / grid.dr**2)
-        assert op.upper[0] == pytest.approx(-4.0 * 2.0 / grid.dr**2)
+        # the axis cell, volume dr^2/8, with conv + 4 beta (C_0 - C_1)/dr^2
+        assert op.ab[1, 0] == pytest.approx(grid.dr**2 / 8.0 * (1.0 / grid.dz + 4.0 * 2.0 / grid.dr**2))
+        assert op.ab[0, 1] == pytest.approx(-2.0 / 2.0)
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
@@ -101,7 +112,7 @@ class TestMarchFluid:
         c = np.array([0.37, 500.0])
         params = (SpeciesParams("a", 1.0, 1, 1, -1), SpeciesParams("b", 2.5, 1, 1, 1))
         init = InitialData(np.tile(c[:, None], (1, nr + 1)), np.tile(c[:, None], (1, nz + 1)))
-        field = march_fluid(WallField(init.wall_init, 0.0), init, params, grid)
+        field = march_fluid(init.wall_init, init, params, grid)
         assert np.array_equal(field.values, np.tile(c[:, None, None], (1, nr + 1, nz + 1)))
 
     def test_trace_and_inlet_are_bitwise(self):
@@ -110,11 +121,10 @@ class TestMarchFluid:
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         inlet = rng.uniform(0.0, 1.0, (1, nr + 1))
         wall = rng.uniform(0.0, 1.0, (1, nz + 1))
-        field = march_fluid(WallField(wall, 0.5), InitialData(inlet, wall.copy()), single(), grid)
+        field = march_fluid(wall, InitialData(inlet, wall.copy()), single(), grid)
         assert np.array_equal(field.values[:, nr, :], wall)
         # the inlet column is exact away from the corner, which the trace owns
         assert np.array_equal(field.values[:, :nr, 0], inlet[:, :nr])
-        assert field.time_tag == 0.5
 
     def test_discrete_maximum_principle_random_data(self):
         rng = np.random.default_rng(2)
@@ -141,10 +151,10 @@ class TestMarchFluid:
         inlet = rng.uniform(0.0, 1.0, (3, nr + 1))
         wall = rng.uniform(0.0, 1.0, (3, nz + 1))
         params = tuple(SpeciesParams(f"s{i}", 1.7, 1, 1, -1) for i in range(3))
-        batched = march_fluid(WallField(wall, 0.0), InitialData(inlet, wall.copy()), params, grid)
+        batched = march_fluid(wall, InitialData(inlet, wall.copy()), params, grid)
         for i in range(3):
             solo = march_fluid(
-                WallField(wall[i : i + 1], 0.0),
+                wall[i : i + 1],
                 InitialData(inlet[i : i + 1], wall[i : i + 1].copy()),
                 params[i : i + 1],
                 grid,
@@ -223,7 +233,7 @@ class TestMarchFluid:
         op = radial_operator(nr, nz, beta)
         assert op is radial_operator(nr, nz, beta)
         fresh = RadialOperator.build(Grid(nr=nr, nz=nz, dt=0.5, t_end=1.0), beta)
-        for name in ("lower", "diag", "upper", "face_r", "cho_factor"):
+        for name in ("face_r", "ab", "cho_factor"):
             cached = getattr(op, name)
             assert not cached.flags.writeable, name
             assert np.array_equal(cached, getattr(fresh, name)), name
@@ -252,7 +262,7 @@ class TestMarchFluid:
         grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         with pytest.raises(ValueError):
             march_fluid(
-                WallField(np.zeros((1, 5)), 0.0),
+                np.zeros((1, 5)),
                 InitialData(np.ones((1, 9)), np.zeros((1, 9))),
                 single(),
                 grid,
@@ -313,20 +323,20 @@ class TestWallFluxGradient:
         nr, nz = 16, 8
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.r[None, :, None] ** 2, (1, nr + 1, nz + 1)).copy()
-        flux = wall_flux_gradient(FluidField(vals, 0.0), grid, single())
+        flux = wall_flux_gradient(FluidField(vals), grid, single())
         assert np.allclose(flux, 2.0, atol=1e-13)
 
     def test_zero_for_constants(self):
         grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         vals = np.full((1, 9, 9), 3.3)
-        assert np.all(wall_flux_gradient(FluidField(vals, 0.0), grid, single()) == 0.0)
+        assert np.all(wall_flux_gradient(FluidField(vals), grid, single()) == 0.0)
 
     def test_second_order_on_cubic(self):
         errs = []
         for nr in (64, 128):
             grid = Grid(nr=nr, nz=4, dt=1.0, t_end=1.0)
             vals = np.broadcast_to(grid.r[None, :, None] ** 3, (1, nr + 1, 5)).copy()
-            flux = wall_flux_gradient(FluidField(vals, 0.0), grid, single())
+            flux = wall_flux_gradient(FluidField(vals), grid, single())
             errs.append(abs(flux[0, 0] - 3.0))
         assert errs[0] < 1e-3
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -335,7 +345,7 @@ class TestWallFluxGradient:
         grid = Grid(nr=1, nz=8, dt=1.0, t_end=1.0)
         vals = np.ones((1, 2, 9))
         with pytest.raises(ValueError):
-            wall_flux_gradient(FluidField(vals, 0.0), grid, single())
+            wall_flux_gradient(FluidField(vals), grid, single())
 
 
 class TestWallFluxIntegral:
@@ -343,20 +353,20 @@ class TestWallFluxIntegral:
         nr, nz = 64, 16
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        flux = wall_flux_integral(FluidField(vals, 0.0), grid, single())
+        flux = wall_flux_integral(FluidField(vals), grid, single())
         assert np.allclose(flux, 0.25, atol=1e-4)  # int r(1-r^2) dr = 1/4
 
     def test_zero_for_constants(self):
         grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         vals = np.full((1, 9, 9), 1.7)
-        assert np.all(wall_flux_integral(FluidField(vals, 0.0), grid, single()) == 0.0)
+        assert np.all(wall_flux_integral(FluidField(vals), grid, single()) == 0.0)
 
     def test_beta_scaling(self):
         nr, nz = 32, 8
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        f1 = wall_flux_integral(FluidField(vals, 0.0), grid, single(beta=1.0))
-        f2 = wall_flux_integral(FluidField(vals, 0.0), grid, single(beta=2.0))
+        f1 = wall_flux_integral(FluidField(vals), grid, single(beta=1.0))
+        f2 = wall_flux_integral(FluidField(vals), grid, single(beta=2.0))
         assert np.allclose(f2, 0.5 * f1)
 
     def test_cross_method_consistency_on_resolved_window(self):

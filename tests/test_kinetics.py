@@ -110,7 +110,7 @@ def overflowing(arity):
     def rate(x):
         return np.exp(1e4 * x) * x
 
-    return KineticsModel("overflow", arity, rate, (np.zeros(arity), np.ones(arity)))
+    return KineticsModel(arity, rate, (np.zeros(arity), np.ones(arity)))
 
 
 class TestVerifyHypotheses:
@@ -130,7 +130,7 @@ class TestVerifyHypotheses:
             out[..., 1] = -1.0
             return out
 
-        bad = KineticsModel("bad", 2, rate, (np.zeros(2), np.ones(2)))
+        bad = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
         rep = verify_hypotheses(bad, consuming(2), seed=3)
         assert not rep.h1_pass
         assert rep.worst_h1.species == 1
@@ -152,7 +152,7 @@ class TestVerifyHypotheses:
             out[..., 0] = x[..., 0] * np.exp(1e4 * x[..., 1])
             return out
 
-        m = KineticsModel("nan_h2", 2, rate, (np.zeros(2), np.ones(2)))
+        m = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = verify_hypotheses(m, consuming(2), seed=0)
@@ -170,7 +170,7 @@ class TestVerifyHypotheses:
             SpeciesParams("a", 1.0, 1.0, 1.0, -1),
             SpeciesParams("b", 1.0, 1.0, 1.0, 1),
         )
-        m = KineticsModel("nan_h3", 2, rate, (np.zeros(2), np.full(2, 1e10)))
+        m = KineticsModel(2, rate, (np.zeros(2), np.full(2, 1e10)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = verify_hypotheses(m, params, seed=0)
@@ -184,7 +184,7 @@ class TestVerifyHypotheses:
             out[..., 0] = x[..., 1]
             return out
 
-        m = KineticsModel("sticky", 2, rate, (np.zeros(2), np.ones(2)))
+        m = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
         rep = verify_hypotheses(m, consuming(2), seed=4)
         assert not rep.h2_pass
         assert rep.worst_h2.species == 0
@@ -199,7 +199,7 @@ class TestVerifyHypotheses:
             SpeciesParams("a", 1.0, 1.0, 1.0, -1),
             SpeciesParams("b", 1.0, 1.0, 1.0, 1),
         )
-        rep = verify_hypotheses(KineticsModel("p", 2, rate, (np.zeros(2), np.ones(2))), params, seed=5)
+        rep = verify_hypotheses(KineticsModel(2, rate, (np.zeros(2), np.ones(2))), params, seed=5)
         assert not rep.h3_pass
 
     def test_shipped_surrogate_h1_h2(self, scenario):
@@ -231,7 +231,7 @@ class TestEstimateLipschitz:
             out[..., 0] = 2.0 * x[..., 0]
             return out
 
-        m = KineticsModel("lin", 2, rate, (np.zeros(2), np.ones(2)))
+        m = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
         k, lam = estimate_lipschitz(m, seed=0)
         assert 2.0 <= lam <= 2.5
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graetzcat.coupler import CouplerSettings, Snapshot, run_simulation
-from graetzcat.model import FluidField, InitialData, WallField
+from graetzcat.model import FluidField, InitialData
 from graetzcat.qualcheck import (
     build_envelope,
     check_envelopes,
@@ -33,21 +33,19 @@ def snap(t, wall, fmin, fmax, station=None):
 
 class TestNonnegativity:
     def test_positive_fields_pass(self):
-        f = FluidField(np.full((1, 5, 5), 0.3), 0.0)
-        w = WallField(np.full((1, 5), 0.2), 0.0)
-        rep = check_nonnegativity(f, w)
+        rep = check_nonnegativity(FluidField(np.full((1, 5, 5), 0.3)), np.full((1, 5), 0.2))
         assert rep.passed and rep.violation_count == 0
 
     def test_tiny_negative_within_tolerance(self):
         vals = np.full((1, 5, 5), 0.3)
         vals[0, 2, 2] = -1e-9
-        rep = check_nonnegativity(FluidField(vals, 0.0), WallField(np.zeros((1, 5)), 0.0))
+        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 5)))
         assert rep.passed
 
     def test_real_negative_reported_with_location(self):
         vals = np.full((1, 5, 5), 0.3)
         vals[0, 3, 1] = -1e-3
-        rep = check_nonnegativity(FluidField(vals, 0.0), WallField(np.zeros((1, 5)), 0.0))
+        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 5)))
         assert not rep.passed
         v = rep.violations[0]
         assert (v.species, v.where, v.index) == (0, "fluid", (3, 1))
@@ -56,7 +54,7 @@ class TestNonnegativity:
     def test_wall_violation_located(self):
         wall = np.zeros((2, 7))
         wall[1, 4] = -0.5
-        rep = check_nonnegativity(FluidField(np.zeros((2, 3, 7)), 0.0), WallField(wall, 0.0))
+        rep = check_nonnegativity(FluidField(np.zeros((2, 3, 7))), wall)
         assert not rep.passed
         assert rep.violations[0].where == "wall"
         assert rep.violations[0].index == (4,)
@@ -64,7 +62,7 @@ class TestNonnegativity:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             check_nonnegativity(
-                FluidField(np.zeros((1, 3, 3)), 0.0), WallField(np.zeros((1, 3)), 0.0), tol=-1.0
+                FluidField(np.zeros((1, 3, 3))), np.zeros((1, 3)), tol=-1.0
             )
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from graetzcat import wall_evolve
-from graetzcat.model import SpeciesParams, WallField
-from graetzcat.wall_evolve import WallStepInput, step_wall, surface_factor, surface_rhs
+from graetzcat.model import SpeciesParams
+from graetzcat.wall_evolve import step_wall, surface_factor, surface_rhs
 
 
 def params(theta=1.0, gamma=1.0, delta=1, n=1):
@@ -24,20 +24,19 @@ def trapz_z(values):
     return values @ w
 
 
-def reference_step(inp):
+def reference_step(prev, flux, rates, dt, p):
     """The step as one scipy solve_banded call per diffusivity group."""
-    prev = inp.wall_prev.values
     nn = prev.shape[1]
     dz = 1.0 / (nn - 1)
-    rhs = inp.dt * surface_rhs(prev, inp.flux, inp.rates, inp.params)
+    rhs = dt * surface_rhs(prev, flux, rates, p)
     new = np.empty_like(prev)
-    thetas = [s.theta_s for s in inp.params]
+    thetas = [s.theta_s for s in p]
     for theta in dict.fromkeys(thetas):
         idx = [i for i, t in enumerate(thetas) if t == theta]
         if theta == 0.0:
             new[idx] = prev[idx] + rhs[idx]
             continue
-        a = inp.dt * theta / dz**2
+        a = dt * theta / dz**2
         ab = np.zeros((3, nn))
         ab[1, :] = 1.0 + 2.0 * a
         ab[0, 1] = -2.0 * a
@@ -50,20 +49,19 @@ def reference_step(inp):
 
 class TestStepWall:
     def test_constants_are_bitwise_fixed_points(self):
-        wall = WallField(np.full((2, 33), 7.25), 0.0)
-        out = step_wall(WallStepInput(wall, zeros(2, 33), zeros(2, 33), 0.01, params(n=2)))
-        assert np.array_equal(out.values, wall.values)
-        assert out.time_tag == 0.01
+        wall = np.full((2, 33), 7.25)
+        out = step_wall(wall, zeros(2, 33), zeros(2, 33), 0.01, params(n=2))
+        assert np.array_equal(out, wall)
 
     def test_heat_eigenmode_decay(self):
         nz, dt, steps = 128, 1e-4, 1000
         z = np.linspace(0.0, 1.0, nz + 1)
-        wall = WallField(np.cos(np.pi * z)[None, :].copy(), 0.0)
+        wall = np.cos(np.pi * z)[None, :]
         zero = zeros(1, nz + 1)
         p = params(theta=1.0)
         for _ in range(steps):
-            wall = step_wall(WallStepInput(wall, zero, zero, dt, p))
-        amp = float(wall.values[0, 0])
+            wall = step_wall(wall, zero, zero, dt, p)
+        amp = float(wall[0, 0])
         assert amp == pytest.approx(np.exp(-np.pi**2 * 0.1), abs=2e-2)
         # and the fully discrete eigenvalue reproduces the step map exactly
         sigma = 2.0 * (1.0 - np.cos(np.pi / nz)) * nz**2
@@ -71,32 +69,31 @@ class TestStepWall:
 
     def test_pure_reaction_decay(self):
         p = params(theta=0.0, delta=1)
-        wall = WallField(np.ones((1, 11)), 0.0)
+        wall = np.ones((1, 11))
         for _ in range(100):
-            rates = -wall.values.copy()
-            wall = step_wall(WallStepInput(wall, zeros(1, 11), rates, 0.01, p))
-        assert wall.values[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-2)
+            wall = step_wall(wall, zeros(1, 11), -wall, 0.01, p)
+        assert wall[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-2)
 
     def test_mass_conservation_per_step(self):
         rng = np.random.default_rng(4)
-        wall = WallField(rng.uniform(0.0, 5.0, (1, 65)), 0.0)
+        wall = rng.uniform(0.0, 5.0, (1, 65))
         p = params(theta=0.7)
         for _ in range(50):
-            before = trapz_z(wall.values)
-            wall = step_wall(WallStepInput(wall, zeros(1, 65), zeros(1, 65), 0.01, p))
-            after = trapz_z(wall.values)
+            before = trapz_z(wall)
+            wall = step_wall(wall, zeros(1, 65), zeros(1, 65), 0.01, p)
+            after = trapz_z(wall)
             assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
 
     def test_comparison_principle(self):
         rng = np.random.default_rng(5)
-        wall = WallField(rng.uniform(-2.0, 3.0, (1, 33)), 0.0)
+        wall = rng.uniform(-2.0, 3.0, (1, 33))
         p = params(theta=1.3)
-        lo, hi = wall.values.min(), wall.values.max()
+        lo, hi = wall.min(), wall.max()
         for _ in range(20):
-            wall = step_wall(WallStepInput(wall, zeros(1, 33), zeros(1, 33), 0.05, p))
-            assert wall.values.min() >= lo - 1e-12
-            assert wall.values.max() <= hi + 1e-12
-            lo, hi = wall.values.min(), wall.values.max()
+            wall = step_wall(wall, zeros(1, 33), zeros(1, 33), 0.05, p)
+            assert wall.min() >= lo - 1e-12
+            assert wall.max() <= hi + 1e-12
+            lo, hi = wall.min(), wall.max()
 
     def test_affine_superposition(self):
         rng = np.random.default_rng(6)
@@ -104,9 +101,7 @@ class TestStepWall:
         p = params(theta=0.9, gamma=2.0, delta=-1)
 
         def step(w, f, r):
-            return step_wall(
-                WallStepInput(WallField(w, 0.0), f, r, 0.02, p)
-            ).values
+            return step_wall(w, f, r, 0.02, p)
 
         w1, w2 = rng.standard_normal((2, 1, nn))
         f1, f2 = rng.standard_normal((2, 1, nn))
@@ -120,10 +115,10 @@ class TestStepWall:
     def test_flux_sign_and_gamma(self):
         # positive wall gradient of the bulk drains the surface
         p = (SpeciesParams("s", 1.0, 3.0, 0.0, 1),)
-        wall = WallField(np.full((1, 9), 2.0), 0.0)
+        wall = np.full((1, 9), 2.0)
         flux = np.full((1, 9), 0.5)
-        out = step_wall(WallStepInput(wall, flux, zeros(1, 9), 0.1, p))
-        assert np.allclose(out.values, 2.0 - 0.1 * 3.0 * 0.5)
+        out = step_wall(wall, flux, zeros(1, 9), 0.1, p)
+        assert np.allclose(out, 2.0 - 0.1 * 3.0 * 0.5)
 
     def test_matches_reference_step_bitwise(self):
         rng = np.random.default_rng(8)
@@ -137,8 +132,8 @@ class TestStepWall:
             )
             wall, flux, rates = rng.standard_normal((3, ns, nn)) * 10.0 ** rng.uniform(-3, 3)
             dt = float(10.0 ** rng.uniform(-5, 0))
-            inp = WallStepInput(WallField(wall, 0.0), flux, rates, dt, p)
-            assert np.array_equal(step_wall(inp).values, reference_step(inp)), (nn, ns, dt)
+            inp = (wall, flux, rates, dt, p)
+            assert np.array_equal(step_wall(*inp), reference_step(*inp)), (nn, ns, dt)
 
     def test_factor_is_built_once_per_grid_step_and_diffusivity(self):
         nn, dt, theta = 23, 0.0123, 0.789
@@ -146,7 +141,7 @@ class TestStepWall:
         misses = surface_factor.cache_info().misses
         for seed in range(4):
             wall, flux, rates = np.random.default_rng(seed).standard_normal((3, 3, nn))
-            step_wall(WallStepInput(WallField(wall, 0.0), flux, rates, dt, p))
+            step_wall(wall, flux, rates, dt, p)
         assert surface_factor.cache_info().misses == misses + 1
         factor = surface_factor(nn, dt, theta)
         assert factor is surface_factor(nn, dt, theta)
@@ -156,19 +151,16 @@ class TestStepWall:
 
     def test_lapack_error_raises(self, monkeypatch):
         monkeypatch.setattr(wall_evolve, "dgttrs", lambda *args, overwrite_b: (args[-1], -6))
-        wall = WallField(np.ones((1, 9)), 0.0)
         with pytest.raises(ValueError, match="argument 6"):
-            step_wall(WallStepInput(wall, zeros(1, 9), zeros(1, 9), 0.1, params()))
+            step_wall(np.ones((1, 9)), zeros(1, 9), zeros(1, 9), 0.1, params())
 
     def test_bad_dt_rejected(self):
-        wall = WallField(np.ones((1, 9)), 0.0)
         with pytest.raises(ValueError):
-            step_wall(WallStepInput(wall, zeros(1, 9), zeros(1, 9), 0.0, params()))
+            step_wall(np.ones((1, 9)), zeros(1, 9), zeros(1, 9), 0.0, params())
 
     def test_shape_mismatch_rejected(self):
-        wall = WallField(np.ones((1, 9)), 0.0)
         with pytest.raises(ValueError):
-            step_wall(WallStepInput(wall, zeros(1, 8), zeros(1, 9), 0.1, params()))
+            step_wall(np.ones((1, 9)), zeros(1, 8), zeros(1, 9), 0.1, params())
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -184,9 +176,9 @@ def test_flux_and_reaction_free_steps_conserve_surface_mass(nz, dt, thetas, seed
     ns = len(thetas)
     p = tuple(SpeciesParams(f"s{i}", 1.0, 1.0, t, 1) for i, t in enumerate(thetas))
     wall = np.random.default_rng(seed).uniform(-100.0, 100.0, (ns, nz + 1))
-    out = step_wall(WallStepInput(WallField(wall, 0.0), zeros(ns, nz + 1), zeros(ns, nz + 1), dt, p))
+    out = step_wall(wall, zeros(ns, nz + 1), zeros(ns, nz + 1), dt, p)
     scale = trapz_z(np.abs(wall)) * (1.0 + dt * max(thetas) * nz**2)
-    assert np.all(np.abs(trapz_z(out.values) - trapz_z(wall)) <= 1e-15 * nz * scale)
+    assert np.all(np.abs(trapz_z(out) - trapz_z(wall)) <= 1e-15 * nz * scale)
 
 
 class TestSurfaceRhs:
@@ -195,8 +187,8 @@ class TestSurfaceRhs:
         rng = np.random.default_rng(7)
         p = (SpeciesParams("a", 1.0, 2.0, 0.0, -1), SpeciesParams("b", 1.0, 0.5, 0.0, 1))
         prev, flux, rates = rng.standard_normal((3, 2, 17))
-        out = step_wall(WallStepInput(WallField(prev, 0.0), flux, rates, 0.03, p))
-        assert np.array_equal(out.values, prev + 0.03 * surface_rhs(prev, flux, rates, p))
+        out = step_wall(prev, flux, rates, 0.03, p)
+        assert np.array_equal(out, prev + 0.03 * surface_rhs(prev, flux, rates, p))
 
     def test_constant_data_is_exactly_zero(self):
         p = (SpeciesParams("a", 1.0, 2.0, 0.7, -1), SpeciesParams("b", 1.0, 0.5, 1.3, 1))
