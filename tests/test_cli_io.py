@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -200,6 +201,13 @@ class TestWriters:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,CO,O2"
         assert lines[1] == "0,1,3"
+
+    def test_probe_csv_values_are_nine_significant_digits(self, tmp_path):
+        values = [1.0 / 3.0, -0.0, 5e-324, -1e308, 123456789.5, math.inf, math.nan]
+        out = tmp_path / "probe.csv"
+        write_probe_csv([0.1 * n for n in range(len(values))], [values], ("x",), out)
+        rows = [f"{0.1 * n:.9g},{v:.9g}" for n, v in enumerate(values)]
+        assert out.read_text() == "t,x\n" + "\n".join(rows) + "\n"
 
     def test_report_footer_values(self, tmp_path):
         cfg = constant_config(t_end=0.05)
