@@ -38,7 +38,7 @@ init = InitialData(
 wall = init.wall_init
 state = CouplingState(0.0, wall, march_fluid(wall, init, species, grid), ())
 
-new = advance_step(state, init, CouplerSettings(), species, zero_model(1, box_hi=[2.0]), grid)
+new = advance_step(state, init, CouplerSettings(), species, zero_model([2.0]), grid)
 print("\nPicard residuals for one step (mu = 1, margin 0.824):")
 for m, res in enumerate(new.residual_history, start=1):
     print(f"  iteration {m}: {res:.3e}")

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -234,9 +233,9 @@ def _build_kinetics(
     if issues:
         return None
     if model == "zero":
-        return zero_model(ns, box_hi=hi)
+        return zero_model(hi)
     if model == "linear_consumption":
-        return linear_consumption(ns, k=constants["rate"], box_hi=hi)
+        return linear_consumption(constants["rate"], hi)
     return co_oxidation(**constants, box_hi=hi)
 
 
@@ -521,26 +520,29 @@ def flux_identity_gap(nr: int, nz: int, z_min: float = 0.0) -> float:
     """
     grid, init, params = _graetz_setup(nr, nz)
     field = march_fluid(init.wall_init, init, params, grid)
-    g = wall_flux_gradient(field, grid, params)[0]
+    g = wall_flux_gradient(field, grid)[0]
     q = wall_flux_integral(field, grid, params)[0]
     k0 = max(1, int(math.ceil(z_min * nz)))
     diff = (g - q)[k0:-1]
     return float(np.sqrt(grid.dz * np.sum(diff * diff)))
 
 
-def convergence_study(levels: int, nr0: int = 32, nz0: int = 64) -> dict:
+NR0, NZ0 = 32, 64  # the coarsest grid of the refinement study
+
+
+def convergence_study(levels: int) -> dict:
     """Richardson orders for the marching scheme across doubling grids."""
     if levels < 3:
         raise ValueError("need at least 3 levels for an observed order")
-    nz_fine = nz0 * 2 ** (levels + 1)
-    centerline = [graetz_centerline(nr0 * 2**i, nz_fine) for i in range(levels)]
+    nz_fine = NZ0 * 2 ** (levels + 1)
+    centerline = [graetz_centerline(NR0 * 2**i, nz_fine) for i in range(levels)]
     diffs = [abs(a - b) for a, b in zip(centerline, centerline[1:])]
     orders_r = [math.log2(a / b) for a, b in zip(diffs, diffs[1:]) if b > 0]
 
-    gaps = [flux_identity_gap(nr0 * 2**i, nz0 * 2**i) for i in range(levels)]
+    gaps = [flux_identity_gap(NR0 * 2**i, NZ0 * 2**i) for i in range(levels)]
     orders_flux = [math.log2(a / b) for a, b in zip(gaps, gaps[1:]) if b > 0]
     win = [
-        flux_identity_gap(nr0 * 2**i, nz0 * 2**i, z_min=FLUX_WINDOW_Z)
+        flux_identity_gap(NR0 * 2**i, NZ0 * 2**i, z_min=FLUX_WINDOW_Z)
         for i in range(levels)
     ]
     orders_win = [math.log2(a / b) for a, b in zip(win, win[1:]) if b > 0]
@@ -559,20 +561,13 @@ def convergence_study(levels: int, nr0: int = 32, nz0: int = 64) -> dict:
 # CLI
 
 
-def _setup_logging() -> None:
-    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("GC_LOG", "").lower(), logging.WARNING
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def _load(config_path: str) -> tuple[ModelConfig, CouplerSettings]:
     text = Path(config_path).read_text()
     return parse_config(text, base_dir=Path(config_path).parent)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _setup_logging()
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     ap = argparse.ArgumentParser(prog="graetzcat")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -609,6 +604,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"ORDER_FLUX_IDENTITY_WINDOWED_{i}={v:.3f}")
         return 0
 
+    if args.seed < 0:
+        (p_sim if args.command == "simulate" else p_chk).error(
+            f"--seed {args.seed}: must be >= 0"
+        )
+    if args.command == "simulate" and args.probe_every < 1:
+        p_sim.error(f"--probe-every {args.probe_every}: must be >= 1")
     try:
         cfg, settings = _load(args.config)
     except (OSError, UnicodeDecodeError) as exc:

@@ -96,7 +96,7 @@ class NonConvergedError(RuntimeError):
 
 def _flux_of(form: str, fluid: FluidField, grid: Grid, params) -> np.ndarray:
     if form == "gradient":
-        return wall_flux_gradient(fluid, grid, params)
+        return wall_flux_gradient(fluid, grid)
     return wall_flux_integral(fluid, grid, params)
 
 
@@ -185,7 +185,6 @@ class RunReport:
     reaction_ended: float
     probe_times: tuple[float, ...]
     probe_values: tuple[tuple[float, ...], ...]  # per species, outlet series
-    weighted_norms: tuple[float, ...]
 
     @property
     def checks_pass(self) -> bool:
@@ -203,12 +202,15 @@ def run_simulation(
     Returns the report plus the per-step snapshot trajectory.  The
     REACTION_ENDED time is the first level at which the surface equation's
     right-hand side is below 1e-8 everywhere, i.e. the state has stopped
-    evolving to that tolerance.  An invalid config raises ValueError; the
-    validation warnings are the caller's to report (the CLI prints them).
+    evolving to that tolerance.  An invalid config or a probe_every below 1
+    raises ValueError; the validation warnings are the caller's to report
+    (the CLI prints them).
     """
     report = validate_config(cfg)
     if not report.ok:
         raise ValueError("invalid configuration: " + "; ".join(report.errors))
+    if probe_every < 1:
+        raise ValueError(f"probe_every = {probe_every} must be >= 1")
 
     params = cfg.species
     grid = cfg.grid
@@ -271,8 +273,7 @@ def run_simulation(
     env_checks = check_envelopes(trajectory, envelope, params)
     energy = energy_growth_report(trajectory)
 
-    stride = max(int(probe_every), 1)
-    probe_idx = list(range(0, len(trajectory), stride))
+    probe_idx = list(range(0, len(trajectory), probe_every))
     if probe_idx[-1] != len(trajectory) - 1:
         probe_idx.append(len(trajectory) - 1)
     probe_times = tuple(trajectory[i].time for i in probe_idx)
@@ -294,7 +295,5 @@ def run_simulation(
         reaction_ended=reaction_ended,
         probe_times=probe_times,
         probe_values=probe_values,
-        # weighted bulk norm: sup over stations of the time-integrated energy
-        weighted_norms=tuple(float(v) for v in energy.fluid_station_energy.max(axis=1)),
     )
     return run_report, trajectory

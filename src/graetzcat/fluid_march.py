@@ -305,9 +305,7 @@ def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
     values[rows, :nr, 1:] = (dev + wvals[:, 1:, None]).transpose(0, 2, 1)
 
 
-def wall_flux_gradient(
-    field: FluidField, grid: Grid, params: Sequence[SpeciesParams]
-) -> np.ndarray:
+def wall_flux_gradient(field: FluidField, grid: Grid) -> np.ndarray:
     """dC/dr at r = 1 per species and z node, one-sided second order.
 
     Stencil (3 C_nr - 4 C_{nr-1} + C_{nr-2}) / (2 dr) written in difference

@@ -28,6 +28,7 @@ import numpy as np
 from .model import SpeciesParams
 
 HYPOTHESIS_SLACK = 1e-12
+HYPOTHESIS_SAMPLES = 1024  # pairs; a pass on fewer than 1000 points means little
 LIPSCHITZ_SAFETY = 1.25
 SOBOL_BITS = 30
 
@@ -37,17 +38,20 @@ class KineticsModel:
     """Bundle of a vectorized rate function and its evaluation box.
 
     rate receives an array of shape (..., arity) of clipped, clamped states
-    and returns channel rates of the same shape.  domain_box is a pair of
-    arrays (lo, hi); inputs are clamped into it before evaluation.
+    and returns channel rates of the same shape.  The box is [0, box_hi]
+    per channel: states lose their negative parts and are capped at box_hi
+    before evaluation.
     """
 
-    arity: int
     rate: Callable[[np.ndarray], np.ndarray]
-    domain_box: tuple[np.ndarray, np.ndarray]
+    box_hi: np.ndarray
+
+    @property
+    def arity(self) -> int:
+        return len(self.box_hi)
 
     def clamp(self, state: np.ndarray) -> np.ndarray:
-        lo, hi = self.domain_box
-        return np.clip(np.maximum(state, 0.0), lo, hi)
+        return np.minimum(np.maximum(state, 0.0), self.box_hi)
 
 
 def eval_rates(model: KineticsModel, wall_state: np.ndarray) -> np.ndarray:
@@ -73,41 +77,29 @@ def eval_rates(model: KineticsModel, wall_state: np.ndarray) -> np.ndarray:
 # built-in rate laws
 
 
-def zero_model(arity: int, box_hi: Optional[Sequence[float]] = None) -> KineticsModel:
+def zero_model(box_hi: Sequence[float]) -> KineticsModel:
     """No surface reaction at all."""
-    hi = np.ones(arity) if box_hi is None else np.asarray(box_hi, dtype=float)
 
     def rate(x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
 
-    return KineticsModel(
-        arity=arity,
-        rate=rate,
-        domain_box=(np.zeros(arity), hi),
-    )
+    return KineticsModel(rate, np.asarray(box_hi, dtype=float))
 
 
-def linear_consumption(
-    arity: int, k: float = 1.0, box_hi: Optional[Sequence[float]] = None
-) -> KineticsModel:
+def linear_consumption(k: float, box_hi: Sequence[float]) -> KineticsModel:
     """r_i(x) = k x_i+, intended for all-consumed channels (delta_i = -1)."""
-    hi = np.ones(arity) if box_hi is None else np.asarray(box_hi, dtype=float)
 
     def rate(x: np.ndarray) -> np.ndarray:
         return k * x
 
-    return KineticsModel(
-        arity=arity,
-        rate=rate,
-        domain_box=(np.zeros(arity), hi),
-    )
+    return KineticsModel(rate, np.asarray(box_hi, dtype=float))
 
 
 def co_oxidation(
     prefactor: float,
     activation_temp: float,
     heat_release: float,
-    box_hi: Optional[Sequence[float]] = None,
+    box_hi: Sequence[float],
 ) -> KineticsModel:
     """Surrogate CO + O2 -> CO2 surface law over channels (CO, O2, CO2, T).
 
@@ -120,11 +112,6 @@ def co_oxidation(
     constants are surrogate choices; only the monotone trends they produce
     are meaningful.
     """
-    hi = (
-        np.array([0.05, 0.1, 0.05, 600.0])
-        if box_hi is None
-        else np.asarray(box_hi, dtype=float)
-    )
 
     def rate(x: np.ndarray) -> np.ndarray:
         co, o2, t = x[..., 0], x[..., 1], x[..., 3]
@@ -138,11 +125,7 @@ def co_oxidation(
         out[..., 3] = heat_release * rho
         return out
 
-    return KineticsModel(
-        arity=4,
-        rate=rate,
-        domain_box=(np.zeros(4), hi),
-    )
+    return KineticsModel(rate, np.asarray(box_hi, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +220,9 @@ def _sobol(d: int, seed: int, n: int) -> np.ndarray:
 
 def _sample_pairs(model: KineticsModel, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n quasi-random (x, y) pairs in the model box, prefix-stable in seed."""
-    lo, hi = model.domain_box
     u = _sobol(2 * model.arity, seed, n)
-    x = lo + u[:, : model.arity] * (hi - lo)
-    y = lo + u[:, model.arity :] * (hi - lo)
+    x = u[:, : model.arity] * model.box_hi
+    y = u[:, model.arity :] * model.box_hi
     return x, y
 
 
@@ -250,7 +232,6 @@ def verify_hypotheses(
     model: KineticsModel,
     params: Sequence[SpeciesParams],
     seed: int = 0,
-    samples: int = 1024,
 ) -> HypothesisReport:
     """Sample the rate law against H1, H2 and H3; violations are data.
 
@@ -262,7 +243,7 @@ def verify_hypotheses(
         raise ValueError(
             f"model arity {model.arity} does not match {len(params)} species"
         )
-    n = max(int(samples), 1024)  # a pass on fewer than 1000 points means little
+    n = HYPOTHESIS_SAMPLES
     x, y = _sample_pairs(model, seed, n)
 
     rx = eval_rates(model, x)
@@ -343,8 +324,7 @@ def estimate_lipschitz(
     a fixed seed more samples never decrease it.
     """
     n = max(int(samples), 1024)
-    lo, hi = model.domain_box
-    span = hi - lo
+    hi = model.box_hi
     x, y = _sample_pairs(model, seed, n)
 
     best = np.zeros(model.arity)
@@ -362,7 +342,7 @@ def estimate_lipschitz(
     absorb(y)
     # Axis probes from the same stream keep the running-max prefix property.
     for j in range(model.arity):
-        h = 1e-3 * span[j]
+        h = 1e-3 * hi[j]
         if h == 0.0:
             continue
         xp = x.copy()

@@ -5,7 +5,7 @@ assertions over solver output: nonnegativity, the upper envelope for
 consumed species, the lower bound and exponential envelope for produced
 species, and the affine-in-time growth of the surface energy.  The schemes
 in this package are monotone, so a violation of the nonnegativity, upper or
-lower bounds beyond the small default tolerance indicates a bug rather than
+lower bounds beyond the small tolerance CHECK_TOL indicates a bug rather than
 discretization error.  The exponential envelope of a produced species is
 the exception: it starts from the sup of that species' own data, so a
 species with zero data has a zero envelope and any production of it
@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import FluidField, InitialData, SpeciesParams
 
-DEFAULT_TOL = 1e-8
+CHECK_TOL = 1e-8  # rounding slack of every bound
 _EXP_CLAMP = 700.0  # exp argument above this overflows float64
 
 
@@ -78,19 +78,15 @@ class NonnegReport:
         )
 
 
-def check_nonnegativity(
-    fluid: FluidField, wall: np.ndarray, tol: float = DEFAULT_TOL
-) -> NonnegReport:
-    """List every grid point of the field and the wall (ns, nz+1) more negative than -tol."""
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
+def check_nonnegativity(fluid: FluidField, wall: np.ndarray) -> NonnegReport:
+    """List every grid point of the field and the wall (ns, nz+1) more negative than -CHECK_TOL."""
     violations: list[NonnegViolation] = []
     fv = fluid.values
-    for i, j, k in zip(*np.nonzero(fv < -tol)):
+    for i, j, k in zip(*np.nonzero(fv < -CHECK_TOL)):
         violations.append(
             NonnegViolation(int(i), "fluid", (int(j), int(k)), float(fv[i, j, k]))
         )
-    for i, k in zip(*np.nonzero(wall < -tol)):
+    for i, k in zip(*np.nonzero(wall < -CHECK_TOL)):
         violations.append(NonnegViolation(int(i), "wall", (int(k),), float(wall[i, k])))
     violations.sort(key=lambda v: v.value)
     return NonnegReport(
@@ -113,15 +109,15 @@ def check_envelopes(
     trajectory: Sequence,
     envelope: BoundEnvelope,
     params: Sequence[SpeciesParams],
-    tol: float = DEFAULT_TOL,
 ) -> list[EnvelopeCheck]:
     """Per-species verdicts for the data-derived bounds along a trajectory.
 
     Consumed species (delta = -1) must stay below a_i0_max; produced species
     (delta = +1) must stay above their initial infimum and below
     a_i0_max * exp(lambda t).  Snapshots provide wall vectors and bulk
-    min/max, which is exactly the information the bounds constrain.  A
-    verdict reports the first snapshot with the largest positive gap.
+    min/max, which is exactly the information the bounds constrain; each
+    bound is relaxed by CHECK_TOL.  A verdict reports the first snapshot
+    with the largest positive gap.
     """
     times = [snap.time for snap in trajectory]
 
@@ -137,12 +133,12 @@ def check_envelopes(
         high = [max(float(snap.fluid_max[i]), float(snap.wall[i].max())) for snap in trajectory]
         a0 = float(envelope.a_i0_max[i])
         if s.delta == -1:
-            checks.append(verdict(s.name, "upper_bound", [h - (a0 + tol) for h in high]))
+            checks.append(verdict(s.name, "upper_bound", [h - (a0 + CHECK_TOL) for h in high]))
             continue
-        floor = float(envelope.a_i0_min[i]) - tol
+        floor = float(envelope.a_i0_min[i]) - CHECK_TOL
         low = [min(float(snap.fluid_min[i]), float(snap.wall[i].min())) for snap in trajectory]
         checks.append(verdict(s.name, "lower_bound", [floor - v for v in low]))
-        bounds = [a0 * math.exp(min(envelope.lam * t, _EXP_CLAMP)) + tol for t in times]
+        bounds = [a0 * math.exp(min(envelope.lam * t, _EXP_CLAMP)) + CHECK_TOL for t in times]
         checks.append(verdict(s.name, "exp_bound", [h - b for h, b in zip(high, bounds)]))
     return checks
 

@@ -25,7 +25,7 @@ def constant_config(nr=32, nz=64, dt=0.01, t_end=1.0, levels=(0.37, 1.29)):
         wall_init=np.tile(c[:, None], (1, nz + 1)),
     )
     grid = Grid(nr=nr, nz=nz, dt=dt, t_end=t_end)
-    kin = zero_model(len(levels), box_hi=np.maximum(1.0, 2.0 * c))
+    kin = zero_model(np.maximum(1.0, 2.0 * c))
     return ModelConfig(species=species, grid=grid, initial=init, kinetics=kin)
 
 

@@ -38,7 +38,7 @@ from graetzcat.coupler import CouplerSettings, CouplingState, advance_step, run_
 from graetzcat.fluid_march import march_fluid
 from graetzcat.kinetics import KineticsModel, eval_rates, verify_hypotheses
 from graetzcat.model import Grid, InitialData, SpeciesParams
-from graetzcat.qualcheck import DEFAULT_TOL
+from graetzcat.qualcheck import CHECK_TOL
 from graetzcat.wall_evolve import step_wall
 
 from conftest import SCENARIO_CFG, constant_config
@@ -214,7 +214,7 @@ def test_c08b_exp_envelope_produced_species(scenario_run):
     data_sup = max(float(cfg.initial.inlet[i].max()), float(cfg.initial.wall_init[i].max()))
     highs = [max(float(s.fluid_max[i]), float(s.wall[i].max())) for s in traj]
     k = int(np.argmax(highs))
-    worst_ok = co2.worst == pytest.approx(highs[k] - DEFAULT_TOL, rel=1e-12, abs=0.0)
+    worst_ok = co2.worst == pytest.approx(highs[k] - CHECK_TOL, rel=1e-12, abs=0.0)
     t_ok = co2.t_worst == traj[k].time
     others_ok = checks[("T", "exp_bound")].passed and checks[("CO2", "lower_bound")].passed
     ok = data_sup == 0.0 and worst_ok and t_ok and not co2.passed and others_ok
@@ -295,7 +295,7 @@ def test_c10b_broken_model_flagged():
         out[..., 1] = -1.0
         return out
 
-    bad = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
+    bad = KineticsModel(rate, np.ones(2))
     params = tuple(SpeciesParams(n, 1.0, 1.0, 1.0, -1) for n in ("a", "b"))
     rep = verify_hypotheses(bad, params, seed=3)
     ok = (

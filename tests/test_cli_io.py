@@ -258,6 +258,29 @@ class TestCli:
             "need at least 3 levels for an observed order"
         ]
 
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_negative_seed_exit_two(self, command, tmp_path, capsys):
+        args = ["--config", str(SCENARIO_CFG), "--seed", "-1"]
+        if command == "simulate":
+            args += ["--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(command, *args)
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert errors == [f"graetzcat {command}: error: --seed -1: must be >= 0"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_probe_every_below_one_exit_two(self, every, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(
+                "simulate", "--config", str(SCENARIO_CFG), "--out", str(tmp_path / "o"),
+                "--probe-every", every,
+            )
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert errors == [f"graetzcat simulate: error: --probe-every {every}: must be >= 1"]
+
     def test_config_error_exit_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(MINIMAL.replace("dt = 0.05", "dt = -1"))
@@ -345,6 +368,27 @@ class TestCli:
         self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
         emitted = capsys.readouterr().err + "".join(r.getMessage() for r in caplog.records)
         assert emitted.count("corner compatibility mismatch") == 1
+
+    def test_stability_guard_warns_once_on_stderr(self, tmp_path):
+        # lambda = 1.25 * 100, so the guard 0.5 / lambda = 0.004 is below dt
+        text = MINIMAL.replace("model = zero", "model = linear_consumption\nrate = 100")
+        text = text[: text.index("[species.b]")].replace("t_end = 0.5", "t_end = 0.05")
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(text)
+        src = str(Path(graetzcat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "graetzcat.cli_io", "simulate",
+             "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 4, proc.stderr  # the unstable step drives the wall negative
+        assert proc.stderr.splitlines() == [
+            "WARNING graetzcat: dt = 0.05 exceeds the reaction stability guard "
+            "0.5/lambda = 0.004; explicit reaction terms may destabilize the step"
+        ]
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert (

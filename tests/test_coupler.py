@@ -124,7 +124,7 @@ class TestAdvanceStep:
             init = InitialData(
                 inlet=(1.0 - r * r)[None, :].copy(), wall_init=np.zeros((1, nz + 1))
             )
-            cfg = ModelConfig(species, grid, init, zero_model(1, box_hi=[2.0]))
+            cfg = ModelConfig(species, grid, init, zero_model([2.0]))
             state = initial_state(cfg)
             walls = {}
             for form in ("gradient", "integral"):
@@ -172,6 +172,11 @@ class TestRunSimulation:
         assert report.probe_times[-1] == pytest.approx(traj[-1].time)
         assert len(report.probe_times) < len(traj)
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_probe_every_below_one_rejected(self, every):
+        with pytest.raises(ValueError, match="probe_every"):
+            run_simulation(constant_config(nr=8, nz=8, t_end=0.02), probe_every=every)
+
     def test_invalid_config_rejected(self):
         cfg = constant_config()
         bad = ModelConfig(
@@ -187,7 +192,8 @@ class TestRunSimulation:
         cfg = constant_config(t_end=0.2, levels=(1.0, 1.0))
         report, _ = run_simulation(cfg, CouplerSettings())
         # unit field: sup_z int_t int_r 1 * r(1-r^2) = t_end / 4
-        assert report.weighted_norms[0] == pytest.approx(0.2 / 4.0, rel=1e-3)
+        norms = report.energy.fluid_station_energy.max(axis=1)
+        assert norms[0] == pytest.approx(0.2 / 4.0, rel=1e-3)
 
 
 class TestStabilityGuard:
@@ -201,7 +207,7 @@ class TestStabilityGuard:
             cfg.species[:1],
             cfg.grid,
             InitialData(cfg.initial.inlet[:1], cfg.initial.wall_init[:1]),
-            linear_consumption(1, k=100.0),  # guard 0.5/lambda = 0.004 < dt
+            linear_consumption(100.0, [1.0]),  # guard 0.5/lambda = 0.004 < dt
         )
         with caplog.at_level(logging.WARNING, logger="graetzcat"):
             run_simulation(stiff, CouplerSettings())

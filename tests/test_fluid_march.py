@@ -323,20 +323,20 @@ class TestWallFluxGradient:
         nr, nz = 16, 8
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.r[None, :, None] ** 2, (1, nr + 1, nz + 1)).copy()
-        flux = wall_flux_gradient(FluidField(vals), grid, single())
+        flux = wall_flux_gradient(FluidField(vals), grid)
         assert np.allclose(flux, 2.0, atol=1e-13)
 
     def test_zero_for_constants(self):
         grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         vals = np.full((1, 9, 9), 3.3)
-        assert np.all(wall_flux_gradient(FluidField(vals), grid, single()) == 0.0)
+        assert np.all(wall_flux_gradient(FluidField(vals), grid) == 0.0)
 
     def test_second_order_on_cubic(self):
         errs = []
         for nr in (64, 128):
             grid = Grid(nr=nr, nz=4, dt=1.0, t_end=1.0)
             vals = np.broadcast_to(grid.r[None, :, None] ** 3, (1, nr + 1, 5)).copy()
-            flux = wall_flux_gradient(FluidField(vals), grid, single())
+            flux = wall_flux_gradient(FluidField(vals), grid)
             errs.append(abs(flux[0, 0] - 3.0))
         assert errs[0] < 1e-3
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -345,7 +345,7 @@ class TestWallFluxGradient:
         grid = Grid(nr=1, nz=8, dt=1.0, t_end=1.0)
         vals = np.ones((1, 2, 9))
         with pytest.raises(ValueError):
-            wall_flux_gradient(FluidField(vals), grid, single())
+            wall_flux_gradient(FluidField(vals), grid)
 
 
 class TestWallFluxIntegral:
@@ -375,7 +375,7 @@ class TestWallFluxIntegral:
         gaps = []
         for nr, nz in ((64, 128), (128, 256)):
             grid, field = graetz(nr, nz)
-            g = wall_flux_gradient(field, grid, single())[0]
+            g = wall_flux_gradient(field, grid)[0]
             q = wall_flux_integral(field, grid, single())[0]
             k0 = nz // 4
             d = (g - q)[k0:-1]

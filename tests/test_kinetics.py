@@ -25,6 +25,9 @@ def consuming(n):
     return tuple(SpeciesParams(f"s{i}", 1.0, 1.0, 1.0, -1) for i in range(n))
 
 
+# the evaluation box these tests were written against, over (CO, O2, CO2, T)
+CO_OX_BOX = (0.05, 0.1, 0.05, 600.0)
+
 CO_OX_PARAMS = (
     SpeciesParams("CO", 1.0, 1.0, 1.0, -1),
     SpeciesParams("O2", 1.0, 1.0, 1.0, -1),
@@ -35,11 +38,11 @@ CO_OX_PARAMS = (
 
 class TestEvalRates:
     def test_zero_model(self):
-        m = zero_model(3)
+        m = zero_model(np.ones(3))
         assert np.all(eval_rates(m, np.array([0.1, -0.5, 2.0])) == 0.0)
 
     def test_mass_action_example(self):
-        m = co_oxidation(prefactor=1.0, activation_temp=0.0, heat_release=7.0)
+        m = co_oxidation(1.0, 0.0, 7.0, CO_OX_BOX)
         r = eval_rates(m, np.array([0.02, 0.05, 0.0, 500.0]))
         assert r[0] == pytest.approx(0.001, abs=1e-15)
         assert r[1] == pytest.approx(0.001, abs=1e-15)
@@ -47,24 +50,24 @@ class TestEvalRates:
         assert r[3] == pytest.approx(0.007, abs=1e-15)
 
     def test_absent_reactant_silences_consumers(self):
-        m = co_oxidation(prefactor=400.0, activation_temp=3000.0, heat_release=150.0)
+        m = co_oxidation(400.0, 3000.0, 150.0, CO_OX_BOX)
         r = eval_rates(m, np.array([0.0, 0.05, 0.01, 500.0]))
         assert np.all(r == 0.0)
 
     def test_clipping_idempotence(self):
-        m = co_oxidation(prefactor=2.0, activation_temp=100.0, heat_release=1.0)
+        m = co_oxidation(2.0, 100.0, 1.0, CO_OX_BOX)
         rng = np.random.default_rng(0)
         x = rng.uniform(-1.0, 1.0, (200, 4)) * np.array([0.1, 0.1, 0.1, 600.0])
         assert np.array_equal(eval_rates(m, x), eval_rates(m, np.maximum(x, 0.0)))
 
     def test_non_finite_input_names_the_species(self):
-        m = zero_model(3)
+        m = zero_model(np.ones(3))
         with pytest.raises(ValueError, match="species index 1"):
             eval_rates(m, np.array([0.0, np.nan, 1.0]))
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            eval_rates(zero_model(3), np.zeros(4))
+            eval_rates(zero_model(np.ones(3)), np.zeros(4))
 
 
 class TestSobol:
@@ -110,18 +113,18 @@ def overflowing(arity):
     def rate(x):
         return np.exp(1e4 * x) * x
 
-    return KineticsModel(arity, rate, (np.zeros(arity), np.ones(arity)))
+    return KineticsModel(rate, np.ones(arity))
 
 
 class TestVerifyHypotheses:
     def test_zero_model_passes_everything(self):
-        rep = verify_hypotheses(zero_model(2), consuming(2), seed=1)
+        rep = verify_hypotheses(zero_model(np.ones(2)), consuming(2), seed=1)
         assert rep.all_pass
         assert rep.samples_used >= 1000
 
     def test_linear_consumption_passes(self):
         # H3 sum collapses to sum (x_i - y_i)^2 >= 0 when all species consume
-        rep = verify_hypotheses(linear_consumption(3), consuming(3), seed=2)
+        rep = verify_hypotheses(linear_consumption(1.0, np.ones(3)), consuming(3), seed=2)
         assert rep.all_pass
 
     def test_broken_model_flagged_with_location(self):
@@ -130,7 +133,7 @@ class TestVerifyHypotheses:
             out[..., 1] = -1.0
             return out
 
-        bad = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
+        bad = KineticsModel(rate, np.ones(2))
         rep = verify_hypotheses(bad, consuming(2), seed=3)
         assert not rep.h1_pass
         assert rep.worst_h1.species == 1
@@ -152,7 +155,7 @@ class TestVerifyHypotheses:
             out[..., 0] = x[..., 0] * np.exp(1e4 * x[..., 1])
             return out
 
-        m = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
+        m = KineticsModel(rate, np.ones(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = verify_hypotheses(m, consuming(2), seed=0)
@@ -170,7 +173,7 @@ class TestVerifyHypotheses:
             SpeciesParams("a", 1.0, 1.0, 1.0, -1),
             SpeciesParams("b", 1.0, 1.0, 1.0, 1),
         )
-        m = KineticsModel(2, rate, (np.zeros(2), np.full(2, 1e10)))
+        m = KineticsModel(rate, np.full(2, 1e10))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = verify_hypotheses(m, params, seed=0)
@@ -184,7 +187,7 @@ class TestVerifyHypotheses:
             out[..., 0] = x[..., 1]
             return out
 
-        m = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
+        m = KineticsModel(rate, np.ones(2))
         rep = verify_hypotheses(m, consuming(2), seed=4)
         assert not rep.h2_pass
         assert rep.worst_h2.species == 0
@@ -199,7 +202,7 @@ class TestVerifyHypotheses:
             SpeciesParams("a", 1.0, 1.0, 1.0, -1),
             SpeciesParams("b", 1.0, 1.0, 1.0, 1),
         )
-        rep = verify_hypotheses(KineticsModel(2, rate, (np.zeros(2), np.ones(2))), params, seed=5)
+        rep = verify_hypotheses(KineticsModel(rate, np.ones(2)), params, seed=5)
         assert not rep.h3_pass
 
     def test_shipped_surrogate_h1_h2(self, scenario):
@@ -215,13 +218,13 @@ class TestVerifyHypotheses:
         assert rep.worst_h3.magnitude > 1e-6
 
     def test_determinism(self):
-        a = verify_hypotheses(linear_consumption(3), consuming(3), seed=9)
-        b = verify_hypotheses(linear_consumption(3), consuming(3), seed=9)
+        a = verify_hypotheses(linear_consumption(1.0, np.ones(3)), consuming(3), seed=9)
+        b = verify_hypotheses(linear_consumption(1.0, np.ones(3)), consuming(3), seed=9)
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            verify_hypotheses(zero_model(2), consuming(3), seed=0)
+            verify_hypotheses(zero_model(np.ones(2)), consuming(3), seed=0)
 
 
 class TestEstimateLipschitz:
@@ -231,7 +234,7 @@ class TestEstimateLipschitz:
             out[..., 0] = 2.0 * x[..., 0]
             return out
 
-        m = KineticsModel(2, rate, (np.zeros(2), np.ones(2)))
+        m = KineticsModel(rate, np.ones(2))
         k, lam = estimate_lipschitz(m, seed=0)
         assert 2.0 <= lam <= 2.5
 
@@ -242,11 +245,11 @@ class TestEstimateLipschitz:
         assert not np.isfinite(lam)
 
     def test_zero_model_is_exactly_zero(self):
-        _, lam = estimate_lipschitz(zero_model(4), seed=0)
+        _, lam = estimate_lipschitz(zero_model(np.ones(4)), seed=0)
         assert lam == 0.0
 
     def test_rates_at_the_base_points_are_evaluated_once(self):
-        inner = co_oxidation(prefactor=400.0, activation_temp=3000.0, heat_release=150.0)
+        inner = co_oxidation(400.0, 3000.0, 150.0, CO_OX_BOX)
         calls = []
 
         def counted(x):
@@ -258,12 +261,12 @@ class TestEstimateLipschitz:
         assert len(calls) == 1 + 1 + m.arity  # x, y and one axis probe per channel
         # the same quotients with the rates at x evaluated anew for every pair
         x, y = _sample_pairs(m, 2, 2048)
-        lo, hi = m.domain_box
+        hi = m.box_hi
         best = np.zeros(m.arity)
         probes = [y]
         for j in range(m.arity):
             xp = x.copy()
-            xp[:, j] = np.minimum(x[:, j] + 1e-3 * (hi[j] - lo[j]), hi[j])
+            xp[:, j] = np.minimum(x[:, j] + 1e-3 * hi[j], hi[j])
             probes.append(xp)
         for b in probes:
             denom = np.sum(np.abs(x - b), axis=1)
@@ -274,7 +277,7 @@ class TestEstimateLipschitz:
         assert lam == float((LIPSCHITZ_SAFETY * best).max())
 
     def test_monotone_in_sample_count(self):
-        m = co_oxidation(prefactor=400.0, activation_temp=3000.0, heat_release=150.0)
+        m = co_oxidation(400.0, 3000.0, 150.0, CO_OX_BOX)
         k1, _ = estimate_lipschitz(m, seed=5, samples=16384)
         k2, _ = estimate_lipschitz(m, seed=5, samples=32768)
         assert np.all(k2 >= k1)
