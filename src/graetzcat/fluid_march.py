@@ -30,9 +30,11 @@ consistency checks of the scheme.
 Operators are applied in face-difference form throughout, so constant data
 reproduces itself bitwise (exact fixed points, no drift).
 
-The Cholesky factor depends only on (nr, nz, beta), so it is built once per
-process for each such triple and every march reuses it; each station is one
-direct LAPACK ``dpbtrs`` call on that factor.
+The matrix is symmetric tridiagonal, so its LDL^T factor (LAPACK
+``dpttrf``: the diagonal D and the subdiagonal of the unit factor L) depends
+only on (nr, nz, beta); it is built once per process for each such triple
+and every march reuses it.  Each station is one direct LAPACK ``dpttrs``
+call on that factor, whose dependency chain has no division.
 
 On small radial grids the march runs in deviation form instead.  With
 D_k = C_k - w_k 1 over the nr interior nodes, the volume-scaled system
@@ -67,8 +69,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import FluidField, Grid, InitialData, SpeciesParams
 
@@ -88,10 +89,10 @@ class RadialOperator:
     rows over the nr interior nodes, the axis row included, are scaled by
     their cell volumes.  That one matrix is symmetric positive definite;
     ``ab`` holds it in LAPACK upper banded form (ab[0, 1:] the
-    superdiagonal, ab[1] the diagonal) and ``cho_factor`` is its Cholesky
-    factor, built once per (nr, nz, beta) by ``radial_operator``.  ab is an
-    M-matrix (``m_matrix_ok``), the witness behind the discrete maximum
-    principle.
+    superdiagonal, ab[1] the diagonal) and ``d``, ``e`` are its LDL^T
+    factor from ``dpttrf`` (D's diagonal and L's subdiagonal), built once
+    per (nr, nz, beta) by ``radial_operator``.  ab is an M-matrix
+    (``m_matrix_ok``), the witness behind the discrete maximum principle.
 
     For nr <= BLOCK_MAX_NR the march uses the factor only through
     ``impulse_block``, which marches unit impulses through it once; the
@@ -102,7 +103,8 @@ class RadialOperator:
     beta: float
     face_r: np.ndarray
     ab: np.ndarray
-    cho_factor: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
 
     @classmethod
     def build(cls, grid: Grid, beta: float) -> "RadialOperator":
@@ -125,14 +127,13 @@ class RadialOperator:
         ab = np.zeros((2, nr))
         ab[1, :] = vol * conv[:nr] + beta * k_diag
         ab[0, 1:] = beta * k_sup
-        try:
-            cho = cholesky_banded(ab, lower=False)
-        except LinAlgError as exc:  # cannot happen for beta > 0: SPD by design
+        d, e, info = dpttrf(ab[1], ab[0, 1:])
+        if info:  # cannot happen for beta > 0: SPD by design
             raise RuntimeError(
-                f"radial marching matrix lost positive definiteness (beta={beta})"
-            ) from exc
+                f"radial marching matrix lost positive definiteness (beta={beta}, info={info})"
+            )
 
-        return cls(beta=beta, face_r=face_r, ab=ab, cho_factor=cho)
+        return cls(beta=beta, face_r=face_r, ab=ab, d=d, e=e)
 
     def m_matrix_ok(self) -> bool:
         """Superdiagonal nonpositive, diagonal positive, rows weakly diagonally dominant.
@@ -157,7 +158,7 @@ def radial_operator(nr: int, nz: int, beta: float) -> RadialOperator:
     placeholders here.
     """
     op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
-    for a in (op.face_r, op.ab, op.cho_factor):
+    for a in (op.face_r, op.ab, op.d, op.e):
         a.flags.writeable = False
     return op
 
@@ -234,48 +235,48 @@ def march_fluid(
 
 
 def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None:
-    """Backward Euler one station at a time, one ``dpbtrs`` call per station.
+    """Backward Euler one station at a time, one ``dpttrs`` call per station.
 
     Fills ``values[rows, :nr, 1:]`` from the column ``values[rows, :nr, 0]``
     and the wall trace ``wvals`` (one row per species, one entry per station).
     """
-    fr, cho, beta = op.face_r, op.cho_factor, op.beta
-    nr = fr.size
+    nr = op.face_r.size
     dr = 1.0 / nr
+    # beta r_f (C_{i+1} - C_i) / dr is the flux through face i
+    face = op.face_r * (op.beta / dr)
     g, stations = wvals.shape
-    # rolling column: station k-1 in [:nr], the wall trace at k in [nr];
-    # the views below are taken once, the loop only calls into numpy
-    col = np.empty((g, nr + 1))
-    inner, c_hi, c_lo = col[:, :nr], col[:, 1:], col[:, :-1]
-    inner[...] = values[rows, :nr, 0]
-    # face differences in [:, 1:] after a fixed -0.0 column, so one
-    # subtraction also gives the axis row: -0.0 - d == -d exactly (numpy
-    # 2.4.6 gives wrong values for np.negative into some strided outputs)
-    faces = np.empty((g, nr + 1))
-    faces[:, 0] = -0.0
-    diff, d_lo = faces[:, 1:], faces[:, :-1]
+    # FLUSH stations at a time go through buf and then to values as one
+    # slab (nodes of a column of values are (nz + 1) * 8 bytes apart, 64 KB
+    # at nz = 8192).  Row j holds [C | w]: a station's nodes and the wall
+    # trace of the station after it, so the differences of row j give the
+    # face fluxes into row j + 1; row 0 carries the last station over.
+    # The row views are taken once, the loop only calls into numpy.
+    buf = np.empty((FLUSH + 1, g, nr + 1))
+    buf[0, :, :nr] = values[rows, :nr, 0]
+    inner = [b[:, :nr] for b in buf]
+    c_hi = [b[:, 1:] for b in buf]
+    c_lo = [b[:, :-1] for b in buf]
+    # face fluxes in [:, 1:] after a fixed +0.0 column (the axis face), so
+    # one subtraction gives every row of the right-hand side, the axis too
+    flux = np.empty((g, nr + 1))
+    flux[:, 0] = 0.0
+    f_hi, f_lo = flux[:, 1:], flux[:, :-1]
     rhs = np.empty((g, nr))
     rhs_t = rhs.T
-    # stations k0..k wait in buf and go to values as one slab: nodes of a
-    # column of values are (nz + 1) * 8 bytes apart, 64 KB at nz = 8192
-    buf = np.empty((FLUSH, g, nr))
-    k0 = 1
-    for k in range(1, stations):
-        col[:, nr] = wvals[:, k]
-        np.subtract(c_hi, c_lo, out=diff)
-        np.multiply(fr, diff, out=diff)
-        np.subtract(d_lo, diff, out=rhs)
-        np.divide(rhs, dr, out=rhs)
-        np.multiply(-beta, rhs, out=rhs)
-        # unchecked: a blown-up trace shows in the coupler's residual instead
-        delta, info = dpbtrs(cho, rhs_t, lower=0, overwrite_b=1)
-        if info:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
-        np.add(inner, delta.T, out=inner)
-        buf[k - k0] = inner
-        if k - k0 + 1 == FLUSH or k == stations - 1:
-            values[rows, :nr, k0 : k + 1] = buf[: k - k0 + 1].transpose(1, 2, 0)
-            k0 = k + 1
+    for k0 in range(1, stations, FLUSH):
+        n = min(FLUSH, stations - k0)
+        buf[:n, :, nr] = wvals[:, k0 : k0 + n].T
+        for j in range(n):
+            np.subtract(c_hi[j], c_lo[j], out=f_hi)
+            np.multiply(face, f_hi, out=f_hi)
+            np.subtract(f_hi, f_lo, out=rhs)
+            # unchecked: a blown-up trace shows in the coupler's residual instead
+            delta, info = dpttrs(op.d, op.e, rhs_t, overwrite_b=1)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrs")
+            np.add(inner[j], delta.T, out=inner[j + 1])
+        values[rows, :nr, k0 : k0 + n] = buf[1 : n + 1, :, :nr].transpose(1, 2, 0)
+        buf[0] = buf[n]
 
 
 def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:

@@ -80,8 +80,12 @@ class NonnegReport:
 
 def check_nonnegativity(fluid: FluidField, wall: np.ndarray) -> NonnegReport:
     """List every grid point of the field and the wall (ns, nz+1) more negative than -CHECK_TOL."""
-    violations: list[NonnegViolation] = []
     fv = fluid.values
+    # the usual case, clean: two reductions instead of two index scans (a
+    # NaN minimum fails the test and takes the scan)
+    if fv.min() >= -CHECK_TOL and wall.min() >= -CHECK_TOL:
+        return NonnegReport(passed=True, violation_count=0, violations=())
+    violations: list[NonnegViolation] = []
     for i, j, k in zip(*np.nonzero(fv < -CHECK_TOL)):
         violations.append(
             NonnegViolation(int(i), "fluid", (int(j), int(k)), float(fv[i, j, k]))

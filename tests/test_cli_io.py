@@ -225,6 +225,25 @@ class TestWriters:
         assert out.read_bytes() == out2.read_bytes()
 
 
+# stdout of `graetzcat convergence --levels 3`
+CONVERGENCE_LEVELS_3 = """\
+LEVEL_0_CENTERLINE=0.0010146184421140874
+LEVEL_1_CENTERLINE=0.0010110338987283603
+LEVEL_2_CENTERLINE=0.001010139070204656
+ORDER_CENTERLINE_0=2.002
+LEVEL_0_FLUX_GAP=0.09103808297952647
+LEVEL_1_FLUX_GAP=0.07737017543318786
+LEVEL_2_FLUX_GAP=0.06746394995992458
+ORDER_FLUX_IDENTITY_0=0.235
+ORDER_FLUX_IDENTITY_1=0.198
+LEVEL_0_FLUX_GAP_WINDOWED=0.0038801670975079096
+LEVEL_1_FLUX_GAP_WINDOWED=0.0018683730854652798
+LEVEL_2_FLUX_GAP_WINDOWED=0.00091646490926174
+ORDER_FLUX_IDENTITY_WINDOWED_0=1.054
+ORDER_FLUX_IDENTITY_WINDOWED_1=1.028
+"""
+
+
 class TestCli:
     def run_cli(self, *args):
         return main(list(args))
@@ -257,6 +276,19 @@ class TestCli:
             f"graetzcat convergence: error: --levels {levels}: "
             "need at least 3 levels for an observed order"
         ]
+
+    def test_convergence_output_is_pinned(self, capsys):
+        # levels 3 marches nr = 128 on the station path and nr = 32, 64 on
+        # the block path; a march change that drifts the values fails here
+        assert self.run_cli("convergence", "--levels", "3") == 0
+        got = dict(ln.split("=") for ln in capsys.readouterr().out.splitlines())
+        want = dict(ln.split("=") for ln in CONVERGENCE_LEVELS_3.splitlines())
+        assert list(got) == list(want)
+        for key, value in want.items():
+            if key.startswith("ORDER_"):
+                assert got[key] == value, key
+            else:
+                assert float(got[key]) == pytest.approx(float(value), rel=1e-12, abs=0.0), key
 
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_negative_seed_exit_two(self, command, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dptsv
 
 from graetzcat import fluid_march
 from graetzcat.fluid_march import (
@@ -36,24 +36,66 @@ def graetz(nr, nz, inlet=None, wall=None, beta=1.0):
 
 
 def reference_march(wall, inlet, betas, grid):
-    """The march as one scipy cho_solve_banded call per station and beta group."""
+    """The march as one LAPACK dptsv call per station and beta group.
+
+    dptsv factors op.ab afresh at every station (dpttrf) and solves with
+    dpttrs, on the engine's right-hand side: the difference of the face
+    fluxes beta r_f (C_{i+1} - C_i) / dr, the axis face's flux being 0.
+    """
     nr, nz, dr = grid.nr, grid.nz, grid.dr
     values = np.empty((len(betas), nr + 1, nz + 1))
     values[:, :, 0] = inlet
     for beta in dict.fromkeys(betas):
         idx = [i for i, b in enumerate(betas) if b == beta]
         op = RadialOperator.build(grid, beta)
+        face = op.face_r * (beta / dr)
         pad = np.empty((len(idx), nr + 1))
         for k in range(1, nz + 1):
             pad[:, :nr] = values[idx, :nr, k - 1]
             pad[:, nr] = wall[idx, k]
-            diff = op.face_r * (pad[:, 1:] - pad[:, :-1])
-            kc = np.empty((len(idx), nr))
-            kc[:, 0] = -diff[:, 0] / dr
-            kc[:, 1:] = (diff[:, :-1] - diff[:, 1:]) / dr
-            delta = cho_solve_banded((op.cho_factor, False), (-beta * kc).T)
+            flux = face * (pad[:, 1:] - pad[:, :-1])
+            rhs = np.empty((len(idx), nr))
+            rhs[:, 0] = flux[:, 0]
+            rhs[:, 1:] = flux[:, 1:] - flux[:, :-1]
+            _, _, delta, info = dptsv(op.ab[1], op.ab[0, 1:], rhs.T)
+            assert info == 0
             values[idx, :nr, k] = pad[:, :nr] + delta.T
     values[:, nr, :] = wall
+    return values
+
+
+def extended_march(wall, inlet, beta, grid):
+    """The march of one species in extended precision, by Thomas elimination.
+
+    An independent check of the float64 LDL^T station loop: the same matrix
+    (op.ab) and right-hand side, another elimination, and np.longdouble
+    arithmetic, whose rounding is far below float64's where it has more
+    bits than float64 (x86-64: 64-bit mantissa).
+    """
+    nr, nz = grid.nr, grid.nz
+    op = RadialOperator.build(grid, beta)
+    diag, sup = op.ab[1].astype(np.longdouble), op.ab[0, 1:].astype(np.longdouble)
+    face = op.face_r.astype(np.longdouble) * beta * nr
+    # forward elimination of the (fixed) matrix, once
+    piv, ratio = np.empty(nr, np.longdouble), np.empty(nr - 1, np.longdouble)
+    piv[0] = diag[0]
+    for i in range(1, nr):
+        ratio[i - 1] = sup[i - 1] / piv[i - 1]
+        piv[i] = diag[i] - ratio[i - 1] * sup[i - 1]
+    values = np.empty((nr + 1, nz + 1), np.longdouble)
+    values[:, 0] = inlet
+    values[nr] = wall
+    for k in range(1, nz + 1):
+        col = np.append(values[:nr, k - 1], values[nr, k])
+        flux = np.append(0.0, face * np.diff(col))
+        y = np.diff(flux)
+        for i in range(1, nr):
+            y[i] -= ratio[i - 1] * y[i - 1]
+        x = np.empty(nr, np.longdouble)
+        x[-1] = y[-1] / piv[-1]
+        for i in range(nr - 2, -1, -1):
+            x[i] = (y[i] - sup[i] * x[i + 1]) / piv[i]
+        values[:nr, k] = col[:nr] + x
     return values
 
 
@@ -201,6 +243,22 @@ class TestMarchFluid:
         field = march(betas, grid, inlet, wall)
         assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid))
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than float64 here"
+    )
+    @pytest.mark.parametrize("nr,nz", [(BLOCK_MAX_NR + 1, 9), (257, 6), (1024, 4)])
+    def test_station_path_matches_an_extended_precision_march(self, nr, nz):
+        rng = np.random.default_rng(nr)
+        betas = (0.05, 1.0, 20.0)
+        grid = Grid(nr=nr, nz=nz, dt=0.1, t_end=1.0)
+        scale = rng.uniform(0.01, 500.0, (len(betas), 1))
+        inlet = scale * rng.uniform(-1.0, 1.0, (len(betas), nr + 1))
+        wall = scale * rng.uniform(-1.0, 1.0, (len(betas), nz + 1))
+        values = march(betas, grid, inlet, wall).values
+        for i, beta in enumerate(betas):
+            err = np.abs(values[i] - extended_march(wall[i], inlet[i], beta, grid)).max()
+            assert err <= 1e-12 * max(np.abs(inlet[i]).max(), np.abs(wall[i]).max()), beta
+
     @pytest.mark.parametrize("nr,nz,beta", [(4, 4, 1.0), (12, 40, 0.3), (BLOCK_MAX_NR, 64, 2.5)])
     def test_impulse_block_is_the_station_march_of_its_impulses(self, nr, nz, beta):
         qt = impulse_block(nr, nz, beta)
@@ -233,12 +291,15 @@ class TestMarchFluid:
         op = radial_operator(nr, nz, beta)
         assert op is radial_operator(nr, nz, beta)
         fresh = RadialOperator.build(Grid(nr=nr, nz=nz, dt=0.5, t_end=1.0), beta)
-        for name in ("face_r", "ab", "cho_factor"):
+        for name in ("face_r", "ab", "d", "e"):
             cached = getattr(op, name)
             assert not cached.flags.writeable, name
             assert np.array_equal(cached, getattr(fresh, name)), name
+        assert op.d.shape == (nr,) and op.e.shape == (nr - 1,)
         with pytest.raises(ValueError):
-            op.cho_factor[0, 0] = 1.0
+            op.d[0] = 1.0
+        with pytest.raises(ValueError):
+            op.e[0] = 1.0
 
     def test_impulse_block_raises_on_a_negative_entry(self, monkeypatch):
         station = fluid_march._march_stations
@@ -252,7 +313,7 @@ class TestMarchFluid:
             impulse_block.__wrapped__(8, 8, 1.0)
 
     def test_lapack_error_raises(self, monkeypatch):
-        monkeypatch.setattr(fluid_march, "dpbtrs", lambda cb, b, lower, overwrite_b: (b, -2))
+        monkeypatch.setattr(fluid_march, "dpttrs", lambda d, e, b, overwrite_b: (b, -2))
         with pytest.raises(ValueError, match="argument 2"):
             graetz(BLOCK_MAX_NR + 1, 8)  # station path
         with pytest.raises(ValueError, match="argument 2"):
@@ -270,12 +331,12 @@ class TestMarchFluid:
 
 
 GRID_SIZE = st.integers(min_value=4, max_value=24)
+# radial grids past BLOCK_MAX_NR, which march_fluid runs on the station path
+STATION_NR = st.integers(min_value=BLOCK_MAX_NR + 1, max_value=160)
 BETAS = st.lists(st.sampled_from([0.05, 0.3, 1.0, 2.5, 20.0]), min_size=1, max_size=4)
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(GRID_SIZE, GRID_SIZE, BETAS, st.integers(0, 2**32 - 1))
-def test_marched_field_stays_in_the_data_envelope(nr, nz, betas, seed):
+def assert_in_data_envelope(nr, nz, betas, seed):
     # discrete maximum principle, per species: the field stays between the
     # smallest and the largest of its inlet and wall data
     rng = np.random.default_rng(seed)
@@ -289,6 +350,24 @@ def test_marched_field_stays_in_the_data_envelope(nr, nz, betas, seed):
     slack = 1e-12 * np.abs(data).max(axis=1)
     assert np.all(values.min(axis=(1, 2)) >= data.min(axis=1) - slack)
     assert np.all(values.max(axis=(1, 2)) <= data.max(axis=1) + slack)
+
+
+def assert_constant_fixed_point(nr, nz, betas, seed):
+    c = np.random.default_rng(seed).uniform(-1e3, 1e3, (len(betas), 1))
+    field = march(betas, Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), np.tile(c, nr + 1), np.tile(c, nz + 1))
+    assert np.array_equal(field.values, np.broadcast_to(c[:, :, None], field.values.shape))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(GRID_SIZE, GRID_SIZE, BETAS, st.integers(0, 2**32 - 1))
+def test_marched_field_stays_in_the_data_envelope(nr, nz, betas, seed):
+    assert_in_data_envelope(nr, nz, betas, seed)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(STATION_NR, GRID_SIZE, BETAS, st.integers(0, 2**32 - 1))
+def test_station_march_stays_in_the_data_envelope(nr, nz, betas, seed):
+    assert_in_data_envelope(nr, nz, betas, seed)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -313,9 +392,13 @@ def test_block_march_matches_reference_march(nr, nz, betas, seed):
 @settings(max_examples=40, deadline=None, database=None)
 @given(GRID_SIZE, GRID_SIZE, BETAS, st.integers(0, 2**32 - 1))
 def test_constant_data_is_an_exact_fixed_point(nr, nz, betas, seed):
-    c = np.random.default_rng(seed).uniform(-1e3, 1e3, (len(betas), 1))
-    field = march(betas, Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), np.tile(c, nr + 1), np.tile(c, nz + 1))
-    assert np.array_equal(field.values, np.broadcast_to(c[:, :, None], field.values.shape))
+    assert_constant_fixed_point(nr, nz, betas, seed)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(STATION_NR, GRID_SIZE, BETAS, st.integers(0, 2**32 - 1))
+def test_station_march_keeps_constant_data_exactly(nr, nz, betas, seed):
+    assert_constant_fixed_point(nr, nz, betas, seed)
 
 
 class TestWallFluxGradient:

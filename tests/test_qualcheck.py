@@ -6,6 +6,8 @@ import pytest
 from graetzcat.coupler import CouplerSettings, Snapshot, run_simulation
 from graetzcat.model import FluidField, InitialData
 from graetzcat.qualcheck import (
+    CHECK_TOL,
+    NonnegViolation,
     build_envelope,
     check_envelopes,
     check_nonnegativity,
@@ -58,6 +60,27 @@ class TestNonnegativity:
         assert not rep.passed
         assert rep.violations[0].where == "wall"
         assert rep.violations[0].index == (4,)
+
+    @pytest.mark.parametrize("where", ["fluid", "wall"])
+    def test_single_negative_node_listed(self, where):
+        # one node just past the slack, every other node clean: the scan
+        # behind the clean-case shortcut still finds it
+        vals, wall = np.full((2, 4, 6), 0.3), np.full((2, 6), 0.2)
+        bad = -2.0 * CHECK_TOL
+        if where == "fluid":
+            vals[1, 2, 5] = bad
+        else:
+            wall[1, 5] = bad
+        rep = check_nonnegativity(FluidField(vals), wall)
+        assert (rep.passed, rep.violation_count) == (False, 1)
+        index = (2, 5) if where == "fluid" else (5,)
+        assert rep.violations == (NonnegViolation(1, where, index, bad),)
+
+    def test_nan_is_scanned_and_not_listed(self):
+        vals = np.full((1, 3, 4), 0.3)
+        vals[0, 1, 1] = np.nan
+        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 4)))
+        assert (rep.passed, rep.violation_count, rep.violations) == (True, 0, ())
 
 
 class TestEnvelopes:
