@@ -133,7 +133,7 @@ def advance_step(
         flux = _flux_of(settings.flux_form, fluid, grid, params)
         stepped = step_wall(wall_prev, flux, rates_prev, dt, params)
         new = iterate + settings.relaxation * (stepped - iterate)
-        residual = float(np.max(np.abs(new - iterate)))
+        residual = float(np.abs(new - iterate).max())
         residuals.append(residual)
         if not math.isfinite(residual):
             break  # the iterate has blown up; more iterations cannot recover it
@@ -245,20 +245,21 @@ def run_simulation(
         rates = eval_rates(kinetics, st.wall.T).T
         flux = _flux_of(settings.flux_form, st.fluid, grid, params)
         rhs = surface_rhs(st.wall, flux, rates, params)
-        if math.isinf(reaction_ended) and float(np.max(np.abs(rhs))) < SETTLE_TOL:
+        if math.isinf(reaction_ended) and float(np.abs(rhs).max()) < SETTLE_TOL:
             reaction_ended = st.time
         station = np.einsum("ijk,j->ik", st.fluid.values**2, wq)
+        fluid_min = st.fluid.values.min(axis=(1, 2))
         trajectory.append(
             Snapshot(
                 time=st.time,
                 wall=st.wall,
-                fluid_min=st.fluid.values.min(axis=(1, 2)),
+                fluid_min=fluid_min,
                 fluid_max=st.fluid.values.max(axis=(1, 2)),
                 station_energy=station,
                 residuals=st.residual_history,
             )
         )
-        nonneg_reports.append(check_nonnegativity(st.fluid, st.wall))
+        nonneg_reports.append(check_nonnegativity(st.fluid, st.wall, fluid_min))
 
     record(state)
     for k in range(1, grid.n_steps + 1):

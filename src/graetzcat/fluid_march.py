@@ -58,8 +58,13 @@ the faster of the two.
 
 Neither path stores the field station by station: a column of the
 (nr + 1, nz + 1) field is strided across memory.  The block path collects
-a group's products in one station-major buffer and stores the whole group
-once per march; the station loop stores FLUSH stations at a time.
+a group's products in one station-major buffer, adds the wall to it in
+place and stores the whole group once per march; the station loop stores
+FLUSH stations at a time.
+
+Which species share a beta, and the beta divisor of the integral form,
+come from the cached species plan (``model.species_plan``), derived once
+per species tuple rather than on every call.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import FluidField, Grid, InitialData, SpeciesParams
+from .model import FluidField, Grid, InitialData, SpeciesParams, species_plan
 
 # Stations one block product advances, and the largest radial grid that
 # marches by blocks; both set from timings of the two paths (CHANGES.md).
@@ -217,14 +222,7 @@ def march_fluid(
 
     # species with equal diffusivity share one factor (or impulse block) and
     # are marched as one batch
-    groups: dict[float, list[int]] = {}
-    for i, s in enumerate(params):
-        groups.setdefault(s.beta_f, []).append(i)
-
-    for beta, idx in groups.items():
-        g = len(idx)
-        # a contiguous group is written through a basic slice, not a fancy index
-        rows = slice(idx[0], idx[0] + g) if idx[-1] - idx[0] == g - 1 else idx
+    for beta, rows in species_plan(tuple(params)).beta_groups:
         if nr <= BLOCK_MAX_NR:
             _march_blocks(values, rows, wall[rows], impulse_block(nr, nz, beta))
         else:
@@ -303,7 +301,8 @@ def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
         np.matmul(x[:, :, : nr + b], qt[: nr + b, : b * nr], out=out)
         x[:, 0, :nr] = out[:, 0, -nr:]
     dev = dev.reshape(g, stations - 1, nr)
-    values[rows, :nr, 1:] = (dev + wvals[:, 1:, None]).transpose(0, 2, 1)
+    dev += wvals[:, 1:, None]
+    values[rows, :nr, 1:] = dev.transpose(0, 2, 1)
 
 
 def wall_flux_gradient(field: FluidField, grid: Grid) -> np.ndarray:
@@ -339,5 +338,4 @@ def wall_flux_integral(
     dcdz[:, :, -1] = (v[:, :, -1] - v[:, :, -2]) / dz
 
     flux = np.einsum("ijk,j->ik", dcdz, grid.radial_quadrature())
-    betas = np.array([s.beta_f for s in params])
-    return flux / betas[:, None]
+    return flux / species_plan(tuple(params)).beta

@@ -328,18 +328,24 @@ def estimate_lipschitz(
     x, y = _sample_pairs(model, seed, n)
 
     best = np.zeros(model.arity)
-    rx = eval_rates(model, x)  # every pair below starts at x
+    # every pair below starts at x; the quotients are laid out channel by
+    # channel, so each channel's max runs over contiguous memory
+    rx = np.ascontiguousarray(eval_rates(model, x).T)
 
-    def absorb(b: np.ndarray) -> None:
-        rb = eval_rates(model, b)
-        denom = np.sum(np.abs(x - b), axis=1)
+    def absorb(b: np.ndarray, denom: np.ndarray) -> None:
+        """Fold in the quotients of the pairs (x, b) at l1 distances denom."""
+        q = np.subtract(rx, eval_rates(model, b).T, order="C")
+        np.abs(q, out=q)
         ok = denom > 0.0
-        if not ok.any():
+        if ok.all():
+            q /= denom
+        elif ok.any():
+            q = q[:, ok] / denom[ok]
+        else:
             return
-        q = np.abs(rx[ok] - rb[ok]) / denom[ok, None]
-        np.maximum(best, q.max(axis=0), out=best)
+        np.maximum(best, q.max(axis=1), out=best)
 
-    absorb(y)
+    absorb(y, np.sum(np.abs(x - y), axis=1))
     # Axis probes from the same stream keep the running-max prefix property.
     for j in range(model.arity):
         h = 1e-3 * hi[j]
@@ -347,7 +353,8 @@ def estimate_lipschitz(
             continue
         xp = x.copy()
         xp[:, j] = np.minimum(x[:, j] + h, hi[j])
-        absorb(xp)
+        # the other coordinates cancel exactly: the l1 distance is this one's
+        absorb(xp, np.abs(x[:, j] - xp[:, j]))
 
     k = LIPSCHITZ_SAFETY * best
     lam = float(k.max()) if k.size else 0.0

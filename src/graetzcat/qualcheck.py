@@ -78,12 +78,18 @@ class NonnegReport:
         )
 
 
-def check_nonnegativity(fluid: FluidField, wall: np.ndarray) -> NonnegReport:
-    """List every grid point of the field and the wall (ns, nz+1) more negative than -CHECK_TOL."""
+def check_nonnegativity(
+    fluid: FluidField, wall: np.ndarray, fluid_min: np.ndarray
+) -> NonnegReport:
+    """List every grid point of the field and the wall (ns, nz+1) more negative than -CHECK_TOL.
+
+    fluid_min holds the field's per-species minima, which the caller has
+    already reduced for its snapshot.
+    """
     fv = fluid.values
-    # the usual case, clean: two reductions instead of two index scans (a
-    # NaN minimum fails the test and takes the scan)
-    if fv.min() >= -CHECK_TOL and wall.min() >= -CHECK_TOL:
+    # the usual case, clean: two small reductions instead of two index scans
+    # (a NaN minimum fails the test and takes the scan)
+    if fluid_min.min() >= -CHECK_TOL and wall.min() >= -CHECK_TOL:
         return NonnegReport(passed=True, violation_count=0, violations=())
     violations: list[NonnegViolation] = []
     for i, j, k in zip(*np.nonzero(fv < -CHECK_TOL)):

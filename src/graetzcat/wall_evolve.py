@@ -10,7 +10,11 @@ increment form so fixed points are preserved bitwise.
 
 The tridiagonal LU factor depends only on (nn, dt, theta), so it is built
 once per process for each such triple and every step reuses it; each solve
-is one direct LAPACK ``dgttrs`` call on that factor.
+is one direct LAPACK ``dgttrs`` call on that factor.  The -gamma, delta and
+theta columns and the species sharing a theta come from the cached species
+plan (``model.species_plan``), derived once per species tuple; a group of
+consecutive species is solved in place in a view of the fresh right-hand
+side.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .model import SpeciesParams
+from .model import SpeciesParams, species_plan
 
 
 def _mirrored_second_difference(values: np.ndarray, dz: float) -> np.ndarray:
@@ -45,14 +49,12 @@ def surface_rhs(
     wall, flux and rates share the layout (ns, nz+1); the second difference
     uses the mirrored zero-flux ends of the step.
     """
-    gammas = np.array([s.gamma_s for s in params])
-    deltas = np.array([float(s.delta) for s in params])
-    thetas = np.array([s.theta_s for s in params])
+    plan = species_plan(tuple(params))
     dz = 1.0 / (wall.shape[1] - 1)
     return (
-        -gammas[:, None] * flux
-        + deltas[:, None] * rates
-        + thetas[:, None] * _mirrored_second_difference(wall, dz)
+        plan.neg_gamma * flux
+        + plan.delta * rates
+        + plan.theta * _mirrored_second_difference(wall, dz)
     )
 
 
@@ -97,19 +99,16 @@ def step_wall(
 
     new = np.empty_like(prev)
     # species sharing one diffusivity share one matrix (multi-RHS solve)
-    groups: dict[float, list[int]] = {}
-    for i, s in enumerate(params):
-        groups.setdefault(s.theta_s, []).append(i)
-
-    for theta, idx in groups.items():
+    for theta, rows in species_plan(tuple(params)).theta_groups:
         if theta == 0.0:
-            new[idx] = prev[idx] + rhs[idx]
+            new[rows] = prev[rows] + rhs[rows]
             continue
-        # rhs[idx] is a fresh C-ordered copy, so its transpose is the
-        # Fortran-ordered (nn, g) block dgttrs solves in place
-        delta, info = dgttrs(*surface_factor(nn, dt, theta), rhs[idx].T, overwrite_b=1)
+        # rhs is fresh and C-ordered, so the transpose of its rows is the
+        # Fortran-ordered (nn, g) block dgttrs solves in place: a view of
+        # rhs for a slice of rows, a copy for an index array
+        delta, info = dgttrs(*surface_factor(nn, dt, theta), rhs[rows].T, overwrite_b=1)
         if info:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrs")
-        new[idx] = prev[idx] + delta.T
+        new[rows] = prev[rows] + delta.T
 
     return new

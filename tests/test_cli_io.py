@@ -243,6 +243,32 @@ ORDER_FLUX_IDENTITY_WINDOWED_0=1.054
 ORDER_FLUX_IDENTITY_WINDOWED_1=1.028
 """
 
+# report.txt footer of the shipped scenario cut to its first 10 steps
+# (t_end = 0.2), seed 0
+SCENARIO_10_STEPS_FOOTER = """\
+MU=1.0
+THRESHOLD=1.213061319
+SATISFIED=true
+MARGIN=0.8243606353500641
+LAMBDA=22.803584928198685
+H1=PASS
+H2=PASS
+H3=FAIL
+NONNEG=PASS
+ENVELOPE_CO_UPPER_BOUND=PASS
+ENVELOPE_O2_UPPER_BOUND=PASS
+ENVELOPE_CO2_LOWER_BOUND=PASS
+ENVELOPE_CO2_EXP_BOUND=FAIL
+ENVELOPE_T_LOWER_BOUND=PASS
+ENVELOPE_T_EXP_BOUND=PASS
+REACTION_ENDED=inf
+MAX_ITERATIONS=10
+OUTLET_CO=0.019827807251200136
+OUTLET_O2=0.049827807251200146
+OUTLET_CO2=0.00017219274879986323
+OUTLET_T=490.46885559031983
+"""
+
 
 class TestCli:
     def run_cli(self, *args):
@@ -289,6 +315,23 @@ class TestCli:
                 assert got[key] == value, key
             else:
                 assert float(got[key]) == pytest.approx(float(value), rel=1e-12, abs=0.0), key
+
+    def test_coupled_run_output_is_pinned(self, tmp_path):
+        # march, flux, surface step, rates and checkers of the shipped
+        # scenario: a change that drifts the coupled path fails here
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SCENARIO_CFG.read_text().replace("t_end = 60\n", "t_end = 0.2\n"))
+        out = tmp_path / "out"
+        assert self.run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 4
+        footer = (out / "report.txt").read_text().split("---\n", 1)[1]
+        got = dict(ln.split("=") for ln in footer.splitlines())
+        want = dict(ln.split("=") for ln in SCENARIO_10_STEPS_FOOTER.splitlines())
+        assert list(got) == list(want)
+        for key, value in want.items():
+            if key.startswith("OUTLET_") or key == "LAMBDA":
+                assert float(got[key]) == pytest.approx(float(value), rel=1e-12, abs=0.0), key
+            else:
+                assert got[key] == value, key
 
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_negative_seed_exit_two(self, command, tmp_path, capsys):

@@ -249,32 +249,39 @@ class TestEstimateLipschitz:
         assert lam == 0.0
 
     def test_rates_at_the_base_points_are_evaluated_once(self):
-        inner = co_oxidation(400.0, 3000.0, 150.0, CO_OX_BOX)
-        calls = []
+        # the shipped-like box and one with a zero-width CO2 channel, which
+        # gets no axis probe
+        for box in (CO_OX_BOX, (0.05, 0.1, 0.0, 600.0)):
+            inner = co_oxidation(400.0, 3000.0, 150.0, box)
+            hi = inner.box_hi
+            probed = [j for j in range(inner.arity) if hi[j] > 0.0]
+            for seed in range(4):
+                calls = []
 
-        def counted(x):
-            calls.append(x.shape)
-            return inner.rate(x)
+                def counted(x):
+                    calls.append(x.shape)
+                    return inner.rate(x)
 
-        m = dataclasses.replace(inner, rate=counted)
-        k, lam = estimate_lipschitz(m, seed=2, samples=2048)
-        assert len(calls) == 1 + 1 + m.arity  # x, y and one axis probe per channel
-        # the same quotients with the rates at x evaluated anew for every pair
-        x, y = _sample_pairs(m, 2, 2048)
-        hi = m.box_hi
-        best = np.zeros(m.arity)
-        probes = [y]
-        for j in range(m.arity):
-            xp = x.copy()
-            xp[:, j] = np.minimum(x[:, j] + 1e-3 * hi[j], hi[j])
-            probes.append(xp)
-        for b in probes:
-            denom = np.sum(np.abs(x - b), axis=1)
-            ok = denom > 0.0
-            q = np.abs(eval_rates(inner, x)[ok] - eval_rates(inner, b)[ok]) / denom[ok, None]
-            np.maximum(best, q.max(axis=0), out=best)
-        assert np.array_equal(k, LIPSCHITZ_SAFETY * best)
-        assert lam == float((LIPSCHITZ_SAFETY * best).max())
+                m = dataclasses.replace(inner, rate=counted)
+                k, lam = estimate_lipschitz(m, seed=seed, samples=2048)
+                # x, y and one axis probe per channel of nonzero width
+                assert len(calls) == 1 + 1 + len(probed)
+                # the same quotients with the rates at x evaluated anew for
+                # every pair and the full l1 distance of every pair
+                x, y = _sample_pairs(m, seed, 2048)
+                best = np.zeros(m.arity)
+                probes = [y]
+                for j in probed:
+                    xp = x.copy()
+                    xp[:, j] = np.minimum(x[:, j] + 1e-3 * hi[j], hi[j])
+                    probes.append(xp)
+                for b in probes:
+                    denom = np.sum(np.abs(x - b), axis=1)
+                    ok = denom > 0.0
+                    q = np.abs(eval_rates(inner, x)[ok] - eval_rates(inner, b)[ok]) / denom[ok, None]
+                    np.maximum(best, q.max(axis=0), out=best)
+                assert np.array_equal(k, LIPSCHITZ_SAFETY * best), (box, seed)
+                assert lam == float((LIPSCHITZ_SAFETY * best).max())
 
     def test_monotone_in_sample_count(self):
         m = co_oxidation(400.0, 3000.0, 150.0, CO_OX_BOX)

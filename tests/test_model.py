@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from graetzcat.coupler import Snapshot
+from graetzcat.fluid_march import march_fluid, wall_flux_integral
 from graetzcat.model import (
     Grid,
     InitialData,
     ModelConfig,
     SpeciesParams,
     contraction_margin,
+    group_rows,
+    species_plan,
     validate_config,
 )
+from graetzcat.wall_evolve import step_wall, surface_rhs
 from graetzcat.qualcheck import energy_growth_report
 
 from conftest import constant_config
@@ -20,6 +24,86 @@ from conftest import constant_config
 
 def species(name="x", beta=1.0, gamma=1.0, theta=1.0, delta=-1):
     return SpeciesParams(name=name, beta_f=beta, gamma_s=gamma, theta_s=theta, delta=delta)
+
+
+class TestSpeciesPlan:
+    # beta groups {0, 2} (not contiguous), {1}, {3}; theta groups {0, 3}
+    # (not contiguous) and {1, 2}, a contiguous theta = 0 group
+    MIXED = (
+        species("a", beta=1.0, theta=0.5),
+        species("b", beta=2.0, gamma=0.3, theta=0.0, delta=1),
+        species("c", beta=1.0, gamma=1.7, theta=0.0),
+        species("d", beta=3.0, theta=0.5, delta=1),
+    )
+
+    def inputs(self, ns, nr=6, nz=10):
+        rng = np.random.default_rng(11)
+        grid = Grid(nr=nr, nz=nz, dt=0.01, t_end=0.01)
+        inlet = rng.uniform(0.0, 1.0, (ns, nr + 1))
+        wall, flux, rates = rng.uniform(0.0, 1.0, (3, ns, nz + 1))
+        return grid, InitialData(inlet, wall.copy()), wall, flux, rates
+
+    def test_groups_are_slices_or_index_arrays_in_first_seen_order(self):
+        groups = group_rows((1.0, 2.0, 1.0, 3.0, 3.0))
+        assert [key for key, _ in groups] == [1.0, 2.0, 3.0]
+        assert groups[1][1] == slice(1, 2) and groups[2][1] == slice(3, 5)
+        assert np.array_equal(groups[0][1], [0, 2])
+
+    def test_plan_columns(self):
+        plan = species_plan(self.MIXED)
+        key, rows = plan.theta_groups[1]
+        assert key == 0.0 and rows == slice(1, 3)
+        for col, want in (
+            (plan.neg_gamma, [-1.0, -0.3, -1.7, -1.0]),
+            (plan.delta, [-1.0, 1.0, -1.0, 1.0]),
+            (plan.theta, [0.5, 0.0, 0.0, 0.5]),
+            (plan.beta, [1.0, 2.0, 1.0, 3.0]),
+        ):
+            assert col.shape == (4, 1) and col.dtype == float
+            assert np.array_equal(col[:, 0], want)
+
+    def test_caches_miss_once_per_species_tuple(self):
+        # values no other test uses, so both caches see them first here
+        p = (species("u", beta=1.2345, theta=0.6789), species("v", beta=2.3456, theta=0.6789))
+        plan_misses = species_plan.cache_info().misses
+        group_misses = group_rows.cache_info().misses
+        grid, init, wall, flux, rates = self.inputs(2)
+        for params in (p, list(p), p):
+            field = march_fluid(wall, init, params, grid)
+            wall_flux_integral(field, grid, params)
+            surface_rhs(wall, flux, rates, params)
+            step_wall(wall, flux, rates, grid.dt, params)
+        assert species_plan.cache_info().misses == plan_misses + 1
+        assert group_rows.cache_info().misses == group_misses + 2  # the betas, the thetas
+        assert species_plan(p) is species_plan(tuple(list(p)))
+
+    def test_arrays_are_read_only(self):
+        plan = species_plan(self.MIXED)
+        rows = [r for _, r in plan.beta_groups + plan.theta_groups if isinstance(r, np.ndarray)]
+        assert len(rows) == 2
+        for arr in (plan.neg_gamma, plan.delta, plan.theta, plan.beta, *rows):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_a_list_and_a_tuple_give_bitwise_the_same_march_and_step(self):
+        grid, init, wall, flux, rates = self.inputs(4)
+        as_tuple, as_list = self.MIXED, list(self.MIXED)
+        field = march_fluid(wall, init, as_tuple, grid)
+        assert np.array_equal(field.values, march_fluid(wall, init, as_list, grid).values)
+        assert np.array_equal(
+            wall_flux_integral(field, grid, as_tuple), wall_flux_integral(field, grid, as_list)
+        )
+        stepped = step_wall(wall, flux, rates, grid.dt, as_tuple)
+        assert np.array_equal(stepped, step_wall(wall, flux, rates, grid.dt, as_list))
+        # and each species is what it gives alone
+        for i in range(4):
+            one = slice(i, i + 1)
+            init_i = InitialData(init.inlet[one], init.wall_init[one])
+            solo = march_fluid(wall[one], init_i, [self.MIXED[i]], grid)
+            assert np.array_equal(field.values[i], solo.values[0])
+            alone = step_wall(wall[one], flux[one], rates[one], grid.dt, [self.MIXED[i]])
+            assert np.array_equal(stepped[i], alone[0])
 
 
 class TestValidateConfig:

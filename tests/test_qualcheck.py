@@ -33,21 +33,27 @@ def snap(t, wall, fmin, fmax, station=None):
     )
 
 
+def minima(vals):
+    """Per-species minima of a field, as ``record`` hands them to the check."""
+    return vals.min(axis=(1, 2))
+
+
 class TestNonnegativity:
     def test_positive_fields_pass(self):
-        rep = check_nonnegativity(FluidField(np.full((1, 5, 5), 0.3)), np.full((1, 5), 0.2))
+        vals = np.full((1, 5, 5), 0.3)
+        rep = check_nonnegativity(FluidField(vals), np.full((1, 5), 0.2), minima(vals))
         assert rep.passed and rep.violation_count == 0
 
     def test_tiny_negative_within_tolerance(self):
         vals = np.full((1, 5, 5), 0.3)
         vals[0, 2, 2] = -1e-9
-        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 5)))
+        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 5)), minima(vals))
         assert rep.passed
 
     def test_real_negative_reported_with_location(self):
         vals = np.full((1, 5, 5), 0.3)
         vals[0, 3, 1] = -1e-3
-        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 5)))
+        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 5)), minima(vals))
         assert not rep.passed
         v = rep.violations[0]
         assert (v.species, v.where, v.index) == (0, "fluid", (3, 1))
@@ -56,7 +62,8 @@ class TestNonnegativity:
     def test_wall_violation_located(self):
         wall = np.zeros((2, 7))
         wall[1, 4] = -0.5
-        rep = check_nonnegativity(FluidField(np.zeros((2, 3, 7))), wall)
+        vals = np.zeros((2, 3, 7))
+        rep = check_nonnegativity(FluidField(vals), wall, minima(vals))
         assert not rep.passed
         assert rep.violations[0].where == "wall"
         assert rep.violations[0].index == (4,)
@@ -71,7 +78,7 @@ class TestNonnegativity:
             vals[1, 2, 5] = bad
         else:
             wall[1, 5] = bad
-        rep = check_nonnegativity(FluidField(vals), wall)
+        rep = check_nonnegativity(FluidField(vals), wall, minima(vals))
         assert (rep.passed, rep.violation_count) == (False, 1)
         index = (2, 5) if where == "fluid" else (5,)
         assert rep.violations == (NonnegViolation(1, where, index, bad),)
@@ -79,7 +86,7 @@ class TestNonnegativity:
     def test_nan_is_scanned_and_not_listed(self):
         vals = np.full((1, 3, 4), 0.3)
         vals[0, 1, 1] = np.nan
-        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 4)))
+        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 4)), minima(vals))
         assert (rep.passed, rep.violation_count, rep.violations) == (True, 0, ())
 
 
