@@ -62,9 +62,10 @@ a group's products in one station-major buffer, adds the wall to it in
 place and stores the whole group once per march; the station loop stores
 FLUSH stations at a time.
 
-Which species share a beta, and the beta divisor of the integral form,
-come from the cached species plan (``model.species_plan``), derived once
-per species tuple rather than on every call.
+The runs of consecutive species that share a beta, and the beta divisor of
+the integral form, come from the cached species plan
+(``model.species_plan``), derived once per species tuple rather than on
+every call.  Each run is marched as one batch in its view of the field.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def impulse_block(nr: int, nz: int, beta: float) -> np.ndarray:
     # a drop into station m + 1: ones up to station m, zeros after
     values[nr:, :nr, 0] = 1.0
     wall[nr:] = np.arange(BLOCK + 1) <= np.arange(BLOCK)[:, None]
-    _march_stations(values, slice(None), wall, radial_operator(nr, nz, beta))
+    _march_stations(values, wall, radial_operator(nr, nz, beta))
     dev = values[:, :nr, 1:] - wall[:, None, 1:]  # C - w: C itself, or 1 - 1 before the drop
     qt = dev.transpose(0, 2, 1).reshape(n, BLOCK * nr)
     if not np.all(qt >= 0.0):
@@ -220,23 +221,24 @@ def march_fluid(
     values = np.empty((ns, nr + 1, nz + 1))
     values[:, :, 0] = init.inlet
 
-    # species with equal diffusivity share one factor (or impulse block) and
-    # are marched as one batch
+    # a run of species with equal diffusivity shares one factor (or impulse
+    # block) and is marched as one batch, in place in its view of values
     for beta, rows in species_plan(tuple(params)).beta_groups:
         if nr <= BLOCK_MAX_NR:
-            _march_blocks(values, rows, wall[rows], impulse_block(nr, nz, beta))
+            _march_blocks(values[rows], wall[rows], impulse_block(nr, nz, beta))
         else:
-            _march_stations(values, rows, wall[rows], radial_operator(nr, nz, beta))
+            _march_stations(values[rows], wall[rows], radial_operator(nr, nz, beta))
 
     values[:, nr, :] = wall  # trace, bitwise (owns the z = 0 corner)
     return FluidField(values)
 
 
-def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None:
+def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -> None:
     """Backward Euler one station at a time, one ``dpttrs`` call per station.
 
-    Fills ``values[rows, :nr, 1:]`` from the column ``values[rows, :nr, 0]``
-    and the wall trace ``wvals`` (one row per species, one entry per station).
+    Fills ``values[:, :nr, 1:]`` of a (g, nr + 1, nz + 1) group from its
+    column ``values[:, :nr, 0]`` and the wall trace ``wvals`` (one row per
+    species, one entry per station).
     """
     nr = op.face_r.size
     dr = 1.0 / nr
@@ -250,7 +252,7 @@ def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None
     # face fluxes into row j + 1; row 0 carries the last station over.
     # The row views are taken once, the loop only calls into numpy.
     buf = np.empty((FLUSH + 1, g, nr + 1))
-    buf[0, :, :nr] = values[rows, :nr, 0]
+    buf[0, :, :nr] = values[:, :nr, 0]
     inner = [b[:, :nr] for b in buf]
     c_hi = [b[:, 1:] for b in buf]
     c_lo = [b[:, :-1] for b in buf]
@@ -273,14 +275,14 @@ def _march_stations(values, rows, wvals: np.ndarray, op: RadialOperator) -> None
             if info:
                 raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrs")
             np.add(inner[j], delta.T, out=inner[j + 1])
-        values[rows, :nr, k0 : k0 + n] = buf[1 : n + 1, :, :nr].transpose(1, 2, 0)
+        values[:, :nr, k0 : k0 + n] = buf[1 : n + 1, :, :nr].transpose(1, 2, 0)
         buf[0] = buf[n]
 
 
-def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
+def _march_blocks(values: np.ndarray, wvals: np.ndarray, qt: np.ndarray) -> None:
     """The same march in deviation form, BLOCK stations per product with ``qt``.
 
-    Fills ``values[rows, :nr, 1:]`` like ``_march_stations``.  Each species
+    Fills ``values[:, :nr, 1:]`` like ``_march_stations``.  Each species
     is its own (1, nr + B) @ (nr + B, B nr) product in a stacked matmul, so a
     batch gives bitwise what each of its species gives alone (a plain
     (g, K) @ (K, N) product runs gemv at g = 1 and gemm otherwise).  The
@@ -291,7 +293,7 @@ def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
     g, stations = wvals.shape
     # [D_k | wall drops w_{k+m-1} - w_{k+m}, m = 1..B] per species
     x = np.empty((g, 1, nr + BLOCK))
-    x[:, 0, :nr] = values[rows, :nr, 0] - wvals[:, :1]
+    x[:, 0, :nr] = values[:, :nr, 0] - wvals[:, :1]
     drops = wvals[:, :-1] - wvals[:, 1:]
     dev = np.empty((g, 1, (stations - 1) * nr))  # D_1 .. D_nz, station-major
     for k in range(0, stations - 1, BLOCK):
@@ -302,7 +304,7 @@ def _march_blocks(values, rows, wvals: np.ndarray, qt: np.ndarray) -> None:
         x[:, 0, :nr] = out[:, 0, -nr:]
     dev = dev.reshape(g, stations - 1, nr)
     dev += wvals[:, 1:, None]
-    values[rows, :nr, 1:] = dev.transpose(0, 2, 1)
+    values[:, :nr, 1:] = dev.transpose(0, 2, 1)
 
 
 def wall_flux_gradient(field: FluidField, grid: Grid) -> np.ndarray:
@@ -330,12 +332,6 @@ def wall_flux_integral(
     nz = grid.nz
     if nz < 2:
         raise ValueError("integral extraction needs nz >= 2")
-    v = field.values
-    dz = grid.dz
-    dcdz = np.empty_like(v)
-    dcdz[:, :, 1:-1] = (v[:, :, 2:] - v[:, :, :-2]) / (2.0 * dz)
-    dcdz[:, :, 0] = (v[:, :, 1] - v[:, :, 0]) / dz
-    dcdz[:, :, -1] = (v[:, :, -1] - v[:, :, -2]) / dz
-
+    dcdz = np.gradient(field.values, grid.dz, axis=2)
     flux = np.einsum("ijk,j->ik", dcdz, grid.radial_quadrature())
     return flux / species_plan(tuple(params)).beta

@@ -10,6 +10,7 @@ temperature is carried as the last "species" with the same equation shape.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,39 +40,21 @@ class SpeciesParams:
     delta: int
 
 
-@functools.lru_cache(maxsize=32)
-def group_rows(keys: tuple[float, ...]) -> tuple[tuple[float, slice | np.ndarray], ...]:
-    """The species sharing each key, in order of first appearance, read-only.
-
-    A group of consecutive species is a basic slice, so it indexes views;
-    any other group is a read-only index array.
-    """
-    groups: dict[float, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    out = []
-    for key, idx in groups.items():
-        if idx[-1] - idx[0] == len(idx) - 1:
-            rows = slice(idx[0], idx[-1] + 1)
-        else:
-            rows = np.array(idx)
-            rows.flags.writeable = False
-        out.append((key, rows))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SpeciesPlan:
     """What the march and the surface step derive from the species alone.
 
-    ``beta_groups`` and ``theta_groups`` are the ``group_rows`` of the
-    species' beta_f and theta_s; ``neg_gamma``, ``delta`` and ``theta`` are
-    the (ns, 1) coefficient columns of the surface right-hand side and
-    ``beta`` the (ns, 1) divisor of the integral flux form.
+    ``beta_groups`` and ``theta_groups`` split the species' beta_f and
+    theta_s into maximal runs of consecutive equal values, each a
+    ``(value, slice of species)``, so every group indexes a view; species
+    with an equal value that are not consecutive fall in separate runs.
+    ``neg_gamma``, ``delta`` and ``theta`` are the (ns, 1) coefficient
+    columns of the surface right-hand side and ``beta`` the (ns, 1) divisor
+    of the integral flux form.
     """
 
-    beta_groups: tuple[tuple[float, slice | np.ndarray], ...]
-    theta_groups: tuple[tuple[float, slice | np.ndarray], ...]
+    beta_groups: tuple[tuple[float, slice], ...]
+    theta_groups: tuple[tuple[float, slice], ...]
     neg_gamma: np.ndarray
     delta: np.ndarray
     theta: np.ndarray
@@ -85,14 +68,22 @@ def species_plan(params: tuple[SpeciesParams, ...]) -> SpeciesPlan:
     Callers holding a list pass ``tuple(params)``.
     """
 
+    def runs(values) -> tuple[tuple[float, slice], ...]:
+        out, start = [], 0
+        for value, run in itertools.groupby(values):
+            stop = start + len(list(run))
+            out.append((value, slice(start, stop)))
+            start = stop
+        return tuple(out)
+
     def column(values) -> np.ndarray:
         col = np.array(values, dtype=float).reshape(-1, 1)
         col.flags.writeable = False
         return col
 
     return SpeciesPlan(
-        beta_groups=group_rows(tuple(s.beta_f for s in params)),
-        theta_groups=group_rows(tuple(s.theta_s for s in params)),
+        beta_groups=runs(s.beta_f for s in params),
+        theta_groups=runs(s.theta_s for s in params),
         neg_gamma=column([-s.gamma_s for s in params]),
         delta=column([s.delta for s in params]),
         theta=column([s.theta_s for s in params]),

@@ -11,10 +11,9 @@ increment form so fixed points are preserved bitwise.
 The tridiagonal LU factor depends only on (nn, dt, theta), so it is built
 once per process for each such triple and every step reuses it; each solve
 is one direct LAPACK ``dgttrs`` call on that factor.  The -gamma, delta and
-theta columns and the species sharing a theta come from the cached species
-plan (``model.species_plan``), derived once per species tuple; a group of
-consecutive species is solved in place in a view of the fresh right-hand
-side.
+theta columns and the runs of consecutive species sharing a theta come from
+the cached species plan (``model.species_plan``), derived once per species
+tuple; each run is solved in place in its rows of the fresh right-hand side.
 """
 
 from __future__ import annotations
@@ -97,18 +96,15 @@ def step_wall(
 
     rhs = dt * surface_rhs(prev, flux, rates, params)
 
-    new = np.empty_like(prev)
-    # species sharing one diffusivity share one matrix (multi-RHS solve)
+    # a run of species sharing one diffusivity shares one matrix (multi-RHS
+    # solve).  rhs is fresh and C-ordered, so the transpose of a run of its
+    # rows is the Fortran-ordered (nn, g) view dgttrs overwrites with the
+    # increment; theta = 0 rows keep rhs as their increment.
     for theta, rows in species_plan(tuple(params)).theta_groups:
         if theta == 0.0:
-            new[rows] = prev[rows] + rhs[rows]
             continue
-        # rhs is fresh and C-ordered, so the transpose of its rows is the
-        # Fortran-ordered (nn, g) block dgttrs solves in place: a view of
-        # rhs for a slice of rows, a copy for an index array
-        delta, info = dgttrs(*surface_factor(nn, dt, theta), rhs[rows].T, overwrite_b=1)
+        _, info = dgttrs(*surface_factor(nn, dt, theta), rhs[rows].T, overwrite_b=1)
         if info:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrs")
-        new[rows] = prev[rows] + delta.T
 
-    return new
+    return prev + rhs

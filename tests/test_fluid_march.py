@@ -105,14 +105,19 @@ def march(betas, grid, inlet, wall):
 
 
 def station_march(betas, grid, inlet, wall):
-    """march_fluid with every beta group on the station path, whatever nr is."""
+    """march_fluid with every beta group on the station path, whatever nr is.
+
+    A group is every species of one beta, consecutive or not, gathered by
+    index and scattered back.
+    """
     nr, nz = grid.nr, grid.nz
     values = np.empty((len(betas), nr + 1, nz + 1))
     values[:, :, 0] = inlet
     for beta in dict.fromkeys(betas):
         idx = [i for i, b in enumerate(betas) if b == beta]
-        rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
-        fluid_march._march_stations(values, rows, wall[rows], radial_operator(nr, nz, beta))
+        group = values[idx]
+        fluid_march._march_stations(group, wall[idx], radial_operator(nr, nz, beta))
+        values[idx] = group
     values[:, nr, :] = wall
     return values
 
@@ -270,12 +275,12 @@ class TestMarchFluid:
         for i in range(nr):  # a unit deviation at node i under a zero wall
             values = np.zeros((1, nr + 1, BLOCK + 1))
             values[0, i, 0] = 1.0
-            fluid_march._march_stations(values, slice(None), np.zeros((1, BLOCK + 1)), op)
+            fluid_march._march_stations(values, np.zeros((1, BLOCK + 1)), op)
             assert np.array_equal(qt[i].reshape(BLOCK, nr), values[0, :nr, 1:].T), i
         for m in range(BLOCK):  # a unit drop into station m + 1 from a constant 1
             values = np.ones((1, nr + 1, BLOCK + 1))
             wall = (np.arange(BLOCK + 1) <= m).astype(float)[None, :]
-            fluid_march._march_stations(values, slice(None), wall, op)
+            fluid_march._march_stations(values, wall, op)
             assert np.array_equal(qt[nr + m].reshape(BLOCK, nr), (values[0, :nr, 1:] - wall[:, 1:]).T)
         # causal: a drop into station m + 1 leaves the stations before it at 0
         assert np.all(qt[nr:].reshape(BLOCK, BLOCK, nr)[np.tril_indices(BLOCK, -1)] == 0.0)
@@ -304,8 +309,8 @@ class TestMarchFluid:
     def test_impulse_block_raises_on_a_negative_entry(self, monkeypatch):
         station = fluid_march._march_stations
 
-        def undershoot(values, rows, wvals, op):
-            station(values, rows, wvals, op)
+        def undershoot(values, wvals, op):
+            station(values, wvals, op)
             values[0, 1, 2] = -1e-300
 
         monkeypatch.setattr(fluid_march, "_march_stations", undershoot)

@@ -12,7 +12,6 @@ from graetzcat.model import (
     ModelConfig,
     SpeciesParams,
     contraction_margin,
-    group_rows,
     species_plan,
     validate_config,
 )
@@ -27,8 +26,8 @@ def species(name="x", beta=1.0, gamma=1.0, theta=1.0, delta=-1):
 
 
 class TestSpeciesPlan:
-    # beta groups {0, 2} (not contiguous), {1}, {3}; theta groups {0, 3}
-    # (not contiguous) and {1, 2}, a contiguous theta = 0 group
+    # betas 1, 2, 1, 3: four runs, the equal betas of a and c apart; thetas
+    # 0.5, 0, 0, 0.5: three runs, b and c one theta = 0 run
     MIXED = (
         species("a", beta=1.0, theta=0.5),
         species("b", beta=2.0, gamma=0.3, theta=0.0, delta=1),
@@ -43,16 +42,24 @@ class TestSpeciesPlan:
         wall, flux, rates = rng.uniform(0.0, 1.0, (3, ns, nz + 1))
         return grid, InitialData(inlet, wall.copy()), wall, flux, rates
 
-    def test_groups_are_slices_or_index_arrays_in_first_seen_order(self):
-        groups = group_rows((1.0, 2.0, 1.0, 3.0, 3.0))
-        assert [key for key, _ in groups] == [1.0, 2.0, 3.0]
-        assert groups[1][1] == slice(1, 2) and groups[2][1] == slice(3, 5)
-        assert np.array_equal(groups[0][1], [0, 2])
+    def test_groups_are_runs_of_consecutive_species(self):
+        plan = species_plan(self.MIXED)
+        assert plan.beta_groups == (
+            (1.0, slice(0, 1)), (2.0, slice(1, 2)), (1.0, slice(2, 3)), (3.0, slice(3, 4))
+        )
+        assert plan.theta_groups == ((0.5, slice(0, 1)), (0.0, slice(1, 3)), (0.5, slice(3, 4)))
+        # the split_beta benchmark workload's theta_s of CO, O2, CO2 and T
+        thetas = (1.0, 1.2, 1.0, 1.5)
+        split = tuple(species(n, theta=t) for n, t in zip("abcd", thetas))
+        plan = species_plan(split)
+        assert plan.theta_groups == tuple((t, slice(i, i + 1)) for i, t in enumerate(thetas))
+        assert plan.beta_groups == ((1.0, slice(0, 4)),)
+        for p in (self.MIXED, split):
+            plan = species_plan(p)
+            assert all(type(rows) is slice for _, rows in plan.beta_groups + plan.theta_groups)
 
     def test_plan_columns(self):
         plan = species_plan(self.MIXED)
-        key, rows = plan.theta_groups[1]
-        assert key == 0.0 and rows == slice(1, 3)
         for col, want in (
             (plan.neg_gamma, [-1.0, -0.3, -1.7, -1.0]),
             (plan.delta, [-1.0, 1.0, -1.0, 1.0]),
@@ -63,10 +70,9 @@ class TestSpeciesPlan:
             assert np.array_equal(col[:, 0], want)
 
     def test_caches_miss_once_per_species_tuple(self):
-        # values no other test uses, so both caches see them first here
+        # values no other test uses, so the plan cache sees them first here
         p = (species("u", beta=1.2345, theta=0.6789), species("v", beta=2.3456, theta=0.6789))
         plan_misses = species_plan.cache_info().misses
-        group_misses = group_rows.cache_info().misses
         grid, init, wall, flux, rates = self.inputs(2)
         for params in (p, list(p), p):
             field = march_fluid(wall, init, params, grid)
@@ -74,14 +80,11 @@ class TestSpeciesPlan:
             surface_rhs(wall, flux, rates, params)
             step_wall(wall, flux, rates, grid.dt, params)
         assert species_plan.cache_info().misses == plan_misses + 1
-        assert group_rows.cache_info().misses == group_misses + 2  # the betas, the thetas
         assert species_plan(p) is species_plan(tuple(list(p)))
 
     def test_arrays_are_read_only(self):
         plan = species_plan(self.MIXED)
-        rows = [r for _, r in plan.beta_groups + plan.theta_groups if isinstance(r, np.ndarray)]
-        assert len(rows) == 2
-        for arr in (plan.neg_gamma, plan.delta, plan.theta, plan.beta, *rows):
+        for arr in (plan.neg_gamma, plan.delta, plan.theta, plan.beta):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0

@@ -133,7 +133,11 @@ class TestStepWall:
             wall, flux, rates = rng.standard_normal((3, ns, nn)) * 10.0 ** rng.uniform(-3, 3)
             dt = float(10.0 ** rng.uniform(-5, 0))
             inp = (wall, flux, rates, dt, p)
+            copies = [a.copy() for a in (wall, flux, rates)]
             assert np.array_equal(step_wall(*inp), reference_step(*inp)), (nn, ns, dt)
+            # the step solves in its own right-hand side, never in its inputs
+            for a, before in zip((wall, flux, rates), copies):
+                assert np.array_equal(a, before)
 
     def test_factor_is_built_once_per_grid_step_and_diffusivity(self):
         nn, dt, theta = 23, 0.0123, 0.789
