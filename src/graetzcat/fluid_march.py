@@ -56,6 +56,12 @@ D = 0 exactly.  A block costs O(nr^2) per station against the station
 loop's O(nr), so the station loop stays for nr > BLOCK_MAX_NR, where it is
 the faster of the two.
 
+Only a block's last station feeds the next block, so the march takes the
+carries D_B, D_2B, .. first, each from the one before through the last nr
+columns of Qt, and then runs the rows [D_kB | drops] of all blocks through
+Qt in one matrix-matrix product per species: Qt is read once per march
+instead of once per block.
+
 Neither path stores the field station by station: a column of the
 (nr + 1, nz + 1) field is strided across memory.  The block path collects
 a group's products in one station-major buffer, adds the wall to it in
@@ -280,29 +286,38 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
 
 
 def _march_blocks(values: np.ndarray, wvals: np.ndarray, qt: np.ndarray) -> None:
-    """The same march in deviation form, BLOCK stations per product with ``qt``.
+    """The same march in deviation form, BLOCK stations per row of ``qt``.
 
-    Fills ``values[:, :nr, 1:]`` like ``_march_stations``.  Each species
-    is its own (1, nr + B) @ (nr + B, B nr) product in a stacked matmul, so a
-    batch gives bitwise what each of its species gives alone (a plain
-    (g, K) @ (K, N) product runs gemv at g = 1 and gemm otherwise).  The
-    products land in one station-major deviation buffer, which is added to
-    the wall and written to ``values`` once per group.
+    Fills ``values[:, :nr, 1:]`` like ``_march_stations``, in two phases.
+    The carries come first: block k's starting deviation D_{kB} follows
+    from block k - 1's row [D | drops] through the last station's columns
+    of ``qt``, a small (nr + B) x nr product per block.  Then every row of
+    every block goes through all of ``qt`` in one product, so ``qt`` is read
+    once per species rather than once per block; the drops past the last
+    station are zeros, so a partial last block needs no second shape.
+    Each species is its own stacked product, so a batch gives bitwise what
+    each of its species gives alone (a plain (g nb, K) @ (K, N) product
+    runs gemv when g nb = 1 and gemm otherwise, and the two round apart).
+    The carry and the same station out of the big product may differ in
+    the last bit, as two BLAS kernels' sums may.  The products land in one
+    station-major deviation buffer, which is added to the wall and written
+    to ``values`` once per group.
     """
     nr = qt.shape[1] // BLOCK
     g, stations = wvals.shape
-    # [D_k | wall drops w_{k+m-1} - w_{k+m}, m = 1..B] per species
-    x = np.empty((g, 1, nr + BLOCK))
-    x[:, 0, :nr] = values[:, :nr, 0] - wvals[:, :1]
-    drops = wvals[:, :-1] - wvals[:, 1:]
-    dev = np.empty((g, 1, (stations - 1) * nr))  # D_1 .. D_nz, station-major
-    for k in range(0, stations - 1, BLOCK):
-        b = min(BLOCK, stations - 1 - k)  # a last, partial block drops causal zeros
-        x[:, 0, nr : nr + b] = drops[:, k : k + b]
-        out = dev[:, :, k * nr : (k + b) * nr]
-        np.matmul(x[:, :, : nr + b], qt[: nr + b, : b * nr], out=out)
-        x[:, 0, :nr] = out[:, 0, -nr:]
-    dev = dev.reshape(g, stations - 1, nr)
+    n = stations - 1
+    nb = -(-n // BLOCK)
+    # row k per species: [D_{kB} | wall drops w_{kB+m-1} - w_{kB+m}, m = 1..B]
+    x = np.empty((g, nb, nr + BLOCK))
+    drops = np.zeros((g, nb * BLOCK))
+    np.subtract(wvals[:, :-1], wvals[:, 1:], out=drops[:, :n])
+    x[:, :, nr:] = drops.reshape(g, nb, BLOCK)
+    np.subtract(values[:, :nr, 0], wvals[:, :1], out=x[:, 0, :nr])
+    carry = qt[:, -nr:]
+    for k in range(1, nb):
+        np.matmul(x[:, k - 1 : k], carry, out=x[:, k : k + 1, :nr])
+    # D_1 .. D_nz, station-major, then the wall added in place
+    dev = np.matmul(x, qt).reshape(g, nb * BLOCK, nr)[:, :n]
     dev += wvals[:, 1:, None]
     values[:, :nr, 1:] = dev.transpose(0, 2, 1)
 
@@ -327,11 +342,12 @@ def wall_flux_integral(
 ) -> np.ndarray:
     """dC/dr at r = 1 via (1/beta) int_0^1 dC/dz r(1-r^2) dr.
 
-    Centered z-differences inside, one-sided at the ends, trapezoid in r.
+    Trapezoid in r, then centered z-differences inside and one-sided at
+    the ends: the r-integral of each station first, so no field-sized
+    z-derivative is formed.
     """
     nz = grid.nz
     if nz < 2:
         raise ValueError("integral extraction needs nz >= 2")
-    dcdz = np.gradient(field.values, grid.dz, axis=2)
-    flux = np.einsum("ijk,j->ik", dcdz, grid.radial_quadrature())
-    return flux / species_plan(tuple(params)).beta
+    moment = np.einsum("ijk,j->ik", field.values, grid.radial_quadrature())
+    return np.gradient(moment, grid.dz, axis=1) / species_plan(tuple(params)).beta

@@ -311,6 +311,21 @@ def verify_hypotheses(
     )
 
 
+def _l1_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.sum(np.abs(x - y), axis=1), bitwise, added up column by column.
+
+    numpy adds fewer than 8 terms in order, so column adds give the same
+    sums without a reduction over a short axis; from 8 terms on numpy sums
+    pairwise, so that case keeps np.sum.
+    """
+    if x.shape[1] >= 8:
+        return np.sum(np.abs(x - y), axis=1)
+    dist = np.abs(x[:, 0] - y[:, 0])
+    for j in range(1, x.shape[1]):
+        dist += np.abs(x[:, j] - y[:, j])
+    return dist
+
+
 @np.errstate(all="ignore")
 def estimate_lipschitz(
     model: KineticsModel, seed: int = 0, samples: int = 16384
@@ -322,19 +337,27 @@ def estimate_lipschitz(
     the partial derivatives directly), then inflated by a safety factor.
     The estimate is a running maximum over a seed-determined stream, so for
     a fixed seed more samples never decrease it.
+
+    Every sampled point lies in [0, box_hi] by construction, so the rate
+    law sees the points as they are, without eval_rates' checks and clamp
+    (which would leave them bitwise unchanged); a non-finite box is
+    rejected once, up front.
     """
-    n = max(int(samples), 1024)
     hi = model.box_hi
+    bad = ~np.isfinite(hi)
+    if bad.any():
+        raise ValueError(f"non-finite box bound for species index {int(np.argmax(bad))}")
+    n = max(int(samples), 1024)
     x, y = _sample_pairs(model, seed, n)
 
     best = np.zeros(model.arity)
     # every pair below starts at x; the quotients are laid out channel by
     # channel, so each channel's max runs over contiguous memory
-    rx = np.ascontiguousarray(eval_rates(model, x).T)
+    rx = np.ascontiguousarray(np.asarray(model.rate(x), dtype=float).T)
 
     def absorb(b: np.ndarray, denom: np.ndarray) -> None:
         """Fold in the quotients of the pairs (x, b) at l1 distances denom."""
-        q = np.subtract(rx, eval_rates(model, b).T, order="C")
+        q = np.subtract(rx, np.asarray(model.rate(b), dtype=float).T, order="C")
         np.abs(q, out=q)
         ok = denom > 0.0
         if ok.all():
@@ -345,7 +368,7 @@ def estimate_lipschitz(
             return
         np.maximum(best, q.max(axis=1), out=best)
 
-    absorb(y, np.sum(np.abs(x - y), axis=1))
+    absorb(y, _l1_distance(x, y))
     # Axis probes from the same stream keep the running-max prefix property.
     for j in range(model.arity):
         h = 1e-3 * hi[j]

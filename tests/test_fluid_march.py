@@ -193,20 +193,23 @@ class TestMarchFluid:
 
     def test_species_batching_matches_single_solves(self):
         rng = np.random.default_rng(3)
-        nr, nz = 10, 14
-        grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
-        inlet = rng.uniform(0.0, 1.0, (3, nr + 1))
-        wall = rng.uniform(0.0, 1.0, (3, nz + 1))
-        params = tuple(SpeciesParams(f"s{i}", 1.7, 1, 1, -1) for i in range(3))
-        batched = march_fluid(wall, InitialData(inlet, wall.copy()), params, grid)
-        for i in range(3):
-            solo = march_fluid(
-                wall[i : i + 1],
-                InitialData(inlet[i : i + 1], wall[i : i + 1].copy()),
-                params[i : i + 1],
-                grid,
-            )
-            assert np.array_equal(batched.values[i], solo.values[0])
+        nr = 10
+        # one partial block, and several blocks with a partial last one
+        for nz in (BLOCK - 2, 3 * BLOCK + 5):
+            for g in range(1, 5):
+                grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
+                inlet = rng.uniform(0.0, 1.0, (g, nr + 1))
+                wall = rng.uniform(0.0, 1.0, (g, nz + 1))
+                params = tuple(SpeciesParams(f"s{i}", 1.7, 1, 1, -1) for i in range(g))
+                batched = march_fluid(wall, InitialData(inlet, wall.copy()), params, grid)
+                for i in range(g):
+                    solo = march_fluid(
+                        wall[i : i + 1],
+                        InitialData(inlet[i : i + 1], wall[i : i + 1].copy()),
+                        params[i : i + 1],
+                        grid,
+                    )
+                    assert np.array_equal(batched.values[i], solo.values[0]), (nz, g, i)
 
     @pytest.mark.parametrize(
         "betas, nr, nz",
@@ -263,6 +266,20 @@ class TestMarchFluid:
         for i, beta in enumerate(betas):
             err = np.abs(values[i] - extended_march(wall[i], inlet[i], beta, grid)).max()
             assert err <= 1e-12 * max(np.abs(inlet[i]).max(), np.abs(wall[i]).max()), beta
+
+    @pytest.mark.parametrize("nr", [32, BLOCK_MAX_NR])
+    def test_long_block_march_matches_reference_march(self, nr):
+        # 64 blocks, each carry taken from the one before: errors would
+        # accumulate down the march
+        rng = np.random.default_rng(nr)
+        betas = (0.3, 0.3, 2.5)
+        grid = Grid(nr=nr, nz=1024, dt=1.0, t_end=1.0)
+        scale = rng.uniform(0.01, 500.0, (len(betas), 1))
+        inlet = scale * rng.uniform(-1.0, 1.0, (len(betas), nr + 1))
+        wall = scale * rng.uniform(-1.0, 1.0, (len(betas), grid.nz + 1))
+        err = np.abs(march(betas, grid, inlet, wall).values - reference_march(wall, inlet, betas, grid))
+        data = np.concatenate([inlet, wall], axis=1)
+        assert np.all(err.max(axis=(1, 2)) <= 1e-13 * np.abs(data).max(axis=1))
 
     @pytest.mark.parametrize("nr,nz,beta", [(4, 4, 1.0), (12, 40, 0.3), (BLOCK_MAX_NR, 64, 2.5)])
     def test_impulse_block_is_the_station_march_of_its_impulses(self, nr, nz, beta):

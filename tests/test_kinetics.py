@@ -8,6 +8,7 @@ from graetzcat.kinetics import (
     LIPSCHITZ_SAFETY,
     SOBOL_BITS,
     KineticsModel,
+    _l1_distance,
     _sample_pairs,
     _direction_numbers,
     _sobol,
@@ -244,6 +245,11 @@ class TestEstimateLipschitz:
             _, lam = estimate_lipschitz(overflowing(2), seed=0)
         assert not np.isfinite(lam)
 
+    @pytest.mark.parametrize("bound", [np.inf, np.nan])
+    def test_non_finite_box_rejected(self, bound):
+        with pytest.raises(ValueError, match="species index 2"):
+            estimate_lipschitz(zero_model([1.0, 1.0, bound, 1.0]), seed=0)
+
     def test_zero_model_is_exactly_zero(self):
         _, lam = estimate_lipschitz(zero_model(np.ones(4)), seed=0)
         assert lam == 0.0
@@ -282,6 +288,13 @@ class TestEstimateLipschitz:
                     np.maximum(best, q.max(axis=0), out=best)
                 assert np.array_equal(k, LIPSCHITZ_SAFETY * best), (box, seed)
                 assert lam == float((LIPSCHITZ_SAFETY * best).max())
+
+    # numpy sums fewer than 8 terms in order and more in pairwise blocks
+    @pytest.mark.parametrize("arity", [1, 4, 7, 8, 9, 17])
+    def test_l1_distance_is_np_sum_bitwise(self, arity):
+        m = KineticsModel(lambda x: x, np.geomspace(1e-3, 1e3, arity))
+        x, y = _sample_pairs(m, 0, 4096)
+        assert np.array_equal(_l1_distance(x, y), np.sum(np.abs(x - y), axis=1))
 
     def test_monotone_in_sample_count(self):
         m = co_oxidation(400.0, 3000.0, 150.0, CO_OX_BOX)
