@@ -311,21 +311,6 @@ def verify_hypotheses(
     )
 
 
-def _l1_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.sum(np.abs(x - y), axis=1), bitwise, added up column by column.
-
-    numpy adds fewer than 8 terms in order, so column adds give the same
-    sums without a reduction over a short axis; from 8 terms on numpy sums
-    pairwise, so that case keeps np.sum.
-    """
-    if x.shape[1] >= 8:
-        return np.sum(np.abs(x - y), axis=1)
-    dist = np.abs(x[:, 0] - y[:, 0])
-    for j in range(1, x.shape[1]):
-        dist += np.abs(x[:, j] - y[:, j])
-    return dist
-
-
 @np.errstate(all="ignore")
 def estimate_lipschitz(
     model: KineticsModel, seed: int = 0, samples: int = 16384
@@ -368,7 +353,13 @@ def estimate_lipschitz(
             return
         np.maximum(best, q.max(axis=1), out=best)
 
-    absorb(y, _l1_distance(x, y))
+    # the l1 distance added column by column: below 8 columns this is
+    # np.sum's order, bitwise; from 8 on numpy sums pairwise, so k may move
+    # in its last bits there against an np.sum form
+    dist = np.zeros(n)
+    for j in range(model.arity):
+        dist += np.abs(x[:, j] - y[:, j])
+    absorb(y, dist)
     # Axis probes from the same stream keep the running-max prefix property.
     for j in range(model.arity):
         h = 1e-3 * hi[j]
