@@ -15,6 +15,7 @@ from graetzcat import (
     InitialData,
     SpeciesParams,
     march_fluid,
+    march_operator,
     wall_flux_gradient,
     wall_flux_integral,
 )
@@ -25,7 +26,8 @@ species = (SpeciesParams(name="tracer", beta_f=1.0, gamma_s=1.0, theta_s=1.0, de
 
 inlet = np.ones((1, nr + 1))
 wall = np.zeros((1, nz + 1))
-field = march_fluid(wall, InitialData(inlet, wall.copy()), species, grid)
+op = march_operator(species, grid)
+field = march_fluid(wall, InitialData(inlet, wall.copy()), op)
 
 print("centerline decay (z, value):")
 for z_probe in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
@@ -38,7 +40,7 @@ for r_probe in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
     print(f"  r = {r_probe:4.2f}   C(r, 1) = {field.values[0, j, -1]:.6f}")
 
 grad = wall_flux_gradient(field, grid)[0]
-intg = wall_flux_integral(field, grid, species)[0]
+intg = wall_flux_integral(field, grid, op)[0]
 print("\nwall gradient via one-sided stencil vs integral identity:")
 for z_probe in (0.1, 0.25, 0.5, 1.0):
     k = round(z_probe * nz)

@@ -8,12 +8,13 @@ what makes the conservation check in the test suite sharp.
 
 import numpy as np
 
-from graetzcat import SpeciesParams, step_wall
+from graetzcat import SpeciesParams, step_wall, surface_operator
 
 nz, dt, t_final = 128, 1e-4, 0.1
 steps = round(t_final / dt)
 z = np.linspace(0.0, 1.0, nz + 1)
 species = (SpeciesParams(name="heat", beta_f=1.0, gamma_s=1.0, theta_s=1.0, delta=1),)
+op = surface_operator(species, nz + 1, dt)
 
 wall = np.cos(np.pi * z)[None, :]
 quiet = np.zeros((1, nz + 1))
@@ -24,7 +25,7 @@ mean0 = float(wall[0] @ trap)
 
 history = [(0.0, float(wall[0, 0]))]
 for n in range(1, steps + 1):
-    wall = step_wall(wall, quiet, quiet, dt, species)
+    wall = step_wall(wall, quiet, quiet, op)
     if n % (steps // 5) == 0:
         history.append((n * dt, float(wall[0, 0])))
 

@@ -18,6 +18,8 @@ from graetzcat import (
     advance_step,
     contraction_margin,
     march_fluid,
+    march_operator,
+    surface_operator,
     zero_model,
 )
 
@@ -36,9 +38,11 @@ init = InitialData(
     inlet=(1.0 - r * r)[None, :].copy(), wall_init=np.zeros((1, nz + 1))
 )
 wall = init.wall_init
-state = CouplingState(0.0, wall, march_fluid(wall, init, species, grid), ())
+march_op = march_operator(species, grid)
+surface_op = surface_operator(species, nz + 1, grid.dt)
+state = CouplingState(0.0, wall, march_fluid(wall, init, march_op), ())
 
-new = advance_step(state, init, CouplerSettings(), species, zero_model([2.0]), grid)
+new = advance_step(state, init, CouplerSettings(), march_op, surface_op, zero_model([2.0]), grid)
 print("\nPicard residuals for one step (mu = 1, margin 0.824):")
 for m, res in enumerate(new.residual_history, start=1):
     print(f"  iteration {m}: {res:.3e}")

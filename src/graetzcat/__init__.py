@@ -20,8 +20,10 @@ from .coupler import (
     run_simulation,
 )
 from .fluid_march import (
+    MarchOperator,
     RadialOperator,
     march_fluid,
+    march_operator,
     wall_flux_gradient,
     wall_flux_integral,
 )
@@ -57,7 +59,7 @@ from .qualcheck import (
     check_nonnegativity,
     energy_growth_report,
 )
-from .wall_evolve import step_wall, surface_rhs
+from .wall_evolve import SurfaceOperator, step_wall, surface_operator, surface_rhs
 
 __version__ = "0.1.0"
 
@@ -74,6 +76,7 @@ __all__ = [
     "HypothesisReport",
     "InitialData",
     "KineticsModel",
+    "MarchOperator",
     "ModelConfig",
     "NonConvergedError",
     "NonnegReport",
@@ -81,6 +84,7 @@ __all__ = [
     "RunReport",
     "Snapshot",
     "SpeciesParams",
+    "SurfaceOperator",
     "ValidationReport",
     "advance_step",
     "build_envelope",
@@ -93,8 +97,10 @@ __all__ = [
     "eval_rates",
     "linear_consumption",
     "march_fluid",
+    "march_operator",
     "run_simulation",
     "step_wall",
+    "surface_operator",
     "surface_rhs",
     "validate_config",
     "verify_hypotheses",

@@ -38,7 +38,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coupler import CouplerSettings, NonConvergedError, RunReport, run_simulation
-from .fluid_march import march_fluid, wall_flux_gradient, wall_flux_integral
+from .fluid_march import (
+    MarchOperator,
+    march_fluid,
+    march_operator,
+    wall_flux_gradient,
+    wall_flux_integral,
+)
 from .kinetics import (
     KineticsModel,
     co_oxidation,
@@ -490,19 +496,19 @@ def write_report(report: RunReport, path: Path | str) -> None:
 # refinement study
 
 
-def _graetz_setup(nr: int, nz: int) -> tuple[Grid, InitialData, tuple[SpeciesParams, ...]]:
+def _graetz_setup(nr: int, nz: int) -> tuple[Grid, InitialData, MarchOperator]:
     grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
     params = (SpeciesParams(name="c", beta_f=1.0, gamma_s=1.0, theta_s=1.0, delta=-1),)
     init = InitialData(
         inlet=np.ones((1, nr + 1)), wall_init=np.zeros((1, nz + 1))
     )
-    return grid, init, params
+    return grid, init, march_operator(params, grid)
 
 
 def graetz_centerline(nr: int, nz: int) -> float:
     """Outlet centerline value of the unit-inlet, cold-wall marching test."""
-    grid, init, params = _graetz_setup(nr, nz)
-    field = march_fluid(init.wall_init, init, params, grid)
+    _, init, op = _graetz_setup(nr, nz)
+    field = march_fluid(init.wall_init, init, op)
     return float(field.values[0, 0, -1])
 
 
@@ -518,11 +524,15 @@ def flux_identity_gap(nr: int, nz: int, z_min: float = 0.0) -> float:
     fixed window away from that corner measures the schemes rather than the
     data.
     """
-    grid, init, params = _graetz_setup(nr, nz)
-    field = march_fluid(init.wall_init, init, params, grid)
+    return _flux_gap(_graetz_setup(nr, nz), z_min)
+
+
+def _flux_gap(setup: tuple[Grid, InitialData, MarchOperator], z_min: float) -> float:
+    grid, init, op = setup
+    field = march_fluid(init.wall_init, init, op)
     g = wall_flux_gradient(field, grid)[0]
-    q = wall_flux_integral(field, grid, params)[0]
-    k0 = max(1, int(math.ceil(z_min * nz)))
+    q = wall_flux_integral(field, grid, op)[0]
+    k0 = max(1, int(math.ceil(z_min * grid.nz)))
     diff = (g - q)[k0:-1]
     return float(np.sqrt(grid.dz * np.sum(diff * diff)))
 
@@ -539,12 +549,11 @@ def convergence_study(levels: int) -> dict:
     diffs = [abs(a - b) for a, b in zip(centerline, centerline[1:])]
     orders_r = [math.log2(a / b) for a, b in zip(diffs, diffs[1:]) if b > 0]
 
-    gaps = [flux_identity_gap(NR0 * 2**i, NZ0 * 2**i) for i in range(levels)]
+    # one operator per grid, shared by its full and its windowed gap
+    setups = [_graetz_setup(NR0 * 2**i, NZ0 * 2**i) for i in range(levels)]
+    gaps = [_flux_gap(setup, 0.0) for setup in setups]
     orders_flux = [math.log2(a / b) for a, b in zip(gaps, gaps[1:]) if b > 0]
-    win = [
-        flux_identity_gap(NR0 * 2**i, NZ0 * 2**i, z_min=FLUX_WINDOW_Z)
-        for i in range(levels)
-    ]
+    win = [_flux_gap(setup, FLUX_WINDOW_Z) for setup in setups]
     orders_win = [math.log2(a / b) for a, b in zip(win, win[1:]) if b > 0]
 
     return {
@@ -665,7 +674,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    final_fluid = march_fluid(trajectory[-1].wall, cfg.initial, cfg.species, cfg.grid)
+    final_op = march_operator(cfg.species, cfg.grid)
+    final_fluid = march_fluid(trajectory[-1].wall, cfg.initial, final_op)
     write_snapshot_csv(final_fluid, cfg.grid, cfg.species_names, out_dir / "snapshot_final.csv")
     write_probe_csv(
         run_report.probe_times, run_report.probe_values, cfg.species_names, out_dir / "probe.csv"

@@ -15,11 +15,17 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .fluid_march import march_fluid, wall_flux_gradient, wall_flux_integral
+from .fluid_march import (
+    MarchOperator,
+    march_fluid,
+    march_operator,
+    wall_flux_gradient,
+    wall_flux_integral,
+)
 from .kinetics import HypothesisReport, KineticsModel, estimate_lipschitz, eval_rates, verify_hypotheses
 from .model import (
     ContractionDiagnostics,
@@ -27,7 +33,6 @@ from .model import (
     Grid,
     InitialData,
     ModelConfig,
-    SpeciesParams,
     contraction_margin,
     validate_config,
 )
@@ -40,7 +45,7 @@ from .qualcheck import (
     check_nonnegativity,
     energy_growth_report,
 )
-from .wall_evolve import step_wall, surface_rhs
+from .wall_evolve import SurfaceOperator, step_wall, surface_operator, surface_rhs
 
 log = logging.getLogger("graetzcat")
 
@@ -94,29 +99,31 @@ class NonConvergedError(RuntimeError):
         )
 
 
-def _flux_of(form: str, fluid: FluidField, grid: Grid, params) -> np.ndarray:
+def _flux_of(form: str, fluid: FluidField, grid: Grid, march_op: MarchOperator) -> np.ndarray:
     if form == "gradient":
         return wall_flux_gradient(fluid, grid)
-    return wall_flux_integral(fluid, grid, params)
+    return wall_flux_integral(fluid, grid, march_op)
 
 
 def advance_step(
     state: CouplingState,
     init: InitialData,
     settings: CouplerSettings,
-    params: Sequence[SpeciesParams],
+    march_op: MarchOperator,
+    surface_op: SurfaceOperator,
     kinetics: KineticsModel,
     grid: Grid,
     initial_guess: Optional[np.ndarray] = None,
     step_index: int = 0,
 ) -> CouplingState:
-    """Advance the coupled system one dt by damped fixed-point iteration.
+    """Advance the coupled system one surface_op.dt by damped fixed-point iteration.
 
-    The iteration starts from the previous wall (or an explicit guess: the
+    The operators are the run's, built for its species and ``grid``.  The
+    iteration starts from the previous wall (or an explicit guess: the
     converged answer must not depend on it, which the uniqueness probe
     exercises).  Rates are evaluated once, at the previous time level.
     """
-    dt = grid.dt
+    dt = surface_op.dt
     # on the grid k dt, so the levels do not drift with the step count
     t_new = (round(state.time / dt) + 1) * dt
     wall_prev = state.wall
@@ -129,9 +136,9 @@ def advance_step(
     residuals: list[float] = []
     converged = False
     for _ in range(settings.max_iter):
-        fluid = march_fluid(iterate, init, params, grid)
-        flux = _flux_of(settings.flux_form, fluid, grid, params)
-        stepped = step_wall(wall_prev, flux, rates_prev, dt, params)
+        fluid = march_fluid(iterate, init, march_op)
+        flux = _flux_of(settings.flux_form, fluid, grid, march_op)
+        stepped = step_wall(wall_prev, flux, rates_prev, surface_op)
         new = iterate + settings.relaxation * (stepped - iterate)
         residual = float(np.abs(new - iterate).max())
         residuals.append(residual)
@@ -144,7 +151,7 @@ def advance_step(
     if not converged:
         raise NonConvergedError(t_new, step_index, tuple(residuals))
 
-    fluid = march_fluid(iterate, init, params, grid)  # restore the exact trace
+    fluid = march_fluid(iterate, init, march_op)  # restore the exact trace
     return CouplingState(
         time=t_new,
         wall=iterate,
@@ -204,7 +211,8 @@ def run_simulation(
     right-hand side is below 1e-8 everywhere, i.e. the state has stopped
     evolving to that tolerance.  An invalid config or a probe_every below 1
     raises ValueError; the validation warnings are the caller's to report
-    (the CLI prints them).
+    (the CLI prints them).  The march and surface operators are built once
+    here and handed to every step and every recorded level.
     """
     report = validate_config(cfg)
     if not report.ok:
@@ -228,9 +236,11 @@ def run_simulation(
         )
 
     envelope = build_envelope(cfg.initial, lam)
+    march_op = march_operator(params, grid)
+    surface_op = surface_operator(params, grid.nz + 1, grid.dt)
 
     wall = cfg.initial.wall_init.copy()
-    fluid = march_fluid(wall, cfg.initial, params, grid)
+    fluid = march_fluid(wall, cfg.initial, march_op)
     state = CouplingState(0.0, wall, fluid, ())
 
     trajectory: list[Snapshot] = []
@@ -243,8 +253,8 @@ def run_simulation(
     def record(st: CouplingState) -> None:
         nonlocal reaction_ended
         rates = eval_rates(kinetics, st.wall.T).T
-        flux = _flux_of(settings.flux_form, st.fluid, grid, params)
-        rhs = surface_rhs(st.wall, flux, rates, params)
+        flux = _flux_of(settings.flux_form, st.fluid, grid, march_op)
+        rhs = surface_rhs(st.wall, flux, rates, surface_op)
         if math.isinf(reaction_ended) and float(np.abs(rhs).max()) < SETTLE_TOL:
             reaction_ended = st.time
         station = np.einsum("ijk,j->ik", st.fluid.values**2, wq)
@@ -264,7 +274,7 @@ def run_simulation(
     record(state)
     for k in range(1, grid.n_steps + 1):
         state = advance_step(
-            state, cfg.initial, settings, params, kinetics, grid, step_index=k
+            state, cfg.initial, settings, march_op, surface_op, kinetics, grid, step_index=k
         )
         iterations.append(state.iterations_last_step)
         record(state)

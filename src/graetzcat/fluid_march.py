@@ -32,8 +32,8 @@ reproduces itself bitwise (exact fixed points, no drift).
 
 The matrix is symmetric tridiagonal, so its LDL^T factor (LAPACK
 ``dpttrf``: the diagonal D and the subdiagonal of the unit factor L) depends
-only on (nr, nz, beta); it is built once per process for each such triple
-and every march reuses it.  Each station is one direct LAPACK ``dpttrs``
+only on (nr, nz, beta); the march operator of a run holds it and every
+march of the run reuses it.  Each station is one direct LAPACK ``dpttrs``
 call on that factor, whose dependency chain has no division.
 
 On small radial grids the march runs in deviation form instead.  With
@@ -48,13 +48,15 @@ station.  So B = BLOCK stations are one product
     [D_{k+1} .. D_{k+B}] = [D_k | drops into k+1 .. k+B] @ Qt
 
 with the (nr + B) x (B nr) impulse-response block Qt (``impulse_block``),
-built once per (nr, nz, beta) by running the station march on nr + B unit
-impulses.  This is the discrete Duhamel superposition of Graetz problems
-with axially varying wall data (Shah & London, 1978).  S^-1 >= 0 and M >= 0,
+built by running the station march on nr + B unit impulses.  This is the
+discrete Duhamel superposition of Graetz problems with axially varying
+wall data (Shah & London, 1978).  S^-1 >= 0 and M >= 0,
 so Qt >= 0: the block keeps the maximum principle, and constant data gives
 D = 0 exactly.  A block costs O(nr^2) per station against the station
 loop's O(nr), so the station loop stays for nr > BLOCK_MAX_NR, where it is
-the faster of the two.
+the faster of the two.  Qt is the one operator kept for the process, per
+(nr, nz, beta): building it is a measurable share of a short solve with
+several distinct betas, which later runs on the same grid skip.
 
 Only a block's last station feeds the next block, so the march takes the
 carries D_B, D_2B, .. first, each from the one before through the last nr
@@ -68,22 +70,24 @@ a group's products in one station-major buffer, adds the wall to it in
 place and stores the whole group once per march; the station loop stores
 FLUSH stations at a time.
 
-The runs of consecutive species that share a beta, and the beta divisor of
-the integral form, come from the cached species plan
-(``model.species_plan``), derived once per species tuple rather than on
-every call.  Each run is marched as one batch in its view of the field.
+``march_operator`` builds what a run needs once, from its species and
+grid: each run of consecutive species sharing a beta with its impulse block
+or, past BLOCK_MAX_NR, its factor, and the beta divisor of the integral
+form.  Every march of the run is handed that ``MarchOperator``; each run of
+species is marched as one batch in its view of the field.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import FluidField, Grid, InitialData, SpeciesParams, species_plan
+from .model import FluidField, Grid, InitialData, SpeciesParams, consecutive_runs, read_only_column
 
 # Stations one block product advances, and the largest radial grid that
 # marches by blocks; both set from timings of the two paths (CHANGES.md).
@@ -102,9 +106,9 @@ class RadialOperator:
     their cell volumes.  That one matrix is symmetric positive definite;
     ``ab`` holds it in LAPACK upper banded form (ab[0, 1:] the
     superdiagonal, ab[1] the diagonal) and ``d``, ``e`` are its LDL^T
-    factor from ``dpttrf`` (D's diagonal and L's subdiagonal), built once
-    per (nr, nz, beta) by ``radial_operator``.  ab is an M-matrix
-    (``m_matrix_ok``), the witness behind the discrete maximum principle.
+    factor from ``dpttrf`` (D's diagonal and L's subdiagonal); ``build``
+    makes all four read-only.  ab is an M-matrix (``m_matrix_ok``), the
+    witness behind the discrete maximum principle.
 
     For nr <= BLOCK_MAX_NR the march uses the factor only through
     ``impulse_block``, which marches unit impulses through it once; the
@@ -120,7 +124,7 @@ class RadialOperator:
 
     @classmethod
     def build(cls, grid: Grid, beta: float) -> "RadialOperator":
-        if beta <= 0.0:
+        if not beta > 0.0:
             raise ValueError(f"beta = {beta} must be positive")
         nr, dr, dz = grid.nr, grid.dr, grid.dz
         r = grid.r
@@ -145,6 +149,8 @@ class RadialOperator:
                 f"radial marching matrix lost positive definiteness (beta={beta}, info={info})"
             )
 
+        for a in (face_r, ab, d, e):
+            a.flags.writeable = False
         return cls(beta=beta, face_r=face_r, ab=ab, d=d, e=e)
 
     def m_matrix_ok(self) -> bool:
@@ -160,19 +166,6 @@ class RadialOperator:
         return bool(
             np.all(sup <= 0.0) and np.all(diag > 0.0) and np.all(diag - off >= -1e-15 * diag)
         )
-
-
-@functools.lru_cache(maxsize=32)
-def radial_operator(nr: int, nz: int, beta: float) -> RadialOperator:
-    """The operator for one (nr, nz, beta), built once per process, arrays read-only.
-
-    The operator does not depend on the time grid, so dt and t_end are
-    placeholders here.
-    """
-    op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
-    for a in (op.face_r, op.ab, op.d, op.e):
-        a.flags.writeable = False
-    return op
 
 
 @functools.lru_cache(maxsize=32)
@@ -194,7 +187,9 @@ def impulse_block(nr: int, nz: int, beta: float) -> np.ndarray:
     # a drop into station m + 1: ones up to station m, zeros after
     values[nr:, :nr, 0] = 1.0
     wall[nr:] = np.arange(BLOCK + 1) <= np.arange(BLOCK)[:, None]
-    _march_stations(values, wall, radial_operator(nr, nz, beta))
+    # the operator does not depend on the time grid: dt and t_end are placeholders
+    op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
+    _march_stations(values, wall, op)
     dev = values[:, :nr, 1:] - wall[:, None, 1:]  # C - w: C itself, or 1 - 1 before the drop
     qt = dev.transpose(0, 2, 1).reshape(n, BLOCK * nr)
     if not np.all(qt >= 0.0):
@@ -205,20 +200,46 @@ def impulse_block(nr: int, nz: int, beta: float) -> np.ndarray:
     return qt
 
 
-def march_fluid(
-    wall: np.ndarray,
-    init: InitialData,
-    params: Sequence[SpeciesParams],
-    grid: Grid,
-) -> FluidField:
+@dataclass(frozen=True)
+class MarchOperator:
+    """What every march of one species tuple on one (nr, nz) grid reuses.
+
+    ``groups`` holds each run of consecutive species with equal beta_f as
+    ``(slice, kernel)``: its impulse block for nr <= BLOCK_MAX_NR, its
+    ``RadialOperator`` past that.  ``beta`` is the (ns, 1) divisor of the
+    integral flux form.  Built by ``march_operator``, arrays read-only.
+    """
+
+    nr: int
+    nz: int
+    groups: tuple[tuple[slice, Union[np.ndarray, RadialOperator]], ...]
+    beta: np.ndarray
+
+
+def march_operator(params: Sequence[SpeciesParams], grid: Grid) -> MarchOperator:
+    """The march operator of the species on the grid's (nr, nz); a beta_f
+    that is NaN, not positive or infinite raises ValueError."""
+    for s in params:
+        if not 0.0 < s.beta_f < math.inf:
+            raise ValueError(f"species.{s.name}.beta_f = {s.beta_f} must be finite and > 0")
+    betas = [s.beta_f for s in params]
+    nr, nz = grid.nr, grid.nz
+    groups = tuple(
+        (rows, impulse_block(nr, nz, b) if nr <= BLOCK_MAX_NR else RadialOperator.build(grid, b))
+        for b, rows in consecutive_runs(betas)
+    )
+    return MarchOperator(nr, nz, groups, read_only_column(betas))
+
+
+def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> FluidField:
     """March every species down the cylinder against the wall trace (ns, nz+1).
 
     The z = 0 column of the field equals the inlet samples (except the
     corner node, which belongs to the trace), and the r = 1 row equals the
-    wall bitwise.
+    wall bitwise.  Wall and inlet must fit the species and grid ``op`` was
+    built for.
     """
-    ns = len(params)
-    nr, nz = grid.nr, grid.nz
+    ns, nr, nz = len(op.beta), op.nr, op.nz
     if wall.shape != (ns, nz + 1):
         raise ValueError(f"wall shape {wall.shape} != {(ns, nz + 1)}")
     if init.inlet.shape != (ns, nr + 1):
@@ -227,13 +248,13 @@ def march_fluid(
     values = np.empty((ns, nr + 1, nz + 1))
     values[:, :, 0] = init.inlet
 
-    # a run of species with equal diffusivity shares one factor (or impulse
-    # block) and is marched as one batch, in place in its view of values
-    for beta, rows in species_plan(tuple(params)).beta_groups:
-        if nr <= BLOCK_MAX_NR:
-            _march_blocks(values[rows], wall[rows], impulse_block(nr, nz, beta))
+    # a run of species with equal diffusivity shares one impulse block (or
+    # factor) and is marched as one batch, in place in its view of values
+    for rows, kernel in op.groups:
+        if isinstance(kernel, RadialOperator):
+            _march_stations(values[rows], wall[rows], kernel)
         else:
-            _march_stations(values[rows], wall[rows], radial_operator(nr, nz, beta))
+            _march_blocks(values[rows], wall[rows], kernel)
 
     values[:, nr, :] = wall  # trace, bitwise (owns the z = 0 corner)
     return FluidField(values)
@@ -337,17 +358,18 @@ def wall_flux_gradient(field: FluidField, grid: Grid) -> np.ndarray:
     return (3.0 * d1 - d2) / (2.0 * grid.dr)
 
 
-def wall_flux_integral(
-    field: FluidField, grid: Grid, params: Sequence[SpeciesParams]
-) -> np.ndarray:
+def wall_flux_integral(field: FluidField, grid: Grid, op: MarchOperator) -> np.ndarray:
     """dC/dr at r = 1 via (1/beta) int_0^1 dC/dz r(1-r^2) dr.
 
     Trapezoid in r, then centered z-differences inside and one-sided at
     the ends: the r-integral of each station first, so no field-sized
-    z-derivative is formed.
+    z-derivative is formed.  ``op`` gives each species' beta and must fit
+    the field.
     """
     nz = grid.nz
     if nz < 2:
         raise ValueError("integral extraction needs nz >= 2")
+    if field.values.shape != (len(op.beta), op.nr + 1, op.nz + 1):
+        raise ValueError(f"field shape {field.values.shape} does not fit the march operator")
     moment = np.einsum("ijk,j->ik", field.values, grid.radial_quadrature())
-    return np.gradient(moment, grid.dz, axis=1) / species_plan(tuple(params)).beta
+    return np.gradient(moment, grid.dz, axis=1) / op.beta

@@ -1,5 +1,5 @@
 """Physical parameters, grids, field containers and structural diagnostics,
-and the species plan the march and the surface step derive from the species.
+and the grouping of species into runs that the march and surface operators use.
 
 The simulated system lives on the unit cylinder reduced by symmetry to
 ``(r, z) in [0,1) x (0,1)`` with the reacting surface at ``r = 1``.  Every
@@ -9,11 +9,10 @@ temperature is carried as the last "species" with the same equation shape.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,55 +39,26 @@ class SpeciesParams:
     delta: int
 
 
-@dataclass(frozen=True)
-class SpeciesPlan:
-    """What the march and the surface step derive from the species alone.
+def consecutive_runs(values: Iterable) -> tuple[tuple[object, slice], ...]:
+    """Maximal runs of consecutive equal values, each a ``(value, slice)``.
 
-    ``beta_groups`` and ``theta_groups`` split the species' beta_f and
-    theta_s into maximal runs of consecutive equal values, each a
-    ``(value, slice of species)``, so every group indexes a view; species
-    with an equal value that are not consecutive fall in separate runs.
-    ``neg_gamma``, ``delta`` and ``theta`` are the (ns, 1) coefficient
-    columns of the surface right-hand side and ``beta`` the (ns, 1) divisor
-    of the integral flux form.
+    The march and the surface step group species this way, so every group
+    indexes a view; equal values that are not consecutive fall in separate
+    runs.
     """
+    out, start = [], 0
+    for value, run in itertools.groupby(values):
+        stop = start + len(list(run))
+        out.append((value, slice(start, stop)))
+        start = stop
+    return tuple(out)
 
-    beta_groups: tuple[tuple[float, slice], ...]
-    theta_groups: tuple[tuple[float, slice], ...]
-    neg_gamma: np.ndarray
-    delta: np.ndarray
-    theta: np.ndarray
-    beta: np.ndarray
 
-
-@functools.lru_cache(maxsize=32)
-def species_plan(params: tuple[SpeciesParams, ...]) -> SpeciesPlan:
-    """The plan of one species tuple, built once per process, arrays read-only.
-
-    Callers holding a list pass ``tuple(params)``.
-    """
-
-    def runs(values) -> tuple[tuple[float, slice], ...]:
-        out, start = [], 0
-        for value, run in itertools.groupby(values):
-            stop = start + len(list(run))
-            out.append((value, slice(start, stop)))
-            start = stop
-        return tuple(out)
-
-    def column(values) -> np.ndarray:
-        col = np.array(values, dtype=float).reshape(-1, 1)
-        col.flags.writeable = False
-        return col
-
-    return SpeciesPlan(
-        beta_groups=runs(s.beta_f for s in params),
-        theta_groups=runs(s.theta_s for s in params),
-        neg_gamma=column([-s.gamma_s for s in params]),
-        delta=column([s.delta for s in params]),
-        theta=column([s.theta_s for s in params]),
-        beta=column([s.beta_f for s in params]),
-    )
+def read_only_column(values: Sequence[float]) -> np.ndarray:
+    """The values as a read-only (n, 1) float column, one row per species."""
+    col = np.array(values, dtype=float).reshape(-1, 1)
+    col.flags.writeable = False
+    return col
 
 
 @dataclass(frozen=True)

@@ -8,23 +8,24 @@ closed with mirrored ghost nodes, which keeps the trapezoid mass integral
 exact for flux-free, reaction-free steps.  The update is computed in
 increment form so fixed points are preserved bitwise.
 
-The tridiagonal LU factor depends only on (nn, dt, theta), so it is built
-once per process for each such triple and every step reuses it; each solve
-is one direct LAPACK ``dgttrs`` call on that factor.  The -gamma, delta and
-theta columns and the runs of consecutive species sharing a theta come from
-the cached species plan (``model.species_plan``), derived once per species
-tuple; each run is solved in place in its rows of the fresh right-hand side.
+``surface_operator`` builds what the steps of a run reuse once, from the
+species, the node count and dt: the -gamma, delta and theta columns and,
+for each run of consecutive species sharing a theta, the tridiagonal LU
+factor of the implicit diffusion.  Each solve is one direct LAPACK
+``dgttrs`` call on that factor, in place in the run's rows of the fresh
+right-hand side.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Sequence
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .model import SpeciesParams, species_plan
+from .model import SpeciesParams, consecutive_runs, read_only_column
 
 
 def _mirrored_second_difference(values: np.ndarray, dz: float) -> np.ndarray:
@@ -38,27 +39,43 @@ def _mirrored_second_difference(values: np.ndarray, dz: float) -> np.ndarray:
 
 
 def surface_rhs(
-    wall: np.ndarray,
-    flux: np.ndarray,
-    rates: np.ndarray,
-    params: Sequence[SpeciesParams],
+    wall: np.ndarray, flux: np.ndarray, rates: np.ndarray, op: SurfaceOperator
 ) -> np.ndarray:
     """Right-hand side -gamma_is flux + delta_i rate + theta_is d2C/dz2 per node.
 
-    wall, flux and rates share the layout (ns, nz+1); the second difference
-    uses the mirrored zero-flux ends of the step.
+    wall, flux and rates share the layout (ns, nz+1) that ``op`` was built
+    for; the second difference uses the mirrored zero-flux ends of the step.
     """
-    plan = species_plan(tuple(params))
-    dz = 1.0 / (wall.shape[1] - 1)
+    layout = (len(op.theta), op.nn)
+    if not wall.shape == flux.shape == rates.shape == layout:
+        raise ValueError(f"wall, flux and rates must have the surface operator's layout {layout}")
+    dz = 1.0 / (op.nn - 1)
     return (
-        plan.neg_gamma * flux
-        + plan.delta * rates
-        + plan.theta * _mirrored_second_difference(wall, dz)
+        op.neg_gamma * flux
+        + op.delta * rates
+        + op.theta * _mirrored_second_difference(wall, dz)
     )
 
 
-@functools.lru_cache(maxsize=32)
-def surface_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...]:
+@dataclass(frozen=True)
+class SurfaceOperator:
+    """What every surface step of one species tuple on nn nodes at one dt reuses.
+
+    ``neg_gamma``, ``delta`` and ``theta`` are the (ns, 1) columns of
+    ``surface_rhs``.  ``groups`` holds each run of consecutive species with
+    equal theta_s as ``(slice, factor)``, the factor that of I - dt theta D2,
+    or None for theta = 0.  Built by ``surface_operator``, arrays read-only.
+    """
+
+    nn: int
+    dt: float
+    neg_gamma: np.ndarray
+    delta: np.ndarray
+    theta: np.ndarray
+    groups: tuple[tuple[slice, Optional[tuple[np.ndarray, ...]]], ...]
+
+
+def _diffusion_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...]:
     """LU factor (dl, d, du, du2, ipiv) of I - dt theta D2 on nn nodes, read-only.
 
     D2 is the mirrored-ghost second difference, so the first superdiagonal
@@ -76,34 +93,49 @@ def surface_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...]:
     return tuple(factor)
 
 
+def surface_operator(params: Sequence[SpeciesParams], nn: int, dt: float) -> SurfaceOperator:
+    """The surface operator of the species on nn nodes with time step dt.
+
+    Raises ValueError for a dt that is not finite and > 0, or a theta_s that
+    is not finite and >= 0 (NaN included).
+    """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt = {dt} must be finite and > 0")
+    for s in params:
+        if not 0.0 <= s.theta_s < math.inf:
+            raise ValueError(f"species.{s.name}.theta_s = {s.theta_s} must be finite and >= 0")
+    thetas = [s.theta_s for s in params]
+    return SurfaceOperator(
+        nn=nn,
+        dt=dt,
+        neg_gamma=read_only_column([-s.gamma_s for s in params]),
+        delta=read_only_column([s.delta for s in params]),
+        theta=read_only_column(thetas),
+        groups=tuple(
+            (rows, None if theta == 0.0 else _diffusion_factor(nn, dt, theta))
+            for theta, rows in consecutive_runs(thetas)
+        ),
+    )
+
+
 def step_wall(
-    prev: np.ndarray,
-    flux: np.ndarray,
-    rates: np.ndarray,
-    dt: float,
-    params: Sequence[SpeciesParams],
+    prev: np.ndarray, flux: np.ndarray, rates: np.ndarray, op: SurfaceOperator
 ) -> np.ndarray:
-    """The wall one dt after ``prev``, all of layout (ns, nz+1).
+    """The wall op.dt after ``prev``, all of the layout (ns, nz+1) ``op`` was built for.
 
     flux is dC_if/dr(1, z) per node and rates are the channel rates with the
     sign not yet applied, as for ``surface_rhs``.
     """
-    ns, nn = prev.shape
-    if flux.shape != (ns, nn) or rates.shape != (ns, nn):
-        raise ValueError("flux/rates must match the wall layout")
-    if not dt > 0.0:
-        raise ValueError(f"dt = {dt} must be positive")
-
-    rhs = dt * surface_rhs(prev, flux, rates, params)
+    rhs = op.dt * surface_rhs(prev, flux, rates, op)
 
     # a run of species sharing one diffusivity shares one matrix (multi-RHS
     # solve).  rhs is fresh and C-ordered, so the transpose of a run of its
     # rows is the Fortran-ordered (nn, g) view dgttrs overwrites with the
     # increment; theta = 0 rows keep rhs as their increment.
-    for theta, rows in species_plan(tuple(params)).theta_groups:
-        if theta == 0.0:
+    for rows, factor in op.groups:
+        if factor is None:
             continue
-        _, info = dgttrs(*surface_factor(nn, dt, theta), rhs[rows].T, overwrite_b=1)
+        _, info = dgttrs(*factor, rhs[rows].T, overwrite_b=1)
         if info:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrs")
 

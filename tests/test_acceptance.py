@@ -35,11 +35,11 @@ from graetzcat.cli_io import (
     parse_config,
 )
 from graetzcat.coupler import CouplerSettings, CouplingState, advance_step, run_simulation
-from graetzcat.fluid_march import march_fluid
+from graetzcat.fluid_march import march_fluid, march_operator, wall_flux_gradient
 from graetzcat.kinetics import KineticsModel, eval_rates, verify_hypotheses
 from graetzcat.model import Grid, InitialData, SpeciesParams
 from graetzcat.qualcheck import CHECK_TOL
-from graetzcat.wall_evolve import step_wall
+from graetzcat.wall_evolve import step_wall, surface_operator
 
 from conftest import SCENARIO_CFG, constant_config
 
@@ -69,7 +69,7 @@ def test_c02_discrete_maximum_principle():
         inlet = rng.uniform(0.3, 0.7, (1, nr + 1))
         wallv = rng.uniform(0.3, 0.7, (1, nz + 1))
         params = (SpeciesParams("s", float(rng.uniform(0.2, 3.0)), 1.0, 1.0, -1),)
-        field = march_fluid(wallv, InitialData(inlet, wallv), params, grid)
+        field = march_fluid(wallv, InitialData(inlet, wallv), march_operator(params, grid))
         data_lo = min(inlet.min(), wallv.min())
         data_hi = max(inlet.max(), wallv.max())
         worst = max(worst, data_lo - field.values.min(), field.values.max() - data_hi)
@@ -125,8 +125,9 @@ def test_c05_heat_eigenmode_and_mass():
     trap[0] = trap[-1] = 0.5 / nz
     mass0 = float(wall[0] @ trap)
     worst_mass = 0.0
+    op = surface_operator(params, nz + 1, dt)
     for _ in range(steps):
-        wall = step_wall(wall, zero, zero, dt, params)
+        wall = step_wall(wall, zero, zero, op)
         worst_mass = max(worst_mass, abs(float(wall[0] @ trap) - mass0))
     amp = float(wall[0, 0])
     amp_err = abs(amp - math.exp(-math.pi**2 * 0.1))
@@ -158,24 +159,18 @@ def test_c07_uniqueness_probe(scenario):
     cfg, settings = scenario
     text = SCENARIO_CFG.read_text().replace("t_end = 60", "t_end = 2")
     cfg, settings = parse_config(text, SCENARIO_CFG.parent)
+    march_op = march_operator(cfg.species, cfg.grid)
+    surface_op = surface_operator(cfg.species, cfg.grid.nz + 1, cfg.grid.dt)
+    step_args = (march_op, surface_op, cfg.kinetics, cfg.grid)
     wall = cfg.initial.wall_init.copy()
-    state = CouplingState(0.0, wall, march_fluid(wall, cfg.initial, cfg.species, cfg.grid), ())
+    state = CouplingState(0.0, wall, march_fluid(wall, cfg.initial, march_op), ())
     rng = np.random.default_rng(7)
     worst = 0.0
     for k in range(1, 101):
-        base = advance_step(
-            state, cfg.initial, settings, cfg.species, cfg.kinetics, cfg.grid, step_index=k
-        )
+        base = advance_step(state, cfg.initial, settings, *step_args, step_index=k)
         guess = state.wall + rng.uniform(-0.5, 0.5, state.wall.shape)
         probed = advance_step(
-            state,
-            cfg.initial,
-            settings,
-            cfg.species,
-            cfg.kinetics,
-            cfg.grid,
-            initial_guess=guess,
-            step_index=k,
+            state, cfg.initial, settings, *step_args, initial_guess=guess, step_index=k
         )
         worst = max(worst, float(np.max(np.abs(base.wall - probed.wall))))
         state = base
@@ -250,6 +245,67 @@ def test_c09_qualitative_trends(scenario_run):
         ok,
         f"CO down={co_down} O2 down={o2_down} CO2 up={co2_up} T up={t_up} "
         f"settled at t={report.reaction_ended:.1f} terminal CO={terminal_co:.6f}",
+    )
+
+
+def test_c09b_final_wall_is_the_discrete_steady_state(scenario_run):
+    # A settled run stops where the surface right-hand side vanishes.  The
+    # marched wall gradient is affine in the wall, flux(w) = f0 + G w, so the
+    # final wall must be the root w* of
+    #   F(w) = -gamma (f0 + G w) + delta r(w) + theta D2 w.
+    # G is built column by column from unit-wall marches through march_fluid
+    # (every species at once), D2 and the coefficients from the species, not
+    # from the surface operator; Newton with a finite-difference Jacobian
+    # finds w* from the initial wall.
+    cfg, settings, _, traj, _ = scenario_run
+    assert settings.flux_form == "gradient"
+    grid, species = cfg.grid, cfg.species
+    ns, nn = len(species), grid.nz + 1
+    op = march_operator(species, grid)
+
+    def flux(wall, inlet):
+        return wall_flux_gradient(march_fluid(wall, InitialData(inlet, wall), op), grid)
+
+    f0 = flux(np.zeros((ns, nn)), cfg.initial.inlet)
+    g = np.empty((ns, nn, nn))
+    for j in range(nn):
+        unit = np.zeros((ns, nn))
+        unit[:, j] = 1.0
+        g[:, :, j] = flux(unit, np.zeros_like(cfg.initial.inlet))
+    d2 = (np.eye(nn, k=1) + np.eye(nn, k=-1) - 2.0 * np.eye(nn)) * grid.nz**2
+    d2[0, 1] = d2[-1, -2] = 2.0 * grid.nz**2  # mirrored ghost nodes
+    gamma, delta, theta = (
+        np.array([[getattr(s, key)] for s in species], dtype=float)
+        for key in ("gamma_s", "delta", "theta_s")
+    )
+
+    def residual(w):
+        rates = eval_rates(cfg.kinetics, w.T).T
+        return -gamma * (f0 + np.einsum("ijk,ik->ij", g, w)) + delta * rates + theta * (w @ d2.T)
+
+    w = cfg.initial.wall_init.copy()
+    steps = []
+    for _ in range(8):
+        r = residual(w).ravel()
+        h = 1e-7 * np.maximum(1.0, np.abs(w.ravel()))
+        jac = np.empty((r.size, r.size))
+        for k in range(r.size):
+            e = np.zeros(r.size)
+            e[k] = h[k]
+            jac[:, k] = (residual(w + e.reshape(ns, nn)).ravel() - r) / h[k]
+        step = np.linalg.solve(jac, r).reshape(ns, nn)
+        w = w - step
+        steps.append(float((np.abs(step).max(axis=1) / np.abs(w).max(axis=1)).max()))
+        if steps[-1] < 1e-13:
+            break
+    scale = np.abs(w).max(axis=1)
+    rel = np.abs(traj[-1].wall - w).max(axis=1) / scale
+    ok = steps[-1] < 1e-13 and bool(np.all(rel <= 1e-12))
+    verdict(
+        "09b discrete-steady-state",
+        ok,
+        f"Newton steps={len(steps)} last relative step={steps[-1]:.1e} "
+        f"final wall vs root, relative per species={[f'{v:.1e}' for v in rel]}",
     )
 
 

@@ -8,17 +8,28 @@ from graetzcat.coupler import (
     advance_step,
     run_simulation,
 )
-from graetzcat.fluid_march import march_fluid
+from graetzcat.fluid_march import march_fluid, march_operator
 from graetzcat.kinetics import zero_model
 from graetzcat.model import Grid, InitialData, ModelConfig, SpeciesParams
+from graetzcat.wall_evolve import surface_operator
 
 from conftest import constant_config
 
 
+def operators(cfg):
+    grid = cfg.grid
+    return march_operator(cfg.species, grid), surface_operator(cfg.species, grid.nz + 1, grid.dt)
+
+
 def initial_state(cfg):
     wall = cfg.initial.wall_init.copy()
-    fluid = march_fluid(wall, cfg.initial, cfg.species, cfg.grid)
+    fluid = march_fluid(wall, cfg.initial, operators(cfg)[0])
     return CouplingState(0.0, wall, fluid, ())
+
+
+def advance(state, cfg, settings, **kwargs):
+    """advance_step on operators built for cfg's species and grid."""
+    return advance_step(state, cfg.initial, settings, *operators(cfg), cfg.kinetics, cfg.grid, **kwargs)
 
 
 def short_scenario(scenario, t_end):
@@ -35,7 +46,7 @@ class TestAdvanceStep:
         cfg = constant_config()
         settings = CouplerSettings()
         state = initial_state(cfg)
-        new = advance_step(state, cfg.initial, settings, cfg.species, cfg.kinetics, cfg.grid)
+        new = advance(state, cfg, settings)
         assert new.iterations_last_step == 1
         assert new.residual_history == (0.0,)
         assert np.array_equal(new.wall, state.wall)
@@ -46,15 +57,13 @@ class TestAdvanceStep:
         cfg, settings = scenario
         state = initial_state(cfg)
         for k in range(3):
-            state = advance_step(
-                state, cfg.initial, settings, cfg.species, cfg.kinetics, cfg.grid
-            )
+            state = advance(state, cfg, settings)
             assert np.array_equal(state.fluid.values[:, -1, :], state.wall)
 
     def test_residuals_shrink_geometrically(self, scenario):
         cfg, settings = scenario
         state = initial_state(cfg)
-        state = advance_step(state, cfg.initial, settings, cfg.species, cfg.kinetics, cfg.grid)
+        state = advance(state, cfg, settings)
         r = state.residual_history
         assert len(r) >= 3
         for m in range(2, len(r)):
@@ -63,18 +72,10 @@ class TestAdvanceStep:
     def test_initial_guess_does_not_change_the_answer(self, scenario):
         cfg, settings = scenario
         state = initial_state(cfg)
-        a = advance_step(state, cfg.initial, settings, cfg.species, cfg.kinetics, cfg.grid)
+        a = advance(state, cfg, settings)
         rng = np.random.default_rng(8)
         guess = state.wall + rng.uniform(-0.3, 0.3, state.wall.shape)
-        b = advance_step(
-            state,
-            cfg.initial,
-            settings,
-            cfg.species,
-            cfg.kinetics,
-            cfg.grid,
-            initial_guess=guess,
-        )
+        b = advance(state, cfg, settings, initial_guess=guess)
         assert np.max(np.abs(a.wall - b.wall)) < 10.0 * settings.tol
 
     def test_non_converged_carries_history(self, scenario):
@@ -82,9 +83,7 @@ class TestAdvanceStep:
         settings = CouplerSettings(tol=1e-10, max_iter=2)
         state = initial_state(cfg)
         with pytest.raises(NonConvergedError) as exc:
-            advance_step(
-                state, cfg.initial, settings, cfg.species, cfg.kinetics, cfg.grid, step_index=1
-            )
+            advance(state, cfg, settings, step_index=1)
         assert len(exc.value.residuals) == 2
         assert exc.value.step_index == 1
 
@@ -92,26 +91,40 @@ class TestAdvanceStep:
         cfg = constant_config(nr=8, nz=8, dt=0.05, t_end=0.05)
         guess = np.full_like(cfg.initial.wall_init, np.nan)
         with pytest.raises(NonConvergedError) as exc:
-            advance_step(
-                initial_state(cfg),
-                cfg.initial,
-                CouplerSettings(),
-                cfg.species,
-                cfg.kinetics,
-                cfg.grid,
-                initial_guess=guess,
-            )
+            advance(initial_state(cfg), cfg, CouplerSettings(), initial_guess=guess)
         assert len(exc.value.residuals) == 1
 
     def test_relaxation_converges_to_same_fixed_point(self, scenario):
         cfg, settings = scenario
         state = initial_state(cfg)
-        a = advance_step(state, cfg.initial, settings, cfg.species, cfg.kinetics, cfg.grid)
+        a = advance(state, cfg, settings)
         damped = CouplerSettings(
             tol=settings.tol, max_iter=200, flux_form=settings.flux_form, relaxation=0.6
         )
-        b = advance_step(state, cfg.initial, damped, cfg.species, cfg.kinetics, cfg.grid)
+        b = advance(state, cfg, damped)
         assert np.max(np.abs(a.wall - b.wall)) < 20.0 * settings.tol
+
+    def test_hot_path_makes_no_species_lookups(self, monkeypatch):
+        # the operators are built once and handed down: a step neither
+        # hashes nor compares the species (a per-call cache lookup would)
+        cfg = constant_config(nr=8, nz=8, dt=0.05, t_end=0.15)
+        march_op, surface_op = operators(cfg)
+        state = initial_state(cfg)
+        calls = []
+        real_hash, real_eq = SpeciesParams.__hash__, SpeciesParams.__eq__
+        monkeypatch.setattr(SpeciesParams, "__hash__", lambda s: calls.append(s) or real_hash(s))
+        monkeypatch.setattr(
+            SpeciesParams, "__eq__", lambda s, o: calls.append(s) or real_eq(s, o)
+        )
+        assert hash(cfg.species[0]) == real_hash(cfg.species[0]) and calls  # the patch holds
+        del calls[:]
+        for k in range(1, 4):
+            state = advance_step(
+                state, cfg.initial, CouplerSettings(), march_op, surface_op, cfg.kinetics,
+                cfg.grid, step_index=k,
+            )
+        assert state.time == 3 * cfg.grid.dt
+        assert calls == []
 
     def test_flux_form_robustness_under_refinement(self):
         # coupled one-step difference between the two flux forms shrinks
@@ -129,9 +142,7 @@ class TestAdvanceStep:
             walls = {}
             for form in ("gradient", "integral"):
                 s = CouplerSettings(flux_form=form)
-                walls[form] = advance_step(
-                    state, cfg.initial, s, cfg.species, cfg.kinetics, cfg.grid
-                ).wall
+                walls[form] = advance(state, cfg, s).wall
             diffs.append(float(np.max(np.abs(walls["gradient"] - walls["integral"]))))
         assert diffs[1] < 0.62 * diffs[0]
 

@@ -11,10 +11,11 @@ from graetzcat.fluid_march import (
     BLOCK,
     BLOCK_MAX_NR,
     FLUSH,
+    MarchOperator,
     RadialOperator,
     impulse_block,
     march_fluid,
-    radial_operator,
+    march_operator,
     wall_flux_gradient,
     wall_flux_integral,
 )
@@ -25,13 +26,17 @@ def single(beta=1.0):
     return (SpeciesParams("c", beta, 1.0, 1.0, -1),)
 
 
+def unit_grid(nr, nz):
+    return Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
+
+
 def graetz(nr, nz, inlet=None, wall=None, beta=1.0):
-    grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
+    grid = unit_grid(nr, nz)
     if inlet is None:
         inlet = np.ones((1, nr + 1))
     if wall is None:
         wall = np.zeros((1, nz + 1))
-    field = march_fluid(wall, InitialData(inlet, wall.copy()), single(beta), grid)
+    field = march_fluid(wall, InitialData(inlet, wall.copy()), march_operator(single(beta), grid))
     return grid, field
 
 
@@ -99,9 +104,12 @@ def extended_march(wall, inlet, beta, grid):
     return values
 
 
+def species_of(betas):
+    return tuple(SpeciesParams(f"s{i}", b, 1.0, 1.0, -1) for i, b in enumerate(betas))
+
+
 def march(betas, grid, inlet, wall):
-    params = tuple(SpeciesParams(f"s{i}", b, 1.0, 1.0, -1) for i, b in enumerate(betas))
-    return march_fluid(wall, InitialData(inlet, wall.copy()), params, grid)
+    return march_fluid(wall, InitialData(inlet, wall.copy()), march_operator(species_of(betas), grid))
 
 
 def station_march(betas, grid, inlet, wall):
@@ -116,7 +124,7 @@ def station_march(betas, grid, inlet, wall):
     for beta in dict.fromkeys(betas):
         idx = [i for i, b in enumerate(betas) if b == beta]
         group = values[idx]
-        fluid_march._march_stations(group, wall[idx], radial_operator(nr, nz, beta))
+        fluid_march._march_stations(group, wall[idx], RadialOperator.build(grid, beta))
         values[idx] = group
     values[:, nr, :] = wall
     return values
@@ -148,8 +156,15 @@ class TestRadialOperator:
         assert op.ab[0, 1] == pytest.approx(-2.0 / 2.0)
 
     def test_rejects_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            RadialOperator.build(Grid(nr=8, nz=8, dt=1.0, t_end=1.0), 0.0)
+        for beta in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                RadialOperator.build(Grid(nr=8, nz=8, dt=1.0, t_end=1.0), beta)
+
+    def test_arrays_are_read_only(self):
+        op = RadialOperator.build(Grid(nr=10, nz=8, dt=1.0, t_end=1.0), 1.0)
+        for name in ("face_r", "ab", "d", "e"):
+            with pytest.raises(ValueError):
+                getattr(op, name)[0] = 1.0
 
 
 class TestMarchFluid:
@@ -159,7 +174,7 @@ class TestMarchFluid:
         c = np.array([0.37, 500.0])
         params = (SpeciesParams("a", 1.0, 1, 1, -1), SpeciesParams("b", 2.5, 1, 1, 1))
         init = InitialData(np.tile(c[:, None], (1, nr + 1)), np.tile(c[:, None], (1, nz + 1)))
-        field = march_fluid(init.wall_init, init, params, grid)
+        field = march_fluid(init.wall_init, init, march_operator(params, grid))
         assert np.array_equal(field.values, np.tile(c[:, None, None], (1, nr + 1, nz + 1)))
 
     def test_trace_and_inlet_are_bitwise(self):
@@ -168,7 +183,7 @@ class TestMarchFluid:
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         inlet = rng.uniform(0.0, 1.0, (1, nr + 1))
         wall = rng.uniform(0.0, 1.0, (1, nz + 1))
-        field = march_fluid(wall, InitialData(inlet, wall.copy()), single(), grid)
+        field = march_fluid(wall, InitialData(inlet, wall.copy()), march_operator(single(), grid))
         assert np.array_equal(field.values[:, nr, :], wall)
         # the inlet column is exact away from the corner, which the trace owns
         assert np.array_equal(field.values[:, :nr, 0], inlet[:, :nr])
@@ -200,15 +215,9 @@ class TestMarchFluid:
                 grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
                 inlet = rng.uniform(0.0, 1.0, (g, nr + 1))
                 wall = rng.uniform(0.0, 1.0, (g, nz + 1))
-                params = tuple(SpeciesParams(f"s{i}", 1.7, 1, 1, -1) for i in range(g))
-                batched = march_fluid(wall, InitialData(inlet, wall.copy()), params, grid)
+                batched = march((1.7,) * g, grid, inlet, wall)
                 for i in range(g):
-                    solo = march_fluid(
-                        wall[i : i + 1],
-                        InitialData(inlet[i : i + 1], wall[i : i + 1].copy()),
-                        params[i : i + 1],
-                        grid,
-                    )
+                    solo = march((1.7,), grid, inlet[i : i + 1], wall[i : i + 1])
                     assert np.array_equal(batched.values[i], solo.values[0]), (nz, g, i)
 
     @pytest.mark.parametrize(
@@ -288,7 +297,7 @@ class TestMarchFluid:
         assert qt.shape == (nr + BLOCK, BLOCK * nr)
         assert not qt.flags.writeable
         assert np.all(qt >= 0.0)
-        op = radial_operator(nr, nz, beta)  # BLOCK stations at the nz grid's dz
+        op = RadialOperator.build(unit_grid(nr, nz), beta)  # BLOCK stations at the nz grid's dz
         for i in range(nr):  # a unit deviation at node i under a zero wall
             values = np.zeros((1, nr + 1, BLOCK + 1))
             values[0, i, 0] = 1.0
@@ -302,26 +311,28 @@ class TestMarchFluid:
         # causal: a drop into station m + 1 leaves the stations before it at 0
         assert np.all(qt[nr:].reshape(BLOCK, BLOCK, nr)[np.tril_indices(BLOCK, -1)] == 0.0)
 
-    def test_factor_is_built_once_per_grid_and_beta(self):
-        nr, nz, beta = 12, 20, 1.2345
-        rng = np.random.default_rng(4)
-        inlet, wall = rng.uniform(0.0, 1.0, (1, nr + 1)), rng.uniform(0.0, 1.0, (1, nz + 1))
-        misses = radial_operator.cache_info().misses
-        for dt in (0.1, 0.25):  # the operator does not depend on the time grid
-            march((beta,), Grid(nr=nr, nz=nz, dt=dt, t_end=1.0), inlet, wall)
-        assert radial_operator.cache_info().misses == misses + 1
-        op = radial_operator(nr, nz, beta)
-        assert op is radial_operator(nr, nz, beta)
-        fresh = RadialOperator.build(Grid(nr=nr, nz=nz, dt=0.5, t_end=1.0), beta)
+    def test_factor_is_built_once_per_grid_and_beta(self, monkeypatch):
+        # betas 1.2, 1.2, 3.4: one kernel per run, whatever the time grid
+        params = species_of((1.2, 1.2, 3.4))
+        factored = []
+        dpttrf = fluid_march.dpttrf
+        monkeypatch.setattr(fluid_march, "dpttrf", lambda *a: factored.append(a) or dpttrf(*a))
+        nr = BLOCK_MAX_NR + 1  # the station path: each run holds its own factor
+        op = march_operator(params, Grid(nr=nr, nz=20, dt=0.1, t_end=1.0))
+        assert len(factored) == 2
+        fresh = RadialOperator.build(Grid(nr=nr, nz=20, dt=0.25, t_end=2.0), 3.4)
+        (_, first), (_, last) = op.groups
+        assert isinstance(first, RadialOperator) and first.beta == 1.2
         for name in ("face_r", "ab", "d", "e"):
-            cached = getattr(op, name)
-            assert not cached.flags.writeable, name
-            assert np.array_equal(cached, getattr(fresh, name)), name
-        assert op.d.shape == (nr,) and op.e.shape == (nr - 1,)
-        with pytest.raises(ValueError):
-            op.d[0] = 1.0
-        with pytest.raises(ValueError):
-            op.e[0] = 1.0
+            assert np.array_equal(getattr(last, name), getattr(fresh, name)), name
+        assert last.d.shape == (nr,) and last.e.shape == (nr - 1,)
+        # the block path: each run's impulse block is the one kept for the
+        # process, built once per (nr, nz, beta)
+        nr, nz = 12, 20
+        for dt in (0.1, 0.25):
+            op = march_operator(params, Grid(nr=nr, nz=nz, dt=dt, t_end=1.0))
+            assert op.groups[0][1] is impulse_block(nr, nz, 1.2)
+            assert op.groups[1][1] is impulse_block(nr, nz, 3.4)
 
     def test_impulse_block_raises_on_a_negative_entry(self, monkeypatch):
         station = fluid_march._march_stations
@@ -342,14 +353,42 @@ class TestMarchFluid:
             impulse_block.__wrapped__(8, 8, 1.0)  # the block path's one LAPACK use, uncached
 
     def test_shape_mismatch_rejected(self):
-        grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
+        op = march_operator(single(), Grid(nr=8, nz=8, dt=1.0, t_end=1.0))
         with pytest.raises(ValueError):
-            march_fluid(
-                np.zeros((1, 5)),
-                InitialData(np.ones((1, 9)), np.zeros((1, 9))),
-                single(),
-                grid,
-            )
+            march_fluid(np.zeros((1, 5)), InitialData(np.ones((1, 9)), np.zeros((1, 9))), op)
+
+    def test_operator_of_another_grid_or_species_count_rejected(self):
+        grid = unit_grid(8, 8)
+        field = march((1.0,), grid, np.ones((1, 9)), np.zeros((1, 9)))
+        init = InitialData(np.ones((1, 9)), np.zeros((1, 9)))
+        for op in (
+            march_operator(single() * 2, grid),
+            march_operator(single(), unit_grid(8, 12)),
+            march_operator(single(), unit_grid(10, 8)),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                march_fluid(init.wall_init, init, op)
+            with pytest.raises(ValueError, match="shape"):
+                wall_flux_integral(field, grid, op)
+
+
+class TestMarchOperator:
+    @pytest.mark.parametrize("nr", [8, BLOCK_MAX_NR + 16])
+    @pytest.mark.parametrize("beta", [np.nan, 0.0, -1.0, np.inf])
+    def test_bad_beta_rejected(self, nr, beta):
+        # a NaN beta used to march to an all-NaN field on the station path,
+        # and to raise a misleading maximum-principle error on the block path
+        params = single() + (SpeciesParams("bad", beta, 1.0, 1.0, -1),)
+        with pytest.raises(ValueError, match="species.bad.beta_f"):
+            march_operator(params, unit_grid(nr, 8))
+
+    def test_kernels_follow_the_path(self):
+        params = species_of((0.5, 0.5, 2.0))
+        for nr, kind in ((BLOCK_MAX_NR, np.ndarray), (BLOCK_MAX_NR + 1, RadialOperator)):
+            op = march_operator(params, unit_grid(nr, 16))
+            assert isinstance(op, MarchOperator) and (op.nr, op.nz) == (nr, 16)
+            assert [rows for rows, _ in op.groups] == [slice(0, 2), slice(2, 3)]
+            assert all(isinstance(kernel, kind) for _, kernel in op.groups)
 
 
 GRID_SIZE = st.integers(min_value=4, max_value=24)
@@ -458,20 +497,21 @@ class TestWallFluxIntegral:
         nr, nz = 64, 16
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        flux = wall_flux_integral(FluidField(vals), grid, single())
+        flux = wall_flux_integral(FluidField(vals), grid, march_operator(single(), grid))
         assert np.allclose(flux, 0.25, atol=1e-4)  # int r(1-r^2) dr = 1/4
 
     def test_zero_for_constants(self):
         grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         vals = np.full((1, 9, 9), 1.7)
-        assert np.all(wall_flux_integral(FluidField(vals), grid, single()) == 0.0)
+        op = march_operator(single(), grid)
+        assert np.all(wall_flux_integral(FluidField(vals), grid, op) == 0.0)
 
     def test_beta_scaling(self):
         nr, nz = 32, 8
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        f1 = wall_flux_integral(FluidField(vals), grid, single(beta=1.0))
-        f2 = wall_flux_integral(FluidField(vals), grid, single(beta=2.0))
+        f1 = wall_flux_integral(FluidField(vals), grid, march_operator(single(beta=1.0), grid))
+        f2 = wall_flux_integral(FluidField(vals), grid, march_operator(single(beta=2.0), grid))
         assert np.allclose(f2, 0.5 * f1)
 
     def test_cross_method_consistency_on_resolved_window(self):
@@ -481,7 +521,7 @@ class TestWallFluxIntegral:
         for nr, nz in ((64, 128), (128, 256)):
             grid, field = graetz(nr, nz)
             g = wall_flux_gradient(field, grid)[0]
-            q = wall_flux_integral(field, grid, single())[0]
+            q = wall_flux_integral(field, grid, march_operator(single(), grid))[0]
             k0 = nz // 4
             d = (g - q)[k0:-1]
             gaps.append(float(np.sqrt(grid.dz * np.sum(d * d))))

@@ -4,18 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from graetzcat.coupler import Snapshot
-from graetzcat.fluid_march import march_fluid, wall_flux_integral
+from graetzcat import coupler
+from graetzcat.coupler import Snapshot, run_simulation
+from graetzcat.fluid_march import march_fluid, march_operator, wall_flux_integral
 from graetzcat.model import (
     Grid,
     InitialData,
     ModelConfig,
     SpeciesParams,
+    consecutive_runs,
     contraction_margin,
-    species_plan,
     validate_config,
 )
-from graetzcat.wall_evolve import step_wall, surface_rhs
+from graetzcat.wall_evolve import step_wall, surface_operator
 from graetzcat.qualcheck import energy_growth_report
 
 from conftest import constant_config
@@ -26,6 +27,9 @@ def species(name="x", beta=1.0, gamma=1.0, theta=1.0, delta=-1):
 
 
 class TestSpeciesPlan:
+    """What the march and surface operators derive from the species alone:
+    the runs of consecutive species they group and the coefficient columns."""
+
     # betas 1, 2, 1, 3: four runs, the equal betas of a and c apart; thetas
     # 0.5, 0, 0, 0.5: three runs, b and c one theta = 0 run
     MIXED = (
@@ -42,70 +46,107 @@ class TestSpeciesPlan:
         wall, flux, rates = rng.uniform(0.0, 1.0, (3, ns, nz + 1))
         return grid, InitialData(inlet, wall.copy()), wall, flux, rates
 
+    @staticmethod
+    def operators(params, grid):
+        return march_operator(params, grid), surface_operator(params, grid.nz + 1, grid.dt)
+
+    @staticmethod
+    def kernel_arrays(op):
+        """Every group's arrays: impulse blocks, or the arrays of LU factors."""
+        out = []
+        for _, kernel in op.groups:
+            if isinstance(kernel, np.ndarray):
+                out.append(kernel)
+            elif kernel is not None:
+                out.extend(kernel)
+        return out
+
     def test_groups_are_runs_of_consecutive_species(self):
-        plan = species_plan(self.MIXED)
-        assert plan.beta_groups == (
+        assert consecutive_runs([1.0, 2.0, 1.0, 3.0]) == (
             (1.0, slice(0, 1)), (2.0, slice(1, 2)), (1.0, slice(2, 3)), (3.0, slice(3, 4))
         )
-        assert plan.theta_groups == ((0.5, slice(0, 1)), (0.0, slice(1, 3)), (0.5, slice(3, 4)))
+        assert consecutive_runs([]) == ()
+        grid = self.inputs(4)[0]
+        march_op, surface_op = self.operators(self.MIXED, grid)
+        assert [rows for rows, _ in march_op.groups] == [slice(i, i + 1) for i in range(4)]
+        assert [rows for rows, _ in surface_op.groups] == [slice(0, 1), slice(1, 3), slice(3, 4)]
+        assert surface_op.groups[1][1] is None  # theta = 0: no factor
         # the split_beta benchmark workload's theta_s of CO, O2, CO2 and T
         thetas = (1.0, 1.2, 1.0, 1.5)
         split = tuple(species(n, theta=t) for n, t in zip("abcd", thetas))
-        plan = species_plan(split)
-        assert plan.theta_groups == tuple((t, slice(i, i + 1)) for i, t in enumerate(thetas))
-        assert plan.beta_groups == ((1.0, slice(0, 4)),)
+        march_op, surface_op = self.operators(split, grid)
+        assert [rows for rows, _ in march_op.groups] == [slice(0, 4)]
+        assert [rows for rows, _ in surface_op.groups] == [slice(i, i + 1) for i in range(4)]
         for p in (self.MIXED, split):
-            plan = species_plan(p)
-            assert all(type(rows) is slice for _, rows in plan.beta_groups + plan.theta_groups)
+            march_op, surface_op = self.operators(p, grid)
+            assert all(type(rows) is slice for rows, _ in march_op.groups + surface_op.groups)
 
     def test_plan_columns(self):
-        plan = species_plan(self.MIXED)
+        march_op, surface_op = self.operators(self.MIXED, self.inputs(4)[0])
+        assert surface_op.dt == 0.01 and surface_op.nn == 11
         for col, want in (
-            (plan.neg_gamma, [-1.0, -0.3, -1.7, -1.0]),
-            (plan.delta, [-1.0, 1.0, -1.0, 1.0]),
-            (plan.theta, [0.5, 0.0, 0.0, 0.5]),
-            (plan.beta, [1.0, 2.0, 1.0, 3.0]),
+            (surface_op.neg_gamma, [-1.0, -0.3, -1.7, -1.0]),
+            (surface_op.delta, [-1.0, 1.0, -1.0, 1.0]),
+            (surface_op.theta, [0.5, 0.0, 0.0, 0.5]),
+            (march_op.beta, [1.0, 2.0, 1.0, 3.0]),
         ):
             assert col.shape == (4, 1) and col.dtype == float
             assert np.array_equal(col[:, 0], want)
 
-    def test_caches_miss_once_per_species_tuple(self):
-        # values no other test uses, so the plan cache sees them first here
-        p = (species("u", beta=1.2345, theta=0.6789), species("v", beta=2.3456, theta=0.6789))
-        plan_misses = species_plan.cache_info().misses
-        grid, init, wall, flux, rates = self.inputs(2)
-        for params in (p, list(p), p):
-            field = march_fluid(wall, init, params, grid)
-            wall_flux_integral(field, grid, params)
-            surface_rhs(wall, flux, rates, params)
-            step_wall(wall, flux, rates, grid.dt, params)
-        assert species_plan.cache_info().misses == plan_misses + 1
-        assert species_plan(p) is species_plan(tuple(list(p)))
+    def test_a_run_builds_each_operator_once(self, monkeypatch):
+        built = {"march_operator": 0, "surface_operator": 0}
+        for name in built:
+            real = getattr(coupler, name)
+
+            def counted(*args, _real=real, _name=name):
+                built[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(coupler, name, counted)
+        run_simulation(constant_config(nr=8, nz=8, dt=0.05, t_end=0.25))
+        assert built == {"march_operator": 1, "surface_operator": 1}
 
     def test_arrays_are_read_only(self):
-        plan = species_plan(self.MIXED)
-        for arr in (plan.neg_gamma, plan.delta, plan.theta, plan.beta):
+        march_op, surface_op = self.operators(self.MIXED, self.inputs(4)[0])
+        arrays = [march_op.beta, surface_op.neg_gamma, surface_op.delta, surface_op.theta]
+        arrays += self.kernel_arrays(march_op) + self.kernel_arrays(surface_op)
+        assert len(arrays) == 4 + 4 + 2 * 5
+        for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_a_list_and_a_tuple_give_bitwise_the_same_march_and_step(self):
         grid, init, wall, flux, rates = self.inputs(4)
-        as_tuple, as_list = self.MIXED, list(self.MIXED)
-        field = march_fluid(wall, init, as_tuple, grid)
-        assert np.array_equal(field.values, march_fluid(wall, init, as_list, grid).values)
+        ops = self.operators(self.MIXED, grid)
+        from_list = self.operators(list(self.MIXED), grid)
+        for a, b in zip(ops, from_list):
+            assert type(a) is type(b)
+            for field in dataclasses.fields(a):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if field.name == "groups":
+                    assert [rows for rows, _ in x] == [rows for rows, _ in y]
+                    x, y = self.kernel_arrays(a), self.kernel_arrays(b)
+                    assert len(x) == len(y)
+                    assert all(np.array_equal(u, v) for u, v in zip(x, y))
+                else:
+                    assert np.array_equal(x, y), field.name
+        march_op, surface_op = ops
+        field = march_fluid(wall, init, march_op)
+        assert np.array_equal(field.values, march_fluid(wall, init, from_list[0]).values)
         assert np.array_equal(
-            wall_flux_integral(field, grid, as_tuple), wall_flux_integral(field, grid, as_list)
+            wall_flux_integral(field, grid, march_op), wall_flux_integral(field, grid, from_list[0])
         )
-        stepped = step_wall(wall, flux, rates, grid.dt, as_tuple)
-        assert np.array_equal(stepped, step_wall(wall, flux, rates, grid.dt, as_list))
+        stepped = step_wall(wall, flux, rates, surface_op)
+        assert np.array_equal(stepped, step_wall(wall, flux, rates, from_list[1]))
         # and each species is what it gives alone
         for i in range(4):
             one = slice(i, i + 1)
             init_i = InitialData(init.inlet[one], init.wall_init[one])
-            solo = march_fluid(wall[one], init_i, [self.MIXED[i]], grid)
+            solo_march, solo_surface = self.operators([self.MIXED[i]], grid)
+            solo = march_fluid(wall[one], init_i, solo_march)
             assert np.array_equal(field.values[i], solo.values[0])
-            alone = step_wall(wall[one], flux[one], rates[one], grid.dt, [self.MIXED[i]])
+            alone = step_wall(wall[one], flux[one], rates[one], solo_surface)
             assert np.array_equal(stepped[i], alone[0])
 
 

@@ -6,11 +6,16 @@ from scipy.linalg import solve_banded
 
 from graetzcat import wall_evolve
 from graetzcat.model import SpeciesParams
-from graetzcat.wall_evolve import step_wall, surface_factor, surface_rhs
+from graetzcat.wall_evolve import step_wall, surface_operator, surface_rhs
 
 
 def params(theta=1.0, gamma=1.0, delta=1, n=1):
     return tuple(SpeciesParams(f"s{i}", 1.0, gamma, theta, delta) for i in range(n))
+
+
+def step(prev, flux, rates, dt, p):
+    """One step_wall call on a surface operator built for this step alone."""
+    return step_wall(prev, flux, rates, surface_operator(p, prev.shape[1], dt))
 
 
 def zeros(ns, nn):
@@ -28,7 +33,7 @@ def reference_step(prev, flux, rates, dt, p):
     """The step as one scipy solve_banded call per diffusivity group."""
     nn = prev.shape[1]
     dz = 1.0 / (nn - 1)
-    rhs = dt * surface_rhs(prev, flux, rates, p)
+    rhs = dt * surface_rhs(prev, flux, rates, surface_operator(p, nn, dt))
     new = np.empty_like(prev)
     thetas = [s.theta_s for s in p]
     for theta in dict.fromkeys(thetas):
@@ -50,7 +55,7 @@ def reference_step(prev, flux, rates, dt, p):
 class TestStepWall:
     def test_constants_are_bitwise_fixed_points(self):
         wall = np.full((2, 33), 7.25)
-        out = step_wall(wall, zeros(2, 33), zeros(2, 33), 0.01, params(n=2))
+        out = step(wall, zeros(2, 33), zeros(2, 33), 0.01, params(n=2))
         assert np.array_equal(out, wall)
 
     def test_heat_eigenmode_decay(self):
@@ -58,9 +63,9 @@ class TestStepWall:
         z = np.linspace(0.0, 1.0, nz + 1)
         wall = np.cos(np.pi * z)[None, :]
         zero = zeros(1, nz + 1)
-        p = params(theta=1.0)
+        op = surface_operator(params(theta=1.0), nz + 1, dt)
         for _ in range(steps):
-            wall = step_wall(wall, zero, zero, dt, p)
+            wall = step_wall(wall, zero, zero, op)
         amp = float(wall[0, 0])
         assert amp == pytest.approx(np.exp(-np.pi**2 * 0.1), abs=2e-2)
         # and the fully discrete eigenvalue reproduces the step map exactly
@@ -68,29 +73,29 @@ class TestStepWall:
         assert amp == pytest.approx((1.0 + dt * sigma) ** (-steps), abs=1e-12)
 
     def test_pure_reaction_decay(self):
-        p = params(theta=0.0, delta=1)
+        op = surface_operator(params(theta=0.0, delta=1), 11, 0.01)
         wall = np.ones((1, 11))
         for _ in range(100):
-            wall = step_wall(wall, zeros(1, 11), -wall, 0.01, p)
+            wall = step_wall(wall, zeros(1, 11), -wall, op)
         assert wall[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-2)
 
     def test_mass_conservation_per_step(self):
         rng = np.random.default_rng(4)
         wall = rng.uniform(0.0, 5.0, (1, 65))
-        p = params(theta=0.7)
+        op = surface_operator(params(theta=0.7), 65, 0.01)
         for _ in range(50):
             before = trapz_z(wall)
-            wall = step_wall(wall, zeros(1, 65), zeros(1, 65), 0.01, p)
+            wall = step_wall(wall, zeros(1, 65), zeros(1, 65), op)
             after = trapz_z(wall)
             assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
 
     def test_comparison_principle(self):
         rng = np.random.default_rng(5)
         wall = rng.uniform(-2.0, 3.0, (1, 33))
-        p = params(theta=1.3)
+        op = surface_operator(params(theta=1.3), 33, 0.05)
         lo, hi = wall.min(), wall.max()
         for _ in range(20):
-            wall = step_wall(wall, zeros(1, 33), zeros(1, 33), 0.05, p)
+            wall = step_wall(wall, zeros(1, 33), zeros(1, 33), op)
             assert wall.min() >= lo - 1e-12
             assert wall.max() <= hi + 1e-12
             lo, hi = wall.min(), wall.max()
@@ -98,18 +103,18 @@ class TestStepWall:
     def test_affine_superposition(self):
         rng = np.random.default_rng(6)
         nn = 41
-        p = params(theta=0.9, gamma=2.0, delta=-1)
+        op = surface_operator(params(theta=0.9, gamma=2.0, delta=-1), nn, 0.02)
 
-        def step(w, f, r):
-            return step_wall(w, f, r, 0.02, p)
+        def affine(w, f, r):
+            return step_wall(w, f, r, op)
 
         w1, w2 = rng.standard_normal((2, 1, nn))
         f1, f2 = rng.standard_normal((2, 1, nn))
         r1, r2 = rng.standard_normal((2, 1, nn))
-        combined = step(w1 + w2, f1 + f2, r1 + r2)
+        combined = affine(w1 + w2, f1 + f2, r1 + r2)
         # affine in (wall, flux, rates): the homogeneous parts superpose
-        zero = step(zeros(1, nn), zeros(1, nn), zeros(1, nn))
-        split = step(w1, f1, r1) + step(w2, f2, r2) - zero
+        zero = affine(zeros(1, nn), zeros(1, nn), zeros(1, nn))
+        split = affine(w1, f1, r1) + affine(w2, f2, r2) - zero
         assert np.allclose(combined, split, atol=1e-12)
 
     def test_flux_sign_and_gamma(self):
@@ -117,7 +122,7 @@ class TestStepWall:
         p = (SpeciesParams("s", 1.0, 3.0, 0.0, 1),)
         wall = np.full((1, 9), 2.0)
         flux = np.full((1, 9), 0.5)
-        out = step_wall(wall, flux, zeros(1, 9), 0.1, p)
+        out = step(wall, flux, zeros(1, 9), 0.1, p)
         assert np.allclose(out, 2.0 - 0.1 * 3.0 * 0.5)
 
     def test_matches_reference_step_bitwise(self):
@@ -134,37 +139,62 @@ class TestStepWall:
             dt = float(10.0 ** rng.uniform(-5, 0))
             inp = (wall, flux, rates, dt, p)
             copies = [a.copy() for a in (wall, flux, rates)]
-            assert np.array_equal(step_wall(*inp), reference_step(*inp)), (nn, ns, dt)
+            assert np.array_equal(step(*inp), reference_step(*inp)), (nn, ns, dt)
             # the step solves in its own right-hand side, never in its inputs
             for a, before in zip((wall, flux, rates), copies):
                 assert np.array_equal(a, before)
 
-    def test_factor_is_built_once_per_grid_step_and_diffusivity(self):
-        nn, dt, theta = 23, 0.0123, 0.789
-        p = params(theta=theta, n=3)
-        misses = surface_factor.cache_info().misses
+    def test_factor_is_built_once_per_grid_step_and_diffusivity(self, monkeypatch):
+        # thetas 0.789, 0.789, 0, 0.5: two factored runs and one theta = 0 run
+        nn, dt = 23, 0.0123
+        p = params(theta=0.789, n=2) + (
+            SpeciesParams("c", 1.0, 1.0, 0.0, 1), SpeciesParams("d", 1.0, 1.0, 0.5, 1)
+        )
+        factored = []
+        dgttrf = wall_evolve.dgttrf
+        monkeypatch.setattr(wall_evolve, "dgttrf", lambda *a: factored.append(a) or dgttrf(*a))
+        op = surface_operator(p, nn, dt)
         for seed in range(4):
-            wall, flux, rates = np.random.default_rng(seed).standard_normal((3, 3, nn))
-            step_wall(wall, flux, rates, dt, p)
-        assert surface_factor.cache_info().misses == misses + 1
-        factor = surface_factor(nn, dt, theta)
-        assert factor is surface_factor(nn, dt, theta)
-        assert all(not arr.flags.writeable for arr in factor)
-        with pytest.raises(ValueError):
-            factor[1][0] = 1.0
+            wall, flux, rates = np.random.default_rng(seed).standard_normal((3, 4, nn))
+            step_wall(wall, flux, rates, op)
+        assert len(factored) == 2
+        assert [rows for rows, _ in op.groups] == [slice(0, 2), slice(2, 3), slice(3, 4)]
+        assert op.groups[1][1] is None
+        for _, factor in (op.groups[0], op.groups[2]):
+            assert len(factor) == 5 and all(not arr.flags.writeable for arr in factor)
+            with pytest.raises(ValueError):
+                factor[1][0] = 1.0
 
     def test_lapack_error_raises(self, monkeypatch):
         monkeypatch.setattr(wall_evolve, "dgttrs", lambda *args, overwrite_b: (args[-1], -6))
         with pytest.raises(ValueError, match="argument 6"):
-            step_wall(np.ones((1, 9)), zeros(1, 9), zeros(1, 9), 0.1, params())
+            step(np.ones((1, 9)), zeros(1, 9), zeros(1, 9), 0.1, params())
 
     def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step_wall(np.ones((1, 9)), zeros(1, 9), zeros(1, 9), 0.0, params())
+        for dt in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt = "):
+                surface_operator(params(), 9, dt)
+
+    def test_bad_theta_rejected(self):
+        # a NaN theta used to step to an all-NaN wall without an error
+        for theta in (np.nan, -1e-3, np.inf):
+            p = params() + (SpeciesParams("bad", 1.0, 1.0, theta, 1),)
+            with pytest.raises(ValueError, match="species.bad.theta_s"):
+                surface_operator(p, 9, 0.1)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            step_wall(np.ones((1, 9)), zeros(1, 8), zeros(1, 9), 0.1, params())
+            step(np.ones((1, 9)), zeros(1, 8), zeros(1, 9), 0.1, params())
+
+    def test_operator_of_another_layout_rejected(self):
+        # built for two species, or for 9 nodes: a wall of one species on 9
+        # nodes fits neither
+        wall = np.ones((1, 9))
+        for op in (surface_operator(params(n=2), 9, 0.1), surface_operator(params(), 11, 0.1)):
+            with pytest.raises(ValueError, match="layout"):
+                step_wall(wall, zeros(1, 9), zeros(1, 9), op)
+            with pytest.raises(ValueError, match="layout"):
+                surface_rhs(wall, zeros(1, 9), zeros(1, 9), op)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -180,7 +210,7 @@ def test_flux_and_reaction_free_steps_conserve_surface_mass(nz, dt, thetas, seed
     ns = len(thetas)
     p = tuple(SpeciesParams(f"s{i}", 1.0, 1.0, t, 1) for i, t in enumerate(thetas))
     wall = np.random.default_rng(seed).uniform(-100.0, 100.0, (ns, nz + 1))
-    out = step_wall(wall, zeros(ns, nz + 1), zeros(ns, nz + 1), dt, p)
+    out = step(wall, zeros(ns, nz + 1), zeros(ns, nz + 1), dt, p)
     scale = trapz_z(np.abs(wall)) * (1.0 + dt * max(thetas) * nz**2)
     assert np.all(np.abs(trapz_z(out) - trapz_z(wall)) <= 1e-15 * nz * scale)
 
@@ -191,10 +221,12 @@ class TestSurfaceRhs:
         rng = np.random.default_rng(7)
         p = (SpeciesParams("a", 1.0, 2.0, 0.0, -1), SpeciesParams("b", 1.0, 0.5, 0.0, 1))
         prev, flux, rates = rng.standard_normal((3, 2, 17))
-        out = step_wall(prev, flux, rates, 0.03, p)
-        assert np.array_equal(out, prev + 0.03 * surface_rhs(prev, flux, rates, p))
+        op = surface_operator(p, 17, 0.03)
+        out = step_wall(prev, flux, rates, op)
+        assert np.array_equal(out, prev + 0.03 * surface_rhs(prev, flux, rates, op))
 
     def test_constant_data_is_exactly_zero(self):
         p = (SpeciesParams("a", 1.0, 2.0, 0.7, -1), SpeciesParams("b", 1.0, 0.5, 1.3, 1))
         wall = np.array([[7.25] * 33, [0.1] * 33])
-        assert np.all(surface_rhs(wall, zeros(2, 33), zeros(2, 33), p) == 0.0)
+        op = surface_operator(p, 33, 0.01)
+        assert np.all(surface_rhs(wall, zeros(2, 33), zeros(2, 33), op) == 0.0)
