@@ -390,21 +390,22 @@ def write_snapshot_csv(
 ) -> None:
     """Gnuplot-friendly dump: header r,z,<species...>, rows in z-major order.
 
-    One ``%`` call formats a whole z station, row after row, every value as
-    ``%.9g``.  Stations are written in turn, so the file is never held in
-    memory as a whole.
+    Every value is written as ``%.9g``.  The r column is formatted once, into
+    the pieces of a station's template, and each z once per station, joined
+    between those pieces; one ``%`` call then formats the species values of
+    the whole station.  Stations are written in turn, so the file is never
+    held in memory as a whole.
     """
-    ns, nr = len(species_names), grid.nr
-    template = ("%.9g," * (ns + 1) + "%.9g\n") * (nr + 1)
-    station = np.empty((nr + 1, ns + 2))  # columns r, z, species
-    station[:, 0] = grid.r
+    ns = len(species_names)
+    cells = ",%.9g" * ns + "\n"
+    # station template = z.join(pieces): "r_0," z cells "r_1," z .. cells
+    r = ["%.9g," % x for x in grid.r.tolist()]
+    pieces = [r[0]] + [cells + x for x in r[1:]] + [cells]
     v = field.values
     with Path(path).open("w") as f:
         f.write("r,z," + ",".join(species_names) + "\n")
-        for k, z in enumerate(grid.z):
-            station[:, 1] = z
-            station[:, 2:] = v[:ns, :, k].T
-            f.write(template % tuple(station.ravel().tolist()))
+        for k, z in enumerate(grid.z.tolist()):
+            f.write(("%.9g" % z).join(pieces) % tuple(v[:ns, :, k].T.ravel().tolist()))
 
 
 def write_probe_csv(

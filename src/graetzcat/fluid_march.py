@@ -43,7 +43,7 @@ S = M + beta K (M the diagonal of cell volumes times (1 - r^2)/dz) reads
     S D_k = M (D_{k-1} + (w_{k-1} - w_k) 1),
 
 linear in the previous deviation and the wall drop, and the same at every
-station.  So B = BLOCK stations are one product
+station.  So B stations are one product
 
     [D_{k+1} .. D_{k+B}] = [D_k | drops into k+1 .. k+B] @ Qt
 
@@ -55,26 +55,35 @@ so Qt >= 0: the block keeps the maximum principle, and constant data gives
 D = 0 exactly.  A block costs O(nr^2) per station against the station
 loop's O(nr), so the station loop stays for nr > BLOCK_MAX_NR, where it is
 the faster of the two.  Qt is the one operator kept for the process, per
-(nr, nz, beta): building it is a measurable share of a short solve with
+(nr, nz, beta, B): building it is a measurable share of a short solve with
 several distinct betas, which later runs on the same grid skip.
 
 Only a block's last station feeds the next block, so the march takes the
 carries D_B, D_2B, .. first, each from the one before through the last nr
 columns of Qt, and then runs the rows [D_kB | drops] of all blocks through
-Qt in one matrix-matrix product per species: Qt is read once per march
-instead of once per block.
+Qt in one matrix-matrix product: Qt is read once per march instead of once
+per block.  All species are marched in one stacked product, each through
+its own Qt, so a march makes one chain of stacked carry products and one
+stacked product whatever the betas.
+
+B is BLOCK = 16 unless the distinct betas' 16-station blocks would take
+more than KERNEL_BYTES, and 8 then: a gemm runs at speed while its operand
+stays in cache, and halving B halves the blocks' bytes but doubles the
+carries.  With four distinct betas and nz = 64-128, a march at B = 8 took
+0.57-0.84x as long as at B = 16 for nr = 64 (2.6 MB of blocks) and
+1.07-1.31x for nr = 32 (0.8 MB); CHANGES.md gives the whole crossover.
 
 Neither path stores the field station by station: a column of the
 (nr + 1, nz + 1) field is strided across memory.  The block path collects
-a group's products in one station-major buffer, adds the wall to it in
-place and stores the whole group once per march; the station loop stores
-FLUSH stations at a time.
+its products in one station-major buffer, adds the wall to it in place and
+stores the whole field once per march; the station loop stores FLUSH
+stations at a time.
 
 ``march_operator`` builds what a run needs once, from its species and
-grid: each run of consecutive species sharing a beta with its impulse block
-or, past BLOCK_MAX_NR, its factor, and the beta divisor of the integral
-form.  Every march of the run is handed that ``MarchOperator``; each run of
-species is marched as one batch in its view of the field.
+grid: on the block path one kernel that stacks every species' impulse
+block, past BLOCK_MAX_NR each run of consecutive species sharing a beta
+with its factor, and the beta divisor of the integral form.  Every march of
+the run is handed that ``MarchOperator``.
 """
 
 from __future__ import annotations
@@ -93,6 +102,10 @@ from .model import FluidField, Grid, InitialData, SpeciesParams, consecutive_run
 # marches by blocks; both set from timings of the two paths (CHANGES.md).
 BLOCK = 16
 BLOCK_MAX_NR = 64
+# Bytes the distinct betas' BLOCK-station impulse blocks may take before the
+# block shrinks to BLOCK // 2, so the kernel stays in a core's cache
+# (crossover measured in CHANGES.md).
+KERNEL_BYTES = 1 << 20
 # Stations the station loop gathers before it writes them out in one slab.
 FLUSH = 64
 
@@ -169,29 +182,30 @@ class RadialOperator:
 
 
 @functools.lru_cache(maxsize=32)
-def impulse_block(nr: int, nz: int, beta: float) -> np.ndarray:
-    """Qt: how BLOCK stations respond to the deviation before them and to
-    the wall drops across them, for one (nr, nz, beta); read-only.
+def impulse_block(nr: int, nz: int, beta: float, block: int) -> np.ndarray:
+    """Qt: how ``block`` stations respond to the deviation before them and
+    to the wall drops across them, for one (nr, nz, beta); read-only.
 
     Row i < nr is the response to a unit deviation at node i, row nr + m to
     a unit drop w_m - w_{m+1} into station m + 1; column j * nr + i is node
-    i at station j + 1.  It is the station march of those nr + BLOCK
+    i at station j + 1.  It is the station march of those nr + block
     impulses, run as one batch, so every entry is bitwise what that march
     gives.  Qt >= 0 is the discrete maximum principle; a negative (or NaN)
-    entry raises rather than being clipped.
+    entry raises rather than being clipped.  Kept for the process per
+    (nr, nz, beta, block).
     """
-    n = nr + BLOCK
-    values = np.zeros((n, nr + 1, BLOCK + 1))
-    wall = np.zeros((n, BLOCK + 1))
+    n = nr + block
+    values = np.zeros((n, nr + 1, block + 1))
+    wall = np.zeros((n, block + 1))
     values[np.arange(nr), np.arange(nr), 0] = 1.0  # deviation e_i under a zero wall
     # a drop into station m + 1: ones up to station m, zeros after
     values[nr:, :nr, 0] = 1.0
-    wall[nr:] = np.arange(BLOCK + 1) <= np.arange(BLOCK)[:, None]
+    wall[nr:] = np.arange(block + 1) <= np.arange(block)[:, None]
     # the operator does not depend on the time grid: dt and t_end are placeholders
     op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
     _march_stations(values, wall, op)
     dev = values[:, :nr, 1:] - wall[:, None, 1:]  # C - w: C itself, or 1 - 1 before the drop
-    qt = dev.transpose(0, 2, 1).reshape(n, BLOCK * nr)
+    qt = dev.transpose(0, 2, 1).reshape(n, block * nr)
     if not np.all(qt >= 0.0):
         raise RuntimeError(
             f"impulse block lost the maximum principle (nr={nr}, nz={nz}, beta={beta})"
@@ -200,14 +214,36 @@ def impulse_block(nr: int, nz: int, beta: float) -> np.ndarray:
     return qt
 
 
+def _block_kernel(nr: int, nz: int, betas: Sequence[float]) -> np.ndarray:
+    """The read-only (ns, nr + B, B nr) kernel of a block-path march: one
+    impulse block per species, B stations each.
+
+    B is BLOCK unless the distinct betas' BLOCK-station blocks would take
+    more than KERNEL_BYTES, and half of it then.  One beta gives a
+    zero-copy view of its kept block; several give a stack of copies.
+    """
+    distinct = dict.fromkeys(betas)
+    block = BLOCK
+    if len(distinct) * (nr + BLOCK) * BLOCK * nr * 8 > KERNEL_BYTES:
+        block = BLOCK // 2
+    blocks = {b: impulse_block(nr, nz, b, block) for b in distinct}
+    if len(blocks) == 1:
+        return np.broadcast_to(blocks[betas[0]], (len(betas), nr + block, block * nr))
+    kernel = np.stack([blocks[b] for b in betas])
+    kernel.flags.writeable = False
+    return kernel
+
+
 @dataclass(frozen=True)
 class MarchOperator:
     """What every march of one species tuple on one (nr, nz) grid reuses.
 
-    ``groups`` holds each run of consecutive species with equal beta_f as
-    ``(slice, kernel)``: its impulse block for nr <= BLOCK_MAX_NR, its
-    ``RadialOperator`` past that.  ``beta`` is the (ns, 1) divisor of the
-    integral flux form.  Built by ``march_operator``, arrays read-only.
+    ``groups`` holds ``(slice, kernel)`` pairs.  For nr <= BLOCK_MAX_NR
+    there is one, over every species, whose kernel stacks their impulse
+    blocks (``_block_kernel``); past that, each run of consecutive species
+    with equal beta_f is one group with its ``RadialOperator``.  ``beta``
+    is the (ns, 1) divisor of the integral flux form.  Built by
+    ``march_operator``, arrays read-only.
     """
 
     nr: int
@@ -224,10 +260,12 @@ def march_operator(params: Sequence[SpeciesParams], grid: Grid) -> MarchOperator
             raise ValueError(f"species.{s.name}.beta_f = {s.beta_f} must be finite and > 0")
     betas = [s.beta_f for s in params]
     nr, nz = grid.nr, grid.nz
-    groups = tuple(
-        (rows, impulse_block(nr, nz, b) if nr <= BLOCK_MAX_NR else RadialOperator.build(grid, b))
-        for b, rows in consecutive_runs(betas)
-    )
+    if nr > BLOCK_MAX_NR:
+        groups = tuple((rows, RadialOperator.build(grid, b)) for b, rows in consecutive_runs(betas))
+    elif betas:
+        groups = ((slice(0, len(betas)), _block_kernel(nr, nz, betas)),)
+    else:
+        groups = ()
     return MarchOperator(nr, nz, groups, read_only_column(betas))
 
 
@@ -248,8 +286,8 @@ def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> Fluid
     values = np.empty((ns, nr + 1, nz + 1))
     values[:, :, 0] = init.inlet
 
-    # a run of species with equal diffusivity shares one impulse block (or
-    # factor) and is marched as one batch, in place in its view of values
+    # one stacked block march over every species, or one station march per
+    # run of species sharing a factor, in place in its view of values
     for rows, kernel in op.groups:
         if isinstance(kernel, RadialOperator):
             _march_stations(values[rows], wall[rows], kernel)
@@ -307,38 +345,41 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
 
 
 def _march_blocks(values: np.ndarray, wvals: np.ndarray, qt: np.ndarray) -> None:
-    """The same march in deviation form, BLOCK stations per row of ``qt``.
+    """The same march in deviation form, B stations per row of each
+    species' impulse block ``qt[i]`` (``qt`` is (g, nr + B, B nr)).
 
     Fills ``values[:, :nr, 1:]`` like ``_march_stations``, in two phases.
     The carries come first: block k's starting deviation D_{kB} follows
     from block k - 1's row [D | drops] through the last station's columns
-    of ``qt``, a small (nr + B) x nr product per block.  Then every row of
-    every block goes through all of ``qt`` in one product, so ``qt`` is read
-    once per species rather than once per block; the drops past the last
-    station are zeros, so a partial last block needs no second shape.
-    Each species is its own stacked product, so a batch gives bitwise what
-    each of its species gives alone (a plain (g nb, K) @ (K, N) product
-    runs gemv when g nb = 1 and gemm otherwise, and the two round apart).
-    The carry and the same station out of the big product may differ in
-    the last bit, as two BLAS kernels' sums may.  The products land in one
-    station-major deviation buffer, which is added to the wall and written
-    to ``values`` once per group.
+    of the kernel, one stacked (1, nr + B) x (nr + B, nr) product per block
+    for all species.  Then every row of every block goes through the whole
+    kernel in one stacked product, so the kernel is read once per march
+    rather than once per block; the drops past the last station are zeros,
+    so a partial last block needs no second shape.  numpy runs a stacked
+    product as one BLAS call per species, so each species gives bitwise
+    what it gives alone (a plain (g nb, K) @ (K, N) product runs gemv when
+    g nb = 1 and gemm otherwise, and the two round apart).  The carry and
+    the same station out of the big product may differ in the last bit, as
+    two BLAS kernels' sums may.  The products land in one station-major
+    deviation buffer, which is added to the wall and written to ``values``
+    once per march.
     """
-    nr = qt.shape[1] // BLOCK
     g, stations = wvals.shape
+    nr = values.shape[1] - 1
+    block = qt.shape[1] - nr
     n = stations - 1
-    nb = -(-n // BLOCK)
+    nb = -(-n // block)
     # row k per species: [D_{kB} | wall drops w_{kB+m-1} - w_{kB+m}, m = 1..B]
-    x = np.empty((g, nb, nr + BLOCK))
-    drops = np.zeros((g, nb * BLOCK))
+    x = np.empty((g, nb, nr + block))
+    drops = np.zeros((g, nb * block))
     np.subtract(wvals[:, :-1], wvals[:, 1:], out=drops[:, :n])
-    x[:, :, nr:] = drops.reshape(g, nb, BLOCK)
+    x[:, :, nr:] = drops.reshape(g, nb, block)
     np.subtract(values[:, :nr, 0], wvals[:, :1], out=x[:, 0, :nr])
-    carry = qt[:, -nr:]
+    carry = qt[:, :, -nr:]
     for k in range(1, nb):
         np.matmul(x[:, k - 1 : k], carry, out=x[:, k : k + 1, :nr])
     # D_1 .. D_nz, station-major, then the wall added in place
-    dev = np.matmul(x, qt).reshape(g, nb * BLOCK, nr)[:, :n]
+    dev = np.matmul(x, qt).reshape(g, nb * block, nr)[:, :n]
     dev += wvals[:, 1:, None]
     values[:, :nr, 1:] = dev.transpose(0, 2, 1)
 

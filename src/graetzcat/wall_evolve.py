@@ -96,14 +96,19 @@ def _diffusion_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...
 def surface_operator(params: Sequence[SpeciesParams], nn: int, dt: float) -> SurfaceOperator:
     """The surface operator of the species on nn nodes with time step dt.
 
-    Raises ValueError for a dt that is not finite and > 0, or a theta_s that
-    is not finite and >= 0 (NaN included).
+    Raises ValueError for a dt that is not finite and > 0, a gamma_s that is
+    not finite and > 0, a theta_s that is not finite and >= 0 (NaN included
+    in both), or a delta other than -1 and +1.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt = {dt} must be finite and > 0")
     for s in params:
+        if not 0.0 < s.gamma_s < math.inf:
+            raise ValueError(f"species.{s.name}.gamma_s = {s.gamma_s} must be finite and > 0")
         if not 0.0 <= s.theta_s < math.inf:
             raise ValueError(f"species.{s.name}.theta_s = {s.theta_s} must be finite and >= 0")
+        if s.delta not in (-1, 1):
+            raise ValueError(f"species.{s.name}.delta = {s.delta} must be -1 or +1")
     thetas = [s.theta_s for s in params]
     return SurfaceOperator(
         nn=nn,

@@ -179,16 +179,17 @@ class TestWriters:
             path.write_text("\n".join(lines) + "\n")
 
         rng = np.random.default_rng(8)
-        grid = Grid(nr=5, nz=7, dt=0.1, t_end=0.1)
-        shape = (4, grid.nr + 1, grid.nz + 1)
-        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
         specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 123456789.5]
-        values.flat[rng.choice(values.size, len(specials), replace=False)] = specials
-        field = FluidField(values)
-        names = ("CO", "O2", "T")  # one species fewer than the field holds
-        write_snapshot_csv(field, grid, names, tmp_path / "new.csv")
-        per_value(field, grid, names, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        # one species fewer than the field holds, and four species at nr = 64
+        for nr, names in ((5, ("CO", "O2", "T")), (64, ("CO", "O2", "CO2", "T"))):
+            grid = Grid(nr=nr, nz=7, dt=0.1, t_end=0.1)
+            shape = (4, grid.nr + 1, grid.nz + 1)
+            values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            values.flat[rng.choice(values.size, len(specials), replace=False)] = specials
+            field = FluidField(values)
+            write_snapshot_csv(field, grid, names, tmp_path / "new.csv")
+            per_value(field, grid, names, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), nr
 
     def test_probe_csv_empty_series_is_header_only(self, tmp_path):
         out = tmp_path / "probe.csv"

@@ -11,6 +11,7 @@ from graetzcat.fluid_march import (
     BLOCK,
     BLOCK_MAX_NR,
     FLUSH,
+    KERNEL_BYTES,
     MarchOperator,
     RadialOperator,
     impulse_block,
@@ -209,16 +210,20 @@ class TestMarchFluid:
     def test_species_batching_matches_single_solves(self):
         rng = np.random.default_rng(3)
         nr = 10
-        # one partial block, and several blocks with a partial last one
+        # one shared beta, and mixed betas in one stacked kernel (BLOCK
+        # stations, as alone); one partial block, and several blocks with a
+        # partial last one
+        batches = [(1.7,) * g for g in range(1, 5)] + [(1.7, 0.9, 1.7, 2.3)]
         for nz in (BLOCK - 2, 3 * BLOCK + 5):
-            for g in range(1, 5):
+            for betas in batches:
+                g = len(betas)
                 grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
                 inlet = rng.uniform(0.0, 1.0, (g, nr + 1))
                 wall = rng.uniform(0.0, 1.0, (g, nz + 1))
-                batched = march((1.7,) * g, grid, inlet, wall)
+                batched = march(betas, grid, inlet, wall)
                 for i in range(g):
-                    solo = march((1.7,), grid, inlet[i : i + 1], wall[i : i + 1])
-                    assert np.array_equal(batched.values[i], solo.values[0]), (nz, g, i)
+                    solo = march(betas[i : i + 1], grid, inlet[i : i + 1], wall[i : i + 1])
+                    assert np.array_equal(batched.values[i], solo.values[0]), (nz, betas, i)
 
     @pytest.mark.parametrize(
         "betas, nr, nz",
@@ -278,38 +283,42 @@ class TestMarchFluid:
 
     @pytest.mark.parametrize("nr", [32, BLOCK_MAX_NR])
     def test_long_block_march_matches_reference_march(self, nr):
-        # 64 blocks, each carry taken from the one before: errors would
-        # accumulate down the march
+        # 64 (or, with four distinct betas at nr = 64, 128 half-size) blocks,
+        # each carry taken from the one before: errors would accumulate down
+        # the march
         rng = np.random.default_rng(nr)
-        betas = (0.3, 0.3, 2.5)
         grid = Grid(nr=nr, nz=1024, dt=1.0, t_end=1.0)
-        scale = rng.uniform(0.01, 500.0, (len(betas), 1))
-        inlet = scale * rng.uniform(-1.0, 1.0, (len(betas), nr + 1))
-        wall = scale * rng.uniform(-1.0, 1.0, (len(betas), grid.nz + 1))
-        err = np.abs(march(betas, grid, inlet, wall).values - reference_march(wall, inlet, betas, grid))
-        data = np.concatenate([inlet, wall], axis=1)
-        assert np.all(err.max(axis=(1, 2)) <= 1e-13 * np.abs(data).max(axis=1))
+        for betas in ((0.3, 0.3, 2.5), (0.8, 1.0, 1.25, 2.0)):
+            scale = rng.uniform(0.01, 500.0, (len(betas), 1))
+            inlet = scale * rng.uniform(-1.0, 1.0, (len(betas), nr + 1))
+            wall = scale * rng.uniform(-1.0, 1.0, (len(betas), grid.nz + 1))
+            values = march(betas, grid, inlet, wall).values
+            err = np.abs(values - reference_march(wall, inlet, betas, grid))
+            data = np.concatenate([inlet, wall], axis=1)
+            assert np.all(err.max(axis=(1, 2)) <= 1e-13 * np.abs(data).max(axis=1)), betas
 
     @pytest.mark.parametrize("nr,nz,beta", [(4, 4, 1.0), (12, 40, 0.3), (BLOCK_MAX_NR, 64, 2.5)])
     def test_impulse_block_is_the_station_march_of_its_impulses(self, nr, nz, beta):
-        qt = impulse_block(nr, nz, beta)
-        assert impulse_block(nr, nz, beta) is qt  # built once per (nr, nz, beta)
-        assert qt.shape == (nr + BLOCK, BLOCK * nr)
-        assert not qt.flags.writeable
-        assert np.all(qt >= 0.0)
-        op = RadialOperator.build(unit_grid(nr, nz), beta)  # BLOCK stations at the nz grid's dz
-        for i in range(nr):  # a unit deviation at node i under a zero wall
-            values = np.zeros((1, nr + 1, BLOCK + 1))
-            values[0, i, 0] = 1.0
-            fluid_march._march_stations(values, np.zeros((1, BLOCK + 1)), op)
-            assert np.array_equal(qt[i].reshape(BLOCK, nr), values[0, :nr, 1:].T), i
-        for m in range(BLOCK):  # a unit drop into station m + 1 from a constant 1
-            values = np.ones((1, nr + 1, BLOCK + 1))
-            wall = (np.arange(BLOCK + 1) <= m).astype(float)[None, :]
-            fluid_march._march_stations(values, wall, op)
-            assert np.array_equal(qt[nr + m].reshape(BLOCK, nr), (values[0, :nr, 1:] - wall[:, 1:]).T)
-        # causal: a drop into station m + 1 leaves the stations before it at 0
-        assert np.all(qt[nr:].reshape(BLOCK, BLOCK, nr)[np.tril_indices(BLOCK, -1)] == 0.0)
+        op = RadialOperator.build(unit_grid(nr, nz), beta)  # stations at the nz grid's dz
+        for b in (BLOCK, BLOCK // 2):  # both block sizes the march takes
+            qt = impulse_block(nr, nz, beta, b)
+            assert impulse_block(nr, nz, beta, b) is qt  # built once per (nr, nz, beta, B)
+            assert qt.shape == (nr + b, b * nr)
+            assert not qt.flags.writeable
+            assert np.all(qt >= 0.0)
+            for i in range(nr):  # a unit deviation at node i under a zero wall
+                values = np.zeros((1, nr + 1, b + 1))
+                values[0, i, 0] = 1.0
+                fluid_march._march_stations(values, np.zeros((1, b + 1)), op)
+                assert np.array_equal(qt[i].reshape(b, nr), values[0, :nr, 1:].T), (b, i)
+            for m in range(b):  # a unit drop into station m + 1 from a constant 1
+                values = np.ones((1, nr + 1, b + 1))
+                wall = (np.arange(b + 1) <= m).astype(float)[None, :]
+                fluid_march._march_stations(values, wall, op)
+                want = (values[0, :nr, 1:] - wall[:, 1:]).T
+                assert np.array_equal(qt[nr + m].reshape(b, nr), want), (b, m)
+            # causal: a drop into station m + 1 leaves the stations before it at 0
+            assert np.all(qt[nr:].reshape(b, b, nr)[np.tril_indices(b, -1)] == 0.0)
 
     def test_factor_is_built_once_per_grid_and_beta(self, monkeypatch):
         # betas 1.2, 1.2, 3.4: one kernel per run, whatever the time grid
@@ -326,13 +335,18 @@ class TestMarchFluid:
         for name in ("face_r", "ab", "d", "e"):
             assert np.array_equal(getattr(last, name), getattr(fresh, name)), name
         assert last.d.shape == (nr,) and last.e.shape == (nr - 1,)
-        # the block path: each run's impulse block is the one kept for the
-        # process, built once per (nr, nz, beta)
-        nr, nz = 12, 20
-        for dt in (0.1, 0.25):
-            op = march_operator(params, Grid(nr=nr, nz=nz, dt=dt, t_end=1.0))
-            assert op.groups[0][1] is impulse_block(nr, nz, 1.2)
-            assert op.groups[1][1] is impulse_block(nr, nz, 3.4)
+        # the block path: one kernel over every species, made of the impulse
+        # blocks kept for the process, each built once per (nr, nz, beta, B);
+        # two distinct betas at nr = 64 would take 1.3 MB at BLOCK, so B halves
+        impulse_block.cache_clear()
+        for nr, nz, b in ((12, 20, BLOCK), (BLOCK_MAX_NR, 20, BLOCK // 2)):
+            for dt in (0.1, 0.25):
+                op = march_operator(params, Grid(nr=nr, nz=nz, dt=dt, t_end=1.0))
+                ((rows, kernel),) = op.groups
+                assert rows == slice(0, 3) and kernel.shape == (3, nr + b, b * nr)
+                for i, beta in enumerate((1.2, 1.2, 3.4)):
+                    assert np.array_equal(kernel[i], impulse_block(nr, nz, beta, b)), (nr, i)
+        assert impulse_block.cache_info().misses == 4
 
     def test_impulse_block_raises_on_a_negative_entry(self, monkeypatch):
         station = fluid_march._march_stations
@@ -343,14 +357,14 @@ class TestMarchFluid:
 
         monkeypatch.setattr(fluid_march, "_march_stations", undershoot)
         with pytest.raises(RuntimeError, match="maximum principle"):
-            impulse_block.__wrapped__(8, 8, 1.0)
+            impulse_block.__wrapped__(8, 8, 1.0, BLOCK)
 
     def test_lapack_error_raises(self, monkeypatch):
         monkeypatch.setattr(fluid_march, "dpttrs", lambda d, e, b, overwrite_b: (b, -2))
         with pytest.raises(ValueError, match="argument 2"):
             graetz(BLOCK_MAX_NR + 1, 8)  # station path
         with pytest.raises(ValueError, match="argument 2"):
-            impulse_block.__wrapped__(8, 8, 1.0)  # the block path's one LAPACK use, uncached
+            impulse_block.__wrapped__(8, 8, 1.0, BLOCK)  # the block path's one LAPACK use, uncached
 
     def test_shape_mismatch_rejected(self):
         op = march_operator(single(), Grid(nr=8, nz=8, dt=1.0, t_end=1.0))
@@ -383,12 +397,54 @@ class TestMarchOperator:
             march_operator(params, unit_grid(nr, 8))
 
     def test_kernels_follow_the_path(self):
+        # the block path: one group over every species; the station path:
+        # one group per run of equal beta
         params = species_of((0.5, 0.5, 2.0))
-        for nr, kind in ((BLOCK_MAX_NR, np.ndarray), (BLOCK_MAX_NR + 1, RadialOperator)):
+        for nr, kind, runs in (
+            (BLOCK_MAX_NR, np.ndarray, [slice(0, 3)]),
+            (BLOCK_MAX_NR + 1, RadialOperator, [slice(0, 2), slice(2, 3)]),
+        ):
             op = march_operator(params, unit_grid(nr, 16))
             assert isinstance(op, MarchOperator) and (op.nr, op.nz) == (nr, 16)
-            assert [rows for rows, _ in op.groups] == [slice(0, 2), slice(2, 3)]
+            assert [rows for rows, _ in op.groups] == runs
             assert all(isinstance(kernel, kind) for _, kernel in op.groups)
+
+    @pytest.mark.parametrize(
+        "betas, nr, nz, block",
+        [
+            ((1.0,) * 4, 32, 64, BLOCK),  # co_oxidation
+            ((1.0,), 32, 8192, BLOCK),  # graetz_refine's block-path grids
+            ((1.0,), 64, 8192, BLOCK),
+            ((0.8, 1.0, 1.25, 2.0), 64, 128, BLOCK // 2),  # split_beta
+        ],
+    )
+    def test_block_size_follows_the_kernel_bytes(self, betas, nr, nz, block):
+        distinct = len(set(betas)) * (nr + BLOCK) * BLOCK * nr * 8
+        assert (distinct > KERNEL_BYTES) == (block < BLOCK)
+        ((_, kernel),) = march_operator(species_of(betas), unit_grid(nr, nz)).groups
+        assert kernel.shape == (len(betas), nr + block, block * nr)
+
+    def test_one_stacked_block_march_per_march(self, monkeypatch):
+        # the block path marches every species in one call, whatever their
+        # betas, so a per-run loop cannot come back unnoticed
+        calls = []
+        blocks = fluid_march._march_blocks
+        monkeypatch.setattr(
+            fluid_march, "_march_blocks", lambda *a: calls.append(a[2].shape) or blocks(*a)
+        )
+        nr, nz = 16, 40
+        grid = unit_grid(nr, nz)
+        rng = np.random.default_rng(8)
+        inlet, wall = rng.uniform(0.0, 1.0, (4, nr + 1)), rng.uniform(0.0, 1.0, (4, nz + 1))
+        march((0.8, 1.0, 1.25, 2.0), grid, inlet, wall)
+        assert calls == [(4, nr + BLOCK, BLOCK * nr)]
+        for betas in ((0.8, 1.0, 1.25, 2.0), (1.5,) * 4):
+            ((_, kernel),) = march_operator(species_of(betas), grid).groups
+            assert not kernel.flags.writeable
+            with pytest.raises(ValueError):
+                kernel[0, 0, 0] = 0.0
+        # one beta: a view of the kept block, no copy
+        assert np.shares_memory(kernel, impulse_block(nr, nz, 1.5, BLOCK))
 
 
 GRID_SIZE = st.integers(min_value=4, max_value=24)

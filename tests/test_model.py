@@ -52,7 +52,7 @@ class TestSpeciesPlan:
 
     @staticmethod
     def kernel_arrays(op):
-        """Every group's arrays: impulse blocks, or the arrays of LU factors."""
+        """Every group's arrays: a stacked block kernel, or the arrays of LU factors."""
         out = []
         for _, kernel in op.groups:
             if isinstance(kernel, np.ndarray):
@@ -67,8 +67,13 @@ class TestSpeciesPlan:
         )
         assert consecutive_runs([]) == ()
         grid = self.inputs(4)[0]
+        # the station path (nr > 64) marches by runs of beta, the block path
+        # all species in one group
+        station_grid = self.inputs(4, nr=65)[0]
         march_op, surface_op = self.operators(self.MIXED, grid)
-        assert [rows for rows, _ in march_op.groups] == [slice(i, i + 1) for i in range(4)]
+        assert [rows for rows, _ in march_op.groups] == [slice(0, 4)]
+        runs = march_operator(self.MIXED, station_grid).groups
+        assert [rows for rows, _ in runs] == [slice(i, i + 1) for i in range(4)]
         assert [rows for rows, _ in surface_op.groups] == [slice(0, 1), slice(1, 3), slice(3, 4)]
         assert surface_op.groups[1][1] is None  # theta = 0: no factor
         # the split_beta benchmark workload's theta_s of CO, O2, CO2 and T
@@ -76,10 +81,13 @@ class TestSpeciesPlan:
         split = tuple(species(n, theta=t) for n, t in zip("abcd", thetas))
         march_op, surface_op = self.operators(split, grid)
         assert [rows for rows, _ in march_op.groups] == [slice(0, 4)]
+        runs = march_operator(split, station_grid).groups
+        assert [rows for rows, _ in runs] == [slice(0, 4)]
         assert [rows for rows, _ in surface_op.groups] == [slice(i, i + 1) for i in range(4)]
         for p in (self.MIXED, split):
-            march_op, surface_op = self.operators(p, grid)
-            assert all(type(rows) is slice for rows, _ in march_op.groups + surface_op.groups)
+            for g in (grid, station_grid):
+                march_op, surface_op = self.operators(p, g)
+                assert all(type(rows) is slice for rows, _ in march_op.groups + surface_op.groups)
 
     def test_plan_columns(self):
         march_op, surface_op = self.operators(self.MIXED, self.inputs(4)[0])
@@ -110,7 +118,8 @@ class TestSpeciesPlan:
         march_op, surface_op = self.operators(self.MIXED, self.inputs(4)[0])
         arrays = [march_op.beta, surface_op.neg_gamma, surface_op.delta, surface_op.theta]
         arrays += self.kernel_arrays(march_op) + self.kernel_arrays(surface_op)
-        assert len(arrays) == 4 + 4 + 2 * 5
+        # one stacked kernel for the four species' impulse blocks
+        assert len(arrays) == 4 + 1 + 2 * 5
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

@@ -182,6 +182,20 @@ class TestStepWall:
             with pytest.raises(ValueError, match="species.bad.theta_s"):
                 surface_operator(p, 9, 0.1)
 
+    def test_bad_gamma_rejected(self):
+        # a NaN gamma used to step to an all-NaN wall without an error
+        for gamma in (np.nan, 0.0, -1.0, np.inf):
+            p = params() + (SpeciesParams("bad", 1.0, gamma, 1.0, 1),)
+            with pytest.raises(ValueError, match="species.bad.gamma_s"):
+                surface_operator(p, 9, 0.1)
+
+    def test_bad_delta_rejected(self):
+        # delta = 7 used to scale the rate sevenfold
+        for delta in (7, 0, -2, np.nan):
+            p = params() + (SpeciesParams("bad", 1.0, 1.0, 1.0, delta),)
+            with pytest.raises(ValueError, match="species.bad.delta"):
+                surface_operator(p, 9, 0.1)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             step(np.ones((1, 9)), zeros(1, 8), zeros(1, 9), 0.1, params())
