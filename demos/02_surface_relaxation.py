@@ -8,7 +8,7 @@ what makes the conservation check in the test suite sharp.
 
 import numpy as np
 
-from graetzcat import SpeciesParams, step_wall, surface_operator
+from graetzcat import SpeciesParams, step_wall, surface_operator, surface_step
 
 nz, dt, t_final = 128, 1e-4, 0.1
 steps = round(t_final / dt)
@@ -25,7 +25,7 @@ mean0 = float(wall[0] @ trap)
 
 history = [(0.0, float(wall[0, 0]))]
 for n in range(1, steps + 1):
-    wall = step_wall(wall, quiet, quiet, op)
+    wall = step_wall(surface_step(wall, quiet, op), quiet)
     if n % (steps // 5) == 0:
         history.append((n * dt, float(wall[0, 0])))
 

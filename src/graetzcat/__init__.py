@@ -59,7 +59,14 @@ from .qualcheck import (
     check_nonnegativity,
     energy_growth_report,
 )
-from .wall_evolve import SurfaceOperator, step_wall, surface_operator, surface_rhs
+from .wall_evolve import (
+    SurfaceOperator,
+    SurfaceStep,
+    step_wall,
+    surface_operator,
+    surface_rhs,
+    surface_step,
+)
 
 __version__ = "0.1.0"
 
@@ -85,6 +92,7 @@ __all__ = [
     "Snapshot",
     "SpeciesParams",
     "SurfaceOperator",
+    "SurfaceStep",
     "ValidationReport",
     "advance_step",
     "build_envelope",
@@ -102,6 +110,7 @@ __all__ = [
     "step_wall",
     "surface_operator",
     "surface_rhs",
+    "surface_step",
     "validate_config",
     "verify_hypotheses",
     "wall_flux_gradient",

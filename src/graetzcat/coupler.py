@@ -45,7 +45,7 @@ from .qualcheck import (
     check_nonnegativity,
     energy_growth_report,
 )
-from .wall_evolve import SurfaceOperator, step_wall, surface_operator, surface_rhs
+from .wall_evolve import SurfaceOperator, step_wall, surface_operator, surface_rhs, surface_step
 
 log = logging.getLogger("graetzcat")
 
@@ -121,14 +121,16 @@ def advance_step(
     The operators are the run's, built for its species and ``grid``.  The
     iteration starts from the previous wall (or an explicit guess: the
     converged answer must not depend on it, which the uniqueness probe
-    exercises).  Rates are evaluated once, at the previous time level.
+    exercises).  Rates are evaluated once, at the previous time level, and
+    with them the part of the surface step that no iteration changes.
     """
     dt = surface_op.dt
     # on the grid k dt, so the levels do not drift with the step count
     t_new = (round(state.time / dt) + 1) * dt
     wall_prev = state.wall
 
-    rates_prev = eval_rates(kinetics, wall_prev.T).T
+    # the flux-free part of the surface step, shared by every iteration
+    surface = surface_step(wall_prev, eval_rates(kinetics, wall_prev.T).T, surface_op)
 
     # never written in place: each iteration makes a new array
     iterate = wall_prev if initial_guess is None else initial_guess
@@ -138,7 +140,7 @@ def advance_step(
     for _ in range(settings.max_iter):
         fluid = march_fluid(iterate, init, march_op)
         flux = _flux_of(settings.flux_form, fluid, grid, march_op)
-        stepped = step_wall(wall_prev, flux, rates_prev, surface_op)
+        stepped = step_wall(surface, flux)
         new = iterate + settings.relaxation * (stepped - iterate)
         residual = float(np.abs(new - iterate).max())
         residuals.append(residual)

@@ -51,20 +51,28 @@ with the (nr + B) x (B nr) impulse-response block Qt (``impulse_block``),
 built by running the station march on nr + B unit impulses.  This is the
 discrete Duhamel superposition of Graetz problems with axially varying
 wall data (Shah & London, 1978).  S^-1 >= 0 and M >= 0,
-so Qt >= 0: the block keeps the maximum principle, and constant data gives
-D = 0 exactly.  A block costs O(nr^2) per station against the station
+so Qt >= 0: the block keeps the maximum principle (``impulse_block``
+checks it on every block it builds), and constant data gives D = 0
+exactly.  A block costs O(nr^2) per station against the station
 loop's O(nr), so the station loop stays for nr > BLOCK_MAX_NR, where it is
 the faster of the two.  Qt is the one operator kept for the process, per
 (nr, nz, beta, B): building it is a measurable share of a short solve with
-several distinct betas, which later runs on the same grid skip.
+several distinct betas, which later runs on the same grid skip.  The
+folded kernel below is built from it per march operator.
 
 Only a block's last station feeds the next block, so the march takes the
 carries D_B, D_2B, .. first, each from the one before through the last nr
-columns of Qt, and then runs the rows [D_kB | drops] of all blocks through
-Qt in one matrix-matrix product: Qt is read once per march instead of once
-per block.  All species are marched in one stacked product, each through
-its own Qt, so a march makes one chain of stacked carry products and one
-stacked product whatever the betas.
+columns of Qt, and then runs the rows of all blocks through one kernel in
+one matrix-matrix product: the kernel is read once per march instead of
+once per block.  That product also adds the wall.  Station kB + j has
+C = D + w_kB - (the drops into stations kB + 1 .. kB + j), so the row
+[D_kB | drops | w_kB] through Qt with the cumulative-drop mask taken off
+its drop rows and a row of ones below gives C itself.  This folded kernel
+has negative entries by design; Qt >= 0 stays the witness, and constant
+data still gives D = 0 and zero drops, so C = w_kB 1 exactly.  All species
+are marched in one stacked product, each through its own kernel, so a
+march makes one chain of stacked carry products and one stacked product
+whatever the betas.
 
 B is BLOCK = 16 unless the distinct betas' 16-station blocks would take
 more than KERNEL_BYTES, and 8 then: a gemm runs at speed while its operand
@@ -75,15 +83,14 @@ carries.  With four distinct betas and nz = 64-128, a march at B = 8 took
 
 Neither path stores the field station by station: a column of the
 (nr + 1, nz + 1) field is strided across memory.  The block path collects
-its products in one station-major buffer, adds the wall to it in place and
-stores the whole field once per march; the station loop stores FLUSH
-stations at a time.
+its product in one station-major buffer and stores the whole field once
+per march; the station loop stores FLUSH stations at a time.
 
 ``march_operator`` builds what a run needs once, from its species and
-grid: on the block path one kernel that stacks every species' impulse
-block, past BLOCK_MAX_NR each run of consecutive species sharing a beta
-with its factor, and the beta divisor of the integral form.  Every march of
-the run is handed that ``MarchOperator``.
+grid: on the block path one ``BlockKernel`` that stacks every species'
+carry columns and folded block, past BLOCK_MAX_NR each run of consecutive
+species sharing a beta with its factor, and the beta divisor of the
+integral form.  Every march of the run is handed that ``MarchOperator``.
 """
 
 from __future__ import annotations
@@ -214,24 +221,53 @@ def impulse_block(nr: int, nz: int, beta: float, block: int) -> np.ndarray:
     return qt
 
 
-def _block_kernel(nr: int, nz: int, betas: Sequence[float]) -> np.ndarray:
-    """The read-only (ns, nr + B, B nr) kernel of a block-path march: one
-    impulse block per species, B stations each.
+@dataclass(frozen=True)
+class BlockKernel:
+    """The two read-only stacks a block-path march of ns species reads.
+
+    ``carry`` (ns, nr + B, nr) is the last station's columns of each
+    species' impulse block Qt, which chain the deviation from block to
+    block.  ``out`` (ns, nr + B + 1, B nr) is Qt folded with the wall: its
+    drop rows less the cumulative-drop mask and a last row of ones, so
+    [D_kB | drops | w_kB] @ out is the field C itself (see the module
+    docstring).
+    """
+
+    carry: np.ndarray
+    out: np.ndarray
+
+
+def _block_kernel(nr: int, nz: int, betas: Sequence[float]) -> BlockKernel:
+    """The kernel of a block-path march, B stations per block.
 
     B is BLOCK unless the distinct betas' BLOCK-station blocks would take
     more than KERNEL_BYTES, and half of it then.  One beta gives a
-    zero-copy view of its kept block; several give a stack of copies.
+    zero-copy carry view of its kept block and one folded block for every
+    species; several give a stack of each species' copies.  The folded
+    blocks are built here, per operator; only the plain ones are kept.
     """
     distinct = dict.fromkeys(betas)
     block = BLOCK
     if len(distinct) * (nr + BLOCK) * BLOCK * nr * 8 > KERNEL_BYTES:
         block = BLOCK // 2
     blocks = {b: impulse_block(nr, nz, b, block) for b in distinct}
+    kept = [blocks[betas[0]]] if len(blocks) == 1 else [blocks[b] for b in betas]
+    out = np.empty((len(kept), nr + block + 1, block * nr))
+    out[:, :-1] = kept
+    # station j is w_kB less the drops into stations 1 .. j: drop row m
+    # loses 1 at the stations from m + 1 on, and w_kB enters them all
+    out[:, nr:-1] -= np.repeat(np.triu(np.ones((block, block))), nr, axis=1)
+    out[:, -1] = 1.0
+    out.flags.writeable = False
+    ns = len(betas)
     if len(blocks) == 1:
-        return np.broadcast_to(blocks[betas[0]], (len(betas), nr + block, block * nr))
-    kernel = np.stack([blocks[b] for b in betas])
-    kernel.flags.writeable = False
-    return kernel
+        return BlockKernel(
+            np.broadcast_to(kept[0][:, -nr:], (ns, nr + block, nr)),
+            np.broadcast_to(out[0], (ns,) + out.shape[1:]),
+        )
+    carry = np.stack([q[:, -nr:] for q in kept])
+    carry.flags.writeable = False
+    return BlockKernel(carry, out)
 
 
 @dataclass(frozen=True)
@@ -239,16 +275,17 @@ class MarchOperator:
     """What every march of one species tuple on one (nr, nz) grid reuses.
 
     ``groups`` holds ``(slice, kernel)`` pairs.  For nr <= BLOCK_MAX_NR
-    there is one, over every species, whose kernel stacks their impulse
-    blocks (``_block_kernel``); past that, each run of consecutive species
-    with equal beta_f is one group with its ``RadialOperator``.  ``beta``
-    is the (ns, 1) divisor of the integral flux form.  Built by
+    there is one, over every species, whose ``BlockKernel`` stacks their
+    carry columns and their impulse blocks folded with the wall
+    (``_block_kernel``); past that, each run of consecutive species with
+    equal beta_f is one group with its ``RadialOperator``.  ``beta`` is
+    the (ns, 1) divisor of the integral flux form.  Built by
     ``march_operator``, arrays read-only.
     """
 
     nr: int
     nz: int
-    groups: tuple[tuple[slice, Union[np.ndarray, RadialOperator]], ...]
+    groups: tuple[tuple[slice, Union[BlockKernel, RadialOperator]], ...]
     beta: np.ndarray
 
 
@@ -344,44 +381,45 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
         buf[0] = buf[n]
 
 
-def _march_blocks(values: np.ndarray, wvals: np.ndarray, qt: np.ndarray) -> None:
+def _march_blocks(values: np.ndarray, wvals: np.ndarray, kernel: BlockKernel) -> None:
     """The same march in deviation form, B stations per row of each
-    species' impulse block ``qt[i]`` (``qt`` is (g, nr + B, B nr)).
+    species' folded impulse block ``kernel.out[i]``.
 
     Fills ``values[:, :nr, 1:]`` like ``_march_stations``, in two phases.
     The carries come first: block k's starting deviation D_{kB} follows
-    from block k - 1's row [D | drops] through the last station's columns
-    of the kernel, one stacked (1, nr + B) x (nr + B, nr) product per block
-    for all species.  Then every row of every block goes through the whole
-    kernel in one stacked product, so the kernel is read once per march
-    rather than once per block; the drops past the last station are zeros,
-    so a partial last block needs no second shape.  numpy runs a stacked
-    product as one BLAS call per species, so each species gives bitwise
-    what it gives alone (a plain (g nb, K) @ (K, N) product runs gemv when
-    g nb = 1 and gemm otherwise, and the two round apart).  The carry and
-    the same station out of the big product may differ in the last bit, as
-    two BLAS kernels' sums may.  The products land in one station-major
-    deviation buffer, which is added to the wall and written to ``values``
-    once per march.
+    from block k - 1's [D | drops] through ``kernel.carry``, the plain
+    block's last station, one stacked (1, nr + B) x (nr + B, nr) product
+    per block for all species.  Then every row [D_kB | drops | w_kB] of
+    every block goes through the folded kernel in one stacked product,
+    which gives the field itself, so the kernel is read once per march
+    rather than once per block and the wall needs no add of its own; the
+    drops past the last station are zeros, so a partial last block needs
+    no second shape.  numpy runs a stacked product as one BLAS call per
+    species, so each species gives bitwise what it gives alone (a plain
+    (g nb, K) @ (K, N) product runs gemv when g nb = 1 and gemm otherwise,
+    and the two round apart).  The carries come from the plain block and
+    the field from the folded one, so a carry and the field at its station
+    may differ in the last bit, as two BLAS kernels' sums may.  The
+    products land in one station-major buffer, written to ``values`` once
+    per march.
     """
     g, stations = wvals.shape
     nr = values.shape[1] - 1
-    block = qt.shape[1] - nr
+    block = kernel.carry.shape[1] - nr
     n = stations - 1
     nb = -(-n // block)
-    # row k per species: [D_{kB} | wall drops w_{kB+m-1} - w_{kB+m}, m = 1..B]
-    x = np.empty((g, nb, nr + block))
+    # row k per species: [D_{kB} | wall drops w_{kB+m-1} - w_{kB+m}, m = 1..B | w_{kB}]
+    x = np.empty((g, nb, nr + block + 1))
     drops = np.zeros((g, nb * block))
     np.subtract(wvals[:, :-1], wvals[:, 1:], out=drops[:, :n])
-    x[:, :, nr:] = drops.reshape(g, nb, block)
+    x[:, :, nr:-1] = drops.reshape(g, nb, block)
+    x[:, :, -1] = wvals[:, :n:block]
     np.subtract(values[:, :nr, 0], wvals[:, :1], out=x[:, 0, :nr])
-    carry = qt[:, :, -nr:]
     for k in range(1, nb):
-        np.matmul(x[:, k - 1 : k], carry, out=x[:, k : k + 1, :nr])
-    # D_1 .. D_nz, station-major, then the wall added in place
-    dev = np.matmul(x, qt).reshape(g, nb * block, nr)[:, :n]
-    dev += wvals[:, 1:, None]
-    values[:, :nr, 1:] = dev.transpose(0, 2, 1)
+        np.matmul(x[:, k - 1 : k, :-1], kernel.carry, out=x[:, k : k + 1, :nr])
+    # C_1 .. C_nz, station-major
+    field = np.matmul(x, kernel.out).reshape(g, nb * block, nr)[:, :n]
+    values[:, :nr, 1:] = field.transpose(0, 2, 1)
 
 
 def wall_flux_gradient(field: FluidField, grid: Grid) -> np.ndarray:

@@ -126,17 +126,19 @@ def check_envelopes(
     (delta = +1) must stay above their initial infimum and below
     a_i0_max * exp(lambda t).  Snapshots provide wall vectors and bulk
     min/max, which is exactly the information the bounds constrain; each
-    bound is relaxed by CHECK_TOL.  A verdict reports the first snapshot
-    with the largest positive gap.
+    bound is relaxed by CHECK_TOL.  A verdict reports the largest positive
+    gap and the earliest snapshot whose gap is within CHECK_TOL of it: a
+    plateau reports its start, which a last-bit change along it cannot move.
     """
     times = [snap.time for snap in trajectory]
 
     def verdict(name: str, item: str, gaps) -> EnvelopeCheck:
-        worst, t_at = 0.0, None
-        for gap, t in zip(gaps, times):
-            if gap > worst:
-                worst, t_at = gap, t
-        return EnvelopeCheck(name, item, worst <= 0.0, worst, t_at)
+        positive = [(gap, t) for gap, t in zip(gaps, times) if gap > 0.0]
+        if not positive:
+            return EnvelopeCheck(name, item, True, 0.0, None)
+        worst = max(gap for gap, _ in positive)
+        t_at = next(t for gap, t in positive if gap >= worst - CHECK_TOL)
+        return EnvelopeCheck(name, item, False, worst, t_at)
 
     checks: list[EnvelopeCheck] = []
     for i, s in enumerate(params):

@@ -14,6 +14,13 @@ for each run of consecutive species sharing a theta, the tridiagonal LU
 factor of the implicit diffusion.  Each solve is one direct LAPACK
 ``dgttrs`` call on that factor, in place in the run's rows of the fresh
 right-hand side.
+
+A time step is split in two.  The rates are lagged to the previous level,
+so delta rate and theta d2 C_prev / dz2 are the same for every flux the
+coupler tries within one step: ``surface_step`` computes them once per step
+(with the layout check), and ``step_wall`` adds only the flux term, solves
+and updates, once per flux.  ``surface_rhs`` goes through the same two
+pieces, so the right-hand side has one implementation.
 """
 
 from __future__ import annotations
@@ -36,25 +43,6 @@ def _mirrored_second_difference(values: np.ndarray, dz: float) -> np.ndarray:
     out[:, 1:-1] = d[:, 1:] - d[:, :-1]
     out[:, -1] = -2.0 * d[:, -1]
     return out
-
-
-def surface_rhs(
-    wall: np.ndarray, flux: np.ndarray, rates: np.ndarray, op: SurfaceOperator
-) -> np.ndarray:
-    """Right-hand side -gamma_is flux + delta_i rate + theta_is d2C/dz2 per node.
-
-    wall, flux and rates share the layout (ns, nz+1) that ``op`` was built
-    for; the second difference uses the mirrored zero-flux ends of the step.
-    """
-    layout = (len(op.theta), op.nn)
-    if not wall.shape == flux.shape == rates.shape == layout:
-        raise ValueError(f"wall, flux and rates must have the surface operator's layout {layout}")
-    dz = 1.0 / (op.nn - 1)
-    return (
-        op.neg_gamma * flux
-        + op.delta * rates
-        + op.theta * _mirrored_second_difference(wall, dz)
-    )
 
 
 @dataclass(frozen=True)
@@ -123,15 +111,66 @@ def surface_operator(params: Sequence[SpeciesParams], nn: int, dt: float) -> Sur
     )
 
 
-def step_wall(
-    prev: np.ndarray, flux: np.ndarray, rates: np.ndarray, op: SurfaceOperator
-) -> np.ndarray:
-    """The wall op.dt after ``prev``, all of the layout (ns, nz+1) ``op`` was built for.
+@dataclass(frozen=True)
+class SurfaceStep:
+    """What every surface step from one previous wall reuses, whatever the flux.
 
-    flux is dC_if/dr(1, z) per node and rates are the channel rates with the
-    sign not yet applied, as for ``surface_rhs``.
+    ``reaction`` is delta rate and ``diffusion`` theta d2 C_prev / dz2, both
+    (ns, nn) on the layout of ``op``; built by ``surface_step``.
     """
-    rhs = op.dt * surface_rhs(prev, flux, rates, op)
+
+    prev: np.ndarray
+    reaction: np.ndarray
+    diffusion: np.ndarray
+    op: SurfaceOperator
+
+
+def surface_step(prev: np.ndarray, rates: np.ndarray, op: SurfaceOperator) -> SurfaceStep:
+    """The flux-independent part of a step from ``prev``.
+
+    prev and rates (the channel rates with the sign not yet applied) share
+    the layout (ns, nz+1) that ``op`` was built for; the second difference
+    uses the mirrored zero-flux ends of the step.
+    """
+    layout = (len(op.theta), op.nn)
+    if not prev.shape == rates.shape == layout:
+        raise ValueError(f"wall and rates must have the surface operator's layout {layout}")
+    dz = 1.0 / (op.nn - 1)
+    return SurfaceStep(
+        prev, op.delta * rates, op.theta * _mirrored_second_difference(prev, dz), op
+    )
+
+
+def _rhs(step: SurfaceStep, flux: np.ndarray) -> np.ndarray:
+    """-gamma_is flux + delta_i rate + theta_is d2C/dz2, a fresh C-ordered array."""
+    if flux.shape != step.prev.shape:
+        raise ValueError(f"flux must have the surface operator's layout {step.prev.shape}")
+    rhs = np.multiply(step.op.neg_gamma, flux, order="C")
+    rhs += step.reaction
+    rhs += step.diffusion
+    return rhs
+
+
+def surface_rhs(
+    wall: np.ndarray, flux: np.ndarray, rates: np.ndarray, op: SurfaceOperator
+) -> np.ndarray:
+    """Right-hand side -gamma_is flux + delta_i rate + theta_is d2C/dz2 per node.
+
+    wall, flux and rates share the layout (ns, nz+1) that ``op`` was built
+    for; the second difference uses the mirrored zero-flux ends of the step.
+    """
+    return _rhs(surface_step(wall, rates, op), flux)
+
+
+def step_wall(step: SurfaceStep, flux: np.ndarray) -> np.ndarray:
+    """The wall op.dt after ``step.prev`` under the flux dC_if/dr(1, z) per node.
+
+    flux has the layout of ``step.prev``; the step object is not changed,
+    so one serves every flux tried from the same previous wall.
+    """
+    op = step.op
+    rhs = _rhs(step, flux)
+    rhs *= op.dt
 
     # a run of species sharing one diffusivity shares one matrix (multi-RHS
     # solve).  rhs is fresh and C-ordered, so the transpose of a run of its
@@ -144,4 +183,4 @@ def step_wall(
         if info:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrs")
 
-    return prev + rhs
+    return step.prev + rhs

@@ -39,7 +39,7 @@ from graetzcat.fluid_march import march_fluid, march_operator, wall_flux_gradien
 from graetzcat.kinetics import KineticsModel, eval_rates, verify_hypotheses
 from graetzcat.model import Grid, InitialData, SpeciesParams
 from graetzcat.qualcheck import CHECK_TOL
-from graetzcat.wall_evolve import step_wall, surface_operator
+from graetzcat.wall_evolve import step_wall, surface_operator, surface_step
 
 from conftest import SCENARIO_CFG, constant_config
 
@@ -127,7 +127,7 @@ def test_c05_heat_eigenmode_and_mass():
     worst_mass = 0.0
     op = surface_operator(params, nz + 1, dt)
     for _ in range(steps):
-        wall = step_wall(wall, zero, zero, op)
+        wall = step_wall(surface_step(wall, zero, op), zero)
         worst_mass = max(worst_mass, abs(float(wall[0] @ trap) - mass0))
     amp = float(wall[0, 0])
     amp_err = abs(amp - math.exp(-math.pi**2 * 0.1))
@@ -200,16 +200,19 @@ def test_c08a_property_suite(scenario_run):
 def test_c08b_exp_envelope_produced_species(scenario_run):
     # CO2's inlet and initial wall data are zero, so its exponential
     # envelope is zero plus the tolerance for all t: any production fails
-    # it.  The verdict must be that failure, located where the trajectory
-    # peaks, and must not spill over to the other produced-species checks.
+    # it.  The verdict must be that failure, its size the trajectory's peak,
+    # located where the trajectory first comes within CHECK_TOL of that
+    # peak, and must not spill over to the other produced-species checks.
     cfg, _, report, traj, _ = scenario_run
     checks = {(c.species, c.item): c for c in report.envelope_checks}
     co2 = checks[("CO2", "exp_bound")]
     i = cfg.species_names.index("CO2")
     data_sup = max(float(cfg.initial.inlet[i].max()), float(cfg.initial.wall_init[i].max()))
     highs = [max(float(s.fluid_max[i]), float(s.wall[i].max())) for s in traj]
-    k = int(np.argmax(highs))
-    worst_ok = co2.worst == pytest.approx(highs[k] - CHECK_TOL, rel=1e-12, abs=0.0)
+    peak = max(highs)
+    gaps = [h - CHECK_TOL for h in highs]  # the envelope is 0 + CHECK_TOL
+    k = next(j for j, gap in enumerate(gaps) if gap >= max(gaps) - CHECK_TOL)
+    worst_ok = co2.worst == pytest.approx(peak - CHECK_TOL, rel=1e-12, abs=0.0)
     t_ok = co2.t_worst == traj[k].time
     others_ok = checks[("T", "exp_bound")].passed and checks[("CO2", "lower_bound")].passed
     ok = data_sup == 0.0 and worst_ok and t_ok and not co2.passed and others_ok
@@ -217,7 +220,8 @@ def test_c08b_exp_envelope_produced_species(scenario_run):
         "08b exp-envelope-produced",
         ok,
         f"CO2 data sup={data_sup} exp envelope worst={co2.worst:.2e} at t={co2.t_worst} "
-        f"(trajectory peak {highs[k]:.2e} at t={traj[k].time}) verdict={co2.passed} "
+        f"(trajectory within tol of its peak {peak:.2e} from t={traj[k].time}) "
+        f"verdict={co2.passed} "
         f"T-exp and CO2-lower pass={others_ok}",
     )
 

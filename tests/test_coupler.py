@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graetzcat import wall_evolve
 from graetzcat.coupler import (
     CouplerSettings,
     CouplingState,
@@ -125,6 +126,21 @@ class TestAdvanceStep:
             )
         assert state.time == 3 * cfg.grid.dt
         assert calls == []
+
+    def test_surface_terms_are_built_once_per_step(self, scenario, monkeypatch):
+        # delta r and theta D2 prev are fixed for a whole step: one second
+        # difference per step and one per recorded level, however many
+        # Picard iterations the steps take (one per iteration would be more)
+        cfg, settings = short_scenario(scenario, 0.06)
+        calls = []
+        real = wall_evolve._mirrored_second_difference
+        monkeypatch.setattr(
+            wall_evolve, "_mirrored_second_difference", lambda *a: calls.append(a) or real(*a)
+        )
+        report, _ = run_simulation(cfg, settings)
+        n_steps = cfg.grid.n_steps
+        assert n_steps == 3 and min(report.iterations) >= 2
+        assert len(calls) == 2 * n_steps + 1
 
     def test_flux_form_robustness_under_refinement(self):
         # coupled one-step difference between the two flux forms shrinks

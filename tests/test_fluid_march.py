@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from graetzcat.fluid_march import (
     BLOCK_MAX_NR,
     FLUSH,
     KERNEL_BYTES,
+    BlockKernel,
     MarchOperator,
     RadialOperator,
     impulse_block,
@@ -129,6 +131,17 @@ def station_march(betas, grid, inlet, wall):
         values[idx] = group
     values[:, nr, :] = wall
     return values
+
+
+def folded(qt, nr, block):
+    """Qt folded with the wall, row by row: the drop into station m + 1
+    lowers every station from m + 1 on by 1, and the wall at the block's
+    start raises them all."""
+    out = np.vstack([qt, np.ones((1, block * nr))])
+    for m in range(block):
+        for j in range(m, block):
+            out[nr + m, j * nr : (j + 1) * nr] -= 1.0
+    return out
 
 
 class TestRadialOperator:
@@ -336,16 +349,22 @@ class TestMarchFluid:
             assert np.array_equal(getattr(last, name), getattr(fresh, name)), name
         assert last.d.shape == (nr,) and last.e.shape == (nr - 1,)
         # the block path: one kernel over every species, made of the impulse
-        # blocks kept for the process, each built once per (nr, nz, beta, B);
-        # two distinct betas at nr = 64 would take 1.3 MB at BLOCK, so B halves
+        # blocks kept for the process, each built once per (nr, nz, beta, B):
+        # each species' carry is its block's last station and its output
+        # kernel is its block folded with the wall.  Two distinct betas at
+        # nr = 64 would take 1.3 MB at BLOCK, so B halves
         impulse_block.cache_clear()
         for nr, nz, b in ((12, 20, BLOCK), (BLOCK_MAX_NR, 20, BLOCK // 2)):
             for dt in (0.1, 0.25):
                 op = march_operator(params, Grid(nr=nr, nz=nz, dt=dt, t_end=1.0))
                 ((rows, kernel),) = op.groups
-                assert rows == slice(0, 3) and kernel.shape == (3, nr + b, b * nr)
+                assert rows == slice(0, 3)
+                assert kernel.carry.shape == (3, nr + b, nr)
+                assert kernel.out.shape == (3, nr + b + 1, b * nr)
                 for i, beta in enumerate((1.2, 1.2, 3.4)):
-                    assert np.array_equal(kernel[i], impulse_block(nr, nz, beta, b)), (nr, i)
+                    qt = impulse_block(nr, nz, beta, b)
+                    assert np.array_equal(kernel.carry[i], qt[:, -nr:]), (nr, i)
+                    assert np.array_equal(kernel.out[i], folded(qt, nr, b)), (nr, i)
         assert impulse_block.cache_info().misses == 4
 
     def test_impulse_block_raises_on_a_negative_entry(self, monkeypatch):
@@ -401,7 +420,7 @@ class TestMarchOperator:
         # one group per run of equal beta
         params = species_of((0.5, 0.5, 2.0))
         for nr, kind, runs in (
-            (BLOCK_MAX_NR, np.ndarray, [slice(0, 3)]),
+            (BLOCK_MAX_NR, BlockKernel, [slice(0, 3)]),
             (BLOCK_MAX_NR + 1, RadialOperator, [slice(0, 2), slice(2, 3)]),
         ):
             op = march_operator(params, unit_grid(nr, 16))
@@ -422,7 +441,8 @@ class TestMarchOperator:
         distinct = len(set(betas)) * (nr + BLOCK) * BLOCK * nr * 8
         assert (distinct > KERNEL_BYTES) == (block < BLOCK)
         ((_, kernel),) = march_operator(species_of(betas), unit_grid(nr, nz)).groups
-        assert kernel.shape == (len(betas), nr + block, block * nr)
+        assert kernel.carry.shape == (len(betas), nr + block, nr)
+        assert kernel.out.shape == (len(betas), nr + block + 1, block * nr)
 
     def test_one_stacked_block_march_per_march(self, monkeypatch):
         # the block path marches every species in one call, whatever their
@@ -430,21 +450,28 @@ class TestMarchOperator:
         calls = []
         blocks = fluid_march._march_blocks
         monkeypatch.setattr(
-            fluid_march, "_march_blocks", lambda *a: calls.append(a[2].shape) or blocks(*a)
+            fluid_march, "_march_blocks", lambda *a: calls.append(a[2].out.shape) or blocks(*a)
         )
         nr, nz = 16, 40
         grid = unit_grid(nr, nz)
         rng = np.random.default_rng(8)
         inlet, wall = rng.uniform(0.0, 1.0, (4, nr + 1)), rng.uniform(0.0, 1.0, (4, nz + 1))
         march((0.8, 1.0, 1.25, 2.0), grid, inlet, wall)
-        assert calls == [(4, nr + BLOCK, BLOCK * nr)]
+        assert calls == [(4, nr + BLOCK + 1, BLOCK * nr)]
         for betas in ((0.8, 1.0, 1.25, 2.0), (1.5,) * 4):
             ((_, kernel),) = march_operator(species_of(betas), grid).groups
-            assert not kernel.flags.writeable
-            with pytest.raises(ValueError):
-                kernel[0, 0, 0] = 0.0
-        # one beta: a view of the kept block, no copy
-        assert np.shares_memory(kernel, impulse_block(nr, nz, 1.5, BLOCK))
+            for arr in (kernel.carry, kernel.out):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0, 0] = 0.0
+        # one beta: the carries are a view of the kept block, no copy; the
+        # folded kernel is the operator's own, and the kept block stays plain
+        qt = impulse_block(nr, nz, 1.5, BLOCK)
+        assert np.shares_memory(kernel.carry, qt)
+        assert not np.shares_memory(kernel.out, qt)
+        assert np.all(qt >= 0.0)
+        again = march_operator(species_of((1.5,) * 4), grid).groups[0][1]
+        assert not np.shares_memory(again.out, kernel.out)
 
 
 GRID_SIZE = st.integers(min_value=4, max_value=24)
@@ -504,6 +531,44 @@ def test_block_march_matches_reference_march(nr, nz, betas, seed):
     err = np.abs(march(betas, grid, inlet, wall).values - reference_march(wall, inlet, betas, grid))
     data = np.concatenate([inlet, wall], axis=1)
     assert np.all(err.max(axis=(1, 2)) <= 1e-13 * np.abs(data).max(axis=1))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(4, BLOCK_MAX_NR),
+    st.lists(st.sampled_from([0.3, 1.0, 2.5]), min_size=1, max_size=4),  # repeats and runs
+    st.sampled_from([1 << 40, 0]),  # a budget that keeps B = BLOCK, and one that halves it
+    st.integers(1, 4),
+    st.integers(0, BLOCK // 2 - 1),  # nz % B == 0 at 0
+    st.integers(0, 2**32 - 1),
+)
+def test_folded_block_march(nr, betas, kernel_bytes, blocks, rest, seed):
+    block = BLOCK if kernel_bytes else BLOCK // 2
+    nz = blocks * block + rest
+    ns = len(betas)
+    grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.01, 500.0, (ns, 1))
+    inlet = scale * rng.uniform(-1.0, 1.0, (ns, nr + 1))
+    wall = scale * rng.uniform(-1.0, 1.0, (ns, nz + 1))
+    c = rng.uniform(-1e3, 1e3, (ns, 1))
+    with mock.patch.object(fluid_march, "KERNEL_BYTES", kernel_bytes):
+        ((_, kernel),) = march_operator(species_of(betas), grid).groups
+        assert kernel.carry.shape[1] == nr + block
+        values = march(betas, grid, inlet, wall).values
+        alone = [
+            march(betas[i : i + 1], grid, inlet[i : i + 1], wall[i : i + 1]).values[0]
+            for i in range(ns)
+        ]
+        constant = march(betas, grid, np.tile(c, nr + 1), np.tile(c, nz + 1)).values
+    # within rounding of the station march, whose carries the fold leaves alone
+    err = np.abs(values - station_march(betas, grid, inlet, wall))
+    data = np.concatenate([inlet, wall], axis=1)
+    assert np.all(err.max(axis=(1, 2)) <= 1e-13 * np.abs(data).max(axis=1))
+    # batched is each species alone, bitwise, and constant data is kept exactly
+    for i in range(ns):
+        assert np.array_equal(values[i], alone[i]), i
+    assert np.array_equal(constant, np.broadcast_to(c[:, :, None], constant.shape))
 
 
 @settings(max_examples=40, deadline=None, database=None)

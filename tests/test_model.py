@@ -6,7 +6,7 @@ import pytest
 
 from graetzcat import coupler
 from graetzcat.coupler import Snapshot, run_simulation
-from graetzcat.fluid_march import march_fluid, march_operator, wall_flux_integral
+from graetzcat.fluid_march import BlockKernel, march_fluid, march_operator, wall_flux_integral
 from graetzcat.model import (
     Grid,
     InitialData,
@@ -16,7 +16,7 @@ from graetzcat.model import (
     contraction_margin,
     validate_config,
 )
-from graetzcat.wall_evolve import step_wall, surface_operator
+from graetzcat.wall_evolve import step_wall, surface_operator, surface_step
 from graetzcat.qualcheck import energy_growth_report
 
 from conftest import constant_config
@@ -52,11 +52,12 @@ class TestSpeciesPlan:
 
     @staticmethod
     def kernel_arrays(op):
-        """Every group's arrays: a stacked block kernel, or the arrays of LU factors."""
+        """Every group's arrays: a block kernel's carry and folded stacks, or
+        the arrays of LU factors."""
         out = []
         for _, kernel in op.groups:
-            if isinstance(kernel, np.ndarray):
-                out.append(kernel)
+            if isinstance(kernel, BlockKernel):
+                out += [kernel.carry, kernel.out]
             elif kernel is not None:
                 out.extend(kernel)
         return out
@@ -118,8 +119,8 @@ class TestSpeciesPlan:
         march_op, surface_op = self.operators(self.MIXED, self.inputs(4)[0])
         arrays = [march_op.beta, surface_op.neg_gamma, surface_op.delta, surface_op.theta]
         arrays += self.kernel_arrays(march_op) + self.kernel_arrays(surface_op)
-        # one stacked kernel for the four species' impulse blocks
-        assert len(arrays) == 4 + 1 + 2 * 5
+        # one block kernel for the four species: their carries and folded blocks
+        assert len(arrays) == 4 + 2 + 2 * 5
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -146,8 +147,8 @@ class TestSpeciesPlan:
         assert np.array_equal(
             wall_flux_integral(field, grid, march_op), wall_flux_integral(field, grid, from_list[0])
         )
-        stepped = step_wall(wall, flux, rates, surface_op)
-        assert np.array_equal(stepped, step_wall(wall, flux, rates, from_list[1]))
+        stepped = step_wall(surface_step(wall, rates, surface_op), flux)
+        assert np.array_equal(stepped, step_wall(surface_step(wall, rates, from_list[1]), flux))
         # and each species is what it gives alone
         for i in range(4):
             one = slice(i, i + 1)
@@ -155,7 +156,7 @@ class TestSpeciesPlan:
             solo_march, solo_surface = self.operators([self.MIXED[i]], grid)
             solo = march_fluid(wall[one], init_i, solo_march)
             assert np.array_equal(field.values[i], solo.values[0])
-            alone = step_wall(wall[one], flux[one], rates[one], solo_surface)
+            alone = step_wall(surface_step(wall[one], rates[one], solo_surface), flux[one])
             assert np.array_equal(stepped[i], alone[0])
 
 

@@ -120,6 +120,28 @@ class TestEnvelopes:
         bad = c[("down", "upper_bound")]
         assert not bad.passed and bad.t_worst == 1.0
 
+    def test_worst_point_of_a_plateau_is_its_start(self):
+        # both bounds broken by a rise that settles on a plateau from t = 2 on:
+        # a one-ulp rise of a later plateau value moves the largest gap,
+        # never the reported time (the first largest gap would jump to it)
+        env = self.envelope(lam=0.0)
+        for k in (None, 3, 5):
+            down = np.array([0.3, 0.6, 0.9, 0.9, 0.9, 0.9])
+            up = np.array([0.8, 1.1, 1.4, 1.4, 1.4, 1.4])
+            if k is not None:
+                down[k], up[k] = np.nextafter(down[k], 1.0), np.nextafter(up[k], 2.0)
+            traj = [
+                snap(float(t), [[d] * 3, [u] * 3], [0.0, 0.5], [d, u])
+                for t, (d, u) in enumerate(zip(down, up))
+            ]
+            c = {(c.species, c.item): c for c in check_envelopes(traj, env, self.params())}
+            for key, worst in (
+                (("down", "upper_bound"), down.max() - (0.02 + CHECK_TOL)),
+                (("up", "exp_bound"), up.max() - (0.5 + CHECK_TOL)),
+            ):
+                assert not c[key].passed and c[key].t_worst == 2.0, (k, key)
+                assert c[key].worst == worst, (k, key)
+
     def test_zero_rate_exp_envelope_is_the_constant_bound(self):
         env = self.envelope(lam=0.0)
         high = 0.5 + 5e-9

@@ -6,7 +6,7 @@ from scipy.linalg import solve_banded
 
 from graetzcat import wall_evolve
 from graetzcat.model import SpeciesParams
-from graetzcat.wall_evolve import step_wall, surface_operator, surface_rhs
+from graetzcat.wall_evolve import step_wall, surface_operator, surface_rhs, surface_step
 
 
 def params(theta=1.0, gamma=1.0, delta=1, n=1):
@@ -15,7 +15,7 @@ def params(theta=1.0, gamma=1.0, delta=1, n=1):
 
 def step(prev, flux, rates, dt, p):
     """One step_wall call on a surface operator built for this step alone."""
-    return step_wall(prev, flux, rates, surface_operator(p, prev.shape[1], dt))
+    return step_wall(surface_step(prev, rates, surface_operator(p, prev.shape[1], dt)), flux)
 
 
 def zeros(ns, nn):
@@ -65,7 +65,7 @@ class TestStepWall:
         zero = zeros(1, nz + 1)
         op = surface_operator(params(theta=1.0), nz + 1, dt)
         for _ in range(steps):
-            wall = step_wall(wall, zero, zero, op)
+            wall = step_wall(surface_step(wall, zero, op), zero)
         amp = float(wall[0, 0])
         assert amp == pytest.approx(np.exp(-np.pi**2 * 0.1), abs=2e-2)
         # and the fully discrete eigenvalue reproduces the step map exactly
@@ -76,7 +76,7 @@ class TestStepWall:
         op = surface_operator(params(theta=0.0, delta=1), 11, 0.01)
         wall = np.ones((1, 11))
         for _ in range(100):
-            wall = step_wall(wall, zeros(1, 11), -wall, op)
+            wall = step_wall(surface_step(wall, -wall, op), zeros(1, 11))
         assert wall[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-2)
 
     def test_mass_conservation_per_step(self):
@@ -85,7 +85,7 @@ class TestStepWall:
         op = surface_operator(params(theta=0.7), 65, 0.01)
         for _ in range(50):
             before = trapz_z(wall)
-            wall = step_wall(wall, zeros(1, 65), zeros(1, 65), op)
+            wall = step_wall(surface_step(wall, zeros(1, 65), op), zeros(1, 65))
             after = trapz_z(wall)
             assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
 
@@ -95,7 +95,7 @@ class TestStepWall:
         op = surface_operator(params(theta=1.3), 33, 0.05)
         lo, hi = wall.min(), wall.max()
         for _ in range(20):
-            wall = step_wall(wall, zeros(1, 33), zeros(1, 33), op)
+            wall = step_wall(surface_step(wall, zeros(1, 33), op), zeros(1, 33))
             assert wall.min() >= lo - 1e-12
             assert wall.max() <= hi + 1e-12
             lo, hi = wall.min(), wall.max()
@@ -106,7 +106,7 @@ class TestStepWall:
         op = surface_operator(params(theta=0.9, gamma=2.0, delta=-1), nn, 0.02)
 
         def affine(w, f, r):
-            return step_wall(w, f, r, op)
+            return step_wall(surface_step(w, r, op), f)
 
         w1, w2 = rng.standard_normal((2, 1, nn))
         f1, f2 = rng.standard_normal((2, 1, nn))
@@ -144,6 +144,31 @@ class TestStepWall:
             for a, before in zip((wall, flux, rates), copies):
                 assert np.array_equal(a, before)
 
+    def test_one_step_serves_every_flux(self):
+        # the coupler builds one surface step per time step and tries each
+        # Picard iterate's flux on it: every try is the fresh step's, bitwise
+        rng = np.random.default_rng(9)
+        p = params(theta=0.4, n=2) + (SpeciesParams("c", 1.0, 2.0, 0.0, -1),)
+        wall, rates = rng.standard_normal((2, 3, 21))
+        op = surface_operator(p, 21, 0.05)
+        shared = surface_step(wall, rates, op)
+        kept = [shared.reaction.copy(), shared.diffusion.copy()]
+        for flux in rng.standard_normal((4, 3, 21)):
+            want = reference_step(wall, flux, rates, 0.05, p)
+            assert np.array_equal(step_wall(shared, flux), want)
+        assert np.array_equal(shared.reaction, kept[0])
+        assert np.array_equal(shared.diffusion, kept[1])
+
+    def test_fortran_ordered_inputs_step_alike(self):
+        # the solves run in place in the right-hand side, which must be
+        # C-ordered whatever the order of the flux, rates and wall
+        rng = np.random.default_rng(10)
+        p = params(theta=0.8, n=3)
+        wall, flux, rates = rng.standard_normal((3, 3, 15))
+        want = step(wall, flux, rates, 0.1, p)
+        got = step(*(np.asfortranarray(a) for a in (wall, flux, rates)), 0.1, p)
+        assert np.array_equal(got, want)
+
     def test_factor_is_built_once_per_grid_step_and_diffusivity(self, monkeypatch):
         # thetas 0.789, 0.789, 0, 0.5: two factored runs and one theta = 0 run
         nn, dt = 23, 0.0123
@@ -156,7 +181,7 @@ class TestStepWall:
         op = surface_operator(p, nn, dt)
         for seed in range(4):
             wall, flux, rates = np.random.default_rng(seed).standard_normal((3, 4, nn))
-            step_wall(wall, flux, rates, op)
+            step_wall(surface_step(wall, rates, op), flux)
         assert len(factored) == 2
         assert [rows for rows, _ in op.groups] == [slice(0, 2), slice(2, 3), slice(3, 4)]
         assert op.groups[1][1] is None
@@ -197,8 +222,11 @@ class TestStepWall:
                 surface_operator(p, 9, 0.1)
 
     def test_shape_mismatch_rejected(self):
+        # a flux (step_wall) or rates (surface_step) of 8 nodes on a 9-node wall
         with pytest.raises(ValueError):
             step(np.ones((1, 9)), zeros(1, 8), zeros(1, 9), 0.1, params())
+        with pytest.raises(ValueError):
+            step(np.ones((1, 9)), zeros(1, 9), zeros(1, 8), 0.1, params())
 
     def test_operator_of_another_layout_rejected(self):
         # built for two species, or for 9 nodes: a wall of one species on 9
@@ -206,9 +234,14 @@ class TestStepWall:
         wall = np.ones((1, 9))
         for op in (surface_operator(params(n=2), 9, 0.1), surface_operator(params(), 11, 0.1)):
             with pytest.raises(ValueError, match="layout"):
-                step_wall(wall, zeros(1, 9), zeros(1, 9), op)
+                surface_step(wall, zeros(1, 9), op)
             with pytest.raises(ValueError, match="layout"):
                 surface_rhs(wall, zeros(1, 9), zeros(1, 9), op)
+        # and a flux of another layout than the step's wall
+        fitting = surface_step(wall, zeros(1, 9), surface_operator(params(), 9, 0.1))
+        for flux in (zeros(2, 9), zeros(1, 11)):
+            with pytest.raises(ValueError, match="layout"):
+                step_wall(fitting, flux)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -236,7 +269,7 @@ class TestSurfaceRhs:
         p = (SpeciesParams("a", 1.0, 2.0, 0.0, -1), SpeciesParams("b", 1.0, 0.5, 0.0, 1))
         prev, flux, rates = rng.standard_normal((3, 2, 17))
         op = surface_operator(p, 17, 0.03)
-        out = step_wall(prev, flux, rates, op)
+        out = step_wall(surface_step(prev, rates, op), flux)
         assert np.array_equal(out, prev + 0.03 * surface_rhs(prev, flux, rates, op))
 
     def test_constant_data_is_exactly_zero(self):
