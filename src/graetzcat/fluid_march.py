@@ -81,10 +81,14 @@ carries.  With four distinct betas and nz = 64-128, a march at B = 8 took
 0.57-0.84x as long as at B = 16 for nr = 64 (2.6 MB of blocks) and
 1.07-1.31x for nr = 32 (0.8 MB); CHANGES.md gives the whole crossover.
 
-Neither path stores the field station by station: a column of the
-(nr + 1, nz + 1) field is strided across memory.  The block path collects
-its product in one station-major buffer and stores the whole field once
-per march; the station loop stores FLUSH stations at a time.
+Both paths produce the field a station at a time, so it is stored
+station-major: ``march_fluid`` fills one (ns, nz + 1 + pad, nr + 1) buffer,
+a station's nr + 1 nodes contiguous, and returns its transposed view, of
+the usual (ns, nr + 1, nz + 1) shape.  The block path's product writes the
+buffer in place: each block's B stations are one contiguous row of it, so
+the folded kernel carries a zero column per station for the wall node
+(set from the trace afterwards), and pad rounds the stations up to whole
+blocks.  The station loop flushes FLUSH whole stations at a time.
 
 ``march_operator`` builds what a run needs once, from its species and
 grid: on the block path one ``BlockKernel`` that stacks every species'
@@ -196,23 +200,24 @@ def impulse_block(nr: int, nz: int, beta: float, block: int) -> np.ndarray:
     Row i < nr is the response to a unit deviation at node i, row nr + m to
     a unit drop w_m - w_{m+1} into station m + 1; column j * nr + i is node
     i at station j + 1.  It is the station march of those nr + block
-    impulses, run as one batch, so every entry is bitwise what that march
-    gives.  Qt >= 0 is the discrete maximum principle; a negative (or NaN)
+    impulses, run as one station-major batch, so every entry is bitwise
+    what that march gives and a row is the march's interior nodes read in
+    order.  Qt >= 0 is the discrete maximum principle; a negative (or NaN)
     entry raises rather than being clipped.  Kept for the process per
     (nr, nz, beta, block).
     """
     n = nr + block
-    values = np.zeros((n, nr + 1, block + 1))
+    values = np.zeros((n, block + 1, nr + 1))
     wall = np.zeros((n, block + 1))
-    values[np.arange(nr), np.arange(nr), 0] = 1.0  # deviation e_i under a zero wall
+    values[np.arange(nr), 0, np.arange(nr)] = 1.0  # deviation e_i under a zero wall
     # a drop into station m + 1: ones up to station m, zeros after
-    values[nr:, :nr, 0] = 1.0
+    values[nr:, 0, :nr] = 1.0
     wall[nr:] = np.arange(block + 1) <= np.arange(block)[:, None]
     # the operator does not depend on the time grid: dt and t_end are placeholders
     op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
     _march_stations(values, wall, op)
-    dev = values[:, :nr, 1:] - wall[:, None, 1:]  # C - w: C itself, or 1 - 1 before the drop
-    qt = dev.transpose(0, 2, 1).reshape(n, block * nr)
+    # C - w: C itself, or 1 - 1 before the drop
+    qt = (values[:, 1:, :nr] - wall[:, 1:, None]).reshape(n, block * nr)
     if not np.all(qt >= 0.0):
         raise RuntimeError(
             f"impulse block lost the maximum principle (nr={nr}, nz={nz}, beta={beta})"
@@ -227,14 +232,22 @@ class BlockKernel:
 
     ``carry`` (ns, nr + B, nr) is the last station's columns of each
     species' impulse block Qt, which chain the deviation from block to
-    block.  ``out`` (ns, nr + B + 1, B nr) is Qt folded with the wall: its
-    drop rows less the cumulative-drop mask and a last row of ones, so
-    [D_kB | drops | w_kB] @ out is the field C itself (see the module
-    docstring).
+    block.  ``out`` (ns, nr + B + 1, B (nr + 1)) is Qt folded with the
+    wall: its drop rows less the cumulative-drop mask and a last row of
+    ones, so [D_kB | drops | w_kB] @ out is the field C itself (see the
+    module docstring).  Column j (nr + 1) + i is node i at station j + 1,
+    the block's stations laid out as in the station-major field; the wall
+    node's column, i = nr, is zero, and its product is overwritten by the
+    trace.
     """
 
     carry: np.ndarray
     out: np.ndarray
+
+    @property
+    def block(self) -> int:
+        """B, the stations one row of ``out`` advances."""
+        return self.carry.shape[1] - self.carry.shape[2]
 
 
 def _block_kernel(nr: int, nz: int, betas: Sequence[float]) -> BlockKernel:
@@ -252,12 +265,14 @@ def _block_kernel(nr: int, nz: int, betas: Sequence[float]) -> BlockKernel:
         block = BLOCK // 2
     blocks = {b: impulse_block(nr, nz, b, block) for b in distinct}
     kept = [blocks[betas[0]]] if len(blocks) == 1 else [blocks[b] for b in betas]
-    out = np.empty((len(kept), nr + block + 1, block * nr))
-    out[:, :-1] = kept
+    # (kernel, row, station, node), the wall node's column left at zero
+    out = np.zeros((len(kept), nr + block + 1, block, nr + 1))
+    out[:, :-1, :, :nr] = np.reshape(kept, (len(kept), nr + block, block, nr))
     # station j is w_kB less the drops into stations 1 .. j: drop row m
     # loses 1 at the stations from m + 1 on, and w_kB enters them all
-    out[:, nr:-1] -= np.repeat(np.triu(np.ones((block, block))), nr, axis=1)
-    out[:, -1] = 1.0
+    out[:, nr:-1, :, :nr] -= np.triu(np.ones((block, block)))[:, :, None]
+    out[:, -1, :, :nr] = 1.0
+    out = out.reshape(len(kept), nr + block + 1, block * (nr + 1))
     out.flags.writeable = False
     ns = len(betas)
     if len(blocks) == 1:
@@ -320,27 +335,29 @@ def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> Fluid
     if init.inlet.shape != (ns, nr + 1):
         raise ValueError(f"inlet shape {init.inlet.shape} != {(ns, nr + 1)}")
 
-    values = np.empty((ns, nr + 1, nz + 1))
-    values[:, :, 0] = init.inlet
+    # station-major, the block path's stations rounded up to whole blocks
+    block = next((k.block for _, k in op.groups if isinstance(k, BlockKernel)), 1)
+    buf = np.empty((ns, nz + 1 + (-nz % block), nr + 1))
+    buf[:, 0] = init.inlet
 
     # one stacked block march over every species, or one station march per
-    # run of species sharing a factor, in place in its view of values
+    # run of species sharing a factor, in place in its view of buf
     for rows, kernel in op.groups:
         if isinstance(kernel, RadialOperator):
-            _march_stations(values[rows], wall[rows], kernel)
+            _march_stations(buf[rows], wall[rows], kernel)
         else:
-            _march_blocks(values[rows], wall[rows], kernel)
+            _march_blocks(buf[rows], wall[rows], kernel)
 
-    values[:, nr, :] = wall  # trace, bitwise (owns the z = 0 corner)
-    return FluidField(values)
+    buf[:, : nz + 1, nr] = wall  # trace, bitwise (owns the z = 0 corner)
+    return FluidField(buf[:, : nz + 1].transpose(0, 2, 1))
 
 
 def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -> None:
     """Backward Euler one station at a time, one ``dpttrs`` call per station.
 
-    Fills ``values[:, :nr, 1:]`` of a (g, nr + 1, nz + 1) group from its
-    column ``values[:, :nr, 0]`` and the wall trace ``wvals`` (one row per
-    species, one entry per station).
+    Fills ``values[:, 1:, :nr]`` of a station-major (g, nz + 1, nr + 1)
+    group from its station ``values[:, 0, :nr]`` and the wall trace
+    ``wvals`` (one row per species, one entry per station).
     """
     nr = op.face_r.size
     dr = 1.0 / nr
@@ -348,13 +365,13 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
     face = op.face_r * (op.beta / dr)
     g, stations = wvals.shape
     # FLUSH stations at a time go through buf and then to values as one
-    # slab (nodes of a column of values are (nz + 1) * 8 bytes apart, 64 KB
-    # at nz = 8192).  Row j holds [C | w]: a station's nodes and the wall
-    # trace of the station after it, so the differences of row j give the
-    # face fluxes into row j + 1; row 0 carries the last station over.
-    # The row views are taken once, the loop only calls into numpy.
+    # slab of whole stations per species.  Row j holds [C | w]: a station's
+    # nodes and the wall trace of the station after it, so the differences
+    # of row j give the face fluxes into row j + 1; row 0 carries the last
+    # station over.  The row views are taken once, the loop only calls
+    # into numpy.
     buf = np.empty((FLUSH + 1, g, nr + 1))
-    buf[0, :, :nr] = values[:, :nr, 0]
+    buf[0, :, :nr] = values[:, 0, :nr]
     inner = [b[:, :nr] for b in buf]
     c_hi = [b[:, 1:] for b in buf]
     c_lo = [b[:, :-1] for b in buf]
@@ -377,7 +394,7 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
             if info:
                 raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrs")
             np.add(inner[j], delta.T, out=inner[j + 1])
-        values[:, :nr, k0 : k0 + n] = buf[1 : n + 1, :, :nr].transpose(1, 2, 0)
+        values[:, k0 : k0 + n, :nr] = buf[1 : n + 1, :, :nr].transpose(1, 0, 2)
         buf[0] = buf[n]
 
 
@@ -385,7 +402,8 @@ def _march_blocks(values: np.ndarray, wvals: np.ndarray, kernel: BlockKernel) ->
     """The same march in deviation form, B stations per row of each
     species' folded impulse block ``kernel.out[i]``.
 
-    Fills ``values[:, :nr, 1:]`` like ``_march_stations``, in two phases.
+    Fills the stations of ``values`` like ``_march_stations``, in two
+    phases; the wall node of each is left for the caller to set.
     The carries come first: block k's starting deviation D_{kB} follows
     from block k - 1's [D | drops] through ``kernel.carry``, the plain
     block's last station, one stacked (1, nr + B) x (nr + B, nr) product
@@ -399,13 +417,14 @@ def _march_blocks(values: np.ndarray, wvals: np.ndarray, kernel: BlockKernel) ->
     (g nb, K) @ (K, N) product runs gemv when g nb = 1 and gemm otherwise,
     and the two round apart).  The carries come from the plain block and
     the field from the folded one, so a carry and the field at its station
-    may differ in the last bit, as two BLAS kernels' sums may.  The
-    products land in one station-major buffer, written to ``values`` once
-    per march.
+    may differ in the last bit, as two BLAS kernels' sums may.  The product
+    writes ``values`` in place: a block's row of ``kernel.out`` is its B
+    stations of nr + 1 nodes, so ``values`` must hold whole blocks, the
+    ones past the last station included.
     """
     g, stations = wvals.shape
-    nr = values.shape[1] - 1
-    block = kernel.carry.shape[1] - nr
+    nr = values.shape[2] - 1
+    block = kernel.block
     n = stations - 1
     nb = -(-n // block)
     # row k per species: [D_{kB} | wall drops w_{kB+m-1} - w_{kB+m}, m = 1..B | w_{kB}]
@@ -414,23 +433,24 @@ def _march_blocks(values: np.ndarray, wvals: np.ndarray, kernel: BlockKernel) ->
     np.subtract(wvals[:, :-1], wvals[:, 1:], out=drops[:, :n])
     x[:, :, nr:-1] = drops.reshape(g, nb, block)
     x[:, :, -1] = wvals[:, :n:block]
-    np.subtract(values[:, :nr, 0], wvals[:, :1], out=x[:, 0, :nr])
+    np.subtract(values[:, 0, :nr], wvals[:, :1], out=x[:, 0, :nr])
     for k in range(1, nb):
         np.matmul(x[:, k - 1 : k, :-1], kernel.carry, out=x[:, k : k + 1, :nr])
-    # C_1 .. C_nz, station-major
-    field = np.matmul(x, kernel.out).reshape(g, nb * block, nr)[:, :n]
-    values[:, :nr, 1:] = field.transpose(0, 2, 1)
+    # C_1 .. C_{nb B}
+    np.matmul(x, kernel.out, out=values[:, 1:].reshape(g, nb, block * (nr + 1)))
 
 
 def wall_flux_gradient(field: FluidField, grid: Grid) -> np.ndarray:
     """dC/dr at r = 1 per species and z node, one-sided second order.
 
     Stencil (3 C_nr - 4 C_{nr-1} + C_{nr-2}) / (2 dr) written in difference
-    form so constant fields give exactly zero.
+    form so constant fields give exactly zero.  The field must fit the grid.
     """
     nr = grid.nr
     if nr < 2:
         raise ValueError("gradient extraction needs nr >= 2")
+    if field.values.shape[1:] != (nr + 1, grid.nz + 1):
+        raise ValueError(f"field shape {field.values.shape} does not fit the {nr}x{grid.nz} grid")
     v = field.values
     d1 = v[:, nr, :] - v[:, nr - 1, :]
     d2 = v[:, nr - 1, :] - v[:, nr - 2, :]

@@ -116,7 +116,12 @@ class FluidField:
 
     values has shape (ns, nr+1, nz+1).  The row at r = 1 carries the wall
     trace the field was marched against; the column at z = 0 carries the
-    inlet profile (the corner (1, 0) belongs to the trace).
+    inlet profile (the corner (1, 0) belongs to the trace).  A marched
+    field is stored station-major: values is the transposed view of an
+    (ns, nz+1, nr+1) buffer, so the nr+1 nodes of a station are
+    contiguous (strides[1] is the item size) and a row at fixed r is
+    strided.  Readers index it and need not care; one that needs a
+    contiguous array makes its own copy.
     """
 
     values: np.ndarray

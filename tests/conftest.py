@@ -29,6 +29,12 @@ def constant_config(nr=32, nz=64, dt=0.01, t_end=1.0, levels=(0.37, 1.29)):
     return ModelConfig(species=species, grid=grid, initial=init, kinetics=kin)
 
 
+def station_major(values):
+    """The same (ns, nr + 1, nz + 1) values stored as march_fluid stores a
+    field: each station's nodes contiguous."""
+    return np.ascontiguousarray(values.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
 @pytest.fixture(scope="session")
 def scenario():
     """Parsed shipped CO oxidation scenario."""

@@ -24,6 +24,8 @@ from graetzcat.fluid_march import (
 )
 from graetzcat.model import FluidField, Grid, InitialData, SpeciesParams
 
+from conftest import station_major
+
 
 def single(beta=1.0):
     return (SpeciesParams("c", beta, 1.0, 1.0, -1),)
@@ -119,29 +121,39 @@ def station_march(betas, grid, inlet, wall):
     """march_fluid with every beta group on the station path, whatever nr is.
 
     A group is every species of one beta, consecutive or not, gathered by
-    index and scattered back.
+    index and scattered back.  The march runs station-major, as
+    march_fluid holds the field; the result is the (ns, nr + 1, nz + 1) view.
     """
     nr, nz = grid.nr, grid.nz
-    values = np.empty((len(betas), nr + 1, nz + 1))
-    values[:, :, 0] = inlet
+    values = np.empty((len(betas), nz + 1, nr + 1))
+    values[:, 0] = inlet
     for beta in dict.fromkeys(betas):
         idx = [i for i, b in enumerate(betas) if b == beta]
         group = values[idx]
         fluid_march._march_stations(group, wall[idx], RadialOperator.build(grid, beta))
         values[idx] = group
-    values[:, nr, :] = wall
-    return values
+    values[:, :, nr] = wall
+    return values.transpose(0, 2, 1)
 
 
 def folded(qt, nr, block):
-    """Qt folded with the wall, row by row: the drop into station m + 1
-    lowers every station from m + 1 on by 1, and the wall at the block's
-    start raises them all."""
-    out = np.vstack([qt, np.ones((1, block * nr))])
-    for m in range(block):
-        for j in range(m, block):
-            out[nr + m, j * nr : (j + 1) * nr] -= 1.0
+    """Qt folded with the wall, station by station: the drop into station
+    m + 1 lowers every station from m + 1 on by 1, and the wall at the
+    block's start raises them all.  Station j + 1 takes columns
+    j (nr + 1) .. j (nr + 1) + nr, the last of them the wall node's, 0."""
+    out = np.zeros((nr + block + 1, block * (nr + 1)))
+    for j in range(block):
+        cols = slice(j * (nr + 1), j * (nr + 1) + nr)
+        out[: nr + block, cols] = qt[:, j * nr : (j + 1) * nr]
+        out[-1, cols] = 1.0
+        for m in range(j + 1):
+            out[nr + m, cols] -= 1.0
     return out
+
+
+def wall_columns(out, nr, block):
+    """The wall node's column of each station of a folded kernel stack."""
+    return out.reshape(out.shape[:-1] + (block, nr + 1))[..., nr]
 
 
 class TestRadialOperator:
@@ -319,16 +331,17 @@ class TestMarchFluid:
             assert qt.shape == (nr + b, b * nr)
             assert not qt.flags.writeable
             assert np.all(qt >= 0.0)
+            # station-major marches, (1, b + 1 stations, nr + 1 nodes)
             for i in range(nr):  # a unit deviation at node i under a zero wall
-                values = np.zeros((1, nr + 1, b + 1))
-                values[0, i, 0] = 1.0
+                values = np.zeros((1, b + 1, nr + 1))
+                values[0, 0, i] = 1.0
                 fluid_march._march_stations(values, np.zeros((1, b + 1)), op)
-                assert np.array_equal(qt[i].reshape(b, nr), values[0, :nr, 1:].T), (b, i)
+                assert np.array_equal(qt[i].reshape(b, nr), values[0, 1:, :nr]), (b, i)
             for m in range(b):  # a unit drop into station m + 1 from a constant 1
-                values = np.ones((1, nr + 1, b + 1))
+                values = np.ones((1, b + 1, nr + 1))
                 wall = (np.arange(b + 1) <= m).astype(float)[None, :]
                 fluid_march._march_stations(values, wall, op)
-                want = (values[0, :nr, 1:] - wall[:, 1:]).T
+                want = values[0, 1:, :nr] - wall[0, 1:, None]
                 assert np.array_equal(qt[nr + m].reshape(b, nr), want), (b, m)
             # causal: a drop into station m + 1 leaves the stations before it at 0
             assert np.all(qt[nr:].reshape(b, b, nr)[np.tril_indices(b, -1)] == 0.0)
@@ -360,7 +373,8 @@ class TestMarchFluid:
                 ((rows, kernel),) = op.groups
                 assert rows == slice(0, 3)
                 assert kernel.carry.shape == (3, nr + b, nr)
-                assert kernel.out.shape == (3, nr + b + 1, b * nr)
+                assert kernel.out.shape == (3, nr + b + 1, b * (nr + 1))
+                assert np.all(wall_columns(kernel.out, nr, b) == 0.0)
                 for i, beta in enumerate((1.2, 1.2, 3.4)):
                     qt = impulse_block(nr, nz, beta, b)
                     assert np.array_equal(kernel.carry[i], qt[:, -nr:]), (nr, i)
@@ -404,6 +418,17 @@ class TestMarchFluid:
             with pytest.raises(ValueError, match="shape"):
                 wall_flux_integral(field, grid, op)
 
+    @pytest.mark.parametrize("nr", [BLOCK_MAX_NR, BLOCK_MAX_NR + 1])  # both paths
+    def test_field_is_stored_station_major(self, nr):
+        # nz = 2 BLOCK + 3: a partial last block on the block path
+        rng = np.random.default_rng(nr)
+        nz = 2 * BLOCK + 3
+        inlet, wall = rng.uniform(0.0, 1.0, (2, nr + 1)), rng.uniform(0.0, 1.0, (2, nz + 1))
+        values = march((0.5, 2.0), unit_grid(nr, nz), inlet, wall).values
+        assert values.shape == (2, nr + 1, nz + 1)
+        assert values.strides[1] == values.itemsize  # a station's nodes are contiguous
+        assert values.strides[2] == (nr + 1) * values.itemsize
+
 
 class TestMarchOperator:
     @pytest.mark.parametrize("nr", [8, BLOCK_MAX_NR + 16])
@@ -441,8 +466,10 @@ class TestMarchOperator:
         distinct = len(set(betas)) * (nr + BLOCK) * BLOCK * nr * 8
         assert (distinct > KERNEL_BYTES) == (block < BLOCK)
         ((_, kernel),) = march_operator(species_of(betas), unit_grid(nr, nz)).groups
+        assert kernel.block == block
         assert kernel.carry.shape == (len(betas), nr + block, nr)
-        assert kernel.out.shape == (len(betas), nr + block + 1, block * nr)
+        assert kernel.out.shape == (len(betas), nr + block + 1, block * (nr + 1))
+        assert np.all(wall_columns(kernel.out, nr, block) == 0.0)
 
     def test_one_stacked_block_march_per_march(self, monkeypatch):
         # the block path marches every species in one call, whatever their
@@ -457,7 +484,7 @@ class TestMarchOperator:
         rng = np.random.default_rng(8)
         inlet, wall = rng.uniform(0.0, 1.0, (4, nr + 1)), rng.uniform(0.0, 1.0, (4, nz + 1))
         march((0.8, 1.0, 1.25, 2.0), grid, inlet, wall)
-        assert calls == [(4, nr + BLOCK + 1, BLOCK * nr)]
+        assert calls == [(4, nr + BLOCK + 1, BLOCK * (nr + 1))]
         for betas in ((0.8, 1.0, 1.25, 2.0), (1.5,) * 4):
             ((_, kernel),) = march_operator(species_of(betas), grid).groups
             for arr in (kernel.carry, kernel.out):
@@ -612,6 +639,22 @@ class TestWallFluxGradient:
         with pytest.raises(ValueError):
             wall_flux_gradient(FluidField(vals), grid)
 
+    def test_field_of_another_grid_rejected(self):
+        # an nr = 64 field read on an nr = 32 grid used to give a wrong flux
+        # (its nodes 30-32 taken for the wall and its neighbours) without an error
+        _, field = graetz(64, 16)
+        for grid in (unit_grid(32, 16), unit_grid(64, 8)):
+            with pytest.raises(ValueError, match="does not fit"):
+                wall_flux_gradient(field, grid)
+
+    def test_same_flux_on_either_layout(self):
+        rng = np.random.default_rng(9)
+        nr, nz = 24, 40
+        grid = unit_grid(nr, nz)
+        values = rng.uniform(-1.0, 1.0, (3, nr + 1, nz + 1))
+        flux = wall_flux_gradient(FluidField(values), grid)
+        assert np.array_equal(flux, wall_flux_gradient(FluidField(station_major(values)), grid))
+
 
 class TestWallFluxIntegral:
     def test_linear_in_z(self):
@@ -634,6 +677,18 @@ class TestWallFluxIntegral:
         f1 = wall_flux_integral(FluidField(vals), grid, march_operator(single(beta=1.0), grid))
         f2 = wall_flux_integral(FluidField(vals), grid, march_operator(single(beta=2.0), grid))
         assert np.allclose(f2, 0.5 * f1)
+
+    def test_same_flux_on_either_layout(self):
+        # the r-integral sums the nodes in another memory order on each
+        # layout, so the two agree to rounding, not bitwise
+        rng = np.random.default_rng(10)
+        nr, nz = 48, 40
+        grid = unit_grid(nr, nz)
+        values = rng.uniform(-1.0, 1.0, (3, nr + 1, nz + 1))
+        op = march_operator(species_of((0.5, 1.0, 2.0)), grid)
+        flux = wall_flux_integral(FluidField(values), grid, op)
+        other = wall_flux_integral(FluidField(station_major(values)), grid, op)
+        assert np.abs(other - flux).max() <= 1e-14 * np.abs(flux).max()
 
     def test_cross_method_consistency_on_resolved_window(self):
         # the two extractions approach each other at first order away from

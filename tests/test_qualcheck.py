@@ -7,6 +7,7 @@ from graetzcat.coupler import CouplerSettings, Snapshot, run_simulation
 from graetzcat.model import FluidField, InitialData
 from graetzcat.qualcheck import (
     CHECK_TOL,
+    NonnegReport,
     NonnegViolation,
     build_envelope,
     check_envelopes,
@@ -15,7 +16,7 @@ from graetzcat.qualcheck import (
 )
 from graetzcat.model import SpeciesParams
 
-from conftest import constant_config
+from conftest import constant_config, station_major
 
 
 def snap(t, wall, fmin, fmax, station=None):
@@ -82,6 +83,18 @@ class TestNonnegativity:
         assert (rep.passed, rep.violation_count) == (False, 1)
         index = (2, 5) if where == "fluid" else (5,)
         assert rep.violations == (NonnegViolation(1, where, index, bad),)
+
+    def test_same_report_on_either_layout(self):
+        # march_fluid returns a station-major view; the violations, their
+        # order among equal values included, do not depend on the layout
+        rng = np.random.default_rng(4)
+        vals = rng.choice([0.3, -1e-3, -2e-3, np.nan], size=(3, 9, 14), p=[0.7, 0.1, 0.1, 0.1])
+        wall = rng.choice([0.2, -1e-3], size=(3, 14))
+        other = station_major(vals)
+        assert other.strides[1] == other.itemsize
+        rep = check_nonnegativity(FluidField(vals), wall, minima(vals))
+        assert rep.violation_count > NonnegReport.MAX_LISTED  # the listing is capped
+        assert check_nonnegativity(FluidField(other), wall, minima(other)) == rep
 
     def test_nan_is_scanned_and_not_listed(self):
         vals = np.full((1, 3, 4), 0.3)
