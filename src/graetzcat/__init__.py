@@ -21,7 +21,6 @@ from .coupler import (
 )
 from .fluid_march import (
     MarchOperator,
-    RadialOperator,
     march_fluid,
     march_operator,
     wall_flux_gradient,
@@ -87,7 +86,6 @@ __all__ = [
     "ModelConfig",
     "NonConvergedError",
     "NonnegReport",
-    "RadialOperator",
     "RunReport",
     "Snapshot",
     "SpeciesParams",

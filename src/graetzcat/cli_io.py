@@ -539,12 +539,24 @@ def _flux_gap(setup: tuple[Grid, InitialData, MarchOperator], z_min: float) -> f
 
 
 NR0, NZ0 = 32, 64  # the coarsest grid of the refinement study
+STUDY_BYTES = 1 << 29  # for its largest march field: K = 7 takes 269 MB, K = 8 1.07 GB
+
+
+def _check_levels(levels: int) -> None:
+    """ValueError for too few levels for an order, or for a study whose
+    largest field (finest nr, finest nz) would take more than STUDY_BYTES."""
+    if levels < 3:
+        raise ValueError("need at least 3 levels for an observed order")
+    need = 8 * (NR0 * 2 ** (levels - 1) + 1) * (NZ0 * 2 ** (levels + 1) + 1)
+    if need > STUDY_BYTES:
+        raise ValueError(
+            f"its largest march field takes {need} bytes, over the {STUDY_BYTES}-byte budget"
+        )
 
 
 def convergence_study(levels: int) -> dict:
     """Richardson orders for the marching scheme across doubling grids."""
-    if levels < 3:
-        raise ValueError("need at least 3 levels for an observed order")
+    _check_levels(levels)
     nz_fine = NZ0 * 2 ** (levels + 1)
     centerline = [graetz_centerline(NR0 * 2**i, nz_fine) for i in range(levels)]
     diffs = [abs(a - b) for a, b in zip(centerline, centerline[1:])]
@@ -597,8 +609,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
 
     if args.command == "convergence":
-        if args.levels < 3:
-            p_cnv.error(f"--levels {args.levels}: need at least 3 levels for an observed order")
+        try:
+            _check_levels(args.levels)
+        except ValueError as exc:
+            p_cnv.error(f"--levels {args.levels}: {exc}")
         study = convergence_study(args.levels)
         for i, v in enumerate(study["centerline"]):
             print(f"LEVEL_{i}_CENTERLINE={v!r}")

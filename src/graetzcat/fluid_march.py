@@ -15,9 +15,11 @@ L_r is the finite-volume radial operator; its axis row collapses to
 The degenerate weight (1 - r^2) = 0 at r = 1 is harmless since that row is
 Dirichlet.  The code holds one matrix per (nr, nz, beta): the Dirichlet
 unknown dropped and each row scaled by its cell volume, which makes it
-symmetric positive definite and banded (``RadialOperator.ab``).  It is an
-M-matrix, which yields a discrete maximum principle: the marched field
-cannot leave the envelope of its inlet and wall data.
+symmetric positive definite and tridiagonal.  It is an M-matrix, which
+yields a discrete maximum principle: the marched field cannot leave the
+envelope of its inlet and wall data.  The tests assemble the same
+finite-volume stencil themselves, check the M-matrix structure on it and
+march it as their reference, which the station path matches bitwise.
 
 The wall gradient the surface equation consumes is extracted two ways:
 
@@ -127,12 +129,10 @@ class RadialOperator:
 
     The Dirichlet row at r = 1 is dropped (the trace is known) and the
     rows over the nr interior nodes, the axis row included, are scaled by
-    their cell volumes.  That one matrix is symmetric positive definite;
-    ``ab`` holds it in LAPACK upper banded form (ab[0, 1:] the
-    superdiagonal, ab[1] the diagonal) and ``d``, ``e`` are its LDL^T
-    factor from ``dpttrf`` (D's diagonal and L's subdiagonal); ``build``
-    makes all four read-only.  ab is an M-matrix (``m_matrix_ok``), the
-    witness behind the discrete maximum principle.
+    their cell volumes.  That one matrix is a symmetric positive definite
+    M-matrix (see the module docstring); ``d``, ``e`` are its LDL^T factor
+    from ``dpttrf`` (D's diagonal and L's subdiagonal), and ``build`` makes
+    them and ``face_r`` read-only.
 
     For nr <= BLOCK_MAX_NR the march uses the factor only through
     ``impulse_block``, which marches unit impulses through it once; the
@@ -142,7 +142,6 @@ class RadialOperator:
 
     beta: float
     face_r: np.ndarray
-    ab: np.ndarray
     d: np.ndarray
     e: np.ndarray
 
@@ -164,32 +163,15 @@ class RadialOperator:
         k_diag[1:] = (face_r[: nr - 1] + face_r[1:nr]) / dr
         k_sup = -face_r[: nr - 1] / dr
 
-        ab = np.zeros((2, nr))
-        ab[1, :] = vol * conv[:nr] + beta * k_diag
-        ab[0, 1:] = beta * k_sup
-        d, e, info = dpttrf(ab[1], ab[0, 1:])
+        d, e, info = dpttrf(vol * conv[:nr] + beta * k_diag, beta * k_sup)
         if info:  # cannot happen for beta > 0: SPD by design
             raise RuntimeError(
                 f"radial marching matrix lost positive definiteness (beta={beta}, info={info})"
             )
 
-        for a in (face_r, ab, d, e):
+        for a in (face_r, d, e):
             a.flags.writeable = False
-        return cls(beta=beta, face_r=face_r, ab=ab, d=d, e=e)
-
-    def m_matrix_ok(self) -> bool:
-        """Superdiagonal nonpositive, diagonal positive, rows weakly diagonally dominant.
-
-        ab is symmetric, so row i's off-diagonal entries are ab[0, i] and
-        ab[0, i + 1]; dominance is judged to rounding of the diagonal.
-        """
-        sup, diag = self.ab[0, 1:], self.ab[1]
-        off = np.zeros_like(diag)
-        off[:-1] += np.abs(sup)
-        off[1:] += np.abs(sup)
-        return bool(
-            np.all(sup <= 0.0) and np.all(diag > 0.0) and np.all(diag - off >= -1e-15 * diag)
-        )
+        return cls(beta=beta, face_r=face_r, d=d, e=e)
 
 
 @functools.lru_cache(maxsize=32)
@@ -413,14 +395,16 @@ def _march_blocks(values: np.ndarray, wvals: np.ndarray, kernel: BlockKernel) ->
     rather than once per block and the wall needs no add of its own; the
     drops past the last station are zeros, so a partial last block needs
     no second shape.  numpy runs a stacked product as one BLAS call per
-    species, so each species gives bitwise what it gives alone (a plain
-    (g nb, K) @ (K, N) product runs gemv when g nb = 1 and gemm otherwise,
-    and the two round apart).  The carries come from the plain block and
-    the field from the folded one, so a carry and the field at its station
-    may differ in the last bit, as two BLAS kernels' sums may.  The product
-    writes ``values`` in place: a block's row of ``kernel.out`` is its B
-    stations of nr + 1 nodes, so ``values`` must hold whole blocks, the
-    ones past the last station included.
+    species, so each species gives bitwise what it gives alone at the same
+    B (a plain (g nb, K) @ (K, N) product runs gemv when g nb = 1 and gemm
+    otherwise, and the two round apart); alone, a species whose batch
+    halved B marches at BLOCK and may differ in the last bits.  The
+    carries come from the plain block and the field from the folded one,
+    so a carry and the field at its station may differ in the last bit, as
+    two BLAS kernels' sums may.  The product writes ``values`` in place: a
+    block's row of ``kernel.out`` is its B stations of nr + 1 nodes, so
+    ``values`` must hold whole blocks, the ones past the last station
+    included.
     """
     g, stations = wvals.shape
     nr = values.shape[2] - 1

@@ -35,6 +35,16 @@ def station_major(values):
     return np.ascontiguousarray(values.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
+def mirrored_d2(nz):
+    """The surface's d2/dz2 on nz + 1 nodes as a dense matrix, its zero-flux
+    ends closed by mirrored ghost nodes, built here rather than taken from
+    the surface operator."""
+    nn = nz + 1
+    d2 = (np.eye(nn, k=1) + np.eye(nn, k=-1) - 2.0 * np.eye(nn)) * nz**2
+    d2[0, 1] = d2[-1, -2] = 2.0 * nz**2
+    return d2
+
+
 @pytest.fixture(scope="session")
 def scenario():
     """Parsed shipped CO oxidation scenario."""

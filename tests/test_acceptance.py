@@ -41,7 +41,7 @@ from graetzcat.model import Grid, InitialData, SpeciesParams
 from graetzcat.qualcheck import CHECK_TOL
 from graetzcat.wall_evolve import step_wall, surface_operator, surface_step
 
-from conftest import SCENARIO_CFG, constant_config
+from conftest import SCENARIO_CFG, constant_config, mirrored_d2
 
 
 def verdict(tag: str, ok: bool, detail: str = "") -> None:
@@ -276,8 +276,7 @@ def test_c09b_final_wall_is_the_discrete_steady_state(scenario_run):
         unit = np.zeros((ns, nn))
         unit[:, j] = 1.0
         g[:, :, j] = flux(unit, np.zeros_like(cfg.initial.inlet))
-    d2 = (np.eye(nn, k=1) + np.eye(nn, k=-1) - 2.0 * np.eye(nn)) * grid.nz**2
-    d2[0, 1] = d2[-1, -2] = 2.0 * grid.nz**2  # mirrored ghost nodes
+    d2 = mirrored_d2(grid.nz)
     gamma, delta, theta = (
         np.array([[getattr(s, key)] for s in species], dtype=float)
         for key in ("gamma_s", "delta", "theta_s")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graetzcat
+from graetzcat import cli_io
 from graetzcat.cli_io import (
     ConfigError,
     main,
@@ -304,6 +305,23 @@ class TestCli:
             f"graetzcat convergence: error: --levels {levels}: "
             "need at least 3 levels for an observed order"
         ]
+
+    @pytest.mark.parametrize("levels, need", [("8", 1074036744), ("9", 4295557128)])
+    def test_convergence_beyond_the_byte_budget_exits_two(self, levels, need, capsys, monkeypatch):
+        # refused before any march: K = 9's 8193 x 65537 field would be 4.3 GB
+        monkeypatch.setattr(cli_io, "march_fluid", None)
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("convergence", "--levels", levels)
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert errors == [
+            f"graetzcat convergence: error: --levels {levels}: its largest march field "
+            f"takes {need} bytes, over the {cli_io.STUDY_BYTES}-byte budget"
+        ]
+        with pytest.raises(ValueError, match=f"{need} bytes"):
+            cli_io.convergence_study(int(levels))
+        for fits in (6, 7):  # graetz_refine's K = 6 (67 MB) and K = 7 (269 MB)
+            cli_io._check_levels(fits)
 
     def test_convergence_output_is_pinned(self, capsys):
         # levels 3 marches nr = 128 on the station path and nr = 32, 64 on

@@ -9,12 +9,17 @@ from graetzcat.coupler import (
     advance_step,
     run_simulation,
 )
-from graetzcat.fluid_march import march_fluid, march_operator
-from graetzcat.kinetics import zero_model
+from graetzcat.fluid_march import (
+    march_fluid,
+    march_operator,
+    wall_flux_gradient,
+    wall_flux_integral,
+)
+from graetzcat.kinetics import linear_consumption, zero_model
 from graetzcat.model import Grid, InitialData, ModelConfig, SpeciesParams
 from graetzcat.wall_evolve import surface_operator
 
-from conftest import constant_config
+from conftest import constant_config, mirrored_d2
 
 
 def operators(cfg):
@@ -221,6 +226,35 @@ class TestRunSimulation:
         # unit field: sup_z int_t int_r 1 * r(1-r^2) = t_end / 4
         norms = report.energy.fluid_station_energy.max(axis=1)
         assert norms[0] == pytest.approx(0.2 / 4.0, rel=1e-3)
+
+    @pytest.mark.parametrize("form", ["gradient", "integral"])
+    def test_linear_run_settles_on_the_discrete_steady_state(self, form):
+        # With rate k x and delta = -1 the run is linear, and the marched
+        # flux is affine in the wall, flux(w) = f0 + G w, so its steady wall
+        # solves (gamma G + k I - theta D2) w = -gamma f0.  G's columns are
+        # unit-wall marches with a zero inlet (all in one march), f0 the
+        # inlet's march under a zero wall; D2 is the mirrored-ghost second
+        # difference.  By t = 16 the transient is below rounding (at t = 10
+        # it is still 1e-11 on the gradient form and 6e-10 on the integral).
+        k, nr, nz = 2.0, 32, 64
+        nn = nz + 1
+        grid = Grid(nr=nr, nz=nz, dt=0.02, t_end=16.0)
+        species = (SpeciesParams("c", 1.0, 1.0, 1.0, -1),)
+        init = InitialData(np.ones((1, nr + 1)), np.ones((1, nn)))
+        cfg = ModelConfig(species, grid, init, linear_consumption(k, [1.0]))
+        _, traj = run_simulation(cfg, CouplerSettings(flux_form=form))
+
+        def flux(wall, inlet):
+            op = march_operator(species * len(wall), grid)
+            field = march_fluid(wall, InitialData(inlet, wall), op)
+            if form == "gradient":
+                return wall_flux_gradient(field, grid)
+            return wall_flux_integral(field, grid, op)
+
+        g = flux(np.eye(nn), np.zeros((nn, nr + 1))).T
+        f0 = flux(np.zeros((1, nn)), init.inlet)[0]
+        w = np.linalg.solve(g + k * np.eye(nn) - mirrored_d2(nz), -f0)
+        assert np.abs(traj[-1].wall[0] - w).max() <= 2e-13 * np.abs(w).max()
 
 
 class TestStabilityGuard:

@@ -6,7 +6,7 @@ import pytest
 
 from graetzcat import coupler
 from graetzcat.coupler import Snapshot, run_simulation
-from graetzcat.fluid_march import BlockKernel, march_fluid, march_operator, wall_flux_integral
+from graetzcat.fluid_march import BLOCK_MAX_NR, march_fluid, march_operator, wall_flux_integral
 from graetzcat.model import (
     Grid,
     InitialData,
@@ -51,16 +51,15 @@ class TestSpeciesPlan:
         return march_operator(params, grid), surface_operator(params, grid.nz + 1, grid.dt)
 
     @staticmethod
-    def kernel_arrays(op):
-        """Every group's arrays: a block kernel's carry and folded stacks, or
-        the arrays of LU factors."""
-        out = []
-        for _, kernel in op.groups:
-            if isinstance(kernel, BlockKernel):
-                out += [kernel.carry, kernel.out]
-            elif kernel is not None:
-                out.extend(kernel)
-        return out
+    def arrays_of(obj):
+        """Every array an operator holds, through dataclass fields and tuples."""
+        if isinstance(obj, np.ndarray):
+            return [obj]
+        if dataclasses.is_dataclass(obj):
+            obj = [getattr(obj, field.name) for field in dataclasses.fields(obj)]
+        if isinstance(obj, (list, tuple)):
+            return [a for item in obj for a in TestSpeciesPlan.arrays_of(item)]
+        return []
 
     def test_groups_are_runs_of_consecutive_species(self):
         assert consecutive_runs([1.0, 2.0, 1.0, 3.0]) == (
@@ -116,15 +115,15 @@ class TestSpeciesPlan:
         assert built == {"march_operator": 1, "surface_operator": 1}
 
     def test_arrays_are_read_only(self):
-        march_op, surface_op = self.operators(self.MIXED, self.inputs(4)[0])
-        arrays = [march_op.beta, surface_op.neg_gamma, surface_op.delta, surface_op.theta]
-        arrays += self.kernel_arrays(march_op) + self.kernel_arrays(surface_op)
-        # one block kernel for the four species: their carries and folded blocks
-        assert len(arrays) == 4 + 2 + 2 * 5
-        for arr in arrays:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        for nr in (6, BLOCK_MAX_NR + 1):  # both march paths
+            ops = self.operators(self.MIXED, self.inputs(4, nr=nr)[0])
+            # every group but a theta = 0 run holds arrays of its own
+            for op in ops:
+                assert all(self.arrays_of(k) for _, k in op.groups if k is not None)
+            for arr in self.arrays_of(ops):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
     def test_a_list_and_a_tuple_give_bitwise_the_same_march_and_step(self):
         grid, init, wall, flux, rates = self.inputs(4)
@@ -136,7 +135,7 @@ class TestSpeciesPlan:
                 x, y = getattr(a, field.name), getattr(b, field.name)
                 if field.name == "groups":
                     assert [rows for rows, _ in x] == [rows for rows, _ in y]
-                    x, y = self.kernel_arrays(a), self.kernel_arrays(b)
+                    x, y = self.arrays_of(x), self.arrays_of(y)
                     assert len(x) == len(y)
                     assert all(np.array_equal(u, v) for u, v in zip(x, y))
                 else:
