@@ -56,11 +56,15 @@ wall data (Shah & London, 1978).  S^-1 >= 0 and M >= 0,
 so Qt >= 0: the block keeps the maximum principle (``impulse_block``
 checks it on every block it builds), and constant data gives D = 0
 exactly.  A block costs O(nr^2) per station against the station
-loop's O(nr), so the station loop stays for nr > BLOCK_MAX_NR, where it is
-the faster of the two.  Qt is the one operator kept for the process, per
-(nr, nz, beta, B): building it is a measurable share of a short solve with
-several distinct betas, which later runs on the same grid skip.  The
-folded kernel below is built from it per march operator.
+loop's O(nr), but the block path is still the faster up to nr of about
+256; what keeps the station loop for nr > BLOCK_MAX_NR is rounding.  The
+block's sums stray from the station solve as nr grows: up to nr = 64 the
+field stays within 1e-13 of the largest datum (the tests assert it), past
+that it does not (CHANGES.md gives the measured errors).  Qt is the
+one operator kept for the process, per (nr, nz, beta, B): building it is
+a measurable share of a short solve with several distinct betas, which
+later runs on the same grid skip.  The folded kernel below is built from
+it per march operator.
 
 Only a block's last station feeds the next block, so the march takes the
 carries D_B, D_2B, .. first, each from the one before through the last nr
@@ -111,8 +115,9 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import FluidField, Grid, InitialData, SpeciesParams, consecutive_runs, read_only_column
 
-# Stations one block product advances, and the largest radial grid that
-# marches by blocks; both set from timings of the two paths (CHANGES.md).
+# Stations one block product advances, set from timings (CHANGES.md), and
+# the largest radial grid that marches by blocks, set by the block path's
+# rounding against the station solve (the module docstring).
 BLOCK = 16
 BLOCK_MAX_NR = 64
 # Bytes the distinct betas' BLOCK-station impulse blocks may take before the
@@ -346,17 +351,19 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
     # beta r_f (C_{i+1} - C_i) / dr is the flux through face i
     face = op.face_r * (op.beta / dr)
     g, stations = wvals.shape
-    # FLUSH stations at a time go through buf and then to values as one
-    # slab of whole stations per species.  Row j holds [C | w]: a station's
-    # nodes and the wall trace of the station after it, so the differences
-    # of row j give the face fluxes into row j + 1; row 0 carries the last
-    # station over.  The row views are taken once, the loop only calls
-    # into numpy.
-    buf = np.empty((FLUSH + 1, g, nr + 1))
+    # Up to FLUSH stations at a time go through buf and then to values as
+    # one slab of whole stations per species, so a short march (an impulse
+    # block's B stations) takes a slab of its own length.  Row j holds
+    # [C | w]: a station's nodes and the wall trace of the station after
+    # it, so the differences of row j give the face fluxes into row j + 1;
+    # row 0 carries the last station over.  The row views are taken once,
+    # and the loop only makes positional calls on local names: per station
+    # the interpreter's call handling costs more than the arithmetic.
+    flush = min(FLUSH, stations - 1)
+    buf = np.empty((flush + 1, g, nr + 1))
     buf[0, :, :nr] = values[:, 0, :nr]
-    inner = [b[:, :nr] for b in buf]
-    c_hi = [b[:, 1:] for b in buf]
-    c_lo = [b[:, :-1] for b in buf]
+    # per row j: its upper and lower nodes, and its and row j + 1's interior
+    rows = [(b[:, 1:], b[:, :-1], b[:, :nr], after[:, :nr]) for b, after in zip(buf, buf[1:])]
     # face fluxes in [:, 1:] after a fixed +0.0 column (the axis face), so
     # one subtraction gives every row of the right-hand side, the axis too
     flux = np.empty((g, nr + 1))
@@ -364,18 +371,21 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
     f_hi, f_lo = flux[:, 1:], flux[:, :-1]
     rhs = np.empty((g, nr))
     rhs_t = rhs.T
-    for k0 in range(1, stations, FLUSH):
-        n = min(FLUSH, stations - k0)
+    d, e = op.d, op.e
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    for k0 in range(1, stations, flush):
+        n = min(flush, stations - k0)
         buf[:n, :, nr] = wvals[:, k0 : k0 + n].T
-        for j in range(n):
-            np.subtract(c_hi[j], c_lo[j], out=f_hi)
-            np.multiply(face, f_hi, out=f_hi)
-            np.subtract(f_hi, f_lo, out=rhs)
-            # unchecked: a blown-up trace shows in the coupler's residual instead
-            delta, info = dpttrs(op.d, op.e, rhs_t, overwrite_b=1)
+        for c_hi, c_lo, now, after in rows[:n]:
+            subtract(c_hi, c_lo, f_hi)
+            multiply(face, f_hi, f_hi)
+            subtract(f_hi, f_lo, rhs)
+            # unchecked: a blown-up trace shows in the coupler's residual
+            # instead; 1 is overwrite_b, passed by position
+            delta, info = dpttrs(d, e, rhs_t, 1)
             if info:
                 raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrs")
-            np.add(inner[j], delta.T, out=inner[j + 1])
+            add(now, delta.T, after)
         values[:, k0 : k0 + n, :nr] = buf[1 : n + 1, :, :nr].transpose(1, 0, 2)
         buf[0] = buf[n]
 

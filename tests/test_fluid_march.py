@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -305,6 +306,8 @@ class TestMarchFluid:
             ((1.3, 1.3, 1.3, 1.3), 80, 32),  # one run of four
             ((1.0, 2.0, 1.0), 70, 12),  # equal betas apart
             ((0.7, 1.9), 96, 24),
+            ((0.3, 2.5, 2.5), 257, 6),  # the refinement study's radial sizes
+            ((1.0,), 1024, 4),
         ],
     )
     def test_station_path_matches_reference_march_bitwise(self, betas, nr, nz):
@@ -451,6 +454,18 @@ class TestMarchFluid:
                 assert np.array_equal(qt[nr + m].reshape(b, nr), want), (b, m)
             # causal: a drop into station m + 1 leaves the stations before it at 0
             assert np.all(qt[nr:].reshape(b, b, nr)[np.tril_indices(b, -1)] == 0.0)
+
+    @pytest.mark.kernel
+    def test_impulse_block_slab_fits_its_stations(self):
+        # 136 impulses over 8 stations at nr = 128: their field and the
+        # block take 1.3 and 1.1 MB; a slab of FLUSH stations would add 9 MB
+        tracemalloc.start()
+        try:
+            impulse_block.__wrapped__(128, 8192, 1.0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     @pytest.mark.kernel
     def test_factor_is_built_once_per_grid_and_beta(self, monkeypatch):
