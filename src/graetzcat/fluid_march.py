@@ -106,14 +106,15 @@ integral form.  Every march of the run is handed that ``MarchOperator``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import FluidField, Grid, InitialData, SpeciesParams, consecutive_runs, read_only_column
+from .model import (
+    FluidField, Grid, InitialData, SpeciesParams, consecutive_runs, read_only_column, species_errors
+)
 
 # Stations one block product advances, set from timings (CHANGES.md), and
 # the largest radial grid that marches by blocks, set by the block path's
@@ -281,22 +282,23 @@ class MarchOperator:
     carry columns and their impulse blocks folded with the wall
     (``_block_kernel``); past that, each run of consecutive species with
     equal beta_f is one group with its ``RadialOperator``.  ``beta`` is
-    the (ns, 1) divisor of the integral flux form.  Built by
-    ``march_operator``, arrays read-only.
+    the (ns, 1) divisor of the integral flux form and ``block`` the
+    kernel's B, or 1 on the station path.  Built by ``march_operator``,
+    arrays read-only.
     """
 
     nr: int
     nz: int
     groups: tuple[tuple[slice, Union[BlockKernel, RadialOperator]], ...]
     beta: np.ndarray
+    block: int
 
 
 def march_operator(params: Sequence[SpeciesParams], grid: Grid) -> MarchOperator:
-    """The march operator of the species on the grid's (nr, nz); a beta_f
-    that is NaN, not positive or infinite raises ValueError."""
-    for s in params:
-        if not 0.0 < s.beta_f < math.inf:
-            raise ValueError(f"species.{s.name}.beta_f = {s.beta_f} must be finite and > 0")
+    """The march operator of the species on the grid's (nr, nz); a constant
+    that ``species_errors`` rejects raises ValueError."""
+    if errors := species_errors(params):
+        raise ValueError(errors[0])
     betas = [s.beta_f for s in params]
     nr, nz = grid.nr, grid.nz
     if nr > BLOCK_MAX_NR:
@@ -305,7 +307,8 @@ def march_operator(params: Sequence[SpeciesParams], grid: Grid) -> MarchOperator
         groups = ((slice(0, len(betas)), _block_kernel(nr, nz, betas)),)
     else:
         groups = ()
-    return MarchOperator(nr, nz, groups, read_only_column(betas))
+    block = groups[0][1].block if groups and nr <= BLOCK_MAX_NR else 1
+    return MarchOperator(nr, nz, groups, read_only_column(betas), block)
 
 
 def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> FluidField:
@@ -323,8 +326,7 @@ def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> Fluid
         raise ValueError(f"inlet shape {init.inlet.shape} != {(ns, nr + 1)}")
 
     # station-major, the block path's stations rounded up to whole blocks
-    block = next((k.block for _, k in op.groups if isinstance(k, BlockKernel)), 1)
-    buf = np.empty((ns, nz + 1 + (-nz % block), nr + 1))
+    buf = np.empty((ns, nz + 1 + (-nz % op.block), nr + 1))
     buf[:, 0] = init.inlet
 
     # one stacked block march over every species, or one station march per

@@ -39,6 +39,23 @@ class SpeciesParams:
     delta: int
 
 
+def species_errors(params: Iterable[SpeciesParams]) -> list[str]:
+    """One message per species constant out of its range, in order: beta_f
+    and gamma_s finite and > 0, theta_s finite and >= 0, delta -1 or +1 (NaN
+    is in no range).  The operator builders raise ValueError with the first."""
+    return [
+        f"species.{s.name}.{key} = {getattr(s, key)} must be {rule}"
+        for s in params
+        for key, ok, rule in (
+            ("beta_f", 0.0 < s.beta_f < math.inf, "finite and > 0"),
+            ("gamma_s", 0.0 < s.gamma_s < math.inf, "finite and > 0"),
+            ("theta_s", 0.0 <= s.theta_s < math.inf, "finite and >= 0"),
+            ("delta", s.delta in (-1, 1), "-1 or +1"),
+        )
+        if not ok
+    ]
+
+
 def consecutive_runs(values: Iterable) -> tuple[tuple[object, slice], ...]:
     """Maximal runs of consecutive equal values, each a ``(value, slice)``.
 
@@ -182,23 +199,13 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
     if not cfg.species:
         errors.append("at least one species is required")
 
+    errors += species_errors(cfg.species)
     for s in cfg.species:
-        if not (s.beta_f > 0.0):
-            errors.append(f"species.{s.name}.beta_f = {s.beta_f} must be > 0")
-        if not (s.gamma_s > 0.0):
-            errors.append(f"species.{s.name}.gamma_s = {s.gamma_s} must be > 0")
-        if not (s.theta_s >= 0.0):
-            errors.append(f"species.{s.name}.theta_s = {s.theta_s} must be >= 0")
-        elif s.theta_s == 0.0:
+        if s.theta_s == 0.0:
             warnings.append(
                 f"species.{s.name}.theta_s = 0 is DEGENERATE "
                 "(no axial surface diffusion; convergence guarantees lapse)"
             )
-        for key in ("beta_f", "gamma_s", "theta_s"):
-            if getattr(s, key) == math.inf:
-                errors.append(f"species.{s.name}.{key} = inf must be finite")
-        if s.delta not in (-1, 1):
-            errors.append(f"species.{s.name}.delta = {s.delta} must be -1 or +1")
 
     ns = len(cfg.species)
     inlet, wall = cfg.initial.inlet, cfg.initial.wall_init
@@ -257,9 +264,8 @@ class ContractionDiagnostics:
 def contraction_margin(params: Sequence[SpeciesParams]) -> ContractionDiagnostics:
     if not params:
         raise ValueError("contraction_margin needs at least one species")
-    for s in params:
-        if not (s.beta_f > 0.0):
-            raise ValueError(f"species.{s.name}.beta_f must be > 0")
+    if errors := species_errors(params):
+        raise ValueError(errors[0])
 
     sup_ratio = max(math.sqrt(s.gamma_s / s.beta_f) for s in params)
     inf_theta = min(s.theta_s for s in params)

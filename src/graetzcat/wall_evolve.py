@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .model import SpeciesParams, consecutive_runs, read_only_column
+from .model import SpeciesParams, consecutive_runs, read_only_column, species_errors
 
 
 def _mirrored_second_difference(values: np.ndarray, dz: float) -> np.ndarray:
@@ -82,21 +82,13 @@ def _diffusion_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...
 
 
 def surface_operator(params: Sequence[SpeciesParams], nn: int, dt: float) -> SurfaceOperator:
-    """The surface operator of the species on nn nodes with time step dt.
-
-    Raises ValueError for a dt that is not finite and > 0, a gamma_s that is
-    not finite and > 0, a theta_s that is not finite and >= 0 (NaN included
-    in both), or a delta other than -1 and +1.
-    """
+    """The surface operator of the species on nn nodes with time step dt; a
+    dt that is not finite and > 0 (NaN included) or a constant that
+    ``species_errors`` rejects raises ValueError."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt = {dt} must be finite and > 0")
-    for s in params:
-        if not 0.0 < s.gamma_s < math.inf:
-            raise ValueError(f"species.{s.name}.gamma_s = {s.gamma_s} must be finite and > 0")
-        if not 0.0 <= s.theta_s < math.inf:
-            raise ValueError(f"species.{s.name}.theta_s = {s.theta_s} must be finite and >= 0")
-        if s.delta not in (-1, 1):
-            raise ValueError(f"species.{s.name}.delta = {s.delta} must be -1 or +1")
+    if errors := species_errors(params):
+        raise ValueError(errors[0])
     thetas = [s.theta_s for s in params]
     return SurfaceOperator(
         nn=nn,

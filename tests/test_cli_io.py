@@ -614,3 +614,57 @@ def test_check_ends_in_an_exit_code_for_any_value(index, token):
     assert code in (0, 2, 4)
     if token in NON_FINITE:
         assert code == 2
+
+
+POSITIVE = st.floats(0.1, 10.0)
+LEVEL = st.floats(0.0, 10.0)
+
+
+@st.composite
+def valid_configs(draw):
+    """A small valid simulate config: 1-3 species, zero or linear kinetics,
+    a 4-8 x 4-8 grid and 1-3 steps."""
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1, 0.5]))
+    lines = [
+        "[grid]",
+        f"nr = {draw(st.integers(4, 8))}",
+        f"nz = {draw(st.integers(4, 8))}",
+        f"dt = {dt}",
+        f"t_end = {draw(st.integers(1, 3)) * dt!r}",
+        "[coupler]",
+        f"flux_form = {draw(st.sampled_from(['gradient', 'integral']))}",
+        f"relaxation = {draw(st.floats(0.1, 1.0))!r}",
+        "[kinetics]",
+    ]
+    if draw(st.booleans()):
+        lines += ["model = zero"]
+    else:
+        lines += ["model = linear_consumption", f"rate = {draw(st.floats(0.0, 10.0))!r}"]
+    for i in range(draw(st.integers(1, 3))):
+        lines += [
+            f"[species.s{i}]",
+            f"beta_f = {draw(POSITIVE)!r}",
+            f"gamma_s = {draw(POSITIVE)!r}",
+            f"theta_s = {draw(st.one_of(st.just(0.0), POSITIVE))!r}",
+            f"delta = {draw(st.sampled_from([-1, 1]))}",
+            f"inlet = const:{draw(LEVEL)!r}",
+            f"wall_init = const:{draw(LEVEL)!r}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(valid_configs())
+def test_simulate_ends_in_a_run_exit_code_on_any_valid_config(text):
+    # a valid config never ends in a config error or a traceback; stderr
+    # holds the validation warnings and, for exit 3, the coupler's error
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 3, 4), err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith("warning: ") for line in lines[: len(lines) - (code == 3)]), lines
+    assert code != 3 or lines[-1].startswith("error: "), lines

@@ -229,32 +229,45 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("form", ["gradient", "integral"])
     def test_linear_run_settles_on_the_discrete_steady_state(self, form):
-        # With rate k x and delta = -1 the run is linear, and the marched
-        # flux is affine in the wall, flux(w) = f0 + G w, so its steady wall
-        # solves (gamma G + k I - theta D2) w = -gamma f0.  G's columns are
-        # unit-wall marches with a zero inlet (all in one march), f0 the
-        # inlet's march under a zero wall; D2 is the mirrored-ghost second
-        # difference.  By t = 16 the transient is below rounding (at t = 10
-        # it is still 1e-11 on the gradient form and 6e-10 on the integral).
-        k, nr, nz = 2.0, 32, 64
-        nn = nz + 1
-        grid = Grid(nr=nr, nz=nz, dt=0.02, t_end=16.0)
-        species = (SpeciesParams("c", 1.0, 1.0, 1.0, -1),)
-        init = InitialData(np.ones((1, nr + 1)), np.ones((1, nn)))
-        cfg = ModelConfig(species, grid, init, linear_consumption(k, [1.0]))
-        _, traj = run_simulation(cfg, CouplerSettings(flux_form=form))
+        # With rate k x and delta = -1 the run is linear with its species
+        # apart, and the marched flux of species i is affine in its wall,
+        # flux_i(w) = f0_i + G_i w, so its steady wall solves
+        # (gamma_i G_i + k I - theta_i D2) w = -gamma_i f0_i.  G_i's columns
+        # are unit-wall marches with a zero inlet (all in one march), f0_i
+        # the inlet's march under a zero wall; D2 is the mirrored-ghost
+        # second difference.  By t = 16 the transient is below rounding (at
+        # t = 10 it is still 1e-11 on the gradient form and 6e-10 on the
+        # integral).  The second run carries the split_beta benchmark's four
+        # distinct beta_f and theta_s, so it marches one stacked multi-beta
+        # block and steps four theta groups.  It runs at 16x32: the
+        # comparison is only as good as cond(A) eps, and at 32x64 the
+        # beta_f = 2 species' A has cond 1e4 and gives 2.2e-13 to 2.9e-13.
+        k = 2.0
+        split_beta = ((0.8, 1.0), (1.0, 1.2), (1.25, 1.0), (2.0, 1.5))
+        for nr, nz, constants in ((32, 64, ((1.0, 1.0),)), (16, 32, split_beta)):
+            nn, ns = nz + 1, len(constants)
+            grid = Grid(nr=nr, nz=nz, dt=0.02, t_end=16.0)
+            species = tuple(
+                SpeciesParams(f"s{i}", beta, 1.0, theta, -1)
+                for i, (beta, theta) in enumerate(constants)
+            )
+            init = InitialData(np.ones((ns, nr + 1)), np.ones((ns, nn)))
+            cfg = ModelConfig(species, grid, init, linear_consumption(k, [1.0] * ns))
+            _, traj = run_simulation(cfg, CouplerSettings(flux_form=form))
 
-        def flux(wall, inlet):
-            op = march_operator(species * len(wall), grid)
-            field = march_fluid(wall, InitialData(inlet, wall), op)
-            if form == "gradient":
-                return wall_flux_gradient(field, grid)
-            return wall_flux_integral(field, grid, op)
+            def flux(s, wall, inlet):
+                op = march_operator((s,) * len(wall), grid)
+                field = march_fluid(wall, InitialData(inlet, wall), op)
+                if form == "gradient":
+                    return wall_flux_gradient(field, grid)
+                return wall_flux_integral(field, grid, op)
 
-        g = flux(np.eye(nn), np.zeros((nn, nr + 1))).T
-        f0 = flux(np.zeros((1, nn)), init.inlet)[0]
-        w = np.linalg.solve(g + k * np.eye(nn) - mirrored_d2(nz), -f0)
-        assert np.abs(traj[-1].wall[0] - w).max() <= 2e-13 * np.abs(w).max()
+            for i, s in enumerate(species):
+                g = flux(s, np.eye(nn), np.zeros((nn, nr + 1))).T
+                f0 = flux(s, np.zeros((1, nn)), init.inlet[i : i + 1])[0]
+                a = s.gamma_s * g + k * np.eye(nn) - s.theta_s * mirrored_d2(nz)
+                w = np.linalg.solve(a, -s.gamma_s * f0)
+                assert np.abs(traj[-1].wall[i] - w).max() <= 2e-13 * np.abs(w).max(), (nr, i)
 
 
 class TestStabilityGuard:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -235,6 +236,45 @@ class TestGrid:
 
     def test_step_count(self):
         assert Grid(nr=8, nz=8, dt=0.02, t_end=60.0).n_steps == 3000
+
+
+# every constant out of its range, NaN and the infinities included
+BAD_CONSTANTS = (
+    [(key, v) for key in ("beta_f", "gamma_s") for v in (math.nan, -math.inf, math.inf, 0.0, -1.0)]
+    + [("theta_s", v) for v in (math.nan, -math.inf, math.inf, -1e-3)]
+    + [("delta", v) for v in (0, 2, -2)]
+)
+
+
+class TestSpeciesRules:
+    """One rule set for the species constants: what validate_config reports,
+    the march and surface operators and contraction_margin reject, whether
+    they read the constant or not and wherever the species stands."""
+
+    @pytest.mark.parametrize("key, value", BAD_CONSTANTS)
+    def test_every_consumer_rejects_a_bad_constant(self, key, value):
+        cfg = constant_config(nr=8, nz=8)
+        bad = dataclasses.replace(cfg.species[0], name="bad", **{key: value})
+        report = validate_config(dataclasses.replace(cfg, species=(bad,) + cfg.species[1:]))
+        assert any(e.startswith(f"species.bad.{key} = ") for e in report.errors), report.errors
+        ok = species("ok", gamma=4.0)
+        for params in ((ok, bad), (bad, ok)):
+            for build in (
+                lambda: march_operator(params, cfg.grid),
+                lambda: surface_operator(params, cfg.grid.nz + 1, cfg.grid.dt),
+                lambda: contraction_margin(params),
+            ):
+                with pytest.raises(ValueError, match=rf"species\.bad\.{key}"):
+                    build()
+
+    def test_mu_does_not_depend_on_the_species_order(self):
+        params = (
+            species("a", beta=1.0, gamma=4.0, theta=0.5),
+            species("b", beta=2.0, gamma=0.3, theta=1.2),
+            species("c", beta=0.5, gamma=1.7, theta=0.8),
+        )
+        mus = {contraction_margin(p).mu for p in itertools.permutations(params)}
+        assert mus == {contraction_margin(params).mu}
 
 
 class TestContractionMargin:
