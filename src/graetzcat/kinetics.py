@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ HYPOTHESIS_SLACK = 1e-12
 HYPOTHESIS_SAMPLES = 1024  # pairs; a pass on fewer than 1000 points means little
 LIPSCHITZ_SAFETY = 1.25
 SOBOL_BITS = 30
+SOBOL_CHUNK = 4096  # points per Sobol chunk, a power of two >= HYPOTHESIS_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -155,17 +157,31 @@ class HypothesisReport:
         return self.h1_pass and self.h2_pass and self.h3_pass
 
 
+def _leading_rows(table: zipfile.ZipFile, member: str, d: int) -> np.ndarray:
+    """The first d rows of an npz's .npy member, streamed a column at a time if Fortran-ordered."""
+    fmt = np.lib.format
+    with table.open(member) as f:
+        version = fmt.read_magic(f)
+        header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, fortran_order, dtype = header(f)
+        width, step = int(np.prod(shape[1:])), dtype.itemsize
+        if not fortran_order:
+            return np.frombuffer(f.read(d * width * step), dtype).reshape(d, *shape[1:])
+        columns = [np.frombuffer(f.read(shape[0] * step)[: d * step], dtype) for _ in range(width)]
+        return np.stack(columns, axis=-1).reshape((d, *shape[1:]), order="F")
+
+
 @functools.lru_cache(maxsize=8)
 def _direction_numbers(d: int) -> np.ndarray:
     """Joe-Kuo Sobol direction numbers of the first d dimensions, (d, 30), read-only.
 
-    The primitive polynomials and initial numbers are scipy's own table, read
-    from the installed package without importing scipy.stats; column j
-    holds the j-th direction number scaled to 30 bits.
+    The primitive polynomials and initial numbers are the first d rows of
+    scipy's own table, streamed from the installed package without importing
+    scipy.stats; column j holds the j-th direction number scaled to 30 bits.
     """
     pkg = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    with np.load(Path(pkg) / "stats" / "_sobol_direction_numbers.npz") as table:
-        poly, vinit = table["poly"], table["vinit"]
+    with zipfile.ZipFile(Path(pkg) / "stats" / "_sobol_direction_numbers.npz") as table:
+        poly, vinit = _leading_rows(table, "poly.npy", d), _leading_rows(table, "vinit.npy", d)
     v = [[1] * SOBOL_BITS]
     for j in range(1, d):
         p = int(poly[j])
@@ -190,11 +206,12 @@ def _parity(x: np.ndarray) -> np.ndarray:
     return x & np.uint32(1)
 
 
-def _sobol(d: int, seed: int, n: int) -> np.ndarray:
-    """The first n points of a scrambled Sobol sequence in [0, 1)^d, shape (n, d).
+def _sobol(d: int, seed: int, n: int) -> Iterator[np.ndarray]:
+    """The first n points of a scrambled Sobol sequence in [0, 1)^d, (m, d) chunks.
 
-    Bitwise equal to scipy's ``qmc.Sobol(d, scramble=True, seed=seed).random(n)``:
-    linear matrix scrambling plus a digital shift (Matousek 1998), drawn from
+    Chunks of SOBOL_CHUNK points (the last one shorter), stacked bitwise equal to scipy's
+    ``qmc.Sobol(d, scramble=True, seed=seed).random(n)``: linear matrix
+    scrambling plus a digital shift (Matousek 1998), drawn from
     ``default_rng(seed)`` in scipy's order, and points in Gray-code order.
     """
     if n > 2**SOBOL_BITS:
@@ -210,20 +227,24 @@ def _sobol(d: int, seed: int, n: int) -> np.ndarray:
     rows = ltm @ (np.uint32(1) << msb_first)
     bits = _parity(rows[:, :, None] & _direction_numbers(d)[:, None, :])
     sv = np.bitwise_or.reduce(bits << msb_first[:, None], axis=1)
-    # Gray-code order by reflection: point i is the shift xor-ed with the
-    # direction numbers of the set bits of i ^ (i >> 1)
+    # Gray-code order by reflection, over one chunk: point i is the shift
+    # xor-ed with the direction numbers of the set bits of i ^ (i >> 1)
     q = shift[None, :]
-    for k in range(max(n - 1, 0).bit_length()):
+    for k in range(max(min(n, SOBOL_CHUNK) - 1, 0).bit_length()):
         q = np.concatenate([q, q[::-1] ^ sv[:, k]])
-    return q[:n] * 2.0**-SOBOL_BITS
+    # gray(a + j) = gray(a) ^ gray(j) for a chunk starting at a: its points are
+    # the first chunk's xor-ed with the direction numbers of gray(a)'s bits
+    for a in range(0, n, SOBOL_CHUNK):
+        base = np.bitwise_xor.reduce(sv[:, (np.uint32(a ^ (a >> 1)) >> bit & 1) == 1], axis=1)
+        yield (q[: min(n - a, SOBOL_CHUNK)] ^ base) * 2.0**-SOBOL_BITS
 
 
-def _sample_pairs(model: KineticsModel, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n quasi-random (x, y) pairs in the model box, prefix-stable in seed."""
-    u = _sobol(2 * model.arity, seed, n)
-    x = u[:, : model.arity] * model.box_hi
-    y = u[:, model.arity :] * model.box_hi
-    return x, y
+def _sample_pairs(model: KineticsModel, seed: int,
+                  n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """n quasi-random (x, y) box pairs, prefix-stable in seed: per Sobol chunk, its halves scaled."""
+    for u in _sobol(2 * model.arity, seed, n):
+        u *= np.tile(model.box_hi, 2)  # in place, so x and y are views with the chunk's stride
+        yield u[:, : model.arity], u[:, model.arity :]
 
 
 # Rates that overflow are judged (H1, a non-finite lambda), not warned about.
@@ -243,8 +264,8 @@ def verify_hypotheses(
         raise ValueError(
             f"model arity {model.arity} does not match {len(params)} species"
         )
-    n = HYPOTHESIS_SAMPLES
-    x, y = _sample_pairs(model, seed, n)
+    n = HYPOTHESIS_SAMPLES  # one Sobol chunk
+    x, y = next(_sample_pairs(model, seed, n))
 
     rx = eval_rates(model, x)
     ry = eval_rates(model, y)
@@ -320,8 +341,9 @@ def estimate_lipschitz(
     Difference quotients |r_i(x) - r_i(y)| / sum_h |x_h - y_h| are maximized
     over quasi-random box pairs plus short axis-aligned probes (which chase
     the partial derivatives directly), then inflated by a safety factor.
-    The estimate is a running maximum over a seed-determined stream, so for
-    a fixed seed more samples never decrease it.
+    The estimate is a running maximum over a seed-determined stream, folded
+    one Sobol chunk at a time (its memory is one chunk's at any sample
+    count), so for a fixed seed more samples never decrease it.
 
     Every sampled point lies in [0, box_hi] by construction, so the rate
     law sees the points as they are, without eval_rates' checks and clamp
@@ -333,15 +355,11 @@ def estimate_lipschitz(
     if bad.any():
         raise ValueError(f"non-finite box bound for species index {int(np.argmax(bad))}")
     n = max(int(samples), 1024)
-    x, y = _sample_pairs(model, seed, n)
 
     best = np.zeros(model.arity)
-    # every pair below starts at x; the quotients are laid out channel by
-    # channel, so each channel's max runs over contiguous memory
-    rx = np.ascontiguousarray(np.asarray(model.rate(x), dtype=float).T)
 
-    def absorb(b: np.ndarray, denom: np.ndarray) -> None:
-        """Fold in the quotients of the pairs (x, b) at l1 distances denom."""
+    def absorb(rx: np.ndarray, b: np.ndarray, denom: np.ndarray) -> None:
+        """Fold in the quotients of the pairs (x, b), rates rx at x, at l1 distances denom."""
         q = np.subtract(rx, np.asarray(model.rate(b), dtype=float).T, order="C")
         np.abs(q, out=q)
         ok = denom > 0.0
@@ -353,22 +371,26 @@ def estimate_lipschitz(
             return
         np.maximum(best, q.max(axis=1), out=best)
 
-    # the l1 distance added column by column: below 8 columns this is
-    # np.sum's order, bitwise; from 8 on numpy sums pairwise, so k may move
-    # in its last bits there against an np.sum form
-    dist = np.zeros(n)
-    for j in range(model.arity):
-        dist += np.abs(x[:, j] - y[:, j])
-    absorb(y, dist)
-    # Axis probes from the same stream keep the running-max prefix property.
-    for j in range(model.arity):
-        h = 1e-3 * hi[j]
-        if h == 0.0:
-            continue
-        xp = x.copy()
-        xp[:, j] = np.minimum(x[:, j] + h, hi[j])
-        # the other coordinates cancel exactly: the l1 distance is this one's
-        absorb(xp, np.abs(x[:, j] - xp[:, j]))
+    for x, y in _sample_pairs(model, seed, n):
+        # every pair below starts at x; the quotients are laid out channel by
+        # channel, so each channel's max runs over contiguous memory
+        rx = np.ascontiguousarray(np.asarray(model.rate(x), dtype=float).T)
+        # the l1 distance added column by column: below 8 columns this is
+        # np.sum's order, bitwise; from 8 on numpy sums pairwise, so k may
+        # move in its last bits there against an np.sum form
+        dist = np.zeros(len(x))
+        for j in range(model.arity):
+            dist += np.abs(x[:, j] - y[:, j])
+        absorb(rx, y, dist)
+        # Axis probes from the same stream keep the running-max prefix property.
+        for j in range(model.arity):
+            h = 1e-3 * hi[j]
+            if h == 0.0:
+                continue
+            xp = x.copy()
+            xp[:, j] = np.minimum(x[:, j] + h, hi[j])
+            # the other coordinates cancel exactly: the l1 distance is this one's
+            absorb(rx, xp, np.abs(x[:, j] - xp[:, j]))
 
     k = LIPSCHITZ_SAFETY * best
     lam = float(k.max()) if k.size else 0.0

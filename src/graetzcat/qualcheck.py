@@ -186,7 +186,7 @@ def energy_growth_report(trajectory: Sequence) -> EnergyGrowthReport:
     dz = 1.0 / (nn - 1)
     trap = np.full(nn, dz)
     trap[0] = trap[-1] = dz / 2.0
-    energy = np.einsum("izt,z->it", walls * walls, trap)
+    energy = np.einsum("izt,z->it", np.square(walls, out=walls), trap)
 
     intercept = energy[:, 0].copy()
     with np.errstate(divide="ignore", invalid="ignore"):

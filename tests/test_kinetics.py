@@ -1,15 +1,22 @@
 import dataclasses
+import importlib.util
+import tracemalloc
 import warnings
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graetzcat import kinetics
 from graetzcat.kinetics import (
     LIPSCHITZ_SAFETY,
     SOBOL_BITS,
+    SOBOL_CHUNK,
     KineticsModel,
-    _sample_pairs,
     _direction_numbers,
+    _leading_rows,
+    _sample_pairs,
     _sobol,
     co_oxidation,
     estimate_lipschitz,
@@ -19,6 +26,31 @@ from graetzcat.kinetics import (
     zero_model,
 )
 from graetzcat.model import SpeciesParams
+
+
+# point counts on either side of the chunk and power-of-two boundaries
+CHUNK_EDGES = (SOBOL_CHUNK - 1, SOBOL_CHUNK + 1, 3 * SOBOL_CHUNK + 5, 16384)
+
+SOBOL_TABLE = (Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+               / "stats" / "_sobol_direction_numbers.npz")
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def sobol_points(d, seed, n):
+    """All n points of _sobol stacked, after checking that every chunk but
+    the last is SOBOL_CHUNK long."""
+    chunks = list(_sobol(d, seed, n))
+    assert [len(c) for c in chunks[:-1]] == [SOBOL_CHUNK] * (len(chunks) - 1)
+    return np.vstack([np.empty((0, d)), *chunks])
 
 
 def consuming(n):
@@ -75,21 +107,21 @@ class TestSobol:
     def test_bitwise_equal_to_scipy(self, d):
         from scipy.stats import qmc  # the reference; the package never imports it
         for seed in (0, 1, 7, 12345):
-            for n in (0, 1, 2, 5, 1000, 1024, 1025, 4096):
+            for n in (0, 1, 2, 5, 1000, 1024, 1025, 4096, *CHUNK_EDGES):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # n not a power of two
                     ref = qmc.Sobol(d, scramble=True, seed=seed).random(n)
-                got = _sobol(d, seed, n)
+                got = sobol_points(d, seed, n)
                 assert got.dtype == ref.dtype and got.shape == ref.shape, (seed, n)
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (seed, n)
 
     def test_prefix_stable(self):
-        long = _sobol(8, 3, 16384)
-        for n in (1, 2, 3, 1000, 1024, 5000):
-            assert np.array_equal(_sobol(8, 3, n), long[:n]), n
+        long = sobol_points(8, 3, 16384)
+        for n in (1, 2, 3, 1000, 1024, 5000, *CHUNK_EDGES):
+            assert np.array_equal(sobol_points(8, 3, n), long[:n]), n
 
     def test_points_lie_in_the_unit_cube_on_the_30_bit_lattice(self):
-        u = _sobol(4, 0, 4096)
+        u = sobol_points(4, 0, 4096)
         assert np.all((u >= 0.0) & (u < 1.0))
         assert np.array_equal(u * 2.0**SOBOL_BITS, np.floor(u * 2.0**SOBOL_BITS))
         # a scrambled digital net: each of the 2^12 boxes of side 2^-12 in
@@ -99,12 +131,37 @@ class TestSobol:
 
     def test_point_limit(self):
         with pytest.raises(ValueError, match=r"2\*\*30"):
-            _sobol(2, 0, 2**SOBOL_BITS + 1)
+            next(_sobol(2, 0, 2**SOBOL_BITS + 1))
 
-    def test_direction_table_is_cached_read_only(self):
-        table = _direction_numbers(6)
-        assert table is _direction_numbers(6)
-        assert table.shape == (6, SOBOL_BITS) and not table.flags.writeable
+    def test_direction_table_is_cached_read_only(self, monkeypatch):
+        with np.load(SOBOL_TABLE) as full:
+            whole = {name + ".npy": full[name] for name in ("poly", "vinit")}
+        for d in (1, 8, 40):
+            table = _direction_numbers(d)
+            assert table is _direction_numbers(d)
+            assert table.shape == (d, SOBOL_BITS) and not table.flags.writeable
+            # the streamed rows are the first d of the whole table, and so is
+            # the table built from them
+            with zipfile.ZipFile(SOBOL_TABLE) as npz:
+                for member, rows in whole.items():
+                    assert np.array_equal(_leading_rows(npz, member, d), rows[:d]), (member, d)
+            with monkeypatch.context() as patched:
+                patched.setattr(kinetics, "_leading_rows", lambda _, member, d: whole[member][:d])
+                assert np.array_equal(table, _direction_numbers.__wrapped__(d)), d
+
+    def test_leading_rows_follow_the_stored_order(self, tmp_path):
+        a = np.arange(5 * 3 * 2, dtype=np.int64).reshape(5, 3, 2)
+        np.savez_compressed(tmp_path / "t.npz", c=a, f=np.asfortranarray(a), v=a[:, 0, 0])
+        with zipfile.ZipFile(tmp_path / "t.npz") as npz:
+            for d in (0, 1, 4, 5):
+                assert np.array_equal(_leading_rows(npz, "c.npy", d), a[:d]), d
+                assert np.array_equal(_leading_rows(npz, "f.npy", d), a[:d]), d
+                assert np.array_equal(_leading_rows(npz, "v.npy", d), a[:d, 0, 0]), d
+
+    def test_direction_table_read_keeps_only_its_rows(self):
+        # the whole table inflates to 3.2 MB; 8 rows of it are 1.2 kB
+        peak = traced_peak(_direction_numbers.__wrapped__, 8)
+        assert peak < 1e6, peak
 
 
 def overflowing(arity):
@@ -227,6 +284,34 @@ class TestVerifyHypotheses:
             verify_hypotheses(zero_model(np.ones(2)), consuming(3), seed=0)
 
 
+def neighbour_law(arity):
+    """r_i(x) = x_i x_(i-1) on a box with a zero-width channel."""
+    hi = np.linspace(0.5, 2.5, arity)
+    hi[arity // 2] = 0.0
+    return KineticsModel(lambda x: x * np.roll(x, 1, axis=-1), hi)
+
+
+def whole_array_k(model, seed, samples):
+    """estimate_lipschitz's k from all pairs at once: the rates at x are
+    evaluated anew for every pair, and the l1 distances are summed column
+    by column, the estimate's order."""
+    x, y = (np.concatenate(half) for half in zip(*_sample_pairs(model, seed, samples)))
+    hi = model.box_hi
+    best = np.zeros(model.arity)
+    probes = [y]
+    for j in range(model.arity):
+        if hi[j] > 0.0:
+            xp = x.copy()
+            xp[:, j] = np.minimum(x[:, j] + 1e-3 * hi[j], hi[j])
+            probes.append(xp)
+    for b in probes:
+        denom = sum(np.abs(x - b).T)
+        ok = denom > 0.0
+        q = np.abs(eval_rates(model, x)[ok] - eval_rates(model, b)[ok]) / denom[ok, None]
+        np.maximum(best, q.max(axis=0), out=best)
+    return LIPSCHITZ_SAFETY * best
+
+
 class TestEstimateLipschitz:
     def test_linear_map(self):
         def rate(x):
@@ -256,39 +341,42 @@ class TestEstimateLipschitz:
             assert k.shape == (arity,) and lam == 0.0
 
     def test_rates_at_the_base_points_are_evaluated_once(self):
-        # the shipped-like box and one with a zero-width CO2 channel, which
-        # gets no axis probe
-        for box in (CO_OX_BOX, (0.05, 0.1, 0.0, 600.0)):
-            inner = co_oxidation(400.0, 3000.0, 150.0, box)
+        # the shipped-like box, one with a zero-width CO2 channel, which gets
+        # no axis probe, and a 9-channel law, whose l1 distance numpy's
+        # np.sum would add pairwise
+        laws = [co_oxidation(400.0, 3000.0, 150.0, box)
+                for box in (CO_OX_BOX, (0.05, 0.1, 0.0, 600.0))]
+        laws.append(neighbour_law(9))
+        for inner in laws:
             hi = inner.box_hi
             probed = [j for j in range(inner.arity) if hi[j] > 0.0]
             for seed in range(4):
-                calls = []
+                for samples in (2048, 5000, 20000):
+                    calls = []
 
-                def counted(x):
-                    calls.append(x.shape)
-                    return inner.rate(x)
+                    def counted(x):
+                        calls.append(x.shape)
+                        return inner.rate(x)
 
-                m = dataclasses.replace(inner, rate=counted)
-                k, lam = estimate_lipschitz(m, seed=seed, samples=2048)
-                # x, y and one axis probe per channel of nonzero width
-                assert len(calls) == 1 + 1 + len(probed)
-                # the same quotients with the rates at x evaluated anew for
-                # every pair and the full l1 distance of every pair
-                x, y = _sample_pairs(m, seed, 2048)
-                best = np.zeros(m.arity)
-                probes = [y]
-                for j in probed:
-                    xp = x.copy()
-                    xp[:, j] = np.minimum(x[:, j] + 1e-3 * hi[j], hi[j])
-                    probes.append(xp)
-                for b in probes:
-                    denom = np.sum(np.abs(x - b), axis=1)
-                    ok = denom > 0.0
-                    q = np.abs(eval_rates(inner, x)[ok] - eval_rates(inner, b)[ok]) / denom[ok, None]
-                    np.maximum(best, q.max(axis=0), out=best)
-                assert np.array_equal(k, LIPSCHITZ_SAFETY * best), (box, seed)
-                assert lam == float((LIPSCHITZ_SAFETY * best).max())
+                    m = dataclasses.replace(inner, rate=counted)
+                    k, lam = estimate_lipschitz(m, seed=seed, samples=samples)
+                    # x, y and one axis probe per channel of nonzero width,
+                    # once per Sobol chunk
+                    chunks = -(-samples // SOBOL_CHUNK)
+                    assert len(calls) == chunks * (1 + 1 + len(probed))
+                    if samples == 2048:
+                        assert len(calls) == 1 + 1 + len(probed)
+                    ref = whole_array_k(inner, seed, samples)
+                    assert np.array_equal(k, ref), (hi, seed, samples)
+                    assert lam == float(ref.max())
+
+    @pytest.mark.parametrize("samples", [16384, 65536])
+    def test_memory_is_one_chunks_at_any_sample_count(self, scenario, samples):
+        # the shipped law; all pairs at once took 3.4 MB at 16384 samples
+        # and 13.6 MB at 65536
+        cfg, _ = scenario
+        peak = traced_peak(estimate_lipschitz, cfg.kinetics, seed=0, samples=samples)
+        assert peak < 1.5e6, peak
 
     def test_monotone_in_sample_count(self):
         m = co_oxidation(400.0, 3000.0, 150.0, CO_OX_BOX)
