@@ -34,9 +34,11 @@ reproduces itself bitwise (exact fixed points, no drift).
 
 The matrix is symmetric tridiagonal, so its LDL^T factor (LAPACK
 ``dpttrf``: the diagonal D and the subdiagonal of the unit factor L) depends
-only on (nr, nz, beta); the march operator of a run holds it and every
-march of the run reuses it.  Each station is one direct LAPACK ``dpttrs``
-call on that factor, whose dependency chain has no division.
+only on (nr, nz, beta).  The species' matrices stand block-diagonally in
+one matrix, zero between species, whose factor the march operator of a run
+holds and every march of the run reuses.  Each station is one direct
+LAPACK ``dpttrs`` call on that factor for all species, whose dependency
+chain has no division.
 
 On small radial grids the march runs in deviation form instead.  With
 D_k = C_k - w_k 1 over the nr interior nodes, the volume-scaled system
@@ -58,9 +60,12 @@ checks it on every block it builds), and constant data gives D = 0
 exactly.  A block costs O(nr^2) per station against the station
 loop's O(nr), but the block path is still the faster up to nr of about
 256; what keeps the station loop for nr > BLOCK_MAX_NR is rounding.  The
-block's sums stray from the station solve as nr grows: up to nr = 64 the
-field stays within 1e-13 of the largest datum (the tests assert it), past
-that it does not (CHANGES.md gives the measured errors).  Qt is the
+block's sums stray from the station solve as nr and the diffusion number
+beta nr^2 / nz grow: up to nr = 64 and a diffusion number of 256 the
+field stays within 1e-13 of the largest datum (the tests assert it; the
+worst of a sweep over nr <= 64, nz 4-49 and beta up to 20 was 4.7e-14),
+past either it does not (CHANGES.md gives the measured errors), so such
+marches take the station loop.  Qt is the
 one operator kept for the process, per (nr, nz, beta, B): building it is
 a measurable share of a short solve with several distinct betas, which
 later runs on the same grid skip.  The folded kernel below is built from
@@ -98,9 +103,9 @@ blocks.  The station loop flushes FLUSH whole stations at a time.
 
 ``march_operator`` builds what a run needs once, from its species and
 grid: on the block path one ``BlockKernel`` that stacks every species'
-carry columns and folded block, past BLOCK_MAX_NR each run of consecutive
-species sharing a beta with its factor, and the beta divisor of the
-integral form.  Every march of the run is handed that ``MarchOperator``.
+carry columns and folded block, on the station path one ``RadialOperator``
+over every species, and the beta divisor of the integral form.  Every
+march of the run is handed that ``MarchOperator``.
 """
 
 from __future__ import annotations
@@ -113,14 +118,16 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import (
-    FluidField, Grid, InitialData, SpeciesParams, consecutive_runs, read_only_column, species_errors
+    FluidField, Grid, InitialData, SpeciesParams, read_only_column, species_errors
 )
 
 # Stations one block product advances, set from timings (CHANGES.md), and
-# the largest radial grid that marches by blocks, set by the block path's
-# rounding against the station solve (the module docstring).
+# the largest radial grid and diffusion number beta nr^2 / nz that march by
+# blocks, set by the block path's rounding against the station solve (the
+# module docstring).
 BLOCK = 16
 BLOCK_MAX_NR = 64
+DIFFUSION_MAX = 256.0
 # Bytes the distinct betas' BLOCK-station impulse blocks may take before the
 # block shrinks to BLOCK // 2, so the kernel stays in a core's cache
 # (crossover measured in CHANGES.md).
@@ -131,14 +138,16 @@ FLUSH = 64
 
 @dataclass(frozen=True)
 class RadialOperator:
-    """The marching matrix [(1-r^2)/dz I - L_r] for one diffusivity.
+    """The marching matrices [(1-r^2)/dz I - L_r] of g rows, one beta each.
 
-    The Dirichlet row at r = 1 is dropped (the trace is known) and the
-    rows over the nr interior nodes, the axis row included, are scaled by
-    their cell volumes.  That one matrix is a symmetric positive definite
-    M-matrix (see the module docstring); ``d``, ``e`` are its LDL^T factor
-    from ``dpttrf`` (D's diagonal and L's subdiagonal), and ``build`` makes
-    them and ``face_r`` read-only.
+    A row's matrix drops the Dirichlet row at r = 1 (the trace is known)
+    and scales the rows over the nr interior nodes by their cell volumes:
+    a symmetric positive definite M-matrix (see the module docstring).  The
+    g matrices stand block-diagonally in one, zero between rows; ``d``,
+    ``e`` are its LDL^T factor from one ``dpttrf`` (D's diagonal and L's
+    subdiagonal), which LAPACK solves for each row bitwise as alone on
+    finite data, and ``face`` (g, nr) is each row's beta r_f / dr.
+    ``build`` makes them read-only.
 
     For nr <= BLOCK_MAX_NR the march uses the factor only through
     ``impulse_block``, which marches unit impulses through it once; the
@@ -146,15 +155,15 @@ class RadialOperator:
     the module docstring).
     """
 
-    beta: float
-    face_r: np.ndarray
+    face: np.ndarray
     d: np.ndarray
     e: np.ndarray
 
     @classmethod
-    def build(cls, grid: Grid, beta: float) -> "RadialOperator":
-        if not beta > 0.0:
-            raise ValueError(f"beta = {beta} must be positive")
+    def build(cls, grid: Grid, betas: Sequence[float]) -> "RadialOperator":
+        beta = np.array(betas, dtype=float).reshape(-1, 1)
+        if not np.all(beta > 0.0):
+            raise ValueError(f"betas {beta[:, 0].tolist()} must be positive")
         nr, dr, dz = grid.nr, grid.dr, grid.dz
         r = grid.r
         conv = (1.0 - r * r) / dz
@@ -167,17 +176,19 @@ class RadialOperator:
         k_diag = np.empty(nr)
         k_diag[0] = face_r[0] / dr
         k_diag[1:] = (face_r[: nr - 1] + face_r[1:nr]) / dr
-        k_sup = -face_r[: nr - 1] / dr
+        # a row's last sub-diagonal entry couples it to the next row: zero
+        sub = np.zeros((len(beta), nr))
+        sub[:, :-1] = beta * (-face_r[: nr - 1] / dr)
 
-        d, e, info = dpttrf(vol * conv[:nr] + beta * k_diag, beta * k_sup)
+        diag = vol * conv[:nr] + beta * k_diag
+        d, e, info = dpttrf(diag.reshape(-1), sub.reshape(-1)[:-1])
         if info:  # cannot happen for beta > 0: SPD by design
-            raise RuntimeError(
-                f"radial marching matrix lost positive definiteness (beta={beta}, info={info})"
-            )
+            raise RuntimeError(f"radial marching matrix lost positive definiteness (info={info})")
 
-        for a in (face_r, d, e):
+        face = face_r * (beta / dr)
+        for a in (face, d, e):
             a.flags.writeable = False
-        return cls(beta=beta, face_r=face_r, d=d, e=e)
+        return cls(face=face, d=d, e=e)
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,7 +213,7 @@ def impulse_block(nr: int, nz: int, beta: float, block: int) -> np.ndarray:
     values[nr:, 0, :nr] = 1.0
     wall[nr:] = np.arange(block + 1) <= np.arange(block)[:, None]
     # the operator does not depend on the time grid: dt and t_end are placeholders
-    op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), beta)
+    op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), [beta] * n)
     _march_stations(values, wall, op)
     # C - w: C itself, or 1 - 1 before the drop
     qt = (values[:, 1:, :nr] - wall[:, 1:, None]).reshape(n, block * nr)
@@ -277,38 +288,36 @@ def _block_kernel(nr: int, nz: int, betas: Sequence[float]) -> BlockKernel:
 class MarchOperator:
     """What every march of one species tuple on one (nr, nz) grid reuses.
 
-    ``groups`` holds ``(slice, kernel)`` pairs.  For nr <= BLOCK_MAX_NR
-    there is one, over every species, whose ``BlockKernel`` stacks their
-    carry columns and their impulse blocks folded with the wall
-    (``_block_kernel``); past that, each run of consecutive species with
-    equal beta_f is one group with its ``RadialOperator``.  ``beta`` is
-    the (ns, 1) divisor of the integral flux form and ``block`` the
-    kernel's B, or 1 on the station path.  Built by ``march_operator``,
-    arrays read-only.
+    ``kernel`` marches every species at once: on the block path a
+    ``BlockKernel`` that stacks their carry columns and their impulse
+    blocks folded with the wall (``_block_kernel``), on the station path
+    one ``RadialOperator`` over all of them.  ``beta`` is the (ns, 1)
+    divisor of the integral flux form and ``block`` the kernel's B, or 1
+    on the station path.  Built by ``march_operator``, arrays read-only.
     """
 
     nr: int
     nz: int
-    groups: tuple[tuple[slice, Union[BlockKernel, RadialOperator]], ...]
+    kernel: Union[BlockKernel, RadialOperator]
     beta: np.ndarray
     block: int
 
 
 def march_operator(params: Sequence[SpeciesParams], grid: Grid) -> MarchOperator:
-    """The march operator of the species on the grid's (nr, nz); a constant
-    that ``species_errors`` rejects raises ValueError."""
+    """The march operator of the species on the grid's (nr, nz); species
+    that ``species_errors`` rejects raise ValueError.
+
+    The block path takes nr <= BLOCK_MAX_NR and diffusion numbers up to
+    DIFFUSION_MAX, the station path the rest.
+    """
     if errors := species_errors(params):
         raise ValueError(errors[0])
     betas = [s.beta_f for s in params]
     nr, nz = grid.nr, grid.nz
-    if nr > BLOCK_MAX_NR:
-        groups = tuple((rows, RadialOperator.build(grid, b)) for b, rows in consecutive_runs(betas))
-    elif betas:
-        groups = ((slice(0, len(betas)), _block_kernel(nr, nz, betas)),)
-    else:
-        groups = ()
-    block = groups[0][1].block if groups and nr <= BLOCK_MAX_NR else 1
-    return MarchOperator(nr, nz, groups, read_only_column(betas), block)
+    if nr <= BLOCK_MAX_NR and max(betas) * nr * nr / nz <= DIFFUSION_MAX:
+        kernel = _block_kernel(nr, nz, betas)
+        return MarchOperator(nr, nz, kernel, read_only_column(betas), kernel.block)
+    return MarchOperator(nr, nz, RadialOperator.build(grid, betas), read_only_column(betas), 1)
 
 
 def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> FluidField:
@@ -328,14 +337,10 @@ def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> Fluid
     # station-major, the block path's stations rounded up to whole blocks
     buf = np.empty((ns, nz + 1 + (-nz % op.block), nr + 1))
     buf[:, 0] = init.inlet
-
-    # one stacked block march over every species, or one station march per
-    # run of species sharing a factor, in place in its view of buf
-    for rows, kernel in op.groups:
-        if isinstance(kernel, RadialOperator):
-            _march_stations(buf[rows], wall[rows], kernel)
-        else:
-            _march_blocks(buf[rows], wall[rows], kernel)
+    if isinstance(op.kernel, RadialOperator):
+        _march_stations(buf, wall, op.kernel)
+    else:
+        _march_blocks(buf, wall, op.kernel)
 
     buf[:, : nz + 1, nr] = wall  # trace, bitwise (owns the z = 0 corner)
     return FluidField(buf[:, : nz + 1].transpose(0, 2, 1))
@@ -345,14 +350,12 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
     """Backward Euler one station at a time, one ``dpttrs`` call per station.
 
     Fills ``values[:, 1:, :nr]`` of a station-major (g, nz + 1, nr + 1)
-    group from its station ``values[:, 0, :nr]`` and the wall trace
-    ``wvals`` (one row per species, one entry per station).
+    field from its station ``values[:, 0, :nr]`` and the wall trace
+    ``wvals`` (one row per species, one entry per station); ``op`` has the
+    same g rows.
     """
-    nr = op.face_r.size
-    dr = 1.0 / nr
-    # beta r_f (C_{i+1} - C_i) / dr is the flux through face i
-    face = op.face_r * (op.beta / dr)
-    g, stations = wvals.shape
+    g, nr = op.face.shape
+    stations = wvals.shape[1]
     # Up to FLUSH stations at a time go through buf and then to values as
     # one slab of whole stations per species, so a short march (an impulse
     # block's B stations) takes a slab of its own length.  Row j holds
@@ -371,9 +374,10 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
     flux = np.empty((g, nr + 1))
     flux[:, 0] = 0.0
     f_hi, f_lo = flux[:, 1:], flux[:, :-1]
+    # the solve runs on rhs's flat view, species after species as in the factor
     rhs = np.empty((g, nr))
-    rhs_t = rhs.T
-    d, e = op.d, op.e
+    rhs_flat = rhs.reshape(-1)
+    face, d, e = op.face, op.d, op.e
     subtract, multiply, add = np.subtract, np.multiply, np.add
     for k0 in range(1, stations, flush):
         n = min(flush, stations - k0)
@@ -382,12 +386,13 @@ def _march_stations(values: np.ndarray, wvals: np.ndarray, op: RadialOperator) -
             subtract(c_hi, c_lo, f_hi)
             multiply(face, f_hi, f_hi)
             subtract(f_hi, f_lo, rhs)
-            # unchecked: a blown-up trace shows in the coupler's residual
-            # instead; 1 is overwrite_b, passed by position
-            delta, info = dpttrs(d, e, rhs_t, 1)
+            # dpttrs overwrites rhs with the increment (1 is overwrite_b,
+            # passed by position); unchecked: a blown-up trace shows in the
+            # coupler's residual instead
+            _, info = dpttrs(d, e, rhs_flat, 1)
             if info:
                 raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrs")
-            add(now, delta.T, after)
+            add(now, rhs, after)
         values[:, k0 : k0 + n, :nr] = buf[1 : n + 1, :, :nr].transpose(1, 0, 2)
         buf[0] = buf[n]
 

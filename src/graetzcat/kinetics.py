@@ -117,8 +117,7 @@ def co_oxidation(
 
     def rate(x: np.ndarray) -> np.ndarray:
         co, o2, t = x[..., 0], x[..., 1], x[..., 3]
-        with np.errstate(divide="ignore"):
-            arrh = np.where(t > 0.0, np.exp(-activation_temp / np.maximum(t, 1e-300)), 0.0)
+        arrh = np.where(t > 0.0, np.exp(-activation_temp / np.maximum(t, 1e-300)), 0.0)
         rho = prefactor * co * o2 * arrh
         out = np.empty_like(x)
         out[..., 0] = rho
@@ -157,18 +156,27 @@ class HypothesisReport:
         return self.h1_pass and self.h2_pass and self.h3_pass
 
 
-def _leading_rows(table: zipfile.ZipFile, member: str, d: int) -> np.ndarray:
-    """The first d rows of an npz's .npy member, streamed a column at a time if Fortran-ordered."""
+def _leading_rows(
+    table: zipfile.ZipFile, member: str, d: int, columns: Optional[int] = None
+) -> np.ndarray:
+    """The first d rows of an npz's .npy member, of its last axis only the
+    first ``columns`` entries if given; a Fortran-ordered member is streamed
+    a column at a time and read no further than the columns it keeps."""
     fmt = np.lib.format
     with table.open(member) as f:
         version = fmt.read_magic(f)
         header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
         shape, fortran_order, dtype = header(f)
-        width, step = int(np.prod(shape[1:])), dtype.itemsize
+        kept, step = list(shape[1:]), dtype.itemsize
+        if columns is not None:
+            kept[-1] = min(kept[-1], columns)
         if not fortran_order:
-            return np.frombuffer(f.read(d * width * step), dtype).reshape(d, *shape[1:])
-        columns = [np.frombuffer(f.read(shape[0] * step)[: d * step], dtype) for _ in range(width)]
-        return np.stack(columns, axis=-1).reshape((d, *shape[1:]), order="F")
+            rows = np.frombuffer(f.read(d * int(np.prod(shape[1:])) * step), dtype)
+            return rows.reshape(d, *shape[1:])[..., :columns]
+        # the last axis varies slowest, so its first entries are the first columns
+        width = int(np.prod(kept))
+        cols = [np.frombuffer(f.read(shape[0] * step)[: d * step], dtype) for _ in range(width)]
+        return np.array(cols).T.reshape((d, *kept), order="F")
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,11 +185,15 @@ def _direction_numbers(d: int) -> np.ndarray:
 
     The primitive polynomials and initial numbers are the first d rows of
     scipy's own table, streamed from the installed package without importing
-    scipy.stats; column j holds the j-th direction number scaled to 30 bits.
+    scipy.stats, the initial numbers only as far as the polynomials' degree
+    needs; column j holds the j-th direction number scaled to 30 bits.
     """
     pkg = importlib.util.find_spec("scipy").submodule_search_locations[0]
     with zipfile.ZipFile(Path(pkg) / "stats" / "_sobol_direction_numbers.npz") as table:
-        poly, vinit = _leading_rows(table, "poly.npy", d), _leading_rows(table, "vinit.npy", d)
+        poly = _leading_rows(table, "poly.npy", d)
+        # a degree-m polynomial takes m initial numbers: the first columns only
+        degree = max((int(p).bit_length() - 1 for p in poly), default=0)
+        vinit = _leading_rows(table, "vinit.npy", d, degree)
     v = [[1] * SOBOL_BITS]
     for j in range(1, d):
         p = int(poly[j])

@@ -1,5 +1,4 @@
-"""Physical parameters, grids, field containers and structural diagnostics,
-and the grouping of species into runs that the march and surface operators use.
+"""Physical parameters, grids, field containers and structural diagnostics.
 
 The simulated system lives on the unit cylinder reduced by symmetry to
 ``(r, z) in [0,1) x (0,1)`` with the reacting surface at ``r = 1``.  Every
@@ -9,10 +8,9 @@ temperature is carried as the last "species" with the same equation shape.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,11 +37,13 @@ class SpeciesParams:
     delta: int
 
 
-def species_errors(params: Iterable[SpeciesParams]) -> list[str]:
-    """One message per species constant out of its range, in order: beta_f
-    and gamma_s finite and > 0, theta_s finite and >= 0, delta -1 or +1 (NaN
-    is in no range).  The operator builders raise ValueError with the first."""
-    return [
+def species_errors(params: Sequence[SpeciesParams]) -> list[str]:
+    """One message if there are no species, and one per species constant
+    out of its range, in order: beta_f and gamma_s finite and > 0, theta_s
+    finite and >= 0, delta -1 or +1 (NaN is in no range).  The operator
+    builders raise ValueError with the first."""
+    none = [] if params else ["at least one species is required"]
+    return none + [
         f"species.{s.name}.{key} = {getattr(s, key)} must be {rule}"
         for s in params
         for key, ok, rule in (
@@ -54,21 +54,6 @@ def species_errors(params: Iterable[SpeciesParams]) -> list[str]:
         )
         if not ok
     ]
-
-
-def consecutive_runs(values: Iterable) -> tuple[tuple[object, slice], ...]:
-    """Maximal runs of consecutive equal values, each a ``(value, slice)``.
-
-    The march and the surface step group species this way, so every group
-    indexes a view; equal values that are not consecutive fall in separate
-    runs.
-    """
-    out, start = [], 0
-    for value, run in itertools.groupby(values):
-        stop = start + len(list(run))
-        out.append((value, slice(start, stop)))
-        start = stop
-    return tuple(out)
 
 
 def read_only_column(values: Sequence[float]) -> np.ndarray:
@@ -196,9 +181,6 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
     ):
         errors.append(f"grid.t_end = {g.t_end} is not a whole number of steps dt = {g.dt}")
 
-    if not cfg.species:
-        errors.append("at least one species is required")
-
     errors += species_errors(cfg.species)
     for s in cfg.species:
         if s.theta_s == 0.0:
@@ -262,8 +244,6 @@ class ContractionDiagnostics:
 
 
 def contraction_margin(params: Sequence[SpeciesParams]) -> ContractionDiagnostics:
-    if not params:
-        raise ValueError("contraction_margin needs at least one species")
     if errors := species_errors(params):
         raise ValueError(errors[0])
 

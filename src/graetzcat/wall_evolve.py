@@ -9,11 +9,13 @@ exact for flux-free, reaction-free steps.  The update is computed in
 increment form so fixed points are preserved bitwise.
 
 ``surface_operator`` builds what the steps of a run reuse once, from the
-species, the node count and dt: the -gamma, delta and theta columns and,
-for each run of consecutive species sharing a theta, the tridiagonal LU
-factor of the implicit diffusion.  Each solve is one direct LAPACK
-``dgttrs`` call on that factor, in place in the run's rows of the fresh
-right-hand side.
+species, the node count and dt: the -gamma, delta and theta columns and
+one tridiagonal LU factor of the implicit diffusion of all species.  Each
+species' matrix stands in it block-diagonally, zero between species, a
+theta = 0 species as identity rows; LAPACK only multiplies the zero
+couplings and never pivots across them, so each species is solved bitwise
+as it would be alone on finite data.  Each solve is one direct LAPACK
+``dgttrs`` call on that factor, in place in the fresh right-hand side.
 
 A time step is split in two.  The rates are lagged to the previous level,
 so delta rate and theta d2 C_prev / dz2 are the same for every flux the
@@ -27,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .model import SpeciesParams, consecutive_runs, read_only_column, species_errors
+from .model import SpeciesParams, read_only_column, species_errors
 
 
 def _mirrored_second_difference(values: np.ndarray, dz: float) -> np.ndarray:
@@ -50,9 +52,9 @@ class SurfaceOperator:
     """What every surface step of one species tuple on nn nodes at one dt reuses.
 
     ``neg_gamma``, ``delta`` and ``theta`` are the (ns, 1) columns of
-    ``surface_rhs``.  ``groups`` holds each run of consecutive species with
-    equal theta_s as ``(slice, factor)``, the factor that of I - dt theta D2,
-    or None for theta = 0.  Built by ``surface_operator``, arrays read-only.
+    ``surface_rhs``; ``factor`` is the LU factor of I - dt theta D2 over all
+    species (``_diffusion_factor``).  Built by ``surface_operator``, arrays
+    read-only.
     """
 
     nn: int
@@ -60,20 +62,26 @@ class SurfaceOperator:
     neg_gamma: np.ndarray
     delta: np.ndarray
     theta: np.ndarray
-    groups: tuple[tuple[slice, Optional[tuple[np.ndarray, ...]]], ...]
+    factor: tuple[np.ndarray, ...]
 
 
-def _diffusion_factor(nn: int, dt: float, theta: float) -> tuple[np.ndarray, ...]:
-    """LU factor (dl, d, du, du2, ipiv) of I - dt theta D2 on nn nodes, read-only.
+def _diffusion_factor(nn: int, dt: float, thetas: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """LU factor (dl, d, du, du2, ipiv) of I - dt theta D2 on nn nodes per
+    species, block-diagonal over the species, read-only.
 
     D2 is the mirrored-ghost second difference, so the first superdiagonal
-    and the last subdiagonal entries carry the doubled ghost weight.
+    and the last subdiagonal entries of a species carry the doubled ghost
+    weight; the entries between two species are zero.
     """
-    a = dt * theta / (1.0 / (nn - 1)) ** 2
-    dl, du = np.full((2, nn - 1), -a)
-    du[0] = -2.0 * a  # mirrored ghost at z = 0
-    dl[-1] = -2.0 * a  # mirrored ghost at z = 1
-    *factor, info = dgttrf(dl, np.full(nn, 1.0 + 2.0 * a), du)
+    a = dt * np.array(thetas, dtype=float).reshape(-1, 1) / (1.0 / (nn - 1)) ** 2
+    # per species row: its sub- and superdiagonal, the last entry coupling
+    # it to the next species
+    dl, du = np.zeros((2, len(a), nn))
+    dl[:, :-1] = du[:, :-1] = -a
+    du[:, 0] = -2.0 * a[:, 0]  # mirrored ghost at z = 0
+    dl[:, -2] = -2.0 * a[:, 0]  # mirrored ghost at z = 1
+    d = np.repeat(1.0 + 2.0 * a, nn, axis=1)
+    *factor, info = dgttrf(dl.reshape(-1)[:-1], d.reshape(-1), du.reshape(-1)[:-1])
     if info:  # cannot happen: the matrix is strictly diagonally dominant
         raise RuntimeError(f"surface diffusion matrix is singular (LAPACK dgttrf info={info})")
     for arr in factor:
@@ -96,10 +104,7 @@ def surface_operator(params: Sequence[SpeciesParams], nn: int, dt: float) -> Sur
         neg_gamma=read_only_column([-s.gamma_s for s in params]),
         delta=read_only_column([s.delta for s in params]),
         theta=read_only_column(thetas),
-        groups=tuple(
-            (rows, None if theta == 0.0 else _diffusion_factor(nn, dt, theta))
-            for theta, rows in consecutive_runs(thetas)
-        ),
+        factor=_diffusion_factor(nn, dt, thetas),
     )
 
 
@@ -164,15 +169,10 @@ def step_wall(step: SurfaceStep, flux: np.ndarray) -> np.ndarray:
     rhs = _rhs(step, flux)
     rhs *= op.dt
 
-    # a run of species sharing one diffusivity shares one matrix (multi-RHS
-    # solve).  rhs is fresh and C-ordered, so the transpose of a run of its
-    # rows is the Fortran-ordered (nn, g) view dgttrs overwrites with the
-    # increment; theta = 0 rows keep rhs as their increment.
-    for rows, factor in op.groups:
-        if factor is None:
-            continue
-        _, info = dgttrs(*factor, rhs[rows].T, overwrite_b=1)
-        if info:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrs")
+    # one solve over every species; rhs is fresh and C-ordered, so dgttrs
+    # overwrites its flat view with the increment in place
+    _, info = dgttrs(*op.factor, rhs.reshape(-1), overwrite_b=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrs")
 
     return step.prev + rhs

@@ -239,7 +239,7 @@ class TestRunSimulation:
         # t = 10 it is still 1e-11 on the gradient form and 6e-10 on the
         # integral).  The second run carries the split_beta benchmark's four
         # distinct beta_f and theta_s, so it marches one stacked multi-beta
-        # block and steps four theta groups.  It runs at 16x32: the
+        # block and steps four thetas in one solve.  It runs at 16x32: the
         # comparison is only as good as cond(A) eps, and at 32x64 the
         # beta_f = 2 species' A has cond 1e4 and gives 2.2e-13 to 2.9e-13.
         k = 2.0

@@ -12,6 +12,7 @@ from graetzcat import fluid_march
 from graetzcat.fluid_march import (
     BLOCK,
     BLOCK_MAX_NR,
+    DIFFUSION_MAX,
     march_fluid,
     march_operator,
     wall_flux_gradient,
@@ -97,30 +98,26 @@ def m_matrix(diag, sup):
 
 
 def reference_march(wall, inlet, betas, grid):
-    """The march as one LAPACK dptsv call per station and beta.
+    """The march as one LAPACK dptsv call per station and species.
 
-    dptsv factors the stencil's matrix afresh at every station (dpttrf) and
-    solves with dpttrs, on the right-hand side of face differences: the
-    face fluxes beta r_f (C_{i+1} - C_i) / dr, the axis face's flux being 0.
+    dptsv factors the species' stencil matrix afresh at every station
+    (dpttrf) and solves with dpttrs, on the right-hand side of face
+    differences: the face fluxes beta r_f (C_{i+1} - C_i) / dr, the axis
+    face's flux being 0.
     """
     nr, nz, dr = grid.nr, grid.nz, grid.dr
     face = stencil(grid)[3]
     values = np.empty((len(betas), nr + 1, nz + 1))
     values[:, :, 0] = inlet
-    for beta in dict.fromkeys(betas):
-        idx = [i for i, b in enumerate(betas) if b == beta]
+    for i, beta in enumerate(betas):
         diag, sup = marching_matrix(grid, beta)
-        pad = np.empty((len(idx), nr + 1))
         for k in range(1, nz + 1):
-            pad[:, :nr] = values[idx, :nr, k - 1]
-            pad[:, nr] = wall[idx, k]
-            flux = face * (beta / dr) * (pad[:, 1:] - pad[:, :-1])
-            rhs = np.empty((len(idx), nr))
-            rhs[:, 0] = flux[:, 0]
-            rhs[:, 1:] = flux[:, 1:] - flux[:, :-1]
-            _, _, delta, info = dptsv(diag, sup, rhs.T)
+            pad = np.append(values[i, :nr, k - 1], wall[i, k])
+            flux = face * (beta / dr) * np.diff(pad)
+            rhs = np.append(flux[0], np.diff(flux))
+            _, _, delta, info = dptsv(diag, sup, rhs)
             assert info == 0
-            values[idx, :nr, k] = pad[:, :nr] + delta.T
+            values[i, :nr, k] = pad[:nr] + delta
     values[:, nr, :] = wall
     return values
 
@@ -240,7 +237,7 @@ class TestRadialOperator:
     def test_rejects_nonpositive_beta(self):
         for beta in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
-                RadialOperator.build(unit_grid(8, 8), beta)
+                RadialOperator.build(unit_grid(8, 8), (1.0, beta))
 
 
 class TestMarchFluid:
@@ -433,7 +430,7 @@ class TestMarchFluid:
     @pytest.mark.kernel
     @pytest.mark.parametrize("nr,nz,beta", [(4, 4, 1.0), (12, 40, 0.3), (BLOCK_MAX_NR, 64, 2.5)])
     def test_impulse_block_is_the_station_march_of_its_impulses(self, nr, nz, beta):
-        op = RadialOperator.build(unit_grid(nr, nz), beta)  # stations at the nz grid's dz
+        op = RadialOperator.build(unit_grid(nr, nz), (beta,))  # stations at the nz grid's dz
         for b in (BLOCK, BLOCK // 2):  # both block sizes the march takes
             qt = impulse_block(nr, nz, beta, b)
             assert impulse_block(nr, nz, beta, b) is qt  # built once per (nr, nz, beta, B)
@@ -469,31 +466,56 @@ class TestMarchFluid:
 
     @pytest.mark.kernel
     def test_factor_is_built_once_per_grid_and_beta(self, monkeypatch):
-        # betas 1.2, 1.2, 3.4: one factor per run on the station path
-        params = species_of((1.2, 1.2, 3.4))
+        # betas 1.2, 3.4, 1.2: on the station path one factor over all
+        # three, zero between species, whatever their order
+        params = species_of((1.2, 3.4, 1.2))
         factored = []
         dpttrf = fluid_march.dpttrf
         monkeypatch.setattr(fluid_march, "dpttrf", lambda *a: factored.append(a) or dpttrf(*a))
         nr = BLOCK_MAX_NR + 1
         op = march_operator(params, Grid(nr=nr, nz=20, dt=0.1, t_end=1.0))
-        assert len(factored) == 2
-        (_, first), (_, last) = op.groups
-        assert isinstance(first, RadialOperator) and first.beta == 1.2
-        assert last.d.shape == (nr,) and last.e.shape == (nr - 1,)
+        assert len(factored) == 1
+        solver = op.kernel
+        assert isinstance(solver, RadialOperator) and op.block == 1
+        assert solver.face.shape == (3, nr)
+        assert solver.d.shape == (3 * nr,) and solver.e.shape == (3 * nr - 1,)
+        assert np.all(solver.e[nr - 1 :: nr] == 0.0)
+        # each species' block of the factor is that species' factor alone
+        alone = RadialOperator.build(unit_grid(nr, 20), (3.4,))
+        assert np.array_equal(solver.d[nr : 2 * nr], alone.d)
+        assert np.array_equal(solver.e[nr : 2 * nr - 1], alone.e)
+        assert np.array_equal(solver.face[1], alone.face[0])
         # the block path: one kernel over every species, its carries the last
         # station of impulse blocks kept for the process and built once per
         # (nr, nz, beta, B), whatever the time grid.  Two distinct betas at
         # nr = 64 would take 1.3 MB at BLOCK, so B halves
         impulse_block.cache_clear()
-        for nr, nz, b in ((12, 20, BLOCK), (BLOCK_MAX_NR, 20, BLOCK // 2)):
+        for nr, nz, b in ((12, 20, BLOCK), (BLOCK_MAX_NR, 64, BLOCK // 2)):
             for dt in (0.1, 0.25):
                 op = march_operator(params, Grid(nr=nr, nz=nz, dt=dt, t_end=1.0))
-                ((rows, kernel),) = op.groups
-                assert rows == slice(0, 3)
-                for i, beta in enumerate((1.2, 1.2, 3.4)):
+                assert isinstance(op.kernel, BlockKernel) and op.block == b
+                for i, beta in enumerate((1.2, 3.4, 1.2)):
                     qt = impulse_block(nr, nz, beta, b)
-                    assert np.array_equal(kernel.carry[i], qt[:, -nr:]), (nr, i)
+                    assert np.array_equal(op.kernel.carry[i], qt[:, -nr:]), (nr, i)
         assert impulse_block.cache_info().misses == 4
+
+    @pytest.mark.kernel
+    @pytest.mark.parametrize("nz", KERNEL_STATION_COUNTS)
+    def test_one_solve_per_station(self, monkeypatch, nz):
+        # every species in one dpttrs call per station, on its flat rows
+        calls = []
+        dpttrs = fluid_march.dpttrs
+        monkeypatch.setattr(
+            fluid_march,
+            "dpttrs",
+            lambda d, e, b, overwrite_b: calls.append(b.shape) or dpttrs(d, e, b, overwrite_b),
+        )
+        nr = BLOCK_MAX_NR + 1
+        rng = np.random.default_rng(nz)
+        betas = (1.0, 2.0, 1.0, 0.5)
+        inlet, wall = rng.uniform(0.0, 1.0, (4, nr + 1)), rng.uniform(0.0, 1.0, (4, nz + 1))
+        march(betas, unit_grid(nr, nz), inlet, wall)
+        assert calls == [(4 * nr,)] * nz
 
     @pytest.mark.kernel
     def test_impulse_block_raises_on_a_negative_entry(self, monkeypatch):
@@ -528,17 +550,33 @@ class TestMarchOperator:
 
     @pytest.mark.kernel
     def test_kernels_follow_the_path(self):
-        # the block path: one group over every species; the station path:
-        # one group per run of equal beta
+        # one kernel over every species on either path: the block path up to
+        # nr = BLOCK_MAX_NR and a diffusion number beta nr^2 / nz of
+        # DIFFUSION_MAX, the station path past either
         params = species_of((0.5, 0.5, 2.0))
-        for nr, kind, runs in (
-            (BLOCK_MAX_NR, BlockKernel, [slice(0, 3)]),
-            (BLOCK_MAX_NR + 1, RadialOperator, [slice(0, 2), slice(2, 3)]),
+        for nr, nz, kind in (
+            (BLOCK_MAX_NR, 32, BlockKernel),  # 2 * 64^2 / 32 = 256
+            (BLOCK_MAX_NR, 31, RadialOperator),
+            (BLOCK_MAX_NR + 1, 1024, RadialOperator),
         ):
-            op = march_operator(params, unit_grid(nr, 16))
-            assert isinstance(op, MarchOperator) and (op.nr, op.nz) == (nr, 16)
-            assert [rows for rows, _ in op.groups] == runs
-            assert all(isinstance(kernel, kind) for _, kernel in op.groups)
+            op = march_operator(params, unit_grid(nr, nz))
+            assert isinstance(op, MarchOperator) and (op.nr, op.nz) == (nr, nz)
+            assert isinstance(op.kernel, kind), (nr, nz)
+        assert 2.0 * BLOCK_MAX_NR**2 / 32 == DIFFUSION_MAX
+        # the benchmark workloads' marches stay on the block path:
+        # co_oxidation, split_beta and graetz_refine's block-path grids
+        for betas, nr, nz in (
+            ((1.0,) * 4, 32, 64),
+            ((0.8, 1.0, 1.25, 2.0), 64, 128),
+            ((1.0,), 32, 64),
+            ((1.0,), 64, 128),
+            ((1.0,), 64, 8192),
+        ):
+            op = march_operator(species_of(betas), unit_grid(nr, nz))
+            assert isinstance(op.kernel, BlockKernel), (betas, nr, nz)
+        # the block march's worst draw, at a diffusion number of 13,230
+        assert isinstance(march_operator(species_of((0.05, 20.0)), unit_grid(63, 6)).kernel,
+                          RadialOperator)
 
     @pytest.mark.kernel
     @pytest.mark.parametrize(
@@ -553,7 +591,7 @@ class TestMarchOperator:
     def test_block_size_follows_the_kernel_bytes(self, betas, nr, nz, block):
         distinct = len(set(betas)) * (nr + BLOCK) * BLOCK * nr * 8
         assert (distinct > KERNEL_BYTES) == (block < BLOCK)
-        ((_, kernel),) = march_operator(species_of(betas), unit_grid(nr, nz)).groups
+        kernel = march_operator(species_of(betas), unit_grid(nr, nz)).kernel
         assert kernel.block == block
         assert kernel.carry.shape == (len(betas), nr + block, nr)
         assert kernel.out.shape == (len(betas), nr + block + 1, block * (nr + 1))
@@ -574,7 +612,7 @@ class TestMarchOperator:
         march((0.8, 1.0, 1.25, 2.0), grid, inlet, wall)
         assert calls == [(4, nr + BLOCK + 1, BLOCK * (nr + 1))]
         for betas in ((0.8, 1.0, 1.25, 2.0), (1.5,) * 4):
-            ((_, kernel),) = march_operator(species_of(betas), grid).groups
+            kernel = march_operator(species_of(betas), grid).kernel
             for arr in (kernel.carry, kernel.out):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -585,7 +623,7 @@ class TestMarchOperator:
         assert np.shares_memory(kernel.carry, qt)
         assert not np.shares_memory(kernel.out, qt)
         assert np.all(qt >= 0.0)
-        again = march_operator(species_of((1.5,) * 4), grid).groups[0][1]
+        again = march_operator(species_of((1.5,) * 4), grid).kernel
         assert not np.shares_memory(again.out, kernel.out)
 
 
@@ -664,6 +702,8 @@ def test_station_march_stays_in_the_data_envelope(nr, nz, betas, seed):
     BETAS,
     st.integers(0, 2**32 - 1),
 )
+# a diffusion number of 13,230: 1.19e-13 on the block path
+@example(63, 6, [0.05, 20.0], 1)
 def test_block_march_matches_reference_march(nr, nz, betas, seed):
     inlet, wall = scaled_data(np.random.default_rng(seed), len(betas), nr, nz)
     grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
@@ -710,6 +750,24 @@ def test_constant_data_is_an_exact_fixed_point(nr, nz, betas, seed):
 @given(STATION_NR, GRID_SIZE, BETAS, st.integers(0, 2**32 - 1))
 def test_station_march_keeps_constant_data_exactly(nr, nz, betas, seed):
     assert_constant_fixed_point(nr, nz, betas, seed)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    STATION_NR,
+    st.integers(2, 40),
+    # repeats, and repeats that are not neighbours
+    st.lists(st.sampled_from([0.05, 0.3, 1.0, 2.5, 20.0]), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+@example(63, 6, [20.0, 2.5, 20.0], 0)  # nr <= BLOCK_MAX_NR past DIFFUSION_MAX
+def test_station_march_matches_per_species_reference(nr, nz, betas, seed):
+    # one factor over every species, zero between them: each species is
+    # bitwise its own march, whatever its neighbours
+    grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
+    inlet, wall = scaled_data(np.random.default_rng(seed), len(betas), nr, nz)
+    values = march(betas, grid, inlet, wall).values
+    assert np.array_equal(values, reference_march(wall, inlet, betas, grid))
 
 
 class TestWallFluxGradient:

@@ -145,8 +145,14 @@ class TestSobol:
             with zipfile.ZipFile(SOBOL_TABLE) as npz:
                 for member, rows in whole.items():
                     assert np.array_equal(_leading_rows(npz, member, d), rows[:d]), (member, d)
+                for c in (1, 5, 18, 40):
+                    cut = _leading_rows(npz, "vinit.npy", d, c)
+                    assert np.array_equal(cut, whole["vinit.npy"][:d, :c]), (d, c)
+            # the table built from whole rows, every column of them, is the same
             with monkeypatch.context() as patched:
-                patched.setattr(kinetics, "_leading_rows", lambda _, member, d: whole[member][:d])
+                patched.setattr(
+                    kinetics, "_leading_rows", lambda _, member, d, columns=None: whole[member][:d]
+                )
                 assert np.array_equal(table, _direction_numbers.__wrapped__(d)), d
 
     def test_leading_rows_follow_the_stored_order(self, tmp_path):
@@ -157,6 +163,33 @@ class TestSobol:
                 assert np.array_equal(_leading_rows(npz, "c.npy", d), a[:d]), d
                 assert np.array_equal(_leading_rows(npz, "f.npy", d), a[:d]), d
                 assert np.array_equal(_leading_rows(npz, "v.npy", d), a[:d, 0, 0]), d
+                for c in (1, 2, 3):  # the first entries of the last axis
+                    assert np.array_equal(_leading_rows(npz, "c.npy", d, c), a[:d, :, :c]), (d, c)
+                    assert np.array_equal(_leading_rows(npz, "f.npy", d, c), a[:d, :, :c]), (d, c)
+
+    def test_direction_table_read_stops_at_its_columns(self, monkeypatch):
+        # 8 dimensions take polynomials of degree <= 5: 5 of the 18 initial
+        # number columns, 0.85 of the 3.05 MB the whole member inflates to
+        read = {}
+
+        class Counted(zipfile.ZipFile):
+            def open(self, name, *args, **kwargs):
+                f = super().open(name, *args, **kwargs)
+                real = f.read
+
+                def counted(n=-1):
+                    data = real(n)
+                    read[name] = read.get(name, 0) + len(data)
+                    return data
+
+                f.read = counted
+                return f
+
+        with np.load(SOBOL_TABLE) as full:
+            rows = len(full["vinit"])
+        monkeypatch.setattr(kinetics.zipfile, "ZipFile", Counted)
+        _direction_numbers.__wrapped__(8)
+        assert 5 * rows * 8 <= read["vinit.npy"] < 5 * rows * 8 + 1024, read
 
     def test_direction_table_read_keeps_only_its_rows(self):
         # the whole table inflates to 3.2 MB; 8 rows of it are 1.2 kB

@@ -7,13 +7,19 @@ import pytest
 
 from graetzcat import coupler
 from graetzcat.coupler import Snapshot, run_simulation
-from graetzcat.fluid_march import BLOCK_MAX_NR, march_fluid, march_operator, wall_flux_integral
+from graetzcat.fluid_march import (
+    BLOCK_MAX_NR,
+    BlockKernel,
+    RadialOperator,
+    march_fluid,
+    march_operator,
+    wall_flux_integral,
+)
 from graetzcat.model import (
     Grid,
     InitialData,
     ModelConfig,
     SpeciesParams,
-    consecutive_runs,
     contraction_margin,
     validate_config,
 )
@@ -29,10 +35,10 @@ def species(name="x", beta=1.0, gamma=1.0, theta=1.0, delta=-1):
 
 class TestSpeciesPlan:
     """What the march and surface operators derive from the species alone:
-    the runs of consecutive species they group and the coefficient columns."""
+    one solver each over every species and the coefficient columns."""
 
-    # betas 1, 2, 1, 3: four runs, the equal betas of a and c apart; thetas
-    # 0.5, 0, 0, 0.5: three runs, b and c one theta = 0 run
+    # betas 1, 2, 1, 3: the equal betas of a and c apart; thetas 0.5, 0, 0,
+    # 0.5: b and c two neighbouring theta = 0 species
     MIXED = (
         species("a", beta=1.0, theta=0.5),
         species("b", beta=2.0, gamma=0.3, theta=0.0, delta=1),
@@ -62,33 +68,22 @@ class TestSpeciesPlan:
             return [a for item in obj for a in TestSpeciesPlan.arrays_of(item)]
         return []
 
-    def test_groups_are_runs_of_consecutive_species(self):
-        assert consecutive_runs([1.0, 2.0, 1.0, 3.0]) == (
-            (1.0, slice(0, 1)), (2.0, slice(1, 2)), (1.0, slice(2, 3)), (3.0, slice(3, 4))
-        )
-        assert consecutive_runs([]) == ()
+    def test_each_operator_holds_one_solver(self):
+        # one march kernel and one surface factor over every species,
+        # whatever runs, repeats apart or theta = 0 species they hold
         grid = self.inputs(4)[0]
-        # the station path (nr > 64) marches by runs of beta, the block path
-        # all species in one group
-        station_grid = self.inputs(4, nr=65)[0]
-        march_op, surface_op = self.operators(self.MIXED, grid)
-        assert [rows for rows, _ in march_op.groups] == [slice(0, 4)]
-        runs = march_operator(self.MIXED, station_grid).groups
-        assert [rows for rows, _ in runs] == [slice(i, i + 1) for i in range(4)]
-        assert [rows for rows, _ in surface_op.groups] == [slice(0, 1), slice(1, 3), slice(3, 4)]
-        assert surface_op.groups[1][1] is None  # theta = 0: no factor
-        # the split_beta benchmark workload's theta_s of CO, O2, CO2 and T
-        thetas = (1.0, 1.2, 1.0, 1.5)
+        station_grid = self.inputs(4, nr=BLOCK_MAX_NR + 1)[0]
+        thetas = (1.0, 1.2, 1.0, 1.5)  # the split_beta benchmark workload's
         split = tuple(species(n, theta=t) for n, t in zip("abcd", thetas))
-        march_op, surface_op = self.operators(split, grid)
-        assert [rows for rows, _ in march_op.groups] == [slice(0, 4)]
-        runs = march_operator(split, station_grid).groups
-        assert [rows for rows, _ in runs] == [slice(0, 4)]
-        assert [rows for rows, _ in surface_op.groups] == [slice(i, i + 1) for i in range(4)]
         for p in (self.MIXED, split):
-            for g in (grid, station_grid):
+            for g, kind in ((grid, BlockKernel), (station_grid, RadialOperator)):
                 march_op, surface_op = self.operators(p, g)
-                assert all(type(rows) is slice for rows, _ in march_op.groups + surface_op.groups)
+                kernel = march_op.kernel
+                assert isinstance(kernel, kind)
+                rows = len(kernel.carry) if kind is BlockKernel else kernel.d.size // g.nr
+                assert rows == 4
+                assert len(surface_op.factor) == 5
+                assert surface_op.factor[1].shape == (4 * (g.nz + 1),)
 
     def test_plan_columns(self):
         march_op, surface_op = self.operators(self.MIXED, self.inputs(4)[0])
@@ -118,9 +113,8 @@ class TestSpeciesPlan:
     def test_arrays_are_read_only(self):
         for nr in (6, BLOCK_MAX_NR + 1):  # both march paths
             ops = self.operators(self.MIXED, self.inputs(4, nr=nr)[0])
-            # every group but a theta = 0 run holds arrays of its own
-            for op in ops:
-                assert all(self.arrays_of(k) for _, k in op.groups if k is not None)
+            # each solver holds arrays of its own
+            assert self.arrays_of(ops[0].kernel) and self.arrays_of(ops[1].factor)
             for arr in self.arrays_of(ops):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -134,8 +128,8 @@ class TestSpeciesPlan:
             assert type(a) is type(b)
             for field in dataclasses.fields(a):
                 x, y = getattr(a, field.name), getattr(b, field.name)
-                if field.name == "groups":
-                    assert [rows for rows, _ in x] == [rows for rows, _ in y]
+                if field.name in ("kernel", "factor"):
+                    assert type(x) is type(y)
                     x, y = self.arrays_of(x), self.arrays_of(y)
                     assert len(x) == len(y)
                     assert all(np.array_equal(u, v) for u, v in zip(x, y))
@@ -266,6 +260,18 @@ class TestSpeciesRules:
             ):
                 with pytest.raises(ValueError, match=rf"species\.bad\.{key}"):
                     build()
+
+    def test_every_consumer_rejects_no_species(self):
+        cfg = constant_config(nr=8, nz=8)
+        report = validate_config(dataclasses.replace(cfg, species=()))
+        assert "at least one species is required" in report.errors
+        for build in (
+            lambda: march_operator((), cfg.grid),
+            lambda: surface_operator((), cfg.grid.nz + 1, cfg.grid.dt),
+            lambda: contraction_margin(()),
+        ):
+            with pytest.raises(ValueError, match="at least one species is required"):
+                build()
 
     def test_mu_does_not_depend_on_the_species_order(self):
         params = (

@@ -30,25 +30,22 @@ def trapz_z(values):
 
 
 def reference_step(prev, flux, rates, dt, p):
-    """The step as one scipy solve_banded call per diffusivity group."""
+    """The step as one scipy solve_banded call per species."""
     nn = prev.shape[1]
     dz = 1.0 / (nn - 1)
     rhs = dt * surface_rhs(prev, flux, rates, surface_operator(p, nn, dt))
-    new = np.empty_like(prev)
-    thetas = [s.theta_s for s in p]
-    for theta in dict.fromkeys(thetas):
-        idx = [i for i, t in enumerate(thetas) if t == theta]
-        if theta == 0.0:
-            new[idx] = prev[idx] + rhs[idx]
+    new = prev + rhs  # theta = 0: no diffusion to solve
+    for i, s in enumerate(p):
+        if s.theta_s == 0.0:
             continue
-        a = dt * theta / dz**2
+        a = dt * s.theta_s / dz**2
         ab = np.zeros((3, nn))
         ab[1, :] = 1.0 + 2.0 * a
         ab[0, 1] = -2.0 * a
         ab[0, 2:] = -a
         ab[2, :-2] = -a
         ab[2, -2] = -2.0 * a
-        new[idx] = prev[idx] + solve_banded((1, 1), ab, rhs[idx].T).T
+        new[i] = prev[i] + solve_banded((1, 1), ab, rhs[i])
     return new
 
 
@@ -169,26 +166,50 @@ class TestStepWall:
         got = step(*(np.asfortranarray(a) for a in (wall, flux, rates)), 0.1, p)
         assert np.array_equal(got, want)
 
-    def test_factor_is_built_once_per_grid_step_and_diffusivity(self, monkeypatch):
-        # thetas 0.789, 0.789, 0, 0.5: two factored runs and one theta = 0 run
+    def test_factor_is_built_once_per_operator(self, monkeypatch):
+        # thetas 0.789, 0, 0.789, 0.5: one factor over all four species,
+        # built with the operator, and one solve per step
         nn, dt = 23, 0.0123
-        p = params(theta=0.789, n=2) + (
-            SpeciesParams("c", 1.0, 1.0, 0.0, 1), SpeciesParams("d", 1.0, 1.0, 0.5, 1)
+        p = params(theta=0.789) + (
+            SpeciesParams("b", 1.0, 1.0, 0.0, 1),
+            SpeciesParams("c", 1.0, 1.0, 0.789, 1),
+            SpeciesParams("d", 1.0, 1.0, 0.5, 1),
         )
-        factored = []
-        dgttrf = wall_evolve.dgttrf
+        factored, solved = [], []
+        dgttrf, dgttrs = wall_evolve.dgttrf, wall_evolve.dgttrs
         monkeypatch.setattr(wall_evolve, "dgttrf", lambda *a: factored.append(a) or dgttrf(*a))
+        def counted(*a, overwrite_b):
+            solved.append(a[-1].shape)
+            return dgttrs(*a, overwrite_b=overwrite_b)
+
+        monkeypatch.setattr(wall_evolve, "dgttrs", counted)
         op = surface_operator(p, nn, dt)
         for seed in range(4):
             wall, flux, rates = np.random.default_rng(seed).standard_normal((3, 4, nn))
             step_wall(surface_step(wall, rates, op), flux)
-        assert len(factored) == 2
-        assert [rows for rows, _ in op.groups] == [slice(0, 2), slice(2, 3), slice(3, 4)]
-        assert op.groups[1][1] is None
-        for _, factor in (op.groups[0], op.groups[2]):
-            assert len(factor) == 5 and all(not arr.flags.writeable for arr in factor)
+        assert len(factored) == 1
+        assert solved == [(4 * nn,)] * 4
+        dl, d, du, du2, ipiv = op.factor
+        assert d.shape == (4 * nn,)
+        # zero between species, no row interchange across them (ipiv is
+        # 1-based), and each species' rows its factor alone, the theta = 0
+        # species' identity rows
+        assert not np.any(dl[nn - 1 :: nn]) and not np.any(du[nn - 1 :: nn])
+        assert np.array_equal(ipiv[nn - 1 :: nn], np.arange(nn, 4 * nn + 1, nn))
+        for i, s in enumerate(p):
+            a_dl, a_d, a_du, a_du2, a_ipiv = surface_operator((s,), nn, dt).factor
+            k = i * nn
+            assert np.array_equal(d[k : k + nn], a_d)
+            assert np.array_equal(dl[k : k + nn - 1], a_dl)
+            assert np.array_equal(du[k : k + nn - 1], a_du)
+            assert np.array_equal(du2[k : k + nn - 2], a_du2)
+            assert np.array_equal(ipiv[k : k + nn] - k, a_ipiv)
+        assert np.all(d[nn : 2 * nn] == 1.0)
+        assert not np.any(dl[nn : 2 * nn]) and not np.any(du[nn : 2 * nn])
+        for arr in op.factor:
+            assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                factor[1][0] = 1.0
+                arr[0] = 1.0
 
     def test_lapack_error_raises(self, monkeypatch):
         monkeypatch.setattr(wall_evolve, "dgttrs", lambda *args, overwrite_b: (args[-1], -6))
@@ -277,3 +298,4 @@ class TestSurfaceRhs:
         wall = np.array([[7.25] * 33, [0.1] * 33])
         op = surface_operator(p, 33, 0.01)
         assert np.all(surface_rhs(wall, zeros(2, 33), zeros(2, 33), op) == 0.0)
+
