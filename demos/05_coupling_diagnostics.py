@@ -17,7 +17,6 @@ from graetzcat import (
     SpeciesParams,
     advance_step,
     contraction_margin,
-    march_fluid,
     march_operator,
     surface_operator,
     zero_model,
@@ -37,10 +36,9 @@ r = grid.r
 init = InitialData(
     inlet=(1.0 - r * r)[None, :].copy(), wall_init=np.zeros((1, nz + 1))
 )
-wall = init.wall_init
 march_op = march_operator(species, grid)
 surface_op = surface_operator(species, nz + 1, grid.dt)
-state = CouplingState(0.0, wall, march_fluid(wall, init, march_op), ())
+state = CouplingState(0.0, init.wall_init, ())
 
 new = advance_step(state, init, CouplerSettings(), march_op, surface_op, zero_model([2.0]), grid)
 print("\nPicard residuals for one step (mu = 1, margin 0.824):")

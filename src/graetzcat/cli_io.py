@@ -54,6 +54,7 @@ from .kinetics import (
     zero_model,
 )
 from .model import (
+    BYTE_BUDGET,
     FluidField,
     Grid,
     InitialData,
@@ -539,18 +540,25 @@ def _flux_gap(setup: tuple[Grid, InitialData, MarchOperator], z_min: float) -> f
 
 
 NR0, NZ0 = 32, 64  # the coarsest grid of the refinement study
-STUDY_BYTES = 1 << 29  # for its largest march field: K = 7 takes 269 MB, K = 8 1.07 GB
 
 
 def _check_levels(levels: int) -> None:
     """ValueError for too few levels for an order, or for a study whose
-    largest field (finest nr, finest nz) would take more than STUDY_BYTES."""
+    largest field (finest nr, finest nz) would take more than BYTE_BUDGET:
+    K = 7 takes 269 MB, K = 8 1.07 GB."""
     if levels < 3:
         raise ValueError("need at least 3 levels for an observed order")
-    need = 8 * (NR0 * 2 ** (levels - 1) + 1) * (NZ0 * 2 ** (levels + 1) + 1)
-    if need > STUDY_BYTES:
+    # that field takes over 2**(14 + 2 K) bytes: past K = the budget's bit
+    # length it is refused before any power of 2 is formed
+    if levels > BYTE_BUDGET.bit_length():
         raise ValueError(
-            f"its largest march field takes {need} bytes, over the {STUDY_BYTES}-byte budget"
+            f"its largest march field takes more than 2**{14 + 2 * levels} bytes, "
+            f"over the {BYTE_BUDGET}-byte budget"
+        )
+    need = 8 * (NR0 * 2 ** (levels - 1) + 1) * (NZ0 * 2 ** (levels + 1) + 1)
+    if need > BYTE_BUDGET:
+        raise ValueError(
+            f"its largest march field takes {need} bytes, over the {BYTE_BUDGET}-byte budget"
         )
 
 

@@ -8,6 +8,12 @@ is capped and a non-converged step raises with its residual history.
 
 Reaction rates are lagged to the previous time level; the wall gradient is
 the coupling variable, so at convergence the flux term is implicit.
+
+The bulk equation has no time derivative, so the bulk field at a level is
+the march of that level's wall: the state that evolves is the wall alone.
+A Picard iterate's field lives only until its flux is taken, and each
+recorded level marches its own wall once for its flux, extrema and
+energies, so one field is alive at a time.
 """
 
 from __future__ import annotations
@@ -72,11 +78,11 @@ class CouplerSettings:
 
 @dataclass(frozen=True)
 class CouplingState:
-    """Wall (ns, nz+1) and bulk fields at one accepted time level."""
+    """The wall (ns, nz+1) at one accepted time level, and the residuals of
+    the step that reached it; the bulk field is the march of this wall."""
 
     time: float
     wall: np.ndarray
-    fluid: FluidField
     residual_history: tuple[float, ...]
 
     @property
@@ -123,6 +129,8 @@ def advance_step(
     converged answer must not depend on it, which the uniqueness probe
     exercises).  Rates are evaluated once, at the previous time level, and
     with them the part of the surface step that no iteration changes.
+    Each iterate's field is dropped once its flux is taken; the state
+    returned carries the converged wall alone.
     """
     dt = surface_op.dt
     # on the grid k dt, so the levels do not drift with the step count
@@ -138,8 +146,7 @@ def advance_step(
     residuals: list[float] = []
     converged = False
     for _ in range(settings.max_iter):
-        fluid = march_fluid(iterate, init, march_op)
-        flux = _flux_of(settings.flux_form, fluid, grid, march_op)
+        flux = _flux_of(settings.flux_form, march_fluid(iterate, init, march_op), grid, march_op)
         stepped = step_wall(surface, flux)
         new = iterate + settings.relaxation * (stepped - iterate)
         residual = float(np.abs(new - iterate).max())
@@ -153,13 +160,7 @@ def advance_step(
     if not converged:
         raise NonConvergedError(t_new, step_index, tuple(residuals))
 
-    fluid = march_fluid(iterate, init, march_op)  # restore the exact trace
-    return CouplingState(
-        time=t_new,
-        wall=iterate,
-        fluid=fluid,
-        residual_history=tuple(residuals),
-    )
+    return CouplingState(time=t_new, wall=iterate, residual_history=tuple(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +242,7 @@ def run_simulation(
     march_op = march_operator(params, grid)
     surface_op = surface_operator(params, grid.nz + 1, grid.dt)
 
-    wall = cfg.initial.wall_init.copy()
-    fluid = march_fluid(wall, cfg.initial, march_op)
-    state = CouplingState(0.0, wall, fluid, ())
+    state = CouplingState(0.0, cfg.initial.wall_init.copy(), ())
 
     trajectory: list[Snapshot] = []
     nonneg_reports: list[NonnegReport] = []
@@ -254,24 +253,29 @@ def run_simulation(
 
     def record(st: CouplingState) -> None:
         nonlocal reaction_ended
+        # the level's own field: everything that reads it comes before the
+        # squares for the station energies overwrite it
+        fluid = march_fluid(st.wall, cfg.initial, march_op)
         rates = eval_rates(kinetics, st.wall.T).T
-        flux = _flux_of(settings.flux_form, st.fluid, grid, march_op)
+        flux = _flux_of(settings.flux_form, fluid, grid, march_op)
         rhs = surface_rhs(st.wall, flux, rates, surface_op)
         if math.isinf(reaction_ended) and float(np.abs(rhs).max()) < SETTLE_TOL:
             reaction_ended = st.time
-        station = np.einsum("ijk,j->ik", st.fluid.values**2, wq)
-        fluid_min = st.fluid.values.min(axis=(1, 2))
+        values = fluid.values
+        fluid_min = values.min(axis=(1, 2))
+        fluid_max = values.max(axis=(1, 2))
+        nonneg_reports.append(check_nonnegativity(fluid, st.wall, fluid_min))
+        np.square(values, out=values)
         trajectory.append(
             Snapshot(
                 time=st.time,
                 wall=st.wall,
                 fluid_min=fluid_min,
-                fluid_max=st.fluid.values.max(axis=(1, 2)),
-                station_energy=station,
+                fluid_max=fluid_max,
+                station_energy=np.einsum("ijk,j->ik", values, wq),
                 residuals=st.residual_history,
             )
         )
-        nonneg_reports.append(check_nonnegativity(st.fluid, st.wall, fluid_min))
 
     record(state)
     for k in range(1, grid.n_steps + 1):

@@ -266,7 +266,8 @@ def _block_kernel(nr: int, nz: int, betas: Sequence[float]) -> BlockKernel:
     kept = [blocks[betas[0]]] if len(blocks) == 1 else [blocks[b] for b in betas]
     # (kernel, row, station, node), the wall node's column left at zero
     out = np.zeros((len(kept), nr + block + 1, block, nr + 1))
-    out[:, :-1, :, :nr] = np.reshape(kept, (len(kept), nr + block, block, nr))
+    for folded, q in zip(out, kept):  # block by block: no stacked copy of the kept ones
+        folded[:-1, :, :nr] = q.reshape(nr + block, block, nr)
     # station j is w_kB less the drops into stations 1 .. j: drop row m
     # loses 1 at the stations from m + 1 on, and w_kB enters them all
     out[:, nr:-1, :, :nr] -= np.triu(np.ones((block, block)))[:, :, None]

@@ -19,6 +19,9 @@ CONTRACTION_THRESHOLD = 2.0 / math.sqrt(math.e)
 
 COMPATIBILITY_TOL = 1e-12
 STEP_COUNT_TOL = 1e-9  # relative slack on t_end / dt being a whole number
+# Bytes a run or a refinement study may hold in what grows with its input:
+# a run's one march field plus its trajectory, a study's largest field.
+BYTE_BUDGET = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -158,12 +161,15 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
 
     Warnings never block a run: a degenerate theta_s, an inlet/wall
     compatibility mismatch at the corner z = 0, or an unsatisfied
-    contraction condition are all reported but survivable.
+    contraction condition are all reported but survivable.  A run whose
+    march field and trajectory would take more than BYTE_BUDGET bytes is
+    an error, found before anything is allocated.
     """
     errors: list[str] = []
     warnings: list[str] = []
 
     g = cfg.grid
+    ns = len(cfg.species)
     nr_ok, nz_ok = g.nr >= 4, g.nz >= 4
     if not nr_ok:
         errors.append(f"grid.nr = {g.nr} is too small (need nr >= 4)")
@@ -180,6 +186,17 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
         and abs(steps - round(steps)) <= STEP_COUNT_TOL * steps
     ):
         errors.append(f"grid.t_end = {g.t_end} is not a whole number of steps dt = {g.dt}")
+    elif nr_ok and nz_ok:
+        # one march field at a time, and per level a snapshot's time, wall,
+        # station energies and per-species extrema
+        field = 8 * ns * (g.nr + 1) * (g.nz + 1)
+        trajectory = (g.n_steps + 1) * 8 * (1 + 2 * ns * (g.nz + 2))
+        if field + trajectory > BYTE_BUDGET:
+            errors.append(
+                f"a {g.nr}x{g.nz} run of {g.n_steps} steps takes {field} bytes of march "
+                f"field and {trajectory} bytes of trajectory, over the "
+                f"{BYTE_BUDGET}-byte budget"
+            )
 
     errors += species_errors(cfg.species)
     for s in cfg.species:
@@ -189,7 +206,6 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
                 "(no axial surface diffusion; convergence guarantees lapse)"
             )
 
-    ns = len(cfg.species)
     inlet, wall = cfg.initial.inlet, cfg.initial.wall_init
     # an axis whose size was rejected above has no expected shape
     if nr_ok and inlet.shape != (ns, g.nr + 1):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -316,12 +318,68 @@ class TestCli:
         errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
         assert errors == [
             f"graetzcat convergence: error: --levels {levels}: its largest march field "
-            f"takes {need} bytes, over the {cli_io.STUDY_BYTES}-byte budget"
+            f"takes {need} bytes, over the {cli_io.BYTE_BUDGET}-byte budget"
         ]
         with pytest.raises(ValueError, match=f"{need} bytes"):
             cli_io.convergence_study(int(levels))
         for fits in (6, 7):  # graetz_refine's K = 6 (67 MB) and K = 7 (269 MB)
             cli_io._check_levels(fits)
+
+    @pytest.mark.parametrize("levels", ["100000", "1000000000"])
+    def test_convergence_far_beyond_the_byte_budget_exits_two_promptly(
+        self, levels, capsys, monkeypatch
+    ):
+        # refused before its field's byte count (a 60,000-digit number at
+        # K = 10^5) is formed: that took seconds and then failed to print
+        monkeypatch.setattr(cli_io, "march_fluid", None)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("convergence", "--levels", levels)
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert errors == [
+            f"graetzcat convergence: error: --levels {levels}: its largest march field "
+            f"takes more than 2**{14 + 2 * int(levels)} bytes, "
+            f"over the {cli_io.BYTE_BUDGET}-byte budget"
+        ]
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize(
+        "edits, nr, nz, steps",
+        [
+            ((("nr = 32", "nr = 20000"), ("nz = 64", "nz = 20000")), 20000, 20000, 3000),
+            ((("t_end = 60", "t_end = 2000000"),), 32, 64, 10**8),
+        ],
+    )
+    def test_run_beyond_the_byte_budget_exits_two(
+        self, command, edits, nr, nz, steps, tmp_path, capsys
+    ):
+        # the shipped scenario with a 12.8 GB march field, or with a
+        # 0.42 TB trajectory, is refused before anything of that size is made
+        text = SCENARIO_CFG.read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        args = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        tracemalloc.start()
+        try:
+            code = self.run_cli(command, "--config", str(cfg), *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 5e6, peak
+        field = 8 * 4 * (nr + 1) * (nz + 1)
+        trajectory = (steps + 1) * 8 * (1 + 2 * 4 * (nz + 2))  # per level as the tracer counts
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert errors == [
+            f"config error: a {nr}x{nz} run of {steps} steps takes {field} bytes of march "
+            f"field and {trajectory} bytes of trajectory, over the "
+            f"{cli_io.BYTE_BUDGET}-byte budget"
+        ]
+        assert not (tmp_path / "out" / "report.txt").exists()
 
     def test_convergence_output_is_pinned(self, capsys):
         # levels 3 marches nr = 128 on the station path and nr = 32, 64 on

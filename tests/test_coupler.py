@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from graetzcat.fluid_march import (
     wall_flux_gradient,
     wall_flux_integral,
 )
-from graetzcat.kinetics import linear_consumption, zero_model
+from graetzcat.kinetics import eval_rates, linear_consumption, zero_model
 from graetzcat.model import Grid, InitialData, ModelConfig, SpeciesParams
-from graetzcat.wall_evolve import surface_operator
+from graetzcat.wall_evolve import step_wall, surface_operator, surface_step
 
 from conftest import constant_config, mirrored_d2
 
@@ -28,9 +30,12 @@ def operators(cfg):
 
 
 def initial_state(cfg):
-    wall = cfg.initial.wall_init.copy()
-    fluid = march_fluid(wall, cfg.initial, operators(cfg)[0])
-    return CouplingState(0.0, wall, fluid, ())
+    return CouplingState(0.0, cfg.initial.wall_init.copy(), ())
+
+
+def field_of(state, cfg):
+    """The bulk field of a state: the march of its wall."""
+    return march_fluid(state.wall, cfg.initial, operators(cfg)[0]).values
 
 
 def advance(state, cfg, settings, **kwargs):
@@ -38,13 +43,44 @@ def advance(state, cfg, settings, **kwargs):
     return advance_step(state, cfg.initial, settings, *operators(cfg), cfg.kinetics, cfg.grid, **kwargs)
 
 
-def short_scenario(scenario, t_end):
+def short_scenario(scenario, t_end, nr=32, nz=64):
     from graetzcat.cli_io import parse_config
 
     from conftest import SCENARIO_CFG
 
     text = SCENARIO_CFG.read_text().replace("t_end = 60", f"t_end = {t_end}")
+    text = text.replace("nr = 32", f"nr = {nr}").replace("nz = 64", f"nz = {nz}")
     return parse_config(text, SCENARIO_CFG.parent)
+
+
+def flux_of(form, field, grid, op):
+    if form == "gradient":
+        return wall_flux_gradient(field, grid)
+    return wall_flux_integral(field, grid, op)
+
+
+def marched_flux(form, s, wall, inlet, grid):
+    """The flux of each row of wall and inlet, each marched as species s."""
+    op = march_operator((s,) * len(wall), grid)
+    return flux_of(form, march_fluid(wall, InitialData(inlet, wall), op), grid, op)
+
+
+def picard_matrix(s, grid, form):
+    """K of one species: how one Picard iteration moves the wall per unit of
+    wall iterate, built the way the coupler computes that iteration.
+
+    Rates are lagged, so the marched flux is affine in the wall,
+    flux(w) = flux(prev) + G (w - prev), and so is the surface step:
+    new = a + K (w - prev) with K = -(I - dt theta D2)^-1 dt gamma G.  G's
+    columns are the nz + 1 unit-wall marches with a zero inlet (one march,
+    a unit wall per row); K's columns are step_wall on them from a zero
+    wall with zero reaction and diffusion.
+    """
+    nn = grid.nz + 1
+    g = marched_flux(form, s, np.eye(nn), np.zeros((nn, grid.nr + 1)), grid)
+    zero = np.zeros((nn, nn))
+    free = surface_step(zero, zero, surface_operator((s,) * nn, nn, grid.dt))
+    return step_wall(free, g).T  # row j of g is G's column j
 
 
 class TestAdvanceStep:
@@ -56,7 +92,10 @@ class TestAdvanceStep:
         assert new.iterations_last_step == 1
         assert new.residual_history == (0.0,)
         assert np.array_equal(new.wall, state.wall)
-        assert np.array_equal(new.fluid.values, state.fluid.values)
+        field = field_of(new, cfg)
+        assert np.array_equal(field, field_of(state, cfg))
+        # and that field is the constant data itself, bitwise
+        assert np.array_equal(field, np.broadcast_to(cfg.initial.inlet[:, :1, None], field.shape))
         assert new.time == cfg.grid.dt
 
     def test_trace_coherence_bitwise(self, scenario):
@@ -64,7 +103,7 @@ class TestAdvanceStep:
         state = initial_state(cfg)
         for k in range(3):
             state = advance(state, cfg, settings)
-            assert np.array_equal(state.fluid.values[:, -1, :], state.wall)
+            assert np.array_equal(field_of(state, cfg)[:, -1, :], state.wall)
 
     def test_residuals_shrink_geometrically(self, scenario):
         cfg, settings = scenario
@@ -168,6 +207,52 @@ class TestAdvanceStep:
         assert diffs[1] < 0.62 * diffs[0]
 
 
+class TestAffinePicardMap:
+    # The contract a linear-response coupler will be judged against: the
+    # Picard iteration of the shipped scenario is the affine map
+    # w -> a + K (w - prev), a = step_wall(surface, flux(prev)).
+    @pytest.mark.parametrize(
+        "form, rho, norm", [("gradient", 0.0617, 0.0718), ("integral", 0.0120, 0.0270)]
+    )
+    def test_steps_solve_the_affine_fixed_point(self, scenario, form, rho, norm):
+        cfg, shipped = short_scenario(scenario, 6)
+        grid, nn = cfg.grid, cfg.grid.nz + 1
+        ks = [picard_matrix(s, grid, form) for s in cfg.species]
+        assert max(np.abs(np.linalg.eigvals(k)).max() for k in ks) == pytest.approx(rho, abs=5e-5)
+        q = max(np.abs(k).sum(axis=1).max() for k in ks)  # sup-norm contraction factor
+        assert q == pytest.approx(norm, abs=5e-5)
+
+        settings = CouplerSettings(tol=shipped.tol, max_iter=shipped.max_iter, flux_form=form)
+        march_op, surface_op = operators(cfg)
+        eps = np.finfo(float).eps
+        state = initial_state(cfg)
+        for k in range(1, grid.n_steps + 1):
+            prev = state.wall
+            state = advance_step(
+                state, cfg.initial, settings, march_op, surface_op, cfg.kinetics, grid,
+                step_index=k,
+            )
+            r = state.residual_history
+            # successive differences contract by K, up to 4 ulps of the
+            # wall's largest entry in each difference
+            ulp = eps * float(np.abs(prev).max())
+            assert all(b <= q * a + 4.0 * ulp for a, b in zip(r, r[1:])), (k, r)
+            # the exact fixed point (I - K)(w - prev) = a - prev, per species
+            surface = surface_step(prev, eval_rates(cfg.kinetics, prev.T).T, surface_op)
+            field = march_fluid(prev, cfg.initial, march_op)
+            a = step_wall(surface, flux_of(form, field, grid, march_op))
+            exact = prev + np.stack(
+                [np.linalg.solve(np.eye(nn) - ki, d) for ki, d in zip(ks, a - prev)]
+            )
+            # a contraction stopped at residual r is within q / (1 - q) r of
+            # its fixed point; the step's own rounding adds up to 2 ulps of
+            # each species' magnitude (the integral form's T row reads
+            # 0.42 ulp past the bare bound)
+            slack = 2.0 * eps * np.abs(state.wall).max(axis=1, keepdims=True)
+            err = np.abs(state.wall - exact)
+            assert np.all(err <= q / (1.0 - q) * r[-1] + slack), k
+
+
 class TestRunSimulation:
     def test_constant_run_is_frozen(self):
         cfg = constant_config(t_end=0.3)
@@ -227,6 +312,26 @@ class TestRunSimulation:
         norms = report.energy.fluid_station_energy.max(axis=1)
         assert norms[0] == pytest.approx(0.2 / 4.0, rel=1e-3)
 
+    def test_a_coupled_run_holds_one_field_at_a_time(self, scenario):
+        # The state carries the wall alone, a Picard iterate's field dies
+        # with its flux, and a recorded level's field is squared in place,
+        # so a run peaks at one march field plus its operators, station slab
+        # and trajectory.  Each state holding its field, with the initial
+        # one kept, peaked at over four fields (5.8 MB here).  nr > 64 puts
+        # the march on the station path, whose operator is a few kB.
+        nr, nz = 80, 512
+        cfg, settings = short_scenario(scenario, 0.04, nr=nr, nz=nz)
+        run_simulation(cfg, settings)  # what a first run fills once is not counted
+        tracemalloc.start()
+        try:
+            report, _ = run_simulation(cfg, settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = 8 * len(cfg.species) * (nr + 1) * (nz + 1)  # 1.33 MB
+        assert len(report.iterations) == 2 and min(report.iterations) > 1
+        assert peak < field + 6e5, (peak, field)
+
     @pytest.mark.parametrize("form", ["gradient", "integral"])
     def test_linear_run_settles_on_the_discrete_steady_state(self, form):
         # With rate k x and delta = -1 the run is linear with its species
@@ -255,16 +360,9 @@ class TestRunSimulation:
             cfg = ModelConfig(species, grid, init, linear_consumption(k, [1.0] * ns))
             _, traj = run_simulation(cfg, CouplerSettings(flux_form=form))
 
-            def flux(s, wall, inlet):
-                op = march_operator((s,) * len(wall), grid)
-                field = march_fluid(wall, InitialData(inlet, wall), op)
-                if form == "gradient":
-                    return wall_flux_gradient(field, grid)
-                return wall_flux_integral(field, grid, op)
-
             for i, s in enumerate(species):
-                g = flux(s, np.eye(nn), np.zeros((nn, nr + 1))).T
-                f0 = flux(s, np.zeros((1, nn)), init.inlet[i : i + 1])[0]
+                g = marched_flux(form, s, np.eye(nn), np.zeros((nn, nr + 1)), grid).T
+                f0 = marched_flux(form, s, np.zeros((1, nn)), init.inlet[i : i + 1], grid)[0]
                 a = s.gamma_s * g + k * np.eye(nn) - s.theta_s * mirrored_d2(nz)
                 w = np.linalg.solve(a, -s.gamma_s * f0)
                 assert np.abs(traj[-1].wall[i] - w).max() <= 2e-13 * np.abs(w).max(), (nr, i)

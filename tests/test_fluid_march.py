@@ -626,6 +626,25 @@ class TestMarchOperator:
         again = march_operator(species_of((1.5,) * 4), grid).kernel
         assert not np.shares_memory(again.out, kernel.out)
 
+    @pytest.mark.kernel
+    def test_kernel_build_holds_no_stacked_copy(self):
+        # split_beta's four betas at 64x128 (B = 8): at its peak the build
+        # holds the kept impulse blocks (1.18 MB), the folded kernel
+        # (1.21 MB) and the carries; each block is folded in turn, so no
+        # stacked copy of the kept blocks (another 1.18 MB) adds to them
+        betas, nr, nz = (0.8, 1.0, 1.25, 2.0), 64, 128
+        impulse_block.cache_clear()  # so the build makes its blocks under the tracer
+        tracemalloc.start()
+        try:
+            kernel = march_operator(species_of(betas), unit_grid(nr, nz)).kernel
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(impulse_block(nr, nz, b, kernel.block).nbytes for b in betas)
+        kept += kernel.carry.nbytes + kernel.out.nbytes
+        assert kernel.block == BLOCK // 2
+        assert peak < kept + 2e5, (peak, kept)
+
 
 class TestGraetzOracle:
     """The march against the Graetz series C = sum A_n phi_n exp(-beta lambda_n^2 z),
