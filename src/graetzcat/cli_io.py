@@ -61,6 +61,8 @@ from .model import (
     ModelConfig,
     SpeciesParams,
     contraction_margin,
+    grid_errors,
+    march_field_bytes,
     validate_config,
 )
 
@@ -139,8 +141,7 @@ def _profile(
         except ValueError:
             issue("BAD_NUMBER", f"bad constant {spec!r}")
             return None
-        # a negative node count is a grid error, which validate_config reports
-        return np.full(max(n_nodes, 0), value)
+        return np.full(n_nodes, value)
     if spec.startswith("file:"):
         path = base_dir / spec[len("file:"):]
         if not path.is_file():
@@ -181,15 +182,11 @@ def _build_kinetics(
     ns = len(species_names)
 
     # evaluation box: explicit per-species entries win, otherwise derived
-    # from the initial data (twice its sup, floor 1.0; the empty profiles of
-    # a negative grid size are left to validate_config, an overflow is
+    # from the initial data (twice its sup, floor 1.0; an overflow is
     # reported below)
     with np.errstate(over="ignore"):
         hi = np.maximum(
-            1.0,
-            2.0 * np.maximum(
-                initial.inlet.max(axis=1, initial=0.0), initial.wall_init.max(axis=1, initial=0.0)
-            ),
+            1.0, 2.0 * np.maximum(initial.inlet.max(axis=1), initial.wall_init.max(axis=1))
         )
     for i, name in enumerate(species_names):
         key = f"box.{name}"
@@ -250,8 +247,9 @@ def parse_config(text: str, base_dir: Path | str = ".") -> tuple[ModelConfig, Co
     """Config text -> (ModelConfig, CouplerSettings), or ConfigError with every issue.
 
     The layout (sections, unknown, duplicate and missing keys) is checked
-    first, then the values: the grid, then the coupler and species, then
-    the kinetics, each stage reporting all of its issues at once.
+    first, then the values: the grid (its numbers, then ``grid_errors``,
+    reported at the [grid] header), then the coupler and species, then the
+    kinetics, each stage reporting all of its issues at once.
     """
     issues: list[ConfigIssue] = []
     sections: dict[str, _Entries] = {}
@@ -336,6 +334,11 @@ def parse_config(text: str, base_dir: Path | str = ".") -> tuple[ModelConfig, Co
     if issues:
         raise ConfigError(issues)
     grid = Grid(nr=nr, nz=nz, dt=dt, t_end=t_end)
+    # the grid's rules hold before any profile is sized by the grid
+    if errors := grid_errors(grid, len(species)):
+        raise ConfigError(
+            [ConfigIssue("BAD_NUMBER", "grid", "", opened["grid"], e) for e in errors]
+        )
 
     coupler, defaults = sections.get("coupler", {}), CouplerSettings()
     settings = {}
@@ -555,7 +558,7 @@ def _check_levels(levels: int) -> None:
             f"its largest march field takes more than 2**{14 + 2 * levels} bytes, "
             f"over the {BYTE_BUDGET}-byte budget"
         )
-    need = 8 * (NR0 * 2 ** (levels - 1) + 1) * (NZ0 * 2 ** (levels + 1) + 1)
+    need = march_field_bytes(1, NR0 * 2 ** (levels - 1), NZ0 * 2 ** (levels + 1))
     if need > BYTE_BUDGET:
         raise ValueError(
             f"its largest march field takes {need} bytes, over the {BYTE_BUDGET}-byte budget"

@@ -103,6 +103,49 @@ class Grid:
         return r * (1.0 - r * r) * trap
 
 
+def march_field_bytes(ns: int, nr: int, nz: int) -> int:
+    """Bytes of one march field: ns float64 values on (nr + 1) x (nz + 1) nodes."""
+    return 8 * ns * (nr + 1) * (nz + 1)
+
+
+def grid_errors(grid: Grid, ns: int) -> list[str]:
+    """One message per broken grid rule for a run of ns species, in order:
+    nr and nz at least 4; dt and t_end finite, dt > 0, t_end at least one
+    step and a whole number of steps; and, on a grid that passes those, one
+    march field plus the trajectory within BYTE_BUDGET.  Only integer
+    arithmetic on the sizes, so nothing grid-sized is allocated."""
+    g = grid
+    errors: list[str] = []
+    nr_ok, nz_ok = g.nr >= 4, g.nz >= 4
+    if not nr_ok:
+        errors.append(f"grid.nr = {g.nr} is too small (need nr >= 4)")
+    if not nz_ok:
+        errors.append(f"grid.nz = {g.nz} is too small (need nz >= 4)")
+    if not (math.isfinite(g.dt) and math.isfinite(g.t_end)):
+        errors.append(f"grid.dt = {g.dt} and grid.t_end = {g.t_end} must be finite")
+    elif not (g.dt > 0.0):
+        errors.append(f"grid.dt = {g.dt} must be positive")
+    elif g.t_end < g.dt:
+        errors.append(f"grid.t_end = {g.t_end} is shorter than one step dt = {g.dt}")
+    elif not (
+        math.isfinite(steps := g.t_end / g.dt)
+        and abs(steps - round(steps)) <= STEP_COUNT_TOL * steps
+    ):
+        errors.append(f"grid.t_end = {g.t_end} is not a whole number of steps dt = {g.dt}")
+    elif nr_ok and nz_ok:
+        # one march field at a time, and per level a snapshot's time, wall,
+        # station energies and per-species extrema
+        field = march_field_bytes(ns, g.nr, g.nz)
+        trajectory = (g.n_steps + 1) * 8 * (1 + 2 * ns * (g.nz + 2))
+        if field + trajectory > BYTE_BUDGET:
+            errors.append(
+                f"a {g.nr}x{g.nz} run of {g.n_steps} steps takes {field} bytes of march "
+                f"field and {trajectory} bytes of trajectory, over the "
+                f"{BYTE_BUDGET}-byte budget"
+            )
+    return errors
+
+
 @dataclass(frozen=True)
 class InitialData:
     """Inlet profiles C_i0(r) and initial wall profiles C_is0(z).
@@ -161,44 +204,16 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
 
     Warnings never block a run: a degenerate theta_s, an inlet/wall
     compatibility mismatch at the corner z = 0, or an unsatisfied
-    contraction condition are all reported but survivable.  A run whose
-    march field and trajectory would take more than BYTE_BUDGET bytes is
-    an error, found before anything is allocated.
+    contraction condition are all reported but survivable.  The grid is
+    held to ``grid_errors``, and the profile shapes are checked only on a
+    grid it accepts.
     """
-    errors: list[str] = []
     warnings: list[str] = []
 
     g = cfg.grid
     ns = len(cfg.species)
-    nr_ok, nz_ok = g.nr >= 4, g.nz >= 4
-    if not nr_ok:
-        errors.append(f"grid.nr = {g.nr} is too small (need nr >= 4)")
-    if not nz_ok:
-        errors.append(f"grid.nz = {g.nz} is too small (need nz >= 4)")
-    if not (math.isfinite(g.dt) and math.isfinite(g.t_end)):
-        errors.append(f"grid.dt = {g.dt} and grid.t_end = {g.t_end} must be finite")
-    elif not (g.dt > 0.0):
-        errors.append(f"grid.dt = {g.dt} must be positive")
-    elif g.t_end < g.dt:
-        errors.append(f"grid.t_end = {g.t_end} is shorter than one step dt = {g.dt}")
-    elif not (
-        math.isfinite(steps := g.t_end / g.dt)
-        and abs(steps - round(steps)) <= STEP_COUNT_TOL * steps
-    ):
-        errors.append(f"grid.t_end = {g.t_end} is not a whole number of steps dt = {g.dt}")
-    elif nr_ok and nz_ok:
-        # one march field at a time, and per level a snapshot's time, wall,
-        # station energies and per-species extrema
-        field = 8 * ns * (g.nr + 1) * (g.nz + 1)
-        trajectory = (g.n_steps + 1) * 8 * (1 + 2 * ns * (g.nz + 2))
-        if field + trajectory > BYTE_BUDGET:
-            errors.append(
-                f"a {g.nr}x{g.nz} run of {g.n_steps} steps takes {field} bytes of march "
-                f"field and {trajectory} bytes of trajectory, over the "
-                f"{BYTE_BUDGET}-byte budget"
-            )
-
-    errors += species_errors(cfg.species)
+    grid = grid_errors(g, ns)
+    errors = grid + species_errors(cfg.species)
     for s in cfg.species:
         if s.theta_s == 0.0:
             warnings.append(
@@ -207,15 +222,11 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
             )
 
     inlet, wall = cfg.initial.inlet, cfg.initial.wall_init
-    # an axis whose size was rejected above has no expected shape
-    if nr_ok and inlet.shape != (ns, g.nr + 1):
-        errors.append(
-            f"inlet profiles have shape {inlet.shape}, expected {(ns, g.nr + 1)}"
-        )
-    if nz_ok and wall.shape != (ns, g.nz + 1):
-        errors.append(
-            f"wall_init profiles have shape {wall.shape}, expected {(ns, g.nz + 1)}"
-        )
+    if not grid:  # a rejected grid has no expected profile shape
+        if inlet.shape != (ns, g.nr + 1):
+            errors.append(f"inlet profiles have shape {inlet.shape}, expected {(ns, g.nr + 1)}")
+        if wall.shape != (ns, g.nz + 1):
+            errors.append(f"wall_init profiles have shape {wall.shape}, expected {(ns, g.nz + 1)}")
     if not np.all(np.isfinite(inlet)):
         errors.append("inlet profiles contain non-finite values")
     if not np.all(np.isfinite(wall)):

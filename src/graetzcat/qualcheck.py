@@ -45,8 +45,6 @@ class BoundEnvelope:
 def build_envelope(initial: InitialData, lam: float) -> BoundEnvelope:
     sup = np.maximum(initial.inlet.max(axis=1), initial.wall_init.max(axis=1))
     inf = np.minimum(initial.inlet.min(axis=1), initial.wall_init.min(axis=1))
-    if np.any(inf > sup):
-        raise ValueError("initial data with inf > sup")
     return BoundEnvelope(a_i0_min=inf, a_i0_max=sup, lam=float(lam))
 
 

@@ -350,14 +350,18 @@ class TestCli:
         [
             ((("nr = 32", "nr = 20000"), ("nz = 64", "nz = 20000")), 20000, 20000, 3000),
             ((("t_end = 60", "t_end = 2000000"),), 32, 64, 10**8),
+            ((("nr = 32", "nr = 10000000000000"),), 10**13, 64, 3000),
+            ((("nz = 64", "nz = 10000000000000"),), 32, 10**13, 3000),
         ],
     )
     def test_run_beyond_the_byte_budget_exits_two(
         self, command, edits, nr, nz, steps, tmp_path, capsys
     ):
-        # the shipped scenario with a 12.8 GB march field, or with a
-        # 0.42 TB trajectory, is refused before anything of that size is made
+        # the shipped scenario with a 12.8 GB march field, a 0.42 TB
+        # trajectory or a grid whose one profile would take 80 TB is
+        # refused by the parser before anything of that size is made
         text = SCENARIO_CFG.read_text()
+        line = text.splitlines().index("[grid]") + 1
         for old, new in edits:
             text = text.replace(old, new)
         cfg = tmp_path / "big.cfg"
@@ -375,9 +379,9 @@ class TestCli:
         trajectory = (steps + 1) * 8 * (1 + 2 * 4 * (nz + 2))  # per level as the tracer counts
         errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
         assert errors == [
-            f"config error: a {nr}x{nz} run of {steps} steps takes {field} bytes of march "
-            f"field and {trajectory} bytes of trajectory, over the "
-            f"{cli_io.BYTE_BUDGET}-byte budget"
+            f"config error: line {line}: BAD_NUMBER [grid]: a {nr}x{nz} run of {steps} "
+            f"steps takes {field} bytes of march field and {trajectory} bytes of "
+            f"trajectory, over the {cli_io.BYTE_BUDGET}-byte budget"
         ]
         assert not (tmp_path / "out" / "report.txt").exists()
 
@@ -441,32 +445,39 @@ class TestCli:
 
     def test_bad_time_grid_exit_two(self, tmp_path, capsys):
         # non-finite values, a t_end that is no whole number of steps and
-        # sizes too small to hold a profile
-        for old, new in (
-            ("t_end = 0.5", "t_end = inf"),
-            ("t_end = 0.5", "t_end = nan"),
-            ("dt = 0.05", "dt = inf"),
-            ("dt = 0.05", "dt = nan"),
-            ("t_end = 0.5", "t_end = 0.525"),
-            ("nr = 8", "nr = -1"),
-            ("nz = 8", "nz = -1"),
+        # sizes too small to hold a profile, each reported at the [grid] line
+        for old, new, message in (
+            ("t_end = 0.5", "t_end = inf", "grid.dt = 0.05 and grid.t_end = inf must be finite"),
+            ("t_end = 0.5", "t_end = nan", "grid.dt = 0.05 and grid.t_end = nan must be finite"),
+            ("dt = 0.05", "dt = inf", "grid.dt = inf and grid.t_end = 0.5 must be finite"),
+            ("dt = 0.05", "dt = nan", "grid.dt = nan and grid.t_end = 0.5 must be finite"),
+            (
+                "t_end = 0.5",
+                "t_end = 0.525",
+                "grid.t_end = 0.525 is not a whole number of steps dt = 0.05",
+            ),
+            ("nr = 8", "nr = -1", "grid.nr = -1 is too small (need nr >= 4)"),
+            ("nz = 8", "nz = -1", "grid.nz = -1 is too small (need nz >= 4)"),
         ):
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(MINIMAL.replace(old, new))
             code = self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
-            err = capsys.readouterr().err
+            errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
             assert code == 2, new
-            assert any(line.startswith("config error: grid.") for line in err.splitlines()), err
+            assert errors == [f"config error: line 1: BAD_NUMBER [grid]: {message}"], new
 
     def test_rejected_grid_size_is_reported_once(self, tmp_path, capsys):
-        # a rejected size has no expected profile shape to compare against
+        # a rejected size is refused before any profile is sized by it
         for old, new in (("nr = 8", "nr = -100"), ("nz = 8", "nz = -100")):
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(MINIMAL.replace(old, new))
             assert self.run_cli("check", "--config", str(cfg)) == 2
             errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
             key = new.partition(" ")[0]
-            assert errors == [f"config error: grid.{key} = -100 is too small (need {key} >= 4)"]
+            assert errors == [
+                f"config error: line 1: BAD_NUMBER [grid]: grid.{key} = -100 is too small "
+                f"(need {key} >= 4)"
+            ]
 
     def test_overflowing_derived_box_exit_two(self, tmp_path, capsys):
         # no box.CO line: twice the sup of CO's data overflows to inf
@@ -656,7 +667,9 @@ KEY_LINES = [
     i for i, line in enumerate(SHORT_SCENARIO.splitlines()) if re.match(r"[\w.]+\s*=", line)
 ]
 NON_FINITE = ("nan", "inf", "-inf", "0, nan", "const:nan")
-TOKENS = NON_FINITE + ("-1", "0", "1e300", "", "x", "0,1", "file:missing.txt")
+TOKENS = NON_FINITE + (
+    "-1", "0", "1e300", "10000000000000", "", "x", "0,1", "file:missing.txt"
+)
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -672,6 +673,107 @@ class TestGraetzOracle:
         for nr, nz in ((16, 1024), (32, 1024), (64, 1024), (16, 4096), (64, 4096), (128, 2048)):
             model = self.A_DR2 / nr**2 + self.B_DZ / nz
             assert error(nr, nz) == pytest.approx(model, rel=0.02), (nr, nz)
+
+
+def uniformized_propagator(grid, beta):
+    """(dz A, E, psi, s, m): the stencil's station step exact in z, by
+    uniformization (Moler & Van Loan, SIAM Review 45, 2003).
+
+    With M = mass dz the deviation D = C - w from the wall value obeys
+    M dD/dz = -beta K D - M w', so across a station with w linear in z,
+    D+ = E D - (w+ - w) psi, E = exp(dz A), A = -M^-1 beta K, and
+    dz psi = int_0^dz exp(s A) 1 ds.  Both are blocks of exp(H),
+    H = dz [[A, 1], [0, 0]].  A is nonnegative off its diagonal, so with
+    c = max(-diag H), X = (H + c I) / 2^s >= 0 for c / 2^s <= 1/2, and
+    exp(H) = (exp(-c / 2^s) sum_k X^k / k!)^(2^s): sums and products of
+    nonnegative numbers, nonnegative in floating point with no clipping.
+    The series stops at its m-th term, the first whose entries are all at
+    most 2^-60.
+    """
+    mass, k_diag, k_sup, _ = stencil(grid)  # mass carries the 1 / dz
+    n = grid.nr
+    i = np.arange(n)
+    h = np.zeros((n + 1, n + 1))
+    h[i, i] = -beta * k_diag / mass
+    h[i[:-1], i[1:]] = -beta * k_sup / mass[:-1]
+    h[i[1:], i[:-1]] = -beta * k_sup / mass[1:]
+    h[:n, n] = grid.dz
+    c = -h.diagonal().min()
+    s = max(0, math.ceil(math.log2(2.0 * c)))
+    x = (h + c * np.eye(n + 1)) / 2.0**s
+    t = term = np.eye(n + 1)
+    m = 0
+    while term.max() > 2.0**-60:
+        m += 1
+        term = term @ x / m
+        t = t + term
+    t *= math.exp(-c / 2.0**s)
+    for _ in range(s):
+        t = t @ t
+    return h[:n, :n], t[:n, :n], t[:n, n] / grid.dz, s, m
+
+
+class TestUniformizedPropagator:
+    """The exact-in-z station step, built on the stencil by uniformization:
+    a nonnegative E without clipping, its row sums and psi within their
+    rounding slack of the exact relations, and the Graetz outlet within the
+    march's radial error alone."""
+
+    @pytest.mark.parametrize(
+        "nr, nz, min_e, centerline_error",
+        [(32, 64, 1.7855e-7, 0.0047650), (64, 8192, 2.4132e-93, 0.0011896)],
+    )
+    def test_graetz_outlet_has_only_the_radial_error(self, nr, nz, min_e, centerline_error):
+        # backward Euler errs by +48.11 % at 32x64 and +0.45 % at 64x8192;
+        # what is left is the 4.94 dr^2 term of the march's error model
+        exact = graetz_modes(4000)[1][0]
+        _, e, _, _, _ = uniformized_propagator(unit_grid(nr, nz), 1.0)
+        assert e.min() == pytest.approx(min_e, rel=1e-4)
+        d = np.ones(nr)  # unit inlet, cold wall: the wall never moves
+        for _ in range(nz):
+            d = e @ d
+        assert d[0] / exact - 1.0 == pytest.approx(centerline_error, abs=5e-7)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 4.7, 1e-6, 1e8])
+    @pytest.mark.parametrize("nr,nz", [(8, 8), (32, 64), (100, 16)])
+    def test_propagator_is_nonnegative(self, beta, nr, nz):
+        # the M-matrix test's grids with nr <= 100 (128x8192 is checked
+        # below); its nr = 1024 grids take 24-52 dense 1025x1025 squarings
+        # per beta, about 19 s for the ten on a 2-core host
+        _, e, psi, _, _ = uniformized_propagator(unit_grid(nr, nz), beta)
+        assert np.all(e >= 0.0) and np.all(psi >= 0.0)
+
+    @pytest.mark.parametrize("nr, nz", [(32, 64), (32, 1024), (64, 8192), (128, 8192)])
+    def test_row_sums_and_psi_within_their_rounding_slack(self, nr, nz):
+        # exact: E 1 <= 1, E 1 <= psi <= 1 and (dz A) psi = E 1 - 1, for a
+        # matrix dz A with nonpositive row sums; rounding leaves the computed
+        # dz A's row sums up to `excess` above 0 (about u c), and E 1 reaches
+        # 1 + 1.15e-14 at 32x1024 and 1 + 2.55e-14 at 64x8192
+        ha, e, psi, s, m = uniformized_propagator(unit_grid(nr, nz), 1.0)
+        u = 2.0**-53
+        excess = max(0.0, max(math.fsum(row) for row in ha))
+        # first-order relative rounding of every computed entry: the series
+        # takes at most (m + 1)(n + 2) + m + 2 roundings and drops a tail
+        # under 2 (n + 1) 2^-60 of a row; each squaring doubles the relative
+        # error and adds n + 1 more
+        delta = 2**s * ((m + 1) * (nr + 2) + m + 2 + 2 * (nr + 1) * 2**-7 + nr + 1) * u
+        bound = (1.0 + delta) * math.exp(excess)
+        assert np.all(e >= 0.0) and np.all(psi >= 0.0)
+        e1 = np.array([math.fsum(row) for row in e])  # correctly rounded
+        assert e1.max() <= bound
+        assert psi.max() <= bound
+        assert np.all(e1 <= psi * bound * (1.0 + delta))
+        gap = np.abs(ha @ psi - (e1 - 1.0))
+        assert np.all(gap <= 3.0 * delta * (np.abs(ha) @ psi + e1 + 1.0))
+
+    def test_constant_data_stays_a_bitwise_fixed_point(self):
+        _, e, psi, _, _ = uniformized_propagator(unit_grid(32, 64), 1.0)
+        c = 0.37
+        wall = np.full(65, c)
+        d = np.full(32, c) - wall[0]
+        for k in range(1, 65):
+            d = e @ d - (wall[k] - wall[k - 1]) * psi
+            assert np.array_equal(d, np.zeros(32)) and np.array_equal(d + wall[k], np.full(32, c))
 
 
 GRID_SIZE = st.integers(min_value=4, max_value=24)

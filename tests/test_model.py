@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from graetzcat import coupler
+from graetzcat import cli_io, coupler
+from graetzcat.cli_io import ConfigError, parse_config
 from graetzcat.coupler import Snapshot, run_simulation
 from graetzcat.fluid_march import (
     BLOCK_MAX_NR,
@@ -16,11 +18,13 @@ from graetzcat.fluid_march import (
     wall_flux_integral,
 )
 from graetzcat.model import (
+    BYTE_BUDGET,
     Grid,
     InitialData,
     ModelConfig,
     SpeciesParams,
     contraction_margin,
+    grid_errors,
     validate_config,
 )
 from graetzcat.wall_evolve import step_wall, surface_operator, surface_step
@@ -283,6 +287,97 @@ class TestSpeciesRules:
         assert mus == {contraction_margin(params).mu}
 
 
+# one grid per rule, and one breaking three rules at once, with the message
+# each broken rule gives for a run of two species: a march field of
+# 16 (nr + 1)(nz + 1) bytes and a trajectory of 8 (1 + 4 (nz + 2)) bytes per
+# level, 11 levels for 10 steps
+GRID_RULES = [
+    (Grid(2, 8, 0.05, 0.5), ["grid.nr = 2 is too small (need nr >= 4)"]),
+    (Grid(8, -100, 0.05, 0.5), ["grid.nz = -100 is too small (need nz >= 4)"]),
+    (Grid(8, 8, math.inf, 0.5), ["grid.dt = inf and grid.t_end = 0.5 must be finite"]),
+    (Grid(8, 8, 0.05, math.nan), ["grid.dt = 0.05 and grid.t_end = nan must be finite"]),
+    (Grid(8, 8, 0.0, 0.5), ["grid.dt = 0.0 must be positive"]),
+    (Grid(8, 8, -0.05, 0.5), ["grid.dt = -0.05 must be positive"]),
+    (Grid(8, 8, 0.05, 0.01), ["grid.t_end = 0.01 is shorter than one step dt = 0.05"]),
+    (Grid(8, 8, 0.05, 0.525), ["grid.t_end = 0.525 is not a whole number of steps dt = 0.05"]),
+    (
+        Grid(10**13, 8, 0.05, 0.5),
+        [
+            f"a 10000000000000x8 run of 10 steps takes {16 * 9 * (10**13 + 1)} bytes of "
+            f"march field and {88 * (1 + 4 * 10)} bytes of trajectory, over the "
+            f"{BYTE_BUDGET}-byte budget"
+        ],
+    ),
+    (
+        Grid(8, 10**13, 0.05, 0.5),
+        [
+            f"a 8x10000000000000 run of 10 steps takes {16 * 9 * (10**13 + 1)} bytes of "
+            f"march field and {88 * (1 + 4 * (10**13 + 2))} bytes of trajectory, over the "
+            f"{BYTE_BUDGET}-byte budget"
+        ],
+    ),
+    (
+        Grid(8, 8, 0.5, 5e7),
+        [
+            f"a 8x8 run of 100000000 steps takes 1296 bytes of march field and "
+            f"{(10**8 + 1) * 8 * 41} bytes of trajectory, over the {BYTE_BUDGET}-byte budget"
+        ],
+    ),
+    (
+        Grid(-1, 3, math.nan, 0.5),
+        [
+            "grid.nr = -1 is too small (need nr >= 4)",
+            "grid.nz = 3 is too small (need nz >= 4)",
+            "grid.dt = nan and grid.t_end = 0.5 must be finite",
+        ],
+    ),
+]
+
+
+class TestGridRules:
+    """One rule set for the grid: what validate_config reports for a config
+    built by hand, and what parse_config refuses at the [grid] line before
+    it sizes any profile by the grid."""
+
+    @pytest.mark.parametrize("grid, messages", GRID_RULES)
+    def test_validate_config_reports_the_rule_set(self, grid, messages):
+        assert grid_errors(grid, 2) == messages
+        # the profiles fit the valid 8x8 grid; on a rejected grid their
+        # shapes are not checked, so the grid's messages are all there is
+        cfg = constant_config(nr=8, nz=8)
+        assert validate_config(dataclasses.replace(cfg, grid=grid)).errors == tuple(messages)
+
+    @pytest.mark.parametrize("grid, messages", GRID_RULES)
+    def test_parse_config_refuses_before_any_profile(self, grid, messages, monkeypatch):
+        text = "\n".join(
+            ["[grid]"]
+            + [f"{key} = {getattr(grid, key)!r}" for key in ("nr", "nz", "dt", "t_end")]
+            + ["[kinetics]", "model = zero"]
+            + [
+                f"[species.{name}]\nbeta_f = 1\ngamma_s = 1\ntheta_s = 1\ndelta = -1\n"
+                "inlet = const:0.5\nwall_init = const:0.5"
+                for name in "ab"
+            ]
+        )
+
+        def no_profile(*args):
+            raise AssertionError("a profile was built")
+
+        monkeypatch.setattr(cli_io, "_profile", no_profile)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+        assert [i.message for i in exc.value.issues] == messages
+        assert {(i.code, i.section, i.key, i.line) for i in exc.value.issues} == {
+            ("BAD_NUMBER", "grid", "", 1)
+        }
+
+
 class TestContractionMargin:
     def test_unit_parameters(self):
         d = contraction_margin([species()])
@@ -358,7 +453,8 @@ class TestWeightedFluidNorm:
     def test_linear_radial_profile_against_quadrature_oracle(self):
         # oracle: dense trapezoid of r^2 * r(1-r^2) over r
         rr = np.linspace(0.0, 1.0, 200001)
-        oracle = np.trapezoid(rr**2 * rr * (1 - rr**2), rr)
+        f = rr**2 * rr * (1 - rr**2)
+        oracle = float(np.sum((f[1:] + f[:-1]) * np.diff(rr)) / 2.0)
         assert oracle == pytest.approx(1.0 / 12.0, abs=1e-10)
 
         r = np.linspace(0.0, 1.0, 257)

@@ -75,8 +75,8 @@ def test_coupled_run_counts(traced):
     assert steps == 10
     total = int(re.search(r"fixed-point iterations: max \d+, total (\d+)", report).group(1))
     assert iters == total > steps
-    # one march per Picard iteration, one to restore each accepted trace,
-    # one for the initial state; simulate re-marches the final wall once
+    # one march per Picard iteration and one per recorded level, the
+    # initial one included; simulate re-marches the final wall once
     assert m["coupler.march_fluid.calls"] == iters + steps + 1
     assert m["cli_io.march_fluid.calls"] == 1
     assert m["wall_evolve.step_wall.calls"] == iters
