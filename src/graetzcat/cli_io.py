@@ -46,12 +46,14 @@ from .fluid_march import (
     wall_flux_integral,
 )
 from .kinetics import (
+    LAWS,
     KineticsModel,
-    co_oxidation,
+    box_error,
+    constant_error,
+    default_box,
     estimate_lipschitz,
-    linear_consumption,
+    law_error,
     verify_hypotheses,
-    zero_model,
 )
 from .model import (
     BYTE_BUDGET,
@@ -69,11 +71,6 @@ from .model import (
 GRID_KEYS = ("nr", "nz", "dt", "t_end")
 COUPLER_KEYS = ("tol", "max_iter", "flux_form", "relaxation")
 SPECIES_KEYS = ("beta_f", "gamma_s", "theta_s", "delta", "inlet", "wall_init")
-MODEL_CONSTANTS = {
-    "zero": (),
-    "linear_consumption": ("rate",),
-    "co_oxidation": ("prefactor", "activation_temp", "heat_release"),
-}
 
 _Entries = dict[str, tuple[str, int]]  # key -> (raw value, line number)
 
@@ -106,7 +103,7 @@ def _schema(
     if section == "coupler":
         return COUPLER_KEYS, ()
     if section == "kinetics":
-        required = ("model",) + MODEL_CONSTANTS.get(model, ())
+        required = ("model",) + LAWS.get(model, (None, ()))[1]
         return required + tuple(f"box.{n}" for n in species_names), required
     return SPECIES_KEYS, SPECIES_KEYS
 
@@ -179,68 +176,39 @@ def _build_kinetics(
     issues: list[ConfigIssue],
 ) -> Optional[KineticsModel]:
     model, model_line = entries["model"]
-    ns = len(species_names)
+    build, constant_keys = LAWS[model]
 
-    # evaluation box: explicit per-species entries win, otherwise derived
-    # from the initial data (twice its sup, floor 1.0; an overflow is
-    # reported below)
-    with np.errstate(over="ignore"):
-        hi = np.maximum(
-            1.0, 2.0 * np.maximum(initial.inlet.max(axis=1), initial.wall_init.max(axis=1))
-        )
+    # evaluation box: explicit per-species entries win over the derived one
+    hi = default_box(initial)
     for i, name in enumerate(species_names):
         key = f"box.{name}"
         if key not in entries:
-            if not math.isfinite(hi[i]):
+            if box_error(hi[i]):
                 message = f"derived upper bound (twice the sup of {name}'s data) overflows"
                 issues.append(ConfigIssue("BAD_NUMBER", "kinetics", key, model_line, message))
             continue
         value, line = entries[key]
-        parts = [p.strip() for p in value.split(",")]
         try:
-            lo_v, hi_v = (float(parts[0]), float(parts[1]))
-        except (ValueError, IndexError):
+            lo_v, hi_v = (float(part) for part in value.split(","))
+        except ValueError:
             message = f"expected lo,hi got {value!r}"
         else:
-            if lo_v != 0.0:
-                message = "box lower bound must be 0"
-            elif not math.isfinite(hi_v):
-                message = f"box upper bound {hi_v} must be finite"
-            elif not hi_v > 0.0:
-                message = f"box upper bound {hi_v} must be > 0"
-            else:
+            message = "box lower bound must be 0" if lo_v != 0.0 else box_error(hi_v)
+            if message is None:
                 hi[i] = hi_v
                 continue
         issues.append(ConfigIssue("BAD_NUMBER", "kinetics", key, line, message))
 
-    if model == "co_oxidation" and ns != 4:
-        issues.append(
-            ConfigIssue(
-                "UNKNOWN_KEY",
-                "kinetics",
-                "model",
-                model_line,
-                f"co_oxidation binds to exactly 4 species (CO, O2, CO2, T); got {ns}",
-            )
-        )
+    if message := law_error(model, len(species_names)):
+        issues.append(ConfigIssue("UNKNOWN_KEY", "kinetics", "model", model_line, message))
         return None
-    constants = {}
-    for key in MODEL_CONSTANTS[model]:
+    constants = []
+    for key in constant_keys:
         value = _number("kinetics", entries, key, issues)
-        if value is not None and not math.isfinite(value):
-            issues.append(
-                ConfigIssue(
-                    "BAD_NUMBER", "kinetics", key, entries[key][1], f"{value} is not finite"
-                )
-            )
-        constants[key] = value
-    if issues:
-        return None
-    if model == "zero":
-        return zero_model(hi)
-    if model == "linear_consumption":
-        return linear_consumption(constants["rate"], hi)
-    return co_oxidation(**constants, box_hi=hi)
+        if value is not None and (message := constant_error(value)):
+            issues.append(ConfigIssue("BAD_NUMBER", "kinetics", key, entries[key][1], message))
+        constants.append(value)
+    return None if issues else build(*constants, box_hi=hi)
 
 
 def parse_config(text: str, base_dir: Path | str = ".") -> tuple[ModelConfig, CouplerSettings]:
@@ -306,14 +274,14 @@ def parse_config(text: str, base_dir: Path | str = ".") -> tuple[ModelConfig, Co
             ConfigIssue("MISSING_KEY", "species.<name>", "", 0, "no species declared")
         )
     model, model_line = sections.get("kinetics", {}).get("model", ("", 0))
-    if model_line and model not in MODEL_CONSTANTS:  # a missing model is a missing key below
+    if model_line and model not in LAWS:  # a missing model is a missing key below
         issues.append(
             ConfigIssue(
                 "UNKNOWN_KEY",
                 "kinetics",
                 "model",
                 model_line,
-                f"unknown model {model!r}; known: {', '.join(MODEL_CONSTANTS)}",
+                f"unknown model {model!r}; known: {', '.join(LAWS)}",
             )
         )
     for name, entries in sections.items():

@@ -3,7 +3,8 @@
 A kinetics model maps the N wall states at a point to N nonnegative channel
 rates; the solver applies the per-species sign delta_i itself.  Rates only
 ever see clipped states (negative parts dropped) clamped into a bounded box,
-which is what makes a global Lipschitz constant exist for smooth laws.
+which is what makes a global Lipschitz constant exist for smooth laws.  The
+config parser and the builders share the rules of a law, which live here.
 
 The three structural hypotheses are checked by sampling, not symbolically,
 because rate functions are opaque user code:
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import SpeciesParams
+from .model import InitialData, SpeciesParams
 
 HYPOTHESIS_SLACK = 1e-12
 HYPOTHESIS_SAMPLES = 1024  # pairs; a pass on fewer than 1000 points means little
@@ -42,11 +44,19 @@ class KineticsModel:
     rate receives an array of shape (..., arity) of clipped, clamped states
     and returns channel rates of the same shape.  The box is [0, box_hi]
     per channel: states lose their negative parts and are capped at box_hi
-    before evaluation.
+    before evaluation.  box_hi is kept as a read-only copy held to box_error.
     """
 
     rate: Callable[[np.ndarray], np.ndarray]
     box_hi: np.ndarray
+
+    def __post_init__(self) -> None:
+        hi = np.array(self.box_hi, dtype=float)
+        hi.flags.writeable = False
+        for i, h in enumerate(hi.tolist()):
+            if message := box_error(h):
+                raise ValueError(f"channel {i}: {message}")
+        object.__setattr__(self, "box_hi", hi)
 
     @property
     def arity(self) -> int:
@@ -76,7 +86,36 @@ def eval_rates(model: KineticsModel, wall_state: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# built-in rate laws
+# built-in rate laws and their rules
+
+
+def box_error(hi: float) -> Optional[str]:
+    """What one channel's upper bound breaks of the box rule 0 < hi < inf, or None."""
+    if not math.isfinite(hi):
+        return f"box upper bound {hi} must be finite"
+    return None if hi > 0.0 else f"box upper bound {hi} must be > 0"
+
+
+def constant_error(value: float) -> Optional[str]:
+    """What a rate-law constant breaks of the rule that it is finite, or None."""
+    return None if math.isfinite(value) else f"{value} is not finite"
+
+
+def law_error(model: str, ns: int, **constants: float) -> Optional[str]:
+    """The first rule that the law named model over ns channels breaks, or
+    None: co_oxidation binds exactly 4 channels, and each constant is finite."""
+    if model == "co_oxidation" and ns != 4:
+        return f"co_oxidation binds to exactly 4 species (CO, O2, CO2, T); got {ns}"
+    errors = ((key, constant_error(value)) for key, value in constants.items())
+    return next((f"{key}: {message}" for key, message in errors if message), None)
+
+
+def default_box(initial: InitialData) -> np.ndarray:
+    """The box bounds where none is given: twice the sup of each species'
+    inlet and initial wall data, at least 1; inf where that overflows."""
+    with np.errstate(over="ignore"):
+        sup = np.maximum(initial.inlet.max(axis=1), initial.wall_init.max(axis=1))
+        return np.maximum(1.0, 2.0 * sup)
 
 
 def zero_model(box_hi: Sequence[float]) -> KineticsModel:
@@ -85,16 +124,18 @@ def zero_model(box_hi: Sequence[float]) -> KineticsModel:
     def rate(x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
 
-    return KineticsModel(rate, np.asarray(box_hi, dtype=float))
+    return KineticsModel(rate, box_hi)
 
 
 def linear_consumption(k: float, box_hi: Sequence[float]) -> KineticsModel:
     """r_i(x) = k x_i+, intended for all-consumed channels (delta_i = -1)."""
+    if message := law_error("linear_consumption", len(box_hi), rate=k):
+        raise ValueError(message)
 
     def rate(x: np.ndarray) -> np.ndarray:
         return k * x
 
-    return KineticsModel(rate, np.asarray(box_hi, dtype=float))
+    return KineticsModel(rate, box_hi)
 
 
 def co_oxidation(
@@ -114,6 +155,9 @@ def co_oxidation(
     constants are surrogate choices; only the monotone trends they produce
     are meaningful.
     """
+    if message := law_error("co_oxidation", len(box_hi), prefactor=prefactor,
+                            activation_temp=activation_temp, heat_release=heat_release):
+        raise ValueError(message)
 
     def rate(x: np.ndarray) -> np.ndarray:
         co, o2, t = x[..., 0], x[..., 1], x[..., 3]
@@ -126,7 +170,15 @@ def co_oxidation(
         out[..., 3] = heat_release * rho
         return out
 
-    return KineticsModel(rate, np.asarray(box_hi, dtype=float))
+    return KineticsModel(rate, box_hi)
+
+
+# name -> (builder, the config keys of its constants in the builder's order)
+LAWS = {
+    "zero": (zero_model, ()),
+    "linear_consumption": (linear_consumption, ("rate",)),
+    "co_oxidation": (co_oxidation, ("prefactor", "activation_temp", "heat_release")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +411,9 @@ def estimate_lipschitz(
 
     Every sampled point lies in [0, box_hi] by construction, so the rate
     law sees the points as they are, without eval_rates' checks and clamp
-    (which would leave them bitwise unchanged); a non-finite box is
-    rejected once, up front.
+    (which would leave them bitwise unchanged).
     """
     hi = model.box_hi
-    bad = ~np.isfinite(hi)
-    if bad.any():
-        raise ValueError(f"non-finite box bound for species index {int(np.argmax(bad))}")
     n = max(int(samples), 1024)
 
     best = np.zeros(model.arity)
@@ -396,11 +444,8 @@ def estimate_lipschitz(
         absorb(rx, y, dist)
         # Axis probes from the same stream keep the running-max prefix property.
         for j in range(model.arity):
-            h = 1e-3 * hi[j]
-            if h == 0.0:
-                continue
             xp = x.copy()
-            xp[:, j] = np.minimum(x[:, j] + h, hi[j])
+            xp[:, j] = np.minimum(x[:, j] + 1e-3 * hi[j], hi[j])
             # the other coordinates cancel exactly: the l1 distance is this one's
             absorb(rx, xp, np.abs(x[:, j] - xp[:, j]))
 

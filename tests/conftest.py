@@ -6,7 +6,7 @@ import pytest
 
 from graetzcat.cli_io import parse_config
 from graetzcat.coupler import run_simulation
-from graetzcat.kinetics import zero_model
+from graetzcat.kinetics import default_box, zero_model
 from graetzcat.model import Grid, InitialData, ModelConfig, SpeciesParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -25,8 +25,15 @@ def constant_config(nr=32, nz=64, dt=0.01, t_end=1.0, levels=(0.37, 1.29)):
         wall_init=np.tile(c[:, None], (1, nz + 1)),
     )
     grid = Grid(nr=nr, nz=nz, dt=dt, t_end=t_end)
-    kin = zero_model(np.maximum(1.0, 2.0 * c))
+    kin = zero_model(default_box(init))
     return ModelConfig(species=species, grid=grid, initial=init, kinetics=kin)
+
+
+def raised(build):
+    """The message of the ValueError that build() raises."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
 
 
 def station_major(values):

@@ -28,9 +28,10 @@ from graetzcat.cli_io import (
     write_snapshot_csv,
 )
 from graetzcat.coupler import CouplerSettings, run_simulation
+from graetzcat.kinetics import co_oxidation, linear_consumption, zero_model
 from graetzcat.model import FluidField, Grid
 
-from conftest import SCENARIO_CFG, constant_config, station_major
+from conftest import SCENARIO_CFG, constant_config, raised, station_major
 
 MINIMAL = """\
 [grid]
@@ -136,6 +137,16 @@ class TestParseConfig:
             assert [(i.code, i.key) for i in issues] == [("BAD_NUMBER", "box.CO")], new
             assert "must be > 0" in issues[0].message
 
+    def test_box_entry_needs_exactly_two_fields(self):
+        # a third field and more used to be dropped without a word
+        text = SCENARIO_CFG.read_text()
+        line = text.splitlines().index("box.CO = 0, 0.05") + 1
+        for value in ("0, 0.05, 7, junk", "0, 0.05, 7", "0", ""):
+            issues = issues_of(text.replace("0, 0.05", value, 1), SCENARIO_CFG.parent)
+            assert [(i.code, i.key, i.line, i.message) for i in issues] == [
+                ("BAD_NUMBER", "box.CO", line, f"expected lo,hi got {value!r}")
+            ], value
+
     def test_co_oxidation_needs_four_species(self):
         text = MINIMAL.replace(
             "model = zero",
@@ -154,6 +165,57 @@ class TestParseConfig:
         deltas = [s.delta for s in cfg.species]
         assert deltas == [-1, -1, 1, 1]
         assert settings.tol == 1e-10 and settings.max_iter == 50
+
+
+class TestRateLawRules:
+    """The parser reports each rule of the rate law, at its key, with the
+    text the library builders raise for the same value."""
+
+    @pytest.mark.parametrize("bound", ["-1", "0", "inf", "nan"])
+    def test_box_bound(self, bound):
+        text = SCENARIO_CFG.read_text().replace("box.O2 = 0, 0.1", f"box.O2 = 0, {bound}")
+        [issue] = issues_of(text, SCENARIO_CFG.parent)
+        assert (issue.code, issue.key) == ("BAD_NUMBER", "box.O2")
+        box = (0.05, float(bound), 0.05, 520.0)
+        for build in (
+            lambda: zero_model(box),
+            lambda: linear_consumption(1.0, box),
+            lambda: co_oxidation(400.0, 3000.0, 150.0, box),
+        ):
+            assert raised(build) == f"channel 1: {issue.message}"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_constant(self, value):
+        shipped = SCENARIO_CFG.read_text()
+        for key, text, build in (
+            (
+                "rate",
+                MINIMAL.replace("model = zero", f"model = linear_consumption\nrate = {value}"),
+                lambda: linear_consumption(float(value), (1.0, 2.0)),
+            ),
+            (
+                "prefactor",
+                shipped.replace("prefactor = 400.0", f"prefactor = {value}"),
+                lambda: co_oxidation(float(value), 3000.0, 150.0, (0.05, 0.1, 0.05, 520.0)),
+            ),
+            (
+                "heat_release",
+                shipped.replace("heat_release = 150.0", f"heat_release = {value}"),
+                lambda: co_oxidation(400.0, 3000.0, float(value), (0.05, 0.1, 0.05, 520.0)),
+            ),
+        ):
+            [issue] = issues_of(text, SCENARIO_CFG.parent)
+            assert (issue.code, issue.key) == ("BAD_NUMBER", key)
+            assert raised(build) == f"{key}: {issue.message}"
+
+    def test_co_oxidation_channel_count(self):
+        text = MINIMAL.replace(
+            "model = zero",
+            "model = co_oxidation\nprefactor = 1\nactivation_temp = 0\nheat_release = 1",
+        )
+        [issue] = issues_of(text)
+        assert (issue.code, issue.key, issue.line) == ("UNKNOWN_KEY", "model", 8)
+        assert raised(lambda: co_oxidation(1.0, 0.0, 1.0, (1.0, 2.0))) == issue.message
 
 
 class TestWriters:

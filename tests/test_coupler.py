@@ -216,13 +216,34 @@ class TestAffinePicardMap:
     )
     def test_steps_solve_the_affine_fixed_point(self, scenario, form, rho, norm):
         cfg, shipped = short_scenario(scenario, 6)
-        grid, nn = cfg.grid, cfg.grid.nz + 1
-        ks = [picard_matrix(s, grid, form) for s in cfg.species]
+        ks = [picard_matrix(s, cfg.grid, form) for s in cfg.species]
         assert max(np.abs(np.linalg.eigvals(k)).max() for k in ks) == pytest.approx(rho, abs=5e-5)
         q = max(np.abs(k).sum(axis=1).max() for k in ks)  # sup-norm contraction factor
         assert q == pytest.approx(norm, abs=5e-5)
+        self.assert_steps_solve_the_fixed_point(cfg, shipped, form, 1.0, ks, q)
 
-        settings = CouplerSettings(tol=shipped.tol, max_iter=shipped.max_iter, flux_form=form)
+    @pytest.mark.parametrize("form", ["gradient", "integral"])
+    @pytest.mark.parametrize("relaxation", [0.5, 0.8])
+    def test_relaxed_steps_solve_the_affine_fixed_point(self, scenario, form, relaxation):
+        # a damped iterate moves by M = (1 - w) I + w K, with the same fixed point
+        cfg, shipped = short_scenario(scenario, 2)
+        nn = cfg.grid.nz + 1
+        ks = [picard_matrix(s, cfg.grid, form) for s in cfg.species]
+        q = max(
+            np.abs((1.0 - relaxation) * np.eye(nn) + relaxation * k).sum(axis=1).max()
+            for k in ks
+        )
+        assert q < 1.0
+        self.assert_steps_solve_the_fixed_point(cfg, shipped, form, relaxation, ks, q)
+
+    @staticmethod
+    def assert_steps_solve_the_fixed_point(cfg, shipped, form, relaxation, ks, q):
+        """Every step of cfg's run contracts by q, and stops within q / (1 - q)
+        of its last residual of the exact fixed point of the Picard matrices ks."""
+        grid, nn = cfg.grid, cfg.grid.nz + 1
+        settings = CouplerSettings(
+            tol=shipped.tol, max_iter=shipped.max_iter, flux_form=form, relaxation=relaxation
+        )
         march_op, surface_op = operators(cfg)
         eps = np.finfo(float).eps
         state = initial_state(cfg)
@@ -233,7 +254,7 @@ class TestAffinePicardMap:
                 step_index=k,
             )
             r = state.residual_history
-            # successive differences contract by K, up to 4 ulps of the
+            # successive differences contract by q, up to 4 ulps of the
             # wall's largest entry in each difference
             ulp = eps * float(np.abs(prev).max())
             assert all(b <= q * a + 4.0 * ulp for a, b in zip(r, r[1:])), (k, r)

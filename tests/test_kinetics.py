@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import math
 import tracemalloc
 import warnings
 import zipfile
@@ -18,14 +19,19 @@ from graetzcat.kinetics import (
     _leading_rows,
     _sample_pairs,
     _sobol,
+    box_error,
     co_oxidation,
+    constant_error,
     estimate_lipschitz,
     eval_rates,
+    law_error,
     linear_consumption,
     verify_hypotheses,
     zero_model,
 )
 from graetzcat.model import SpeciesParams
+
+from conftest import raised
 
 
 # point counts on either side of the chunk and power-of-two boundaries
@@ -318,10 +324,8 @@ class TestVerifyHypotheses:
 
 
 def neighbour_law(arity):
-    """r_i(x) = x_i x_(i-1) on a box with a zero-width channel."""
-    hi = np.linspace(0.5, 2.5, arity)
-    hi[arity // 2] = 0.0
-    return KineticsModel(lambda x: x * np.roll(x, 1, axis=-1), hi)
+    """r_i(x) = x_i x_(i-1) on a box of channels of unequal widths."""
+    return KineticsModel(lambda x: x * np.roll(x, 1, axis=-1), np.linspace(0.5, 2.5, arity))
 
 
 def whole_array_k(model, seed, samples):
@@ -333,10 +337,9 @@ def whole_array_k(model, seed, samples):
     best = np.zeros(model.arity)
     probes = [y]
     for j in range(model.arity):
-        if hi[j] > 0.0:
-            xp = x.copy()
-            xp[:, j] = np.minimum(x[:, j] + 1e-3 * hi[j], hi[j])
-            probes.append(xp)
+        xp = x.copy()
+        xp[:, j] = np.minimum(x[:, j] + 1e-3 * hi[j], hi[j])
+        probes.append(xp)
     for b in probes:
         denom = sum(np.abs(x - b).T)
         ok = denom > 0.0
@@ -362,11 +365,6 @@ class TestEstimateLipschitz:
             _, lam = estimate_lipschitz(overflowing(2), seed=0)
         assert not np.isfinite(lam)
 
-    @pytest.mark.parametrize("bound", [np.inf, np.nan])
-    def test_non_finite_box_rejected(self, bound):
-        with pytest.raises(ValueError, match="species index 2"):
-            estimate_lipschitz(zero_model([1.0, 1.0, bound, 1.0]), seed=0)
-
     def test_zero_model_is_exactly_zero(self):
         # with no species at all, k is empty
         for arity in (4, 0):
@@ -374,15 +372,10 @@ class TestEstimateLipschitz:
             assert k.shape == (arity,) and lam == 0.0
 
     def test_rates_at_the_base_points_are_evaluated_once(self):
-        # the shipped-like box, one with a zero-width CO2 channel, which gets
-        # no axis probe, and a 9-channel law, whose l1 distance numpy's
-        # np.sum would add pairwise
-        laws = [co_oxidation(400.0, 3000.0, 150.0, box)
-                for box in (CO_OX_BOX, (0.05, 0.1, 0.0, 600.0))]
-        laws.append(neighbour_law(9))
-        for inner in laws:
+        # the shipped-like box, and a 9-channel law, whose l1 distance
+        # numpy's np.sum would add pairwise
+        for inner in (co_oxidation(400.0, 3000.0, 150.0, CO_OX_BOX), neighbour_law(9)):
             hi = inner.box_hi
-            probed = [j for j in range(inner.arity) if hi[j] > 0.0]
             for seed in range(4):
                 for samples in (2048, 5000, 20000):
                     calls = []
@@ -393,12 +386,11 @@ class TestEstimateLipschitz:
 
                     m = dataclasses.replace(inner, rate=counted)
                     k, lam = estimate_lipschitz(m, seed=seed, samples=samples)
-                    # x, y and one axis probe per channel of nonzero width,
-                    # once per Sobol chunk
+                    # x, y and one axis probe per channel, once per Sobol chunk
                     chunks = -(-samples // SOBOL_CHUNK)
-                    assert len(calls) == chunks * (1 + 1 + len(probed))
+                    assert len(calls) == chunks * (1 + 1 + inner.arity)
                     if samples == 2048:
-                        assert len(calls) == 1 + 1 + len(probed)
+                        assert len(calls) == 1 + 1 + inner.arity
                     ref = whole_array_k(inner, seed, samples)
                     assert np.array_equal(k, ref), (hi, seed, samples)
                     assert lam == float(ref.max())
@@ -432,3 +424,54 @@ class TestEstimateLipschitz:
         _, lam = estimate_lipschitz(m, seed=0)
         raw = lam / 1.25
         assert abs(raw - brute) / brute < 0.10
+
+
+class TestLawRules:
+    """One rule set for a rate law: KineticsModel holds its box to box_error,
+    whoever builds it, and each builder its constants and channel count to
+    law_error, with the texts the config parser reports."""
+
+    @pytest.mark.parametrize("bound", [np.inf, np.nan])
+    def test_non_finite_box_rejected(self, bound):
+        with pytest.raises(ValueError, match="channel 2: box upper bound .* must be finite"):
+            KineticsModel(lambda x: x, [1.0, 1.0, bound, 1.0])
+
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, math.inf, math.nan])
+    def test_every_builder_holds_the_box_rule(self, bound):
+        # a bound of -1 used to give the rate -1 at a "clamped" state
+        box = [0.05, bound, 0.05, 600.0]
+        rule = box_error(bound)
+        assert rule is not None
+        for build in (
+            lambda: KineticsModel(lambda x: x, box),
+            lambda: zero_model(box),
+            lambda: linear_consumption(1.0, box),
+            lambda: co_oxidation(400.0, 3000.0, 150.0, box),
+        ):
+            assert raised(build) == f"channel 1: {rule}"
+
+    def test_box_is_a_read_only_copy(self):
+        box = np.array(CO_OX_BOX)
+        m = co_oxidation(400.0, 3000.0, 150.0, box)
+        box[0] = -1.0
+        assert m.box_hi[0] == CO_OX_BOX[0] and not m.box_hi.flags.writeable
+        with pytest.raises(ValueError):
+            m.box_hi[0] = -1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_builder_holds_its_constants_finite(self, value):
+        # a NaN prefactor used to give NaN rates
+        for key, build in (
+            ("rate", lambda: linear_consumption(value, np.ones(3))),
+            ("prefactor", lambda: co_oxidation(value, 3000.0, 150.0, CO_OX_BOX)),
+            ("activation_temp", lambda: co_oxidation(400.0, value, 150.0, CO_OX_BOX)),
+            ("heat_release", lambda: co_oxidation(400.0, 3000.0, value, CO_OX_BOX)),
+        ):
+            assert raised(build) == f"{key}: {constant_error(value)}"
+
+    @pytest.mark.parametrize("ns", [1, 3, 5])
+    def test_co_oxidation_binds_exactly_four_channels(self, ns):
+        # over 3 channels the law used to build, then fail at its first rate
+        message = raised(lambda: co_oxidation(400.0, 3000.0, 150.0, np.ones(ns)))
+        assert message == law_error("co_oxidation", ns)
+        assert message.endswith(f"(CO, O2, CO2, T); got {ns}")

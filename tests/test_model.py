@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from graetzcat.model import (
 from graetzcat.wall_evolve import step_wall, surface_operator, surface_step
 from graetzcat.qualcheck import energy_growth_report
 
-from conftest import constant_config
+from conftest import SCENARIO_CFG, constant_config
 
 
 def species(name="x", beta=1.0, gamma=1.0, theta=1.0, delta=-1):
@@ -264,6 +265,38 @@ class TestSpeciesRules:
             ):
                 with pytest.raises(ValueError, match=rf"species\.bad\.{key}"):
                     build()
+
+    @pytest.mark.parametrize("name", ["C,O", "C=O", "C O", "1CO", ""])
+    def test_every_consumer_rejects_a_name_that_is_not_an_identifier(self, name):
+        # names go unquoted into CSV headers and KEY=VALUE lines: "C,O" gave a
+        # header of one column more than the data, "C=O" a footer key OUTLET_C
+        cfg = constant_config(nr=8, nz=8)
+        bad = dataclasses.replace(cfg.species[0], name=name)
+        report = validate_config(dataclasses.replace(cfg, species=(bad,) + cfg.species[1:]))
+        message = f"species.{name}.name = {name} must be an identifier"
+        assert message in report.errors
+        ok = species("ok", gamma=4.0)
+        for params in ((ok, bad), (bad, ok)):
+            for build in (
+                lambda: march_operator(params, cfg.grid),
+                lambda: surface_operator(params, cfg.grid.nz + 1, cfg.grid.dt),
+                lambda: contraction_margin(params),
+            ):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    build()
+
+    @pytest.mark.parametrize("name", ["C,O", "C=O"])
+    def test_the_cli_refuses_a_name_that_is_not_an_identifier(self, name, tmp_path, capsys):
+        text = SCENARIO_CFG.read_text().replace("[species.CO]", f"[species.{name}]")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace("box.CO = 0, 0.05\n", ""))
+        out = tmp_path / "out"
+        assert cli_io.main(["check", "--config", str(cfg)]) == 2
+        assert cli_io.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        error = f"config error: species.{name}.name = {name} must be an identifier"
+        assert captured.err.splitlines().count(error) == 2, captured.err
 
     def test_every_consumer_rejects_no_species(self):
         cfg = constant_config(nr=8, nz=8)
