@@ -65,11 +65,7 @@ beta nr^2 / nz grow: up to nr = 64 and a diffusion number of 256 the
 field stays within 1e-13 of the largest datum (the tests assert it; the
 worst of a sweep over nr <= 64, nz 4-49 and beta up to 20 was 4.7e-14),
 past either it does not (CHANGES.md gives the measured errors), so such
-marches take the station loop.  Qt is the
-one operator kept for the process, per (nr, nz, beta, B): building it is
-a measurable share of a short solve with several distinct betas, which
-later runs on the same grid skip.  The folded kernel below is built from
-it per march operator.
+marches take the station loop.
 
 Only a block's last station feeds the next block, so the march takes the
 carries D_B, D_2B, .. first, each from the one before through the last nr
@@ -83,7 +79,10 @@ has negative entries by design; Qt >= 0 stays the witness, and constant
 data still gives D = 0 and zero drops, so C = w_kB 1 exactly.  All species
 are marched in one stacked product, each through its own kernel, so a
 march makes one chain of stacked carry products and one stacked product
-whatever the betas.
+whatever the betas.  The folded kernel and its carries are what the
+process keeps, per (nr, nz, betas): building them is a measurable share
+of a short solve with several distinct betas, which later operators on
+the same grid and betas skip.  Each Qt is dropped once it is folded.
 
 B is BLOCK = 16 unless the distinct betas' 16-station blocks would take
 more than KERNEL_BYTES, and 8 then: a gemm runs at speed while its operand
@@ -191,7 +190,6 @@ class RadialOperator:
         return cls(face=face, d=d, e=e)
 
 
-@functools.lru_cache(maxsize=32)
 def impulse_block(nr: int, nz: int, beta: float, block: int) -> np.ndarray:
     """Qt: how ``block`` stations respond to the deviation before them and
     to the wall drops across them, for one (nr, nz, beta); read-only.
@@ -202,8 +200,8 @@ def impulse_block(nr: int, nz: int, beta: float, block: int) -> np.ndarray:
     impulses, run as one station-major batch, so every entry is bitwise
     what that march gives and a row is the march's interior nodes read in
     order.  Qt >= 0 is the discrete maximum principle; a negative (or NaN)
-    entry raises rather than being clipped.  Kept for the process per
-    (nr, nz, beta, block).
+    entry raises rather than being clipped.  Built afresh on every call:
+    only ``_block_kernel``, which folds it and keeps the kernel, calls it.
     """
     n = nr + block
     values = np.zeros((n, block + 1, nr + 1))
@@ -249,40 +247,48 @@ class BlockKernel:
         return self.carry.shape[1] - self.carry.shape[2]
 
 
-def _block_kernel(nr: int, nz: int, betas: Sequence[float]) -> BlockKernel:
-    """The kernel of a block-path march, B stations per block.
+# four: a refinement study marches four block-path grids, and a simulate
+# run's final snapshot reuses its run's kernel (CHANGES.md gives the bytes)
+@functools.lru_cache(maxsize=4)
+def _block_kernel(nr: int, nz: int, betas: tuple[float, ...]) -> BlockKernel:
+    """The kernel of a block-path march, B stations per block; kept for
+    the process per (nr, nz, betas).
 
     B is BLOCK unless the distinct betas' BLOCK-station blocks would take
-    more than KERNEL_BYTES, and half of it then.  One beta gives a
-    zero-copy carry view of its kept block and one folded block for every
-    species; several give a stack of each species' copies.  The folded
-    blocks are built here, per operator; only the plain ones are kept.
+    more than KERNEL_BYTES, and half of it then.  One beta gives one folded
+    block and one carry copy, broadcast to every species; several give a
+    slot of each per species.  Each distinct beta's impulse block is built
+    once, folded into every slot of that beta, its last station's columns
+    copied into the carries, and dropped before the next is built, so no
+    plain block outlives the build.
     """
     distinct = dict.fromkeys(betas)
     block = BLOCK
     if len(distinct) * (nr + BLOCK) * BLOCK * nr * 8 > KERNEL_BYTES:
         block = BLOCK // 2
-    blocks = {b: impulse_block(nr, nz, b, block) for b in distinct}
-    kept = [blocks[betas[0]]] if len(blocks) == 1 else [blocks[b] for b in betas]
-    # (kernel, row, station, node), the wall node's column left at zero
-    out = np.zeros((len(kept), nr + block + 1, block, nr + 1))
-    for folded, q in zip(out, kept):  # block by block: no stacked copy of the kept ones
-        folded[:-1, :, :nr] = q.reshape(nr + block, block, nr)
+    slots = betas[:1] if len(distinct) == 1 else betas
+    # (slot, row, station, node), the wall node's column left at zero
+    out = np.zeros((len(slots), nr + block + 1, block, nr + 1))
+    carry = np.empty((len(slots), nr + block, nr))
+    for beta in distinct:
+        q = impulse_block(nr, nz, beta, block)
+        for i, b in enumerate(slots):
+            if b == beta:
+                out[i, :-1, :, :nr] = q.reshape(nr + block, block, nr)
+                carry[i] = q[:, -nr:]
+        del q  # freed before the next beta's block is built
     # station j is w_kB less the drops into stations 1 .. j: drop row m
     # loses 1 at the stations from m + 1 on, and w_kB enters them all
     out[:, nr:-1, :, :nr] -= np.triu(np.ones((block, block)))[:, :, None]
     out[:, -1, :, :nr] = 1.0
-    out = out.reshape(len(kept), nr + block + 1, block * (nr + 1))
-    out.flags.writeable = False
+    out = out.reshape(len(slots), nr + block + 1, block * (nr + 1))
+    for a in (carry, out):
+        a.flags.writeable = False
     ns = len(betas)
-    if len(blocks) == 1:
-        return BlockKernel(
-            np.broadcast_to(kept[0][:, -nr:], (ns, nr + block, nr)),
-            np.broadcast_to(out[0], (ns,) + out.shape[1:]),
-        )
-    carry = np.stack([q[:, -nr:] for q in kept])
-    carry.flags.writeable = False
-    return BlockKernel(carry, out)
+    return BlockKernel(
+        np.broadcast_to(carry, (ns,) + carry.shape[1:]),
+        np.broadcast_to(out, (ns,) + out.shape[1:]),
+    )
 
 
 @dataclass(frozen=True)
@@ -316,7 +322,7 @@ def march_operator(params: Sequence[SpeciesParams], grid: Grid) -> MarchOperator
     betas = [s.beta_f for s in params]
     nr, nz = grid.nr, grid.nz
     if nr <= BLOCK_MAX_NR and max(betas) * nr * nr / nz <= DIFFUSION_MAX:
-        kernel = _block_kernel(nr, nz, betas)
+        kernel = _block_kernel(nr, nz, tuple(betas))
         return MarchOperator(nr, nz, kernel, read_only_column(betas), kernel.block)
     return MarchOperator(nr, nz, RadialOperator.build(grid, betas), read_only_column(betas), 1)
 

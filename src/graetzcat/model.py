@@ -42,16 +42,19 @@ class SpeciesParams:
 
 def species_errors(params: Sequence[SpeciesParams]) -> list[str]:
     """One message if there are no species, and one per species field out
-    of its range, in order: the name an identifier (it goes unquoted into
-    CSV headers and KEY=VALUE lines), beta_f and gamma_s finite and > 0,
-    theta_s finite and >= 0, delta -1 or +1 (NaN is in no range).  The
-    operator builders raise ValueError with the first."""
+    of its range, in order: the name an identifier and unlike every earlier
+    species' name (it goes unquoted into CSV headers and KEY=VALUE lines),
+    beta_f and gamma_s finite and > 0, theta_s finite and >= 0, delta -1 or
+    +1 (NaN is in no range).  The operator builders raise ValueError with
+    the first."""
     none = [] if params else ["at least one species is required"]
+    names = [s.name for s in params]
     return none + [
         f"species.{s.name}.{key} = {getattr(s, key)} must be {rule}"
-        for s in params
+        for i, s in enumerate(params)
         for key, ok, rule in (
             ("name", s.name.isidentifier(), "an identifier"),
+            ("name", s.name not in names[:i], "unique"),
             ("beta_f", 0.0 < s.beta_f < math.inf, "finite and > 0"),
             ("gamma_s", 0.0 < s.gamma_s < math.inf, "finite and > 0"),
             ("theta_s", 0.0 <= s.theta_s < math.inf, "finite and >= 0"),

@@ -1,7 +1,11 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graetzcat import wall_evolve
 from graetzcat.coupler import (
@@ -43,12 +47,13 @@ def advance(state, cfg, settings, **kwargs):
     return advance_step(state, cfg.initial, settings, *operators(cfg), cfg.kinetics, cfg.grid, **kwargs)
 
 
-def short_scenario(scenario, t_end, nr=32, nz=64):
+def short_scenario(scenario, t_end, nr=32, nz=64, dt=0.02):
     from graetzcat.cli_io import parse_config
 
     from conftest import SCENARIO_CFG
 
     text = SCENARIO_CFG.read_text().replace("t_end = 60", f"t_end = {t_end}")
+    text = text.replace("dt = 0.02", f"dt = {dt}")
     text = text.replace("nr = 32", f"nr = {nr}").replace("nz = 64", f"nz = {nz}")
     return parse_config(text, SCENARIO_CFG.parent)
 
@@ -59,9 +64,14 @@ def flux_of(form, field, grid, op):
     return wall_flux_integral(field, grid, op)
 
 
+def copies(s, n):
+    """n copies of species s, named apart: species names must differ."""
+    return tuple(dataclasses.replace(s, name=f"{s.name}_{j}") for j in range(n))
+
+
 def marched_flux(form, s, wall, inlet, grid):
     """The flux of each row of wall and inlet, each marched as species s."""
-    op = march_operator((s,) * len(wall), grid)
+    op = march_operator(copies(s, len(wall)), grid)
     return flux_of(form, march_fluid(wall, InitialData(inlet, wall), op), grid, op)
 
 
@@ -79,7 +89,7 @@ def picard_matrix(s, grid, form):
     nn = grid.nz + 1
     g = marched_flux(form, s, np.eye(nn), np.zeros((nn, grid.nr + 1)), grid)
     zero = np.zeros((nn, nn))
-    free = surface_step(zero, zero, surface_operator((s,) * nn, nn, grid.dt))
+    free = surface_step(zero, zero, surface_operator(copies(s, nn), nn, grid.dt))
     return step_wall(free, g).T  # row j of g is G's column j
 
 
@@ -236,6 +246,39 @@ class TestAffinePicardMap:
         assert q < 1.0
         self.assert_steps_solve_the_fixed_point(cfg, shipped, form, relaxation, ks, q)
 
+    @pytest.mark.parametrize("form", ["gradient", "integral"])
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.integers(4, 16),
+        st.integers(8, 32),
+        st.lists(
+            st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.0, 2.0)),
+            min_size=4,
+            max_size=4,
+        ),
+        st.floats(0.3, 1.0),
+    )
+    def test_random_steps_solve_the_affine_fixed_point(
+        self, scenario, form, nr, nz, constants, relaxation
+    ):
+        # the shipped scenario's data and rate law on a drawn grid, with
+        # each species' beta_f, gamma_s and theta_s drawn, over two steps
+        cfg, shipped = short_scenario(scenario, 0.04, nr=nr, nz=nz)
+        species = tuple(
+            dataclasses.replace(s, beta_f=beta, gamma_s=gamma, theta_s=theta)
+            for s, (beta, gamma, theta) in zip(cfg.species, constants)
+        )
+        cfg = dataclasses.replace(cfg, species=species)
+        ks = [picard_matrix(s, cfg.grid, form) for s in species]
+        eye = np.eye(nz + 1)
+        q = max(np.abs((1.0 - relaxation) * eye + relaxation * k).sum(axis=1).max() for k in ks)
+        assume(q < 1.0)
+        # iterations enough to take a contraction by q down 1e-14, where a
+        # heavy damping takes more than the shipped 50
+        max_iter = max(shipped.max_iter, math.ceil(math.log(1e-14) / math.log(q)))
+        shipped = dataclasses.replace(shipped, max_iter=max_iter)
+        self.assert_steps_solve_the_fixed_point(cfg, shipped, form, relaxation, ks, q)
+
     @staticmethod
     def assert_steps_solve_the_fixed_point(cfg, shipped, form, relaxation, ks, q):
         """Every step of cfg's run contracts by q, and stops within q / (1 - q)
@@ -387,6 +430,60 @@ class TestRunSimulation:
                 a = s.gamma_s * g + k * np.eye(nn) - s.theta_s * mirrored_d2(nz)
                 w = np.linalg.solve(a, -s.gamma_s * f0)
                 assert np.abs(traj[-1].wall[i] - w).max() <= 2e-13 * np.abs(w).max(), (nr, i)
+
+    def test_shipped_scenario_settles_on_its_integral_steady_state(self, scenario):
+        # c09b's check in the integral flux form, on the shipped scenario cut
+        # to 8x16.  A settled run stops at the root w* of
+        #   F(w) = -gamma (f0 + G w) + delta r(w) + theta D2 w,
+        # G from unit-wall marches with a zero inlet (marched_flux, one
+        # march per species), f0 the inlet's march under a zero wall; Newton
+        # with a finite-difference Jacobian finds w* from the initial wall.
+        # The rates are lagged, so a step's fixed point is that root for any
+        # dt.  The integral form's slowest wall mode falls about 3.5x per 5
+        # units of t and reaches rounding only near t = 150: 7500 steps at
+        # the shipped dt, 300 at dt = 0.5.  Measured: 2.7e-16 relative,
+        # against 1.3e-7 at the shipped dt and t = 60
+        nr, nz = 8, 16
+        cfg, shipped = short_scenario(scenario, 150, nr=nr, nz=nz, dt=0.5)
+        settings = dataclasses.replace(shipped, flux_form="integral")
+        _, traj = run_simulation(cfg, settings)
+        grid, species, nn = cfg.grid, cfg.species, nz + 1
+        unit = np.eye(nn), np.zeros((nn, nr + 1))
+        g = np.stack([marched_flux("integral", s, *unit, grid).T for s in species])
+        f0 = np.concatenate(
+            [
+                marched_flux("integral", s, np.zeros((1, nn)), cfg.initial.inlet[i : i + 1], grid)
+                for i, s in enumerate(species)
+            ]
+        )
+        gamma, delta, theta = (
+            np.array([[getattr(s, key)] for s in species], dtype=float)
+            for key in ("gamma_s", "delta", "theta_s")
+        )
+        d2 = mirrored_d2(nz)
+
+        def residual(w):
+            rates = eval_rates(cfg.kinetics, w.T).T
+            flux = f0 + np.einsum("ijk,ik->ij", g, w)
+            return -gamma * flux + delta * rates + theta * (w @ d2.T)
+
+        w = cfg.initial.wall_init.copy()
+        for _ in range(8):
+            r = residual(w).ravel()
+            h = 1e-7 * np.maximum(1.0, np.abs(w.ravel()))
+            jac = np.empty((r.size, r.size))
+            for k in range(r.size):
+                e = np.zeros(r.size)
+                e[k] = h[k]
+                jac[:, k] = (residual(w + e.reshape(w.shape)).ravel() - r) / h[k]
+            step = np.linalg.solve(jac, r).reshape(w.shape)
+            w = w - step
+            if (np.abs(step).max(axis=1) / np.abs(w).max(axis=1)).max() < 1e-13:
+                break
+        else:
+            pytest.fail("Newton did not converge")
+        rel = np.abs(traj[-1].wall - w).max(axis=1) / np.abs(w).max(axis=1)
+        assert np.all(rel <= 1e-14), rel
 
 
 class TestStabilityGuard:

@@ -376,7 +376,7 @@ class TestMarchFluid:
         field = march((1.0,), grid, np.ones((1, 9)), np.zeros((1, 9)))
         init = InitialData(np.ones((1, 9)), np.zeros((1, 9)))
         for op in (
-            march_operator(single() * 2, grid),
+            march_operator(species_of((1.0, 1.0)), grid),
             march_operator(single(), unit_grid(8, 12)),
             march_operator(single(), unit_grid(10, 8)),
         ):
@@ -434,7 +434,6 @@ class TestMarchFluid:
         op = RadialOperator.build(unit_grid(nr, nz), (beta,))  # stations at the nz grid's dz
         for b in (BLOCK, BLOCK // 2):  # both block sizes the march takes
             qt = impulse_block(nr, nz, beta, b)
-            assert impulse_block(nr, nz, beta, b) is qt  # built once per (nr, nz, beta, B)
             assert qt.shape == (nr + b, b * nr)
             assert not qt.flags.writeable
             assert np.all(qt >= 0.0)
@@ -452,6 +451,11 @@ class TestMarchFluid:
                 assert np.array_equal(qt[nr + m].reshape(b, nr), want), (b, m)
             # causal: a drop into station m + 1 leaves the stations before it at 0
             assert np.all(qt[nr:].reshape(b, b, nr)[np.tril_indices(b, -1)] == 0.0)
+        # the kernel folded from it is built once per (nr, nz, betas), whatever the time grid
+        ops = [
+            march_operator(single(beta), Grid(nr=nr, nz=nz, dt=dt, t_end=1.0)) for dt in (0.1, 0.25)
+        ]
+        assert ops[1].kernel is ops[0].kernel
 
     @pytest.mark.kernel
     def test_impulse_block_slab_fits_its_stations(self):
@@ -459,7 +463,7 @@ class TestMarchFluid:
         # block take 1.3 and 1.1 MB; a slab of FLUSH stations would add 9 MB
         tracemalloc.start()
         try:
-            impulse_block.__wrapped__(128, 8192, 1.0, 8)
+            impulse_block(128, 8192, 1.0, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -487,10 +491,10 @@ class TestMarchFluid:
         assert np.array_equal(solver.e[nr : 2 * nr - 1], alone.e)
         assert np.array_equal(solver.face[1], alone.face[0])
         # the block path: one kernel over every species, its carries the last
-        # station of impulse blocks kept for the process and built once per
-        # (nr, nz, beta, B), whatever the time grid.  Two distinct betas at
-        # nr = 64 would take 1.3 MB at BLOCK, so B halves
-        impulse_block.cache_clear()
+        # station of each beta's impulse block; the kernel is kept for the
+        # process and built once per (nr, nz, betas), whatever the time grid.
+        # Two distinct betas at nr = 64 would take 1.3 MB at BLOCK, so B halves
+        fluid_march._block_kernel.cache_clear()
         for nr, nz, b in ((12, 20, BLOCK), (BLOCK_MAX_NR, 64, BLOCK // 2)):
             for dt in (0.1, 0.25):
                 op = march_operator(params, Grid(nr=nr, nz=nz, dt=dt, t_end=1.0))
@@ -498,7 +502,7 @@ class TestMarchFluid:
                 for i, beta in enumerate((1.2, 3.4, 1.2)):
                     qt = impulse_block(nr, nz, beta, b)
                     assert np.array_equal(op.kernel.carry[i], qt[:, -nr:]), (nr, i)
-        assert impulse_block.cache_info().misses == 4
+        assert fluid_march._block_kernel.cache_info().misses == 2
 
     @pytest.mark.kernel
     @pytest.mark.parametrize("nz", KERNEL_STATION_COUNTS)
@@ -528,7 +532,7 @@ class TestMarchFluid:
 
         monkeypatch.setattr(fluid_march, "_march_stations", undershoot)
         with pytest.raises(RuntimeError, match="maximum principle"):
-            impulse_block.__wrapped__(8, 8, 1.0, BLOCK)
+            impulse_block(8, 8, 1.0, BLOCK)
 
     @pytest.mark.kernel
     def test_lapack_error_raises(self, monkeypatch):
@@ -536,7 +540,7 @@ class TestMarchFluid:
         with pytest.raises(ValueError, match="argument 2"):
             graetz(BLOCK_MAX_NR + 1, 8)  # station path
         with pytest.raises(ValueError, match="argument 2"):
-            impulse_block.__wrapped__(8, 8, 1.0, BLOCK)  # the block path's one LAPACK use, uncached
+            impulse_block(8, 8, 1.0, BLOCK)  # the block path's one LAPACK use
 
 
 class TestMarchOperator:
@@ -618,33 +622,39 @@ class TestMarchOperator:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0, 0] = 0.0
-        # one beta: the carries are a view of the kept block, no copy; the
-        # folded kernel is the operator's own, and the kept block stays plain
+        # one beta: one folded block and one carry copy, broadcast to every
+        # species; the carries are the plain block's last station, bitwise
         qt = impulse_block(nr, nz, 1.5, BLOCK)
-        assert np.shares_memory(kernel.carry, qt)
-        assert not np.shares_memory(kernel.out, qt)
+        assert kernel.carry.strides[0] == kernel.out.strides[0] == 0
+        assert np.array_equal(kernel.carry[0], qt[:, -nr:])
         assert np.all(qt >= 0.0)
+        # a second operator on the same grid and betas shares the first one's kernel
         again = march_operator(species_of((1.5,) * 4), grid).kernel
-        assert not np.shares_memory(again.out, kernel.out)
+        assert again is kernel
 
     @pytest.mark.kernel
     def test_kernel_build_holds_no_stacked_copy(self):
-        # split_beta's four betas at 64x128 (B = 8): at its peak the build
-        # holds the kept impulse blocks (1.18 MB), the folded kernel
-        # (1.21 MB) and the carries; each block is folded in turn, so no
-        # stacked copy of the kept blocks (another 1.18 MB) adds to them
+        # split_beta's four betas at 64x128 (B = 8): the build keeps the
+        # folded kernel (1.21 MB) and the carries (0.15 MB) alone.  Each
+        # plain impulse block is folded and dropped before the next is
+        # built, so neither the four blocks (1.18 MB) nor a stacked copy of
+        # them outlives the build, and its peak is the kernel plus the
+        # transients of one block's build
         betas, nr, nz = (0.8, 1.0, 1.25, 2.0), 64, 128
-        impulse_block.cache_clear()  # so the build makes its blocks under the tracer
+        fluid_march._block_kernel.cache_clear()  # so the build runs under the tracer
         tracemalloc.start()
         try:
             kernel = march_operator(species_of(betas), unit_grid(nr, nz)).kernel
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            impulse_block(nr, nz, betas[0], kernel.block)
+            one = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        kept = sum(impulse_block(nr, nz, b, kernel.block).nbytes for b in betas)
-        kept += kernel.carry.nbytes + kernel.out.nbytes
+        kept = kernel.carry.nbytes + kernel.out.nbytes
         assert kernel.block == BLOCK // 2
-        assert peak < kept + 2e5, (peak, kept)
+        assert held < kept + 5e4, (held, kept)
+        assert peak < kept + one + 5e4, (peak, kept, one)
 
 
 class TestGraetzOracle:

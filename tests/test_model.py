@@ -298,6 +298,27 @@ class TestSpeciesRules:
         error = f"config error: species.{name}.name = {name} must be an identifier"
         assert captured.err.splitlines().count(error) == 2, captured.err
 
+    def test_every_consumer_rejects_a_repeated_name(self):
+        # two species named s0 gave probe.csv the header t,s0,s0 and
+        # report.txt each OUTLET_s0 and ENVELOPE_s0_* key twice, of which a
+        # KEY=VALUE reader keeps the last.  The CLI cannot reach this: a
+        # repeated [species.s0] section is a duplicate-section error
+        cfg = constant_config(nr=8, nz=8)
+        first = cfg.species[0]
+        twin = dataclasses.replace(cfg.species[1], name=first.name)
+        report = validate_config(dataclasses.replace(cfg, species=(first, twin)))
+        message = "species.s0.name = s0 must be unique"
+        assert report.errors == (message,)  # the repeat is named once, not each copy
+        ok = species("ok", gamma=4.0)
+        for params in ((first, twin), (twin, ok, first)):
+            for build in (
+                lambda: march_operator(params, cfg.grid),
+                lambda: surface_operator(params, cfg.grid.nz + 1, cfg.grid.dt),
+                lambda: contraction_margin(params),
+            ):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    build()
+
     def test_every_consumer_rejects_no_species(self):
         cfg = constant_config(nr=8, nz=8)
         report = validate_config(dataclasses.replace(cfg, species=()))
