@@ -49,11 +49,9 @@ from .model import (
     validate_config,
 )
 from .qualcheck import (
-    BoundEnvelope,
     EnergyGrowthReport,
     EnvelopeCheck,
     NonnegReport,
-    build_envelope,
     check_envelopes,
     check_nonnegativity,
     energy_growth_report,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONTRACTION_THRESHOLD",
-    "BoundEnvelope",
     "ContractionDiagnostics",
     "CouplerSettings",
     "CouplingState",
@@ -93,7 +90,6 @@ __all__ = [
     "SurfaceStep",
     "ValidationReport",
     "advance_step",
-    "build_envelope",
     "check_envelopes",
     "check_nonnegativity",
     "co_oxidation",

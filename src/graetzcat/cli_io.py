@@ -47,6 +47,7 @@ from .fluid_march import (
 )
 from .kinetics import (
     LAWS,
+    HypothesisReport,
     KineticsModel,
     box_error,
     constant_error,
@@ -57,6 +58,7 @@ from .kinetics import (
 )
 from .model import (
     BYTE_BUDGET,
+    ContractionDiagnostics,
     FluidField,
     Grid,
     InitialData,
@@ -395,6 +397,22 @@ def write_probe_csv(
     Path(path).write_text("".join(lines))
 
 
+def _a_priori_lines(diag: ContractionDiagnostics, hypo: HypothesisReport, lam: float) -> list[str]:
+    """The KEY=VALUE verdicts known before a run: the contraction diagnostics,
+    the sampled lambda and the rate-law hypotheses; the report footer opens
+    with them and ``check`` prints them."""
+    return [
+        f"MU={diag.mu!r}",
+        f"THRESHOLD={diag.threshold:.9f}",
+        f"SATISFIED={str(diag.satisfied).lower()}",
+        f"MARGIN={diag.margin!r}",
+        f"LAMBDA={lam!r}",
+        f"H1={'PASS' if hypo.h1_pass else 'FAIL'}",
+        f"H2={'PASS' if hypo.h2_pass else 'FAIL'}",
+        f"H3={'PASS' if hypo.h3_pass else 'FAIL'}",
+    ]
+
+
 def write_report(report: RunReport, path: Path | str) -> None:
     """Human-readable summary with a machine-parsable KEY=VALUE footer."""
     path = Path(path)
@@ -444,17 +462,8 @@ def write_report(report: RunReport, path: Path | str) -> None:
         lines.append(f"  {name}: {report.probe_values[i][-1]!r}")
     lines += ["", "---"]
 
-    footer = [
-        f"MU={report.diagnostics.mu!r}",
-        f"THRESHOLD={report.diagnostics.threshold:.9f}",
-        f"SATISFIED={str(report.diagnostics.satisfied).lower()}",
-        f"MARGIN={report.diagnostics.margin!r}",
-        f"LAMBDA={report.lam!r}",
-        f"H1={'PASS' if h.h1_pass else 'FAIL'}",
-        f"H2={'PASS' if h.h2_pass else 'FAIL'}",
-        f"H3={'PASS' if h.h3_pass else 'FAIL'}",
-        f"NONNEG={'PASS' if report.nonneg.passed else 'FAIL'}",
-    ]
+    footer = _a_priori_lines(d, h, report.lam)
+    footer.append(f"NONNEG={'PASS' if report.nonneg.passed else 'FAIL'}")
     for c in report.envelope_checks:
         footer.append(f"ENVELOPE_{c.species}_{c.item.upper()}={'PASS' if c.passed else 'FAIL'}")
     footer.append(f"REACTION_ENDED={report.reaction_ended!r}")
@@ -497,11 +506,7 @@ def flux_identity_gap(nr: int, nz: int, z_min: float = 0.0) -> float:
     fixed window away from that corner measures the schemes rather than the
     data.
     """
-    return _flux_gap(_graetz_setup(nr, nz), z_min)
-
-
-def _flux_gap(setup: tuple[Grid, InitialData, MarchOperator], z_min: float) -> float:
-    grid, init, op = setup
+    grid, init, op = _graetz_setup(nr, nz)
     field = march_fluid(init.wall_init, init, op)
     g = wall_flux_gradient(field, grid)[0]
     q = wall_flux_integral(field, grid, op)[0]
@@ -541,11 +546,10 @@ def convergence_study(levels: int) -> dict:
     diffs = [abs(a - b) for a, b in zip(centerline, centerline[1:])]
     orders_r = [math.log2(a / b) for a, b in zip(diffs, diffs[1:]) if b > 0]
 
-    # one operator per grid, shared by its full and its windowed gap
-    setups = [_graetz_setup(NR0 * 2**i, NZ0 * 2**i) for i in range(levels)]
-    gaps = [_flux_gap(setup, 0.0) for setup in setups]
+    grids = [(NR0 * 2**i, NZ0 * 2**i) for i in range(levels)]
+    gaps = [flux_identity_gap(nr, nz) for nr, nz in grids]
     orders_flux = [math.log2(a / b) for a, b in zip(gaps, gaps[1:]) if b > 0]
-    win = [_flux_gap(setup, FLUX_WINDOW_Z) for setup in setups]
+    win = [flux_identity_gap(nr, nz, FLUX_WINDOW_Z) for nr, nz in grids]
     orders_win = [math.log2(a / b) for a, b in zip(win, win[1:]) if b > 0]
 
     return {
@@ -632,16 +636,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if args.command == "check":
-        diag = contraction_margin(cfg.species)
-        print(f"MU={diag.mu!r}")
-        print(f"THRESHOLD={diag.threshold:.9f}")
-        print(f"SATISFIED={str(diag.satisfied).lower()}")
         hypo = verify_hypotheses(cfg.kinetics, cfg.species, seed=args.seed)
-        k_vec, lam = estimate_lipschitz(cfg.kinetics, seed=args.seed)
-        print(f"H1={'PASS' if hypo.h1_pass else 'FAIL'}")
-        print(f"H2={'PASS' if hypo.h2_pass else 'FAIL'}")
-        print(f"H3={'PASS' if hypo.h3_pass else 'FAIL'}")
-        print(f"LAMBDA={lam!r}")
+        _, lam = estimate_lipschitz(cfg.kinetics, seed=args.seed)
+        for line in _a_priori_lines(contraction_margin(cfg.species), hypo, lam):
+            print(line)
         for worst, tag in (
             (hypo.worst_h1, "H1"),
             (hypo.worst_h2, "H2"),

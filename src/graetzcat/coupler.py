@@ -46,7 +46,6 @@ from .qualcheck import (
     EnergyGrowthReport,
     EnvelopeCheck,
     NonnegReport,
-    build_envelope,
     check_envelopes,
     check_nonnegativity,
     energy_growth_report,
@@ -92,16 +91,25 @@ class CouplingState:
 
 class NonConvergedError(RuntimeError):
     """The fixed-point loop hit max_iter with the residual above tol, or the
-    residual stopped being finite."""
+    residual stopped being finite.
+
+    The advice follows the residuals: a damped map falls by no more than a
+    factor 1 - relaxation per iteration, so while they still fall a lower
+    relaxation only slows the step, and max_iter or dt is what to change.
+    """
 
     def __init__(self, time: float, step_index: int, residuals: tuple[float, ...]):
         self.time = time
         self.step_index = step_index
         self.residuals = residuals
+        last = residuals[-1]
+        if math.isfinite(last) and (len(residuals) == 1 or last < residuals[-2]):
+            advice = "residuals still falling: raise max_iter or reduce dt"
+        else:
+            advice = "reduce dt or the relaxation factor"
         super().__init__(
             f"coupling did not converge at step {step_index} (t = {time:.6g}); "
-            f"last residual {residuals[-1]:.3e} after {len(residuals)} iterations "
-            "(reduce dt or the relaxation factor)"
+            f"last residual {last:.3e} after {len(residuals)} iterations ({advice})"
         )
 
 
@@ -238,7 +246,6 @@ def run_simulation(
             0.5 / lam,
         )
 
-    envelope = build_envelope(cfg.initial, lam)
     march_op = march_operator(params, grid)
     surface_op = surface_operator(params, grid.nz + 1, grid.dt)
 
@@ -287,7 +294,7 @@ def run_simulation(
 
     # merge the per-level nonnegativity verdicts
     merged = NonnegReport.merge(nonneg_reports)
-    env_checks = check_envelopes(trajectory, envelope, params)
+    env_checks = check_envelopes(trajectory, cfg.initial, lam, params)
     energy = energy_growth_report(trajectory)
 
     probe_idx = list(range(0, len(trajectory), probe_every))

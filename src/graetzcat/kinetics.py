@@ -311,6 +311,17 @@ def _sample_pairs(model: KineticsModel, seed: int,
         yield u[:, : model.arity], u[:, model.arity :]
 
 
+def _worst(shortfall: np.ndarray) -> Optional[tuple[tuple[int, ...], float]]:
+    """Index and size of the largest shortfall, the first of equal ones, or
+    None when none exceeds HYPOTHESIS_SLACK.  A non-finite shortfall (an
+    overflowed rate, inf - inf in a sum) is the worst violation there is: inf."""
+    size = np.where(np.isfinite(shortfall), shortfall, np.inf)
+    at = np.unravel_index(np.argmax(size), size.shape)
+    if size[at] <= HYPOTHESIS_SLACK:
+        return None
+    return tuple(int(i) for i in at), float(size[at])
+
+
 # Rates that overflow are judged (H1, a non-finite lambda), not warned about.
 @np.errstate(all="ignore")
 def verify_hypotheses(
@@ -334,36 +345,32 @@ def verify_hypotheses(
     rx = eval_rates(model, x)
     ry = eval_rates(model, y)
 
-    # H1: finite, nonnegative channel rates everywhere in the box; a
-    # non-finite rate is the worst violation there is.
+    # H1: finite, nonnegative channel rates everywhere in the box.
     allpts = np.concatenate([x, y])
-    allrates = np.concatenate([rx, ry])
     worst_h1 = None
-    shortfall = np.where(np.isfinite(allrates), -allrates, np.inf)
-    flat = np.unravel_index(np.argmax(shortfall), shortfall.shape)
-    if shortfall[flat] > HYPOTHESIS_SLACK:
-        worst_h1 = Violation(
-            species=int(flat[1]),
-            magnitude=float(shortfall[flat]),
-            x=tuple(float(v) for v in allpts[flat[0]]),
-        )
+    if hit := _worst(-np.concatenate([rx, ry])):
+        (p, i), size = hit
+        worst_h1 = Violation(species=i, magnitude=size, x=tuple(map(float, allpts[p])))
 
     # H2: consumed channels are silent when their own species is absent.
+    # Row (j, k) of the batch is x[k] with consumed species c[j] zeroed; it
+    # is evaluated SOBOL_CHUNK rows at a time: all of it at once, with its
+    # rates, would take 16 len(c) n arity bytes, 655 MB at 200 species.
+    c = np.array([i for i, s in enumerate(params) if s.delta == -1], dtype=np.intp)
+    absent = np.empty((len(c), n))  # |rate of channel c[j]| on row (j, k)
+    flat = absent.reshape(-1)
+    for a in range(0, flat.size, SOBOL_CHUNK):
+        j, k = np.divmod(np.arange(a, min(a + SOBOL_CHUNK, flat.size)), n)
+        rows = np.arange(len(k))
+        xz = x[k]
+        xz[rows, c[j]] = 0.0
+        flat[a : a + len(k)] = np.abs(eval_rates(model, xz)[rows, c[j]])
     worst_h2 = None
-    consumed = [i for i, s in enumerate(params) if s.delta == -1]
-    for i in consumed:
-        xz = x.copy()
-        xz[:, i] = 0.0
-        ri = eval_rates(model, xz)[:, i]
-        size = np.where(np.isfinite(ri), np.abs(ri), np.inf)
-        k = int(np.argmax(size))
-        if size[k] > HYPOTHESIS_SLACK:
-            if worst_h2 is None or size[k] > worst_h2.magnitude:
-                worst_h2 = Violation(
-                    species=i,
-                    magnitude=float(size[k]),
-                    x=tuple(float(v) for v in xz[k]),
-                )
+    if c.size and (hit := _worst(absent)):
+        (j, k), size = hit
+        xz = x[k].copy()
+        xz[c[j]] = 0.0
+        worst_h2 = Violation(species=int(c[j]), magnitude=size, x=tuple(map(float, xz)))
 
     # H3: weighted monotonicity over sampled pairs, plus the (x, 0) pairs.
     weights = np.array([s.delta * s.beta_f / s.gamma_s for s in params])
@@ -373,16 +380,12 @@ def verify_hypotheses(
     rxs = np.concatenate([rx, rx])
     rys = np.concatenate([ry, eval_rates(model, zeros)])
     s_val = -np.sum(weights * (rxs - rys) * (xs - ys), axis=1)
-    # a non-finite sum (inf - inf is nan) is the worst violation, as for H1
-    shortfall = np.where(np.isfinite(s_val), -s_val, np.inf)
     worst_h3 = None
-    k = int(np.argmax(shortfall))
-    if shortfall[k] > HYPOTHESIS_SLACK:
+    if hit := _worst(-s_val):
+        (k,), size = hit
+        # species -1: the inequality couples all channels
         worst_h3 = Violation(
-            species=-1,  # the inequality couples all channels
-            magnitude=float(shortfall[k]),
-            x=tuple(float(v) for v in xs[k]),
-            y=tuple(float(v) for v in ys[k]),
+            species=-1, magnitude=size, x=tuple(map(float, xs[k])), y=tuple(map(float, ys[k]))
         )
 
     return HypothesisReport(

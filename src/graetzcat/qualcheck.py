@@ -30,25 +30,6 @@ _EXP_CLAMP = 700.0  # exp argument above this overflows float64
 
 
 @dataclass(frozen=True)
-class BoundEnvelope:
-    """Data-derived bounds: per-species sup/inf of the initial profiles.
-
-    The upper envelope of consumed species and the exponential envelope of
-    produced species both start from a_i0_max = max(sup inlet, sup wall_init).
-    """
-
-    a_i0_min: np.ndarray
-    a_i0_max: np.ndarray
-    lam: float
-
-
-def build_envelope(initial: InitialData, lam: float) -> BoundEnvelope:
-    sup = np.maximum(initial.inlet.max(axis=1), initial.wall_init.max(axis=1))
-    inf = np.minimum(initial.inlet.min(axis=1), initial.wall_init.min(axis=1))
-    return BoundEnvelope(a_i0_min=inf, a_i0_max=sup, lam=float(lam))
-
-
-@dataclass(frozen=True)
 class NonnegViolation:
     species: int
     where: str  # "fluid" or "wall"
@@ -115,18 +96,21 @@ class EnvelopeCheck:
 
 def check_envelopes(
     trajectory: Sequence,
-    envelope: BoundEnvelope,
+    initial: InitialData,
+    lam: float,
     params: Sequence[SpeciesParams],
 ) -> list[EnvelopeCheck]:
     """Per-species verdicts for the data-derived bounds along a trajectory.
 
-    Consumed species (delta = -1) must stay below a_i0_max; produced species
-    (delta = +1) must stay above their initial infimum and below
-    a_i0_max * exp(lambda t).  Snapshots provide wall vectors and bulk
-    min/max, which is exactly the information the bounds constrain; each
-    bound is relaxed by CHECK_TOL.  A verdict reports the largest positive
-    gap and the earliest snapshot whose gap is within CHECK_TOL of it: a
-    plateau reports its start, which a last-bit change along it cannot move.
+    The bounds start from a_i0_max and a_i0_min, the sup and the inf of
+    each species' inlet and initial wall data.  Consumed species (delta =
+    -1) must stay below a_i0_max; produced species (delta = +1) must stay
+    above a_i0_min and below a_i0_max * exp(lam t).  Snapshots provide wall
+    vectors and bulk min/max, which is exactly the information the bounds
+    constrain; each bound is relaxed by CHECK_TOL.  A verdict reports the
+    largest positive gap and the earliest snapshot whose gap is within
+    CHECK_TOL of it: a plateau reports its start, which a last-bit change
+    along it cannot move.
     """
     times = [snap.time for snap in trajectory]
 
@@ -138,17 +122,19 @@ def check_envelopes(
         t_at = next(t for gap, t in positive if gap >= worst - CHECK_TOL)
         return EnvelopeCheck(name, item, False, worst, t_at)
 
+    a0_max = np.maximum(initial.inlet.max(axis=1), initial.wall_init.max(axis=1))
+    a0_min = np.minimum(initial.inlet.min(axis=1), initial.wall_init.min(axis=1))
     checks: list[EnvelopeCheck] = []
     for i, s in enumerate(params):
         high = [max(float(snap.fluid_max[i]), float(snap.wall[i].max())) for snap in trajectory]
-        a0 = float(envelope.a_i0_max[i])
+        a0 = float(a0_max[i])
         if s.delta == -1:
             checks.append(verdict(s.name, "upper_bound", [h - (a0 + CHECK_TOL) for h in high]))
             continue
-        floor = float(envelope.a_i0_min[i]) - CHECK_TOL
+        floor = float(a0_min[i]) - CHECK_TOL
         low = [min(float(snap.fluid_min[i]), float(snap.wall[i].min())) for snap in trajectory]
         checks.append(verdict(s.name, "lower_bound", [floor - v for v in low]))
-        bounds = [a0 * math.exp(min(envelope.lam * t, _EXP_CLAMP)) + CHECK_TOL for t in times]
+        bounds = [a0 * math.exp(min(lam * t, _EXP_CLAMP)) + CHECK_TOL for t in times]
         checks.append(verdict(s.name, "exp_bound", [h - b for h, b in zip(high, bounds)]))
     return checks
 

@@ -336,6 +336,13 @@ OUTLET_CO2=0.00017219274879986323
 OUTLET_T=490.46885559031983
 """
 
+# stdout of `graetzcat check` on the shipped config, seed 0: the footer's
+# eight a-priori lines, then the worst point of each failed hypothesis
+CHECK_SCENARIO = "".join(SCENARIO_10_STEPS_FOOTER.splitlines(keepends=True)[:8]) + (
+    "H3_WORST species=-1 magnitude=317.4164222823702 "
+    "x=(0.042318, 0.077253, 0.011469, 519.749265)\n"
+)
+
 
 class TestCli:
     def run_cli(self, *args):
@@ -476,6 +483,14 @@ class TestCli:
                 assert float(got[key]) == pytest.approx(float(value), rel=1e-12, abs=0.0), key
             else:
                 assert got[key] == value, key
+
+    def test_check_output_is_pinned(self, capsys):
+        # every token of the output, a number that differs to 12 digits
+        assert self.run_cli("check", "--config", str(SCENARIO_CFG)) == 4
+        got, want = (re.split(r"[\s=]", out) for out in (capsys.readouterr().out, CHECK_SCENARIO))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w or float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0), (g, w)
 
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_negative_seed_exit_two(self, command, tmp_path, capsys):

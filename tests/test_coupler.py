@@ -142,12 +142,25 @@ class TestAdvanceStep:
         assert len(exc.value.residuals) == 2
         assert exc.value.step_index == 1
 
+    def test_heavily_damped_step_is_not_told_to_damp_more(self, scenario):
+        # at relaxation 0.25 the residual falls by about 0.73 per iteration
+        # (50 iterations leave 4.7e-8): lowering the relaxation cannot help
+        cfg, _ = short_scenario(scenario, t_end=0.02)
+        with pytest.raises(NonConvergedError) as exc:
+            run_simulation(cfg, CouplerSettings(max_iter=10, relaxation=0.25))
+        r = exc.value.residuals
+        assert len(r) == 10 and all(b < a for a, b in zip(r, r[1:]))
+        message = str(exc.value)
+        assert "relaxation" not in message
+        assert message.endswith("(residuals still falling: raise max_iter or reduce dt)")
+
     def test_non_finite_residual_stops_at_once(self):
         cfg = constant_config(nr=8, nz=8, dt=0.05, t_end=0.05)
         guess = np.full_like(cfg.initial.wall_init, np.nan)
         with pytest.raises(NonConvergedError) as exc:
             advance(initial_state(cfg), cfg, CouplerSettings(), initial_guess=guess)
         assert len(exc.value.residuals) == 1
+        assert str(exc.value).endswith("(reduce dt or the relaxation factor)")
 
     def test_relaxation_converges_to_same_fixed_point(self, scenario):
         cfg, settings = scenario

@@ -288,6 +288,50 @@ class TestVerifyHypotheses:
         assert not rep.h2_pass
         assert rep.worst_h2.species == 0
 
+    # a produced species first, so a consumed species' index is not its batch row
+    PRODUCED_THEN_TWO_CONSUMED = tuple(
+        SpeciesParams(n, 1.0, 1.0, 1.0, d) for n, d in (("p", 1), ("a", -1), ("b", -1))
+    )
+
+    def test_h2_worst_is_the_species_that_breaks_it_most(self):
+        def rate(x):  # both consumers react on p alone, b twice as hard
+            out = np.zeros_like(x)
+            out[..., 1] = x[..., 0]
+            out[..., 2] = 2.0 * x[..., 0]
+            return out
+
+        rep = verify_hypotheses(KineticsModel(rate, np.ones(3)), self.PRODUCED_THEN_TWO_CONSUMED)
+        assert not rep.h2_pass
+        w = rep.worst_h2
+        assert w.species == 2 and w.x[2] == 0.0 and w.x[1] > 0.0
+        assert w.magnitude == 2.0 * w.x[0]
+
+    def test_h2_tie_goes_to_the_first_consumed_species(self):
+        def rate(x):
+            out = np.zeros_like(x)
+            out[..., 1] = x[..., 0]
+            out[..., 2] = x[..., 0]
+            return out
+
+        rep = verify_hypotheses(KineticsModel(rate, np.ones(3)), self.PRODUCED_THEN_TWO_CONSUMED)
+        w = rep.worst_h2
+        assert w.species == 1 and w.x[1] == 0.0 and w.x[2] > 0.0
+        assert w.magnitude == w.x[0]
+
+    def test_h2_batch_is_evaluated_a_chunk_at_a_time(self):
+        # all 64 x 1024 states of the batch at once, with their rates, take
+        # 67 MB; a chunk of them takes 4 MB, the whole call about 13 MB
+        ns = 64
+        peak = traced_peak(verify_hypotheses, linear_consumption(1.0, np.ones(ns)), consuming(ns))
+        assert peak < 20e6, peak
+
+    def test_h2_passes_with_no_consumed_species(self):
+        # every channel reacts with nothing present: H2 asks nothing of produced ones
+        law = KineticsModel(np.ones_like, np.ones(2))
+        params = tuple(SpeciesParams(n, 1.0, 1.0, 1.0, 1) for n in ("p", "q"))
+        rep = verify_hypotheses(law, params)
+        assert rep.h2_pass and rep.worst_h2 is None
+
     def test_h3_violation_detected_for_antidissipative_law(self):
         def rate(x):  # produced species whose rate grows with other species
             out = np.zeros_like(x)

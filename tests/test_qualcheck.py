@@ -10,7 +10,6 @@ from graetzcat.qualcheck import (
     CHECK_TOL,
     NonnegReport,
     NonnegViolation,
-    build_envelope,
     check_envelopes,
     check_nonnegativity,
     energy_growth_report,
@@ -111,34 +110,26 @@ class TestEnvelopes:
             SpeciesParams("up", 1.0, 1.0, 1.0, 1),
         )
 
-    def envelope(self, lam=0.0):
+    def checks(self, traj, lam=0.0):
+        """The verdicts by (species, item) on data whose sup is 0.02 for
+        "down" (its inlet's; its wall's is 0.01) and whose inf is 0.5 for "up"."""
         init = InitialData(
             inlet=np.array([[0.02, 0.02], [0.5, 0.5]]),
             wall_init=np.array([[0.01, 0.01, 0.01], [0.5, 0.5, 0.5]]),
         )
-        return build_envelope(init, lam)
-
-    def test_build_envelope_values(self):
-        env = self.envelope()
-        assert env.a_i0_max[0] == 0.02
-        assert env.a_i0_min[1] == 0.5
+        return {(c.species, c.item): c for c in check_envelopes(traj, init, lam, self.params())}
 
     def test_consumed_species_upper_bound(self):
-        env = self.envelope()
         traj = [snap(0.0, [[0.01] * 3, [0.5] * 3], [0.0, 0.5], [0.02, 0.5])]
-        checks = check_envelopes(traj, env, self.params())
-        by = {(c.species, c.item): c for c in checks}
-        assert by[("down", "upper_bound")].passed
+        assert self.checks(traj)[("down", "upper_bound")].passed
         traj = [snap(1.0, [[0.05, 0.01, 0.01], [0.5] * 3], [0.0, 0.5], [0.02, 0.5])]
-        c = {(c.species, c.item): c for c in check_envelopes(traj, env, self.params())}
-        bad = c[("down", "upper_bound")]
+        bad = self.checks(traj)[("down", "upper_bound")]
         assert not bad.passed and bad.t_worst == 1.0
 
     def test_worst_point_of_a_plateau_is_its_start(self):
         # both bounds broken by a rise that settles on a plateau from t = 2 on:
         # a one-ulp rise of a later plateau value moves the largest gap,
         # never the reported time (the first largest gap would jump to it)
-        env = self.envelope(lam=0.0)
         for k in (None, 3, 5):
             down = np.array([0.3, 0.6, 0.9, 0.9, 0.9, 0.9])
             up = np.array([0.8, 1.1, 1.4, 1.4, 1.4, 1.4])
@@ -148,7 +139,7 @@ class TestEnvelopes:
                 snap(float(t), [[d] * 3, [u] * 3], [0.0, 0.5], [d, u])
                 for t, (d, u) in enumerate(zip(down, up))
             ]
-            c = {(c.species, c.item): c for c in check_envelopes(traj, env, self.params())}
+            c = self.checks(traj)
             for key, worst in (
                 (("down", "upper_bound"), down.max() - (0.02 + CHECK_TOL)),
                 (("up", "exp_bound"), up.max() - (0.5 + CHECK_TOL)),
@@ -157,35 +148,32 @@ class TestEnvelopes:
                 assert c[key].worst == worst, (k, key)
 
     def test_zero_rate_exp_envelope_is_the_constant_bound(self):
-        env = self.envelope(lam=0.0)
         high = 0.5 + 5e-9
         traj = [snap(9.0, [[0.0] * 3, [0.5, 0.5, high]], [0.0, 0.5], [0.0, high])]
-        c = {(c.species, c.item): c for c in check_envelopes(traj, env, self.params())}
-        assert c[("up", "exp_bound")].passed  # within tol of a_i0_max
+        assert self.checks(traj)[("up", "exp_bound")].passed  # within tol of a_i0_max
         traj = [snap(9.0, [[0.0] * 3, [0.5, 0.5, 0.51]], [0.0, 0.5], [0.0, 0.51])]
-        c = {(c.species, c.item): c for c in check_envelopes(traj, env, self.params())}
-        assert not c[("up", "exp_bound")].passed
+        assert not self.checks(traj)[("up", "exp_bound")].passed
 
     def test_produced_species_lower_bound_equality(self):
-        env = self.envelope()
         traj = [snap(t, [[0.0] * 3, [0.5] * 3], [0.0, 0.5], [0.0, 0.5]) for t in (0.0, 1.0)]
-        c = {(c.species, c.item): c for c in check_envelopes(traj, env, self.params())}
+        c = self.checks(traj)
         assert c[("up", "lower_bound")].passed
         assert c[("up", "lower_bound")].worst == 0.0
+        # a dip below a_i0_min = 0.5 by more than the tolerance fails by its gap
+        traj.append(snap(2.0, [[0.0] * 3, [0.5, 0.4, 0.5]], [0.0, 0.5], [0.0, 0.5]))
+        low = self.checks(traj)[("up", "lower_bound")]
+        assert not low.passed and low.t_worst == 2.0
+        assert low.worst == (0.5 - CHECK_TOL) - 0.4
 
     def test_exponential_growth_respected(self):
-        env = self.envelope(lam=1.0)
         # produced species reaching a_i0_max * e^{t} stays legal
         high = 0.5 * math.exp(1.0) - 1e-6
         traj = [snap(1.0, [[0.0] * 3, [high] * 3], [0.0, 0.0], [0.0, high])]
-        c = {(c.species, c.item): c for c in check_envelopes(traj, env, self.params())}
-        assert c[("up", "exp_bound")].passed
+        assert self.checks(traj, lam=1.0)[("up", "exp_bound")].passed
 
     def test_overflow_safe_for_huge_lambda(self):
-        env = self.envelope(lam=80.0)
         traj = [snap(60.0, [[0.0] * 3, [0.6] * 3], [0.0, 0.0], [0.0, 0.6])]
-        c = {(c.species, c.item): c for c in check_envelopes(traj, env, self.params())}
-        assert c[("up", "exp_bound")].passed  # bound is astronomically large
+        assert self.checks(traj, lam=80.0)[("up", "exp_bound")].passed  # bound is astronomically large
 
 
 class TestEnergyGrowth:
