@@ -646,9 +646,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             (hypo.worst_h3, "H3"),
         ):
             if worst is not None:
+                pair = "" if worst.y is None else f" y={tuple(round(v, 6) for v in worst.y)}"
                 print(
                     f"{tag}_WORST species={worst.species} magnitude={worst.magnitude!r} "
-                    f"x={tuple(round(v, 6) for v in worst.x)}"
+                    f"x={tuple(round(v, 6) for v in worst.x)}{pair}"
                 )
         return 0 if hypo.all_pass and math.isfinite(lam) else 4
 

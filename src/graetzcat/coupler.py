@@ -12,8 +12,8 @@ the coupling variable, so at convergence the flux term is implicit.
 The bulk equation has no time derivative, so the bulk field at a level is
 the march of that level's wall: the state that evolves is the wall alone.
 A Picard iterate's field lives only until its flux is taken, and each
-recorded level marches its own wall once for its flux, extrema and
-energies, so one field is alive at a time.
+recorded level marches its own wall once for its flux and extrema, so one
+field is alive at a time.
 """
 
 from __future__ import annotations
@@ -183,7 +183,6 @@ class Snapshot:
     wall: np.ndarray                  # (ns, nz+1)
     fluid_min: np.ndarray             # (ns,)
     fluid_max: np.ndarray             # (ns,)
-    station_energy: np.ndarray        # (ns, nz+1): int C_f^2 r(1-r^2) dr per z
     residuals: tuple[float, ...]
 
 
@@ -256,12 +255,8 @@ def run_simulation(
     iterations: list[int] = []
     reaction_ended = math.inf
 
-    wq = grid.radial_quadrature()
-
     def record(st: CouplingState) -> None:
         nonlocal reaction_ended
-        # the level's own field: everything that reads it comes before the
-        # squares for the station energies overwrite it
         fluid = march_fluid(st.wall, cfg.initial, march_op)
         rates = eval_rates(kinetics, st.wall.T).T
         flux = _flux_of(settings.flux_form, fluid, grid, march_op)
@@ -272,14 +267,12 @@ def run_simulation(
         fluid_min = values.min(axis=(1, 2))
         fluid_max = values.max(axis=(1, 2))
         nonneg_reports.append(check_nonnegativity(fluid, st.wall, fluid_min))
-        np.square(values, out=values)
         trajectory.append(
             Snapshot(
                 time=st.time,
                 wall=st.wall,
                 fluid_min=fluid_min,
                 fluid_max=fluid_max,
-                station_energy=np.einsum("ijk,j->ik", values, wq),
                 residuals=st.residual_history,
             )
         )

@@ -114,8 +114,7 @@ def default_box(initial: InitialData) -> np.ndarray:
     """The box bounds where none is given: twice the sup of each species'
     inlet and initial wall data, at least 1; inf where that overflows."""
     with np.errstate(over="ignore"):
-        sup = np.maximum(initial.inlet.max(axis=1), initial.wall_init.max(axis=1))
-        return np.maximum(1.0, 2.0 * sup)
+        return np.maximum(1.0, 2.0 * initial.sup)
 
 
 def zero_model(box_hi: Sequence[float]) -> KineticsModel:

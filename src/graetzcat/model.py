@@ -101,7 +101,7 @@ class Grid:
         return int(round(self.t_end / self.dt))
 
     def radial_quadrature(self) -> np.ndarray:
-        """Trapezoid weights in r against r (1 - r^2), for flux and energy integrals."""
+        """Trapezoid weights in r against r (1 - r^2), for the flux integral."""
         r = self.r
         trap = np.full(self.nr + 1, self.dr)
         trap[0] = trap[-1] = self.dr / 2.0
@@ -138,10 +138,10 @@ def grid_errors(grid: Grid, ns: int) -> list[str]:
     ):
         errors.append(f"grid.t_end = {g.t_end} is not a whole number of steps dt = {g.dt}")
     elif nr_ok and nz_ok:
-        # one march field at a time, and per level a snapshot's time, wall,
-        # station energies and per-species extrema
+        # one march field at a time, and per level a snapshot's time, wall
+        # and per-species extrema
         field = march_field_bytes(ns, g.nr, g.nz)
-        trajectory = (g.n_steps + 1) * 8 * (1 + 2 * ns * (g.nz + 2))
+        trajectory = (g.n_steps + 1) * 8 * (1 + ns * (g.nz + 3))
         if field + trajectory > BYTE_BUDGET:
             errors.append(
                 f"a {g.nr}x{g.nz} run of {g.n_steps} steps takes {field} bytes of march "
@@ -161,6 +161,16 @@ class InitialData:
 
     inlet: np.ndarray
     wall_init: np.ndarray
+
+    @property
+    def sup(self) -> np.ndarray:
+        """(ns,) the sup of each species' inlet and initial wall data."""
+        return np.maximum(self.inlet.max(axis=1), self.wall_init.max(axis=1))
+
+    @property
+    def inf(self) -> np.ndarray:
+        """(ns,) the inf of each species' inlet and initial wall data."""
+        return np.minimum(self.inlet.min(axis=1), self.wall_init.min(axis=1))
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,7 @@ OUTLET_T=490.46885559031983
 # eight a-priori lines, then the worst point of each failed hypothesis
 CHECK_SCENARIO = "".join(SCENARIO_10_STEPS_FOOTER.splitlines(keepends=True)[:8]) + (
     "H3_WORST species=-1 magnitude=317.4164222823702 "
-    "x=(0.042318, 0.077253, 0.011469, 519.749265)\n"
+    "x=(0.042318, 0.077253, 0.011469, 519.749265) y=(0.0, 0.0, 0.0, 0.0)\n"
 )
 
 
@@ -426,7 +426,7 @@ class TestCli:
     def test_run_beyond_the_byte_budget_exits_two(
         self, command, edits, nr, nz, steps, tmp_path, capsys
     ):
-        # the shipped scenario with a 12.8 GB march field, a 0.42 TB
+        # the shipped scenario with a 12.8 GB march field, a 0.22 TB
         # trajectory or a grid whose one profile would take 80 TB is
         # refused by the parser before anything of that size is made
         text = SCENARIO_CFG.read_text()
@@ -445,7 +445,7 @@ class TestCli:
         assert code == 2
         assert peak < 5e6, peak
         field = 8 * 4 * (nr + 1) * (nz + 1)
-        trajectory = (steps + 1) * 8 * (1 + 2 * 4 * (nz + 2))  # per level as the tracer counts
+        trajectory = (steps + 1) * 8 * (1 + 4 * (nz + 3))  # per level as the tracer counts
         errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
         assert errors == [
             f"config error: line {line}: BAD_NUMBER [grid]: a {nr}x{nz} run of {steps} "
@@ -579,6 +579,9 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert "H1=FAIL" in out and "H3=FAIL" in out and "LAMBDA=nan" in out
         assert any(ln.startswith("H1_WORST species=0 magnitude=inf ") for ln in out), out
+        # only H3's worst point is a pair
+        worst = {ln[:2]: " y=(" in ln for ln in out if "_WORST" in ln}
+        assert worst == {"H1": False, "H2": False, "H3": True}, out
 
     @pytest.mark.parametrize(
         "old, new",

@@ -382,20 +382,14 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(bad, CouplerSettings())
 
-    def test_weighted_norm_reported(self):
-        cfg = constant_config(t_end=0.2, levels=(1.0, 1.0))
-        report, _ = run_simulation(cfg, CouplerSettings())
-        # unit field: sup_z int_t int_r 1 * r(1-r^2) = t_end / 4
-        norms = report.energy.fluid_station_energy.max(axis=1)
-        assert norms[0] == pytest.approx(0.2 / 4.0, rel=1e-3)
-
     def test_a_coupled_run_holds_one_field_at_a_time(self, scenario):
         # The state carries the wall alone, a Picard iterate's field dies
-        # with its flux, and a recorded level's field is squared in place,
-        # so a run peaks at one march field plus its operators, station slab
-        # and trajectory.  Each state holding its field, with the initial
-        # one kept, peaked at over four fields (5.8 MB here).  nr > 64 puts
-        # the march on the station path, whose operator is a few kB.
+        # with its flux, and a recorded level's field dies once its flux
+        # and extrema are taken, so a run peaks at one march field plus its
+        # operators, station slab and trajectory.  Each state holding its
+        # field, with the initial one kept, peaked at over four fields
+        # (5.8 MB here).  nr > 64 puts the march on the station path, whose
+        # operator is a few kB.
         nr, nz = 80, 512
         cfg, settings = short_scenario(scenario, 0.04, nr=nr, nz=nz)
         run_simulation(cfg, settings)  # what a first run fills once is not counted

@@ -993,3 +993,36 @@ class TestWallFluxIntegral:
             d = (g - q)[k0:-1]
             gaps.append(float(np.sqrt(grid.dz * np.sum(d * d))))
         assert gaps[1] < 0.55 * gaps[0]
+
+
+def windowed_flux_gap(nr, nz, beta, c0, amps):
+    """L2(z >= 1/4) gap between the two wall-flux forms on the interior
+    nodes, as convergence_study windows it, for a constant inlet c0 and a
+    wall of c0 plus the modes amps[m] (1 - cos((m + 1) pi z)) / 2."""
+    grid = unit_grid(nr, nz)
+    wall = c0 + sum(a * (1.0 - np.cos((m + 1) * np.pi * grid.z)) / 2.0 for m, a in enumerate(amps))
+    op = march_operator(single(beta), grid)
+    field = march((beta,), grid, np.full((1, nr + 1), c0), wall[None, :], op)
+    d = (wall_flux_gradient(field, grid) - wall_flux_integral(field, grid, op))[0]
+    d = d[math.ceil(0.25 * nz):-1]
+    return math.sqrt(grid.dz * np.sum(d * d))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from([4, 8, 16, 32]),
+    st.sampled_from([16, 32, 64]),
+    st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+    st.floats(0.0, 2.0),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda a: max(map(abs, a)) >= 0.05
+    ),
+)
+def test_flux_forms_converge_on_compatible_data(nr, nz, beta, c0, amps):
+    # with the corner compatible (the wall's modes vanish at z = 0 with
+    # their slope), the two forms approach each other away from the inlet:
+    # over every mix of the three modes the ratio stays at or below 0.58
+    # on this range of grids and betas
+    coarse = windowed_flux_gap(nr, nz, beta, c0, amps)
+    fine = windowed_flux_gap(2 * nr, 2 * nz, beta, c0, amps)
+    assert fine <= 0.7 * coarse, (fine, coarse)

@@ -90,9 +90,9 @@ def test_coupled_run_measures(traced):
     m, _, _ = traced
     ns, nr, nz = 4, 32, 64
     assert m["fluid_march.march.cells"] == m["fluid_march.march.calls"] * ns * (nr + 1) * (nz + 1)
-    # per snapshot: time, wall, fluid min and max, station energy, residuals
+    # per snapshot: time, wall, fluid min and max, residuals
     levels = m["coupler.steps"] + 1
-    per_level = 8 + 8 * ns * (nz + 1) * 2 + 8 * ns * 2
+    per_level = 8 + 8 * ns * (nz + 1) + 16 * ns
     assert m["coupler.trajectory_bytes"] == levels * per_level + 8 * m["coupler.picard_iters"]
 
 
