@@ -49,7 +49,6 @@ from .model import (
     validate_config,
 )
 from .qualcheck import (
-    EnergyGrowthReport,
     EnvelopeCheck,
     NonnegReport,
     check_envelopes,
@@ -72,7 +71,6 @@ __all__ = [
     "ContractionDiagnostics",
     "CouplerSettings",
     "CouplingState",
-    "EnergyGrowthReport",
     "EnvelopeCheck",
     "FluidField",
     "Grid",

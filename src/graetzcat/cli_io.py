@@ -418,6 +418,7 @@ def write_report(report: RunReport, path: Path | str) -> None:
     path = Path(path)
     d = report.diagnostics
     h = report.hypothesis_report
+    n = report.nonneg
     lines = [
         "simulation report",
         "=================",
@@ -442,8 +443,9 @@ def write_report(report: RunReport, path: Path | str) -> None:
         f"  lambda = {report.lam!r}",
         "",
         "quality checks",
-        f"  nonnegativity: {'PASS' if report.nonneg.passed else 'FAIL'} "
-        f"({report.nonneg.violation_count} violations)",
+        f"  nonnegativity: {'PASS' if n.passed else 'FAIL'} ({n.violation_count} violations)"
+        + ("" if n.passed else
+           f" (worst {report.species[n.species]} {n.worst!r} at t = {n.t_worst!r})"),
     ]
     for c in report.envelope_checks:
         lines.append(
@@ -452,7 +454,7 @@ def write_report(report: RunReport, path: Path | str) -> None:
         )
     lines += [
         "  energy envelope slopes: "
-        + ", ".join(repr(float(a)) for a in report.energy.slope),
+        + ", ".join(repr(a) for a in report.energy_slopes),
         "",
         f"evolution settled (REACTION_ENDED): {report.reaction_ended!r}",
         "",
@@ -463,7 +465,7 @@ def write_report(report: RunReport, path: Path | str) -> None:
     lines += ["", "---"]
 
     footer = _a_priori_lines(d, h, report.lam)
-    footer.append(f"NONNEG={'PASS' if report.nonneg.passed else 'FAIL'}")
+    footer.append(f"NONNEG={'PASS' if n.passed else 'FAIL'}")
     for c in report.envelope_checks:
         footer.append(f"ENVELOPE_{c.species}_{c.item.upper()}={'PASS' if c.passed else 'FAIL'}")
     footer.append(f"REACTION_ENDED={report.reaction_ended!r}")

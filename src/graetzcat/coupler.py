@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +44,6 @@ from .model import (
     validate_config,
 )
 from .qualcheck import (
-    EnergyGrowthReport,
     EnvelopeCheck,
     NonnegReport,
     check_envelopes,
@@ -67,8 +67,8 @@ class CouplerSettings:
     def __post_init__(self) -> None:
         if not (0.0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, not {self.max_iter!r}")
         if self.flux_form not in ("gradient", "integral"):
             raise ValueError(f"unknown flux_form {self.flux_form!r}")
         if not (0.0 < self.relaxation <= 1.0):
@@ -198,7 +198,7 @@ class RunReport:
     iterations: tuple[int, ...]
     nonneg: NonnegReport
     envelope_checks: tuple[EnvelopeCheck, ...]
-    energy: EnergyGrowthReport
+    energy_slopes: tuple[float, ...]
     reaction_ended: float
     probe_times: tuple[float, ...]
     probe_values: tuple[tuple[float, ...], ...]  # per species, outlet series
@@ -251,7 +251,6 @@ def run_simulation(
     state = CouplingState(0.0, cfg.initial.wall_init.copy(), ())
 
     trajectory: list[Snapshot] = []
-    nonneg_reports: list[NonnegReport] = []
     iterations: list[int] = []
     reaction_ended = math.inf
 
@@ -263,16 +262,12 @@ def run_simulation(
         rhs = surface_rhs(st.wall, flux, rates, surface_op)
         if math.isinf(reaction_ended) and float(np.abs(rhs).max()) < SETTLE_TOL:
             reaction_ended = st.time
-        values = fluid.values
-        fluid_min = values.min(axis=(1, 2))
-        fluid_max = values.max(axis=(1, 2))
-        nonneg_reports.append(check_nonnegativity(fluid, st.wall, fluid_min))
         trajectory.append(
             Snapshot(
                 time=st.time,
                 wall=st.wall,
-                fluid_min=fluid_min,
-                fluid_max=fluid_max,
+                fluid_min=fluid.values.min(axis=(1, 2)),
+                fluid_max=fluid.values.max(axis=(1, 2)),
                 residuals=st.residual_history,
             )
         )
@@ -285,10 +280,9 @@ def run_simulation(
         iterations.append(state.iterations_last_step)
         record(state)
 
-    # merge the per-level nonnegativity verdicts
-    merged = NonnegReport.merge(nonneg_reports)
+    nonneg = check_nonnegativity(trajectory)
     env_checks = check_envelopes(trajectory, cfg.initial, lam, params)
-    energy = energy_growth_report(trajectory)
+    energy_slopes = tuple(float(a) for a in energy_growth_report(trajectory))
 
     probe_idx = list(range(0, len(trajectory), probe_every))
     if probe_idx[-1] != len(trajectory) - 1:
@@ -306,9 +300,9 @@ def run_simulation(
         lipschitz=tuple(float(v) for v in k_vec),
         lam=lam,
         iterations=tuple(iterations),
-        nonneg=merged,
+        nonneg=nonneg,
         envelope_checks=tuple(env_checks),
-        energy=energy,
+        energy_slopes=energy_slopes,
         reaction_ended=reaction_ended,
         probe_times=probe_times,
         probe_values=probe_values,

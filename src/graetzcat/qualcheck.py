@@ -15,7 +15,10 @@ its slope is the smallest one whose line dominates the samples, so it is
 reported and never checked.
 
 Checkers only need per-snapshot reductions (wall vectors and bulk min/max);
-they never hold full bulk fields.
+they never hold full bulk fields.  A species' low and high at a level are
+the min and max of its bulk extrema and wall values, and a value that is not
+finite makes them non-finite: such a level breaks every bound of that
+species by an infinite gap, as a non-finite rate breaks H1-H3.
 """
 
 from __future__ import annotations
@@ -26,66 +29,71 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import FluidField, InitialData, SpeciesParams
+from .model import InitialData, SpeciesParams
 
 CHECK_TOL = 1e-8  # rounding slack of every bound
 _EXP_CLAMP = 700.0  # exp argument above this overflows float64
 
 
-@dataclass(frozen=True)
-class NonnegViolation:
-    species: int
-    where: str  # "fluid" or "wall"
-    index: tuple[int, ...]
-    value: float
+def _extremes(trajectory: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each species' low and high at each level, (levels, ns) each, and
+    where both are finite: a NaN anywhere makes both NaN, an inf makes one
+    infinite."""
+    walls = np.stack([s.wall for s in trajectory])  # (levels, ns, nz+1)
+    low = np.minimum(np.stack([s.fluid_min for s in trajectory]), walls.min(axis=2))
+    high = np.maximum(np.stack([s.fluid_max for s in trajectory]), walls.max(axis=2))
+    return low, high, np.isfinite(low) & np.isfinite(high)
+
+
+def _violations(
+    excess: np.ndarray, finite: np.ndarray
+) -> Optional[tuple[int, float, tuple[int, ...]]]:
+    """Where a bound is broken, levels first, or None when it holds.
+
+    A level breaks it by its excess over the bound, or by inf where the
+    level is not finite.  Returns how many entries break it, the largest
+    gap, and the index of the earliest entry within CHECK_TOL of that gap:
+    a plateau reports its start, which a last-bit change along it cannot
+    move.
+    """
+    gaps = np.where(finite, excess, np.inf)
+    broken = gaps > 0.0
+    if not broken.any():
+        return None
+    worst = float(gaps[broken].max())
+    at = np.unravel_index(np.argmax(broken & (gaps >= worst - CHECK_TOL)), gaps.shape)
+    return int(np.count_nonzero(broken)), worst, tuple(int(i) for i in at)
 
 
 @dataclass(frozen=True)
 class NonnegReport:
-    passed: bool
+    """How many (species, level) pairs fall below -CHECK_TOL or are not
+    finite, and the worst one: its species index, its gap below -CHECK_TOL
+    (0 when clean) and its time."""
+
     violation_count: int
-    violations: tuple[NonnegViolation, ...]  # capped listing, worst first
+    species: Optional[int]
+    worst: float
+    t_worst: Optional[float]
 
-    MAX_LISTED = 32
-
-    @classmethod
-    def merge(cls, reports: Sequence["NonnegReport"]) -> "NonnegReport":
-        count = sum(r.violation_count for r in reports)
-        listed = [v for r in reports for v in r.violations]
-        listed.sort(key=lambda v: v.value)
-        return cls(
-            passed=count == 0,
-            violation_count=count,
-            violations=tuple(listed[: cls.MAX_LISTED]),
-        )
+    @property
+    def passed(self) -> bool:
+        return self.violation_count == 0
 
 
-def check_nonnegativity(
-    fluid: FluidField, wall: np.ndarray, fluid_min: np.ndarray
-) -> NonnegReport:
-    """List every grid point of the field and the wall (ns, nz+1) more negative than -CHECK_TOL.
+def check_nonnegativity(trajectory: Sequence) -> NonnegReport:
+    """Judge every species' low at every level against -CHECK_TOL.
 
-    fluid_min holds the field's per-species minima, which the caller has
-    already reduced for its snapshot.
+    The low is the min of the level's bulk minimum and its wall, so the
+    bound covers every node of the field and the wall; a level that is not
+    finite fails it too.  The worst point is the one ``_violations`` picks.
     """
-    fv = fluid.values
-    # the usual case, clean: two small reductions instead of two index scans
-    # (a NaN minimum fails the test and takes the scan)
-    if fluid_min.min() >= -CHECK_TOL and wall.min() >= -CHECK_TOL:
-        return NonnegReport(passed=True, violation_count=0, violations=())
-    violations: list[NonnegViolation] = []
-    for i, j, k in zip(*np.nonzero(fv < -CHECK_TOL)):
-        violations.append(
-            NonnegViolation(int(i), "fluid", (int(j), int(k)), float(fv[i, j, k]))
-        )
-    for i, k in zip(*np.nonzero(wall < -CHECK_TOL)):
-        violations.append(NonnegViolation(int(i), "wall", (int(k),), float(wall[i, k])))
-    violations.sort(key=lambda v: v.value)
-    return NonnegReport(
-        passed=not violations,
-        violation_count=len(violations),
-        violations=tuple(violations[: NonnegReport.MAX_LISTED]),
-    )
+    low, _, finite = _extremes(trajectory)
+    hit = _violations(-CHECK_TOL - low, finite)
+    if hit is None:
+        return NonnegReport(0, None, 0.0, None)
+    count, worst, (k, i) = hit
+    return NonnegReport(count, i, worst, trajectory[k].time)
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,9 @@ class EnvelopeCheck:
     t_worst: Optional[float]
 
 
+# inf - inf, an infinite high against an overflowed exponential bound, is
+# judged by _violations (the level is not finite), not warned about
+@np.errstate(invalid="ignore")
 def check_envelopes(
     trajectory: Sequence,
     initial: InitialData,
@@ -111,52 +122,39 @@ def check_envelopes(
     a_i0_max; produced species (delta = +1) must stay above a_i0_min and
     below a_i0_max * exp(lam t).  Snapshots provide wall vectors and bulk
     min/max, which is exactly the information the bounds constrain; each
-    bound is relaxed by CHECK_TOL.  A verdict reports the largest positive
-    gap and the earliest snapshot whose gap is within CHECK_TOL of it: a
-    plateau reports its start, which a last-bit change along it cannot
-    move.
+    bound is relaxed by CHECK_TOL.  A verdict reports the worst point that
+    ``_violations`` picks.
     """
     times = [snap.time for snap in trajectory]
+    low, high, finite = _extremes(trajectory)
 
-    def verdict(name: str, item: str, gaps) -> EnvelopeCheck:
-        positive = [(gap, t) for gap, t in zip(gaps, times) if gap > 0.0]
-        if not positive:
-            return EnvelopeCheck(name, item, True, 0.0, None)
-        worst = max(gap for gap, _ in positive)
-        t_at = next(t for gap, t in positive if gap >= worst - CHECK_TOL)
-        return EnvelopeCheck(name, item, False, worst, t_at)
+    def verdict(i: int, item: str, excess: np.ndarray) -> EnvelopeCheck:
+        hit = _violations(excess, finite[:, i])
+        if hit is None:
+            return EnvelopeCheck(params[i].name, item, True, 0.0, None)
+        _, worst, (k,) = hit
+        return EnvelopeCheck(params[i].name, item, False, worst, times[k])
 
     a0_max, a0_min = initial.sup, initial.inf
     checks: list[EnvelopeCheck] = []
     for i, s in enumerate(params):
-        high = [max(float(snap.fluid_max[i]), float(snap.wall[i].max())) for snap in trajectory]
         a0 = float(a0_max[i])
         if s.delta == -1:
-            checks.append(verdict(s.name, "upper_bound", [h - (a0 + CHECK_TOL) for h in high]))
+            checks.append(verdict(i, "upper_bound", high[:, i] - (a0 + CHECK_TOL)))
             continue
-        floor = float(a0_min[i]) - CHECK_TOL
-        low = [min(float(snap.fluid_min[i]), float(snap.wall[i].min())) for snap in trajectory]
-        checks.append(verdict(s.name, "lower_bound", [floor - v for v in low]))
+        checks.append(verdict(i, "lower_bound", (float(a0_min[i]) - CHECK_TOL) - low[:, i]))
         bounds = [a0 * math.exp(min(lam * t, _EXP_CLAMP)) + CHECK_TOL for t in times]
-        checks.append(verdict(s.name, "exp_bound", [h - b for h, b in zip(high, bounds)]))
+        checks.append(verdict(i, "exp_bound", high[:, i] - np.array(bounds)))
     return checks
 
 
-@dataclass(frozen=True)
-class EnergyGrowthReport:
-    """Surface energy E_is(t) = int C_is^2 dz and its fitted affine envelope."""
+def energy_growth_report(trajectory: Sequence) -> np.ndarray:
+    """The slopes (ns,) of the minimal affine envelopes a t + E(0) over each
+    species' surface energy E_is(t) = int C_is^2 dz.
 
-    wall_energy: np.ndarray       # (ns, nt)
-    slope: np.ndarray             # (ns,) envelope slope a
-    intercept: np.ndarray         # (ns,) envelope intercept b = E(0)
-
-
-def energy_growth_report(trajectory: Sequence) -> EnergyGrowthReport:
-    """Fit the minimal affine envelope a t + b over the wall energy series.
-
-    b is pinned to the initial energy and a = max_k (E(t_k) - b) / t_k, the
-    smallest slope whose line dominates every sample: a fit, which
-    dominates its samples by construction, not a check.
+    a = max_k (E(t_k) - E(0)) / t_k, the smallest slope whose line through
+    E(0) dominates every sample: a fit, which dominates its samples by
+    construction, not a check.
     """
     if len(trajectory) < 2:
         raise ValueError("energy growth needs at least two time levels")
@@ -168,9 +166,6 @@ def energy_growth_report(trajectory: Sequence) -> EnergyGrowthReport:
     trap[0] = trap[-1] = dz / 2.0
     energy = np.einsum("izt,z->it", np.square(walls, out=walls), trap)
 
-    intercept = energy[:, 0].copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (energy[:, 1:] - intercept[:, None]) / times[None, 1:]
-    slope = np.maximum(ratios.max(axis=1), 0.0)
-
-    return EnergyGrowthReport(wall_energy=energy, slope=slope, intercept=intercept)
+        ratios = (energy[:, 1:] - energy[:, :1]) / times[None, 1:]
+    return np.maximum(ratios.max(axis=1), 0.0)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -30,6 +31,7 @@ from graetzcat.cli_io import (
 from graetzcat.coupler import CouplerSettings, run_simulation
 from graetzcat.kinetics import co_oxidation, linear_consumption, zero_model
 from graetzcat.model import FluidField, Grid
+from graetzcat.qualcheck import NonnegReport
 
 from conftest import SCENARIO_CFG, constant_config, raised, station_major
 
@@ -290,6 +292,12 @@ class TestWriters:
         out2 = tmp_path / "report2.txt"
         write_report(report, out2)
         assert out.read_bytes() == out2.read_bytes()
+        # a failing nonnegativity line names its worst point like the envelopes'
+        assert "\n  nonnegativity: PASS (0 violations)\n" in text
+        write_report(dataclasses.replace(report, nonneg=NonnegReport(3, 1, 0.25, 0.04)), out)
+        text = out.read_text()
+        assert "\n  nonnegativity: FAIL (3 violations) (worst s1 0.25 at t = 0.04)\n" in text
+        assert "\nNONNEG=FAIL\n" in text
 
 
 # stdout of `graetzcat convergence --levels 3`

@@ -517,6 +517,10 @@ class TestCouplerSettings:
             CouplerSettings(tol=0.0)
         with pytest.raises(ValueError):
             CouplerSettings(max_iter=0)
+        for max_iter in (2.5, 3.0, "3"):
+            # not an iteration count: refused here, not by range() mid-run
+            with pytest.raises(ValueError, match="max_iter"):
+                CouplerSettings(max_iter=max_iter)
         with pytest.raises(ValueError):
             CouplerSettings(flux_form="sideways")
         with pytest.raises(ValueError):

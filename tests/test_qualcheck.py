@@ -3,14 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graetzcat.coupler import CouplerSettings, Snapshot, run_simulation
 from graetzcat.kinetics import default_box
-from graetzcat.model import FluidField, InitialData
+from graetzcat.model import InitialData
 from graetzcat.qualcheck import (
     CHECK_TOL,
-    NonnegReport,
-    NonnegViolation,
     check_envelopes,
     check_nonnegativity,
     energy_growth_report,
@@ -30,73 +31,127 @@ def snap(t, wall, fmin, fmax):
     )
 
 
-def minima(vals):
-    """Per-species minima of a field, as ``record`` hands them to the check."""
-    return vals.min(axis=(1, 2))
+def recorded(t, vals, wall):
+    """A level's snapshot with the reductions ``record`` takes of its field."""
+    return snap(t, wall, vals.min(axis=(1, 2)), vals.max(axis=(1, 2)))
+
+
+def energies(traj):
+    """E_is(t) = int C_is^2 dz of every level by the trapezoidal rule, (ns, levels)."""
+    walls = np.stack([s.wall for s in traj], axis=-1)
+    trap = np.full(walls.shape[1], 1.0 / (walls.shape[1] - 1))
+    trap[[0, -1]] /= 2.0
+    return np.einsum("izt,z->it", walls * walls, trap)
 
 
 class TestNonnegativity:
+    def levels(self, n=3, ns=2):
+        """n clean levels at t = 0, 0.5, 1, ...: fields of 0.3, walls of 0.2."""
+        return [(0.5 * k, np.full((ns, 4, 6), 0.3), np.full((ns, 6), 0.2)) for k in range(n)]
+
+    def check(self, levels):
+        return check_nonnegativity([recorded(*level) for level in levels])
+
     def test_positive_fields_pass(self):
-        vals = np.full((1, 5, 5), 0.3)
-        rep = check_nonnegativity(FluidField(vals), np.full((1, 5), 0.2), minima(vals))
-        assert rep.passed and rep.violation_count == 0
+        rep = self.check(self.levels())
+        assert rep.passed
+        assert (rep.violation_count, rep.species, rep.worst, rep.t_worst) == (0, None, 0.0, None)
 
     def test_tiny_negative_within_tolerance(self):
-        vals = np.full((1, 5, 5), 0.3)
-        vals[0, 2, 2] = -1e-9
-        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 5)), minima(vals))
-        assert rep.passed
+        levels = self.levels()
+        levels[1][1][0, 2, 2] = -1e-9
+        levels[2][2][1, 3] = -CHECK_TOL
+        assert self.check(levels).passed
 
     def test_real_negative_reported_with_location(self):
-        vals = np.full((1, 5, 5), 0.3)
-        vals[0, 3, 1] = -1e-3
-        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 5)), minima(vals))
-        assert not rep.passed
-        v = rep.violations[0]
-        assert (v.species, v.where, v.index) == (0, "fluid", (3, 1))
-        assert v.value == pytest.approx(-1e-3)
+        levels = self.levels()
+        levels[1][1][0, 3, 1] = -1e-3
+        rep = self.check(levels)
+        assert (rep.passed, rep.violation_count, rep.species, rep.t_worst) == (False, 1, 0, 0.5)
+        assert rep.worst == -CHECK_TOL + 1e-3
 
     def test_wall_violation_located(self):
-        wall = np.zeros((2, 7))
-        wall[1, 4] = -0.5
-        vals = np.zeros((2, 3, 7))
-        rep = check_nonnegativity(FluidField(vals), wall, minima(vals))
-        assert not rep.passed
-        assert rep.violations[0].where == "wall"
-        assert rep.violations[0].index == (4,)
+        levels = self.levels()
+        levels[2][2][1, 4] = -0.5
+        rep = self.check(levels)
+        assert (rep.passed, rep.species, rep.t_worst) == (False, 1, 1.0)
 
     @pytest.mark.parametrize("where", ["fluid", "wall"])
     def test_single_negative_node_listed(self, where):
-        # one node just past the slack, every other node clean: the scan
-        # behind the clean-case shortcut still finds it
-        vals, wall = np.full((2, 4, 6), 0.3), np.full((2, 6), 0.2)
+        # one node just past the slack, every other node clean: the report
+        # names it as its worst point
+        levels = self.levels()
         bad = -2.0 * CHECK_TOL
         if where == "fluid":
-            vals[1, 2, 5] = bad
+            levels[1][1][1, 2, 5] = bad
         else:
-            wall[1, 5] = bad
-        rep = check_nonnegativity(FluidField(vals), wall, minima(vals))
-        assert (rep.passed, rep.violation_count) == (False, 1)
-        index = (2, 5) if where == "fluid" else (5,)
-        assert rep.violations == (NonnegViolation(1, where, index, bad),)
+            levels[1][2][1, 5] = bad
+        rep = self.check(levels)
+        assert (rep.passed, rep.violation_count, rep.species, rep.t_worst) == (False, 1, 1, 0.5)
+        assert rep.worst == -CHECK_TOL - bad
 
-    def test_same_report_on_either_layout(self):
-        # march_fluid returns a station-major view; the violations, their
-        # order among equal values included, do not depend on the layout
-        rng = np.random.default_rng(4)
-        vals = rng.choice([0.3, -1e-3, -2e-3, np.nan], size=(3, 9, 14), p=[0.7, 0.1, 0.1, 0.1])
-        wall = rng.choice([0.2, -1e-3], size=(3, 14))
-        other = station_major(vals)
-        assert other.strides[1] == other.itemsize
-        rep = check_nonnegativity(FluidField(vals), wall, minima(vals))
-        assert rep.violation_count > NonnegReport.MAX_LISTED  # the listing is capped
-        assert check_nonnegativity(FluidField(other), wall, minima(other)) == rep
+    def test_counts_species_level_pairs(self):
+        # three negative nodes of one species at one level are one pair;
+        # the worst point is the largest gap, whichever species holds it
+        levels = self.levels(4)
+        levels[1][1][0, :3, 0] = -1e-3
+        levels[1][2][0, 4] = -2e-3
+        levels[2][2][1, 0] = -0.5
+        levels[3][1][0, 1, 1] = -1e-3
+        rep = self.check(levels)
+        assert (rep.violation_count, rep.species, rep.t_worst) == (3, 1, 1.0)
+        assert rep.worst == -CHECK_TOL + 0.5
 
-    def test_nan_is_scanned_and_not_listed(self):
-        vals = np.full((1, 3, 4), 0.3)
-        vals[0, 1, 1] = np.nan
-        rep = check_nonnegativity(FluidField(vals), np.zeros((1, 4)), minima(vals))
-        assert (rep.passed, rep.violation_count, rep.violations) == (True, 0, ())
+    def test_worst_point_of_a_plateau_is_its_start(self):
+        # the rule check_envelopes reports by: a one-ulp deeper node later
+        # on a plateau moves the largest gap, never the reported time
+        for k in (None, 3, 5):
+            levels = self.levels(6)
+            for j in range(2, 6):
+                levels[j][2][0, 1] = -0.5
+            if k is not None:
+                levels[k][2][0, 1] = np.nextafter(-0.5, -1.0)
+            rep = self.check(levels)
+            assert (rep.violation_count, rep.species, rep.t_worst) == (4, 0, 1.0), k
+            assert rep.worst == -CHECK_TOL - min(level[2][0, 1] for level in levels), k
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_fails(self, value):
+        # a NaN minimum no longer hides a real negative node beside it
+        levels = self.levels()
+        levels[2][1][0, 1, 1] = value
+        levels[2][1][0, 2, 2] = -1e-3
+        rep = self.check(levels)
+        assert (rep.violation_count, rep.species, rep.worst, rep.t_worst) == (1, 0, np.inf, 1.0)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.data())
+    def test_verdict_from_the_reductions_matches_every_node(self, data):
+        # fields in either layout march_fluid may store; the pairs that
+        # fail are exactly those holding a value below -CHECK_TOL or not
+        # finite, and the worst gap is the largest of those pairs'
+        ns = data.draw(st.integers(1, 3))
+        nr, nz = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        elements = st.one_of(
+            st.floats(-1e-6, 1.0),
+            st.sampled_from([0.0, -CHECK_TOL, -2.0 * CHECK_TOL, np.nan, np.inf, -np.inf]),
+        )
+        levels, bad, gaps = [], [], []
+        for k in range(data.draw(st.integers(1, 4))):
+            vals = data.draw(arrays(np.float64, (ns, nr + 1, nz + 1), elements=elements))
+            wall = data.draw(arrays(np.float64, (ns, nz + 1), elements=elements))
+            if data.draw(st.booleans()):
+                vals = station_major(vals)
+            levels.append((0.5 * k, vals, wall))
+            nodes = np.concatenate([vals.reshape(ns, -1), wall], axis=1)
+            bad.append(((nodes < -CHECK_TOL) | ~np.isfinite(nodes)).any(axis=1))
+            finite = np.isfinite(nodes).all(axis=1)
+            gaps.append(np.where(finite, -CHECK_TOL - nodes.min(axis=1), np.inf))
+        rep = self.check(levels)
+        assert rep.violation_count == int(np.sum(bad))
+        assert rep.passed == (not np.any(bad))
+        if not rep.passed:
+            assert rep.worst == max(g for g, b in zip(np.ravel(gaps), np.ravel(bad)) if b)
 
 
 class TestEnvelopes:
@@ -189,14 +244,28 @@ class TestEnvelopes:
         assert not c[("down", "upper_bound")].passed
         assert c[("down", "upper_bound")].worst == np.inf
 
+    def test_non_finite_level_breaks_every_bound_of_its_species(self):
+        # a NaN bulk max beside a wall value of 0.5, far past "down"'s 0.02;
+        # a NaN wall node of "up"; an infinite high against an exponential
+        # bound that overflows too: each is an infinite gap at its level
+        clean = snap(0.0, [[0.01] * 3, [0.5] * 3], [0.0, 0.5], [0.02, 0.5])
+        nan = np.nan
+        traj = [clean, snap(1.0, [[0.5, 0.01, 0.01], [0.5, nan, 0.5]], [0.0, nan], [nan, nan])]
+        c = self.checks(traj)
+        for key in (("down", "upper_bound"), ("up", "lower_bound"), ("up", "exp_bound")):
+            assert (c[key].passed, c[key].worst, c[key].t_worst) == (False, np.inf, 1.0), key
+        big = [clean, snap(1e3, [[0.01] * 3, [np.inf] * 3], [0.0, 0.5], [0.02, np.inf])]
+        c = self.checks(big, lam=1e3)
+        assert c[("down", "upper_bound")].passed
+        assert (c[("up", "exp_bound")].passed, c[("up", "exp_bound")].worst) == (False, np.inf)
+
 
 class TestEnergyGrowth:
     def test_constant_run_has_zero_slope(self):
         cfg = constant_config(t_end=0.1, levels=(0.4, 0.9))
         _, traj = run_simulation(cfg, CouplerSettings())
-        rep = energy_growth_report(traj)
-        assert np.all(rep.slope == 0.0)
-        assert rep.intercept[0] == pytest.approx(0.16, rel=1e-12)
+        assert np.all(energy_growth_report(traj) == 0.0)
+        assert energies(traj)[0] == pytest.approx(np.full(len(traj), 0.16), rel=1e-12)
 
     def test_envelope_dominates_by_construction(self):
         # the fit is the smallest line through E(0): it dominates every
@@ -204,23 +273,21 @@ class TestEnergyGrowth:
         rng = np.random.default_rng(12)
         times = np.linspace(0.0, 2.0, 15)
         traj = [snap(t, rng.uniform(0.0, 1.0, (1, 9)), [0.0], [1.0]) for t in times]
-        rep = energy_growth_report(traj)
-        gap = rep.slope[0] * times + rep.intercept[0] - rep.wall_energy[0]
-        assert rep.slope[0] > 0.0 and gap[0] == 0.0
+        slope, energy = energy_growth_report(traj)[0], energies(traj)[0]
+        gap = slope * times + energy[0] - energy
+        assert slope > 0.0 and gap[0] == 0.0
         assert np.all(gap >= -1e-12) and gap[1:].min() <= 1e-12
 
     def test_consumed_species_cap(self, scenario_run):
         cfg, _, report, traj, _ = scenario_run
-        rep = energy_growth_report(traj)
         # consumed species: energy never exceeds A0^2, so does the envelope
         a0 = 0.02
         t_end = traj[-1].time
-        assert rep.slope[0] * t_end + rep.intercept[0] <= a0**2 + 1e-8
+        assert energy_growth_report(traj)[0] * t_end + energies(traj)[0, 0] <= a0**2 + 1e-8
 
     def test_scenario_fit_well_posed(self, scenario_run):
         _, _, _, traj, _ = scenario_run
-        rep = energy_growth_report(traj)
-        assert np.all(np.isfinite(rep.slope))
+        assert np.all(np.isfinite(energy_growth_report(traj)))
 
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
@@ -236,15 +303,15 @@ class TestEnergyGrowth:
         stacked = 4 * 65 * 3001 * 8
         tracemalloc.start()
         try:
-            rep = energy_growth_report(traj)
+            slope = energy_growth_report(traj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * stacked, (peak, stacked)
-        walls = np.stack([s.wall for s in traj], axis=-1)
-        trap = np.full(65, 1.0 / 64)
-        trap[[0, -1]] /= 2.0
-        assert np.array_equal(rep.wall_energy, np.einsum("izt,z->it", walls * walls, trap))
+        energy = energies(traj)
+        times = np.array([s.time for s in traj])
+        fit = ((energy[:, 1:] - energy[:, :1]) / times[1:]).max(axis=1)
+        assert np.array_equal(slope, np.maximum(fit, 0.0))
 
 
 class TestEnvelopeFromSolverOutput:
