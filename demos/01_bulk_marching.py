@@ -39,8 +39,8 @@ for r_probe in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
     j = round(r_probe * nr)
     print(f"  r = {r_probe:4.2f}   C(r, 1) = {field.values[0, j, -1]:.6f}")
 
-grad = wall_flux_gradient(field, grid)[0]
-intg = wall_flux_integral(field, grid, op)[0]
+grad = wall_flux_gradient(field)[0]
+intg = wall_flux_integral(field, op)[0]
 print("\nwall gradient via one-sided stencil vs integral identity:")
 for z_probe in (0.1, 0.25, 0.5, 1.0):
     k = round(z_probe * nz)

@@ -40,7 +40,7 @@ march_op = march_operator(species, grid)
 surface_op = surface_operator(species, nz + 1, grid.dt)
 state = CouplingState(0.0, init.wall_init, ())
 
-new = advance_step(state, init, CouplerSettings(), march_op, surface_op, zero_model([2.0]), grid)
+new = advance_step(state, init, CouplerSettings(), march_op, surface_op, zero_model([2.0]))
 print("\nPicard residuals for one step (mu = 1, margin 0.824):")
 for m, res in enumerate(new.residual_history, start=1):
     print(f"  iteration {m}: {res:.3e}")

@@ -359,13 +359,12 @@ def parse_config(text: str, base_dir: Path | str = ".") -> tuple[ModelConfig, Co
 # emission
 
 
-def write_snapshot_csv(
-    field: FluidField, grid: Grid, species_names: Sequence[str], path: Path | str
-) -> None:
+def write_snapshot_csv(field: FluidField, species_names: Sequence[str], path: Path | str) -> None:
     """Gnuplot-friendly dump: header r,z,<species...>, rows in z-major order.
 
-    Every value is written as ``%.9g``.  The r column is formatted once, into
-    the pieces of a station's template, and each z once per station, joined
+    The nodes r_j = j/nr and z_k = k/nz come from the field's shape.  Every
+    value is written as ``%.9g``.  The r column is formatted once, into the
+    pieces of a station's template, and each z once per station, joined
     between those pieces; one ``%`` call then formats the species values of
     the whole station.  Stations are written in turn, so the file is never
     held in memory as a whole.
@@ -373,12 +372,12 @@ def write_snapshot_csv(
     ns = len(species_names)
     cells = ",%.9g" * ns + "\n"
     # station template = z.join(pieces): "r_0," z cells "r_1," z .. cells
-    r = ["%.9g," % x for x in grid.r.tolist()]
-    pieces = [r[0]] + [cells + x for x in r[1:]] + [cells]
     v = field.values
+    r = ["%.9g," % x for x in np.linspace(0.0, 1.0, v.shape[1]).tolist()]
+    pieces = [r[0]] + [cells + x for x in r[1:]] + [cells]
     with Path(path).open("w") as f:
         f.write("r,z," + ",".join(species_names) + "\n")
-        for k, z in enumerate(grid.z.tolist()):
+        for k, z in enumerate(np.linspace(0.0, 1.0, v.shape[2]).tolist()):
             f.write(("%.9g" % z).join(pieces) % tuple(v[:ns, :, k].T.ravel().tolist()))
 
 
@@ -480,18 +479,18 @@ def write_report(report: RunReport, path: Path | str) -> None:
 # refinement study
 
 
-def _graetz_setup(nr: int, nz: int) -> tuple[Grid, InitialData, MarchOperator]:
+def _graetz_setup(nr: int, nz: int) -> tuple[InitialData, MarchOperator]:
     grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
     params = (SpeciesParams(name="c", beta_f=1.0, gamma_s=1.0, theta_s=1.0, delta=-1),)
     init = InitialData(
         inlet=np.ones((1, nr + 1)), wall_init=np.zeros((1, nz + 1))
     )
-    return grid, init, march_operator(params, grid)
+    return init, march_operator(params, grid)
 
 
 def graetz_centerline(nr: int, nz: int) -> float:
     """Outlet centerline value of the unit-inlet, cold-wall marching test."""
-    _, init, op = _graetz_setup(nr, nz)
+    init, op = _graetz_setup(nr, nz)
     field = march_fluid(init.wall_init, init, op)
     return float(field.values[0, 0, -1])
 
@@ -508,13 +507,13 @@ def flux_identity_gap(nr: int, nz: int, z_min: float = 0.0) -> float:
     fixed window away from that corner measures the schemes rather than the
     data.
     """
-    grid, init, op = _graetz_setup(nr, nz)
+    init, op = _graetz_setup(nr, nz)
     field = march_fluid(init.wall_init, init, op)
-    g = wall_flux_gradient(field, grid)[0]
-    q = wall_flux_integral(field, grid, op)[0]
-    k0 = max(1, int(math.ceil(z_min * grid.nz)))
+    g = wall_flux_gradient(field)[0]
+    q = wall_flux_integral(field, op)[0]
+    k0 = max(1, int(math.ceil(z_min * nz)))
     diff = (g - q)[k0:-1]
-    return float(np.sqrt(grid.dz * np.sum(diff * diff)))
+    return float(np.sqrt((1.0 / nz) * np.sum(diff * diff)))
 
 
 NR0, NZ0 = 32, 64  # the coarsest grid of the refinement study
@@ -671,7 +670,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     final_op = march_operator(cfg.species, cfg.grid)
     final_fluid = march_fluid(trajectory[-1].wall, cfg.initial, final_op)
-    write_snapshot_csv(final_fluid, cfg.grid, cfg.species_names, out_dir / "snapshot_final.csv")
+    write_snapshot_csv(final_fluid, cfg.species_names, out_dir / "snapshot_final.csv")
     write_probe_csv(
         run_report.probe_times, run_report.probe_values, cfg.species_names, out_dir / "probe.csv"
     )

@@ -37,7 +37,6 @@ from .kinetics import HypothesisReport, KineticsModel, estimate_lipschitz, eval_
 from .model import (
     ContractionDiagnostics,
     FluidField,
-    Grid,
     InitialData,
     ModelConfig,
     contraction_margin,
@@ -67,8 +66,9 @@ class CouplerSettings:
     def __post_init__(self) -> None:
         if not (0.0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, not {self.max_iter!r}")
+        max_iter = self.max_iter  # a bool is an Integral, but no iteration count
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, not {max_iter!r}")
         if self.flux_form not in ("gradient", "integral"):
             raise ValueError(f"unknown flux_form {self.flux_form!r}")
         if not (0.0 < self.relaxation <= 1.0):
@@ -113,10 +113,10 @@ class NonConvergedError(RuntimeError):
         )
 
 
-def _flux_of(form: str, fluid: FluidField, grid: Grid, march_op: MarchOperator) -> np.ndarray:
+def _flux_of(form: str, fluid: FluidField, march_op: MarchOperator) -> np.ndarray:
     if form == "gradient":
-        return wall_flux_gradient(fluid, grid)
-    return wall_flux_integral(fluid, grid, march_op)
+        return wall_flux_gradient(fluid)
+    return wall_flux_integral(fluid, march_op)
 
 
 def advance_step(
@@ -126,23 +126,23 @@ def advance_step(
     march_op: MarchOperator,
     surface_op: SurfaceOperator,
     kinetics: KineticsModel,
-    grid: Grid,
     initial_guess: Optional[np.ndarray] = None,
-    step_index: int = 0,
 ) -> CouplingState:
     """Advance the coupled system one surface_op.dt by damped fixed-point iteration.
 
-    The operators are the run's, built for its species and ``grid``.  The
-    iteration starts from the previous wall (or an explicit guess: the
-    converged answer must not depend on it, which the uniqueness probe
-    exercises).  Rates are evaluated once, at the previous time level, and
-    with them the part of the surface step that no iteration changes.
-    Each iterate's field is dropped once its flux is taken; the state
-    returned carries the converged wall alone.
+    The operators are the run's, built for its species and grid.  The step
+    is the k-th, k = round(state.time / dt) + 1, the index a non-converged
+    step reports.  The iteration starts from the previous wall (or an
+    explicit guess: the converged answer must not depend on it, which the
+    uniqueness probe exercises).  Rates are evaluated once, at the previous
+    time level, and with them the part of the surface step that no
+    iteration changes.  Each iterate's field is dropped once its flux is
+    taken; the state returned carries the converged wall alone.
     """
     dt = surface_op.dt
     # on the grid k dt, so the levels do not drift with the step count
-    t_new = (round(state.time / dt) + 1) * dt
+    k = round(state.time / dt) + 1
+    t_new = k * dt
     wall_prev = state.wall
 
     # the flux-free part of the surface step, shared by every iteration
@@ -154,7 +154,7 @@ def advance_step(
     residuals: list[float] = []
     converged = False
     for _ in range(settings.max_iter):
-        flux = _flux_of(settings.flux_form, march_fluid(iterate, init, march_op), grid, march_op)
+        flux = _flux_of(settings.flux_form, march_fluid(iterate, init, march_op), march_op)
         stepped = step_wall(surface, flux)
         new = iterate + settings.relaxation * (stepped - iterate)
         residual = float(np.abs(new - iterate).max())
@@ -166,7 +166,7 @@ def advance_step(
             converged = True
             break
     if not converged:
-        raise NonConvergedError(t_new, step_index, tuple(residuals))
+        raise NonConvergedError(t_new, k, tuple(residuals))
 
     return CouplingState(time=t_new, wall=iterate, residual_history=tuple(residuals))
 
@@ -258,7 +258,7 @@ def run_simulation(
         nonlocal reaction_ended
         fluid = march_fluid(st.wall, cfg.initial, march_op)
         rates = eval_rates(kinetics, st.wall.T).T
-        flux = _flux_of(settings.flux_form, fluid, grid, march_op)
+        flux = _flux_of(settings.flux_form, fluid, march_op)
         rhs = surface_rhs(st.wall, flux, rates, surface_op)
         if math.isinf(reaction_ended) and float(np.abs(rhs).max()) < SETTLE_TOL:
             reaction_ended = st.time
@@ -273,10 +273,8 @@ def run_simulation(
         )
 
     record(state)
-    for k in range(1, grid.n_steps + 1):
-        state = advance_step(
-            state, cfg.initial, settings, march_op, surface_op, kinetics, grid, step_index=k
-        )
+    for _ in range(grid.n_steps):
+        state = advance_step(state, cfg.initial, settings, march_op, surface_op, kinetics)
         iterations.append(state.iterations_last_step)
         record(state)
 

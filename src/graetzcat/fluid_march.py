@@ -27,7 +27,8 @@ The wall gradient the surface equation consumes is extracted two ways:
  * the integral identity dC/dr(1,z) = (1/beta) int_0^1 dC/dz r(1-r^2) dr.
 
 Both are kept because their mutual agreement under refinement is one of the
-consistency checks of the scheme.
+consistency checks of the scheme.  Both read the grid off the field: on the
+unit cylinder its shape (ns, nr + 1, nz + 1) fixes dr = 1/nr and dz = 1/nz.
 
 Operators are applied in face-difference form throughout, so constant data
 reproduces itself bitwise (exact fixed points, no drift).
@@ -448,35 +449,43 @@ def _march_blocks(values: np.ndarray, wvals: np.ndarray, kernel: BlockKernel) ->
     np.matmul(x, kernel.out, out=values[:, 1:].reshape(g, nb, block * (nr + 1)))
 
 
-def wall_flux_gradient(field: FluidField, grid: Grid) -> np.ndarray:
+def wall_flux_gradient(field: FluidField) -> np.ndarray:
     """dC/dr at r = 1 per species and z node, one-sided second order.
 
     Stencil (3 C_nr - 4 C_{nr-1} + C_{nr-2}) / (2 dr) written in difference
-    form so constant fields give exactly zero.  The field must fit the grid.
+    form so constant fields give exactly zero, with dr = 1/nr from the
+    field's shape.
     """
-    nr = grid.nr
+    v = field.values
+    nr = v.shape[1] - 1
     if nr < 2:
         raise ValueError("gradient extraction needs nr >= 2")
-    if field.values.shape[1:] != (nr + 1, grid.nz + 1):
-        raise ValueError(f"field shape {field.values.shape} does not fit the {nr}x{grid.nz} grid")
-    v = field.values
     d1 = v[:, nr, :] - v[:, nr - 1, :]
     d2 = v[:, nr - 1, :] - v[:, nr - 2, :]
-    return (3.0 * d1 - d2) / (2.0 * grid.dr)
+    return (3.0 * d1 - d2) / (2.0 / nr)  # 2 dr
 
 
-def wall_flux_integral(field: FluidField, grid: Grid, op: MarchOperator) -> np.ndarray:
+def _radial_quadrature(nr: int) -> np.ndarray:
+    """Trapezoid weights on the nodes r_j = j/nr against r (1 - r^2)."""
+    r = np.linspace(0.0, 1.0, nr + 1)
+    trap = np.full(nr + 1, 1.0 / nr)
+    trap[[0, -1]] /= 2.0
+    return r * (1.0 - r * r) * trap
+
+
+def wall_flux_integral(field: FluidField, op: MarchOperator) -> np.ndarray:
     """dC/dr at r = 1 via (1/beta) int_0^1 dC/dz r(1-r^2) dr.
 
     Trapezoid in r, then centered z-differences inside and one-sided at
     the ends: the r-integral of each station first, so no field-sized
-    z-derivative is formed.  ``op`` gives each species' beta and must fit
-    the field.
+    z-derivative is formed.  The field's shape gives dr = 1/nr and
+    dz = 1/nz; ``op`` gives each species' beta and must fit the field.
     """
-    nz = grid.nz
+    v = field.values
+    nr, nz = v.shape[1] - 1, v.shape[2] - 1
     if nz < 2:
         raise ValueError("integral extraction needs nz >= 2")
-    if field.values.shape != (len(op.beta), op.nr + 1, op.nz + 1):
-        raise ValueError(f"field shape {field.values.shape} does not fit the march operator")
-    moment = np.einsum("ijk,j->ik", field.values, grid.radial_quadrature())
-    return np.gradient(moment, grid.dz, axis=1) / op.beta
+    if v.shape != (len(op.beta), op.nr + 1, op.nz + 1):
+        raise ValueError(f"field shape {v.shape} does not fit the march operator")
+    moment = np.einsum("ijk,j->ik", v, _radial_quadrature(nr))
+    return np.gradient(moment, 1.0 / nz, axis=1) / op.beta

@@ -100,13 +100,6 @@ class Grid:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
-    def radial_quadrature(self) -> np.ndarray:
-        """Trapezoid weights in r against r (1 - r^2), for the flux integral."""
-        r = self.r
-        trap = np.full(self.nr + 1, self.dr)
-        trap[0] = trap[-1] = self.dr / 2.0
-        return r * (1.0 - r * r) * trap
-
 
 def march_field_bytes(ns: int, nr: int, nz: int) -> int:
     """Bytes of one march field: ns float64 values on (nr + 1) x (nz + 1) nodes."""

@@ -161,16 +161,14 @@ def test_c07_uniqueness_probe(scenario):
     cfg, settings = parse_config(text, SCENARIO_CFG.parent)
     march_op = march_operator(cfg.species, cfg.grid)
     surface_op = surface_operator(cfg.species, cfg.grid.nz + 1, cfg.grid.dt)
-    step_args = (march_op, surface_op, cfg.kinetics, cfg.grid)
+    step_args = (march_op, surface_op, cfg.kinetics)
     state = CouplingState(0.0, cfg.initial.wall_init.copy(), ())
     rng = np.random.default_rng(7)
     worst = 0.0
-    for k in range(1, 101):
-        base = advance_step(state, cfg.initial, settings, *step_args, step_index=k)
+    for _ in range(100):
+        base = advance_step(state, cfg.initial, settings, *step_args)
         guess = state.wall + rng.uniform(-0.5, 0.5, state.wall.shape)
-        probed = advance_step(
-            state, cfg.initial, settings, *step_args, initial_guess=guess, step_index=k
-        )
+        probed = advance_step(state, cfg.initial, settings, *step_args, initial_guess=guess)
         worst = max(worst, float(np.max(np.abs(base.wall - probed.wall))))
         state = base
     ok = worst <= 1e-8
@@ -267,7 +265,7 @@ def test_c09b_final_wall_is_the_discrete_steady_state(scenario_run):
     op = march_operator(species, grid)
 
     def flux(wall, inlet):
-        return wall_flux_gradient(march_fluid(wall, InitialData(inlet, wall), op), grid)
+        return wall_flux_gradient(march_fluid(wall, InitialData(inlet, wall), op))
 
     f0 = flux(np.zeros((ns, nn)), cfg.initial.inlet)
     g = np.empty((ns, nn, nn))

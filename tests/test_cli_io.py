@@ -222,18 +222,19 @@ class TestRateLawRules:
 
 class TestWriters:
     def test_snapshot_csv_constant_field(self, tmp_path):
-        grid = Grid(nr=4, nz=4, dt=0.1, t_end=0.1)
-        field = FluidField(np.full((2, 5, 5), 1.0 / 3.0))
+        # nr = 4, nz = 6: the r and z columns are the field's nodes j/4, k/6
+        field = FluidField(np.full((2, 5, 7), 1.0 / 3.0))
         out = tmp_path / "snap.csv"
-        write_snapshot_csv(field, grid, ("a", "b"), out)
+        write_snapshot_csv(field, ("a", "b"), out)
         lines = out.read_text().splitlines()
         assert lines[0] == "r,z,a,b"
-        assert len(lines) == 1 + 25
+        assert len(lines) == 1 + 35
         cell = f"{1.0 / 3.0:.9g}"
         assert all(line.endswith(f"{cell},{cell}") for line in lines[1:])
-        # z-major ordering: the first block shares z = 0
-        first = [line.split(",")[1] for line in lines[1:6]]
-        assert set(first) == {"0"}
+        # z-major ordering: each block of 5 rows shares one z
+        rows = [line.split(",")[:2] for line in lines[1:]]
+        assert [r for r, _ in rows] == [f"{j / 4:.9g}" for j in range(5)] * 7
+        assert [z for _, z in rows] == [f"{k / 6:.9g}" for k in range(7) for _ in range(5)]
 
     def test_snapshot_csv_bytes_match_the_per_value_writer(self, tmp_path):
         def per_value(field, grid, species_names, path):
@@ -256,7 +257,7 @@ class TestWriters:
             per_value(FluidField(values), grid, names, tmp_path / "old.csv")
             # r-major, and station-major as march_fluid stores the field
             for field in (FluidField(values), FluidField(station_major(values))):
-                write_snapshot_csv(field, grid, names, tmp_path / "new.csv")
+                write_snapshot_csv(field, names, tmp_path / "new.csv")
                 assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), nr
 
     def test_probe_csv_empty_series_is_header_only(self, tmp_path):

@@ -44,7 +44,7 @@ def field_of(state, cfg):
 
 def advance(state, cfg, settings, **kwargs):
     """advance_step on operators built for cfg's species and grid."""
-    return advance_step(state, cfg.initial, settings, *operators(cfg), cfg.kinetics, cfg.grid, **kwargs)
+    return advance_step(state, cfg.initial, settings, *operators(cfg), cfg.kinetics, **kwargs)
 
 
 def short_scenario(scenario, t_end, nr=32, nz=64, dt=0.02):
@@ -58,10 +58,10 @@ def short_scenario(scenario, t_end, nr=32, nz=64, dt=0.02):
     return parse_config(text, SCENARIO_CFG.parent)
 
 
-def flux_of(form, field, grid, op):
+def flux_of(form, field, op):
     if form == "gradient":
-        return wall_flux_gradient(field, grid)
-    return wall_flux_integral(field, grid, op)
+        return wall_flux_gradient(field)
+    return wall_flux_integral(field, op)
 
 
 def copies(s, n):
@@ -72,7 +72,7 @@ def copies(s, n):
 def marched_flux(form, s, wall, inlet, grid):
     """The flux of each row of wall and inlet, each marched as species s."""
     op = march_operator(copies(s, len(wall)), grid)
-    return flux_of(form, march_fluid(wall, InitialData(inlet, wall), op), grid, op)
+    return flux_of(form, march_fluid(wall, InitialData(inlet, wall), op), op)
 
 
 def picard_matrix(s, grid, form):
@@ -138,9 +138,20 @@ class TestAdvanceStep:
         settings = CouplerSettings(tol=1e-10, max_iter=2)
         state = initial_state(cfg)
         with pytest.raises(NonConvergedError) as exc:
-            advance(state, cfg, settings, step_index=1)
+            advance(state, cfg, settings)
         assert len(exc.value.residuals) == 2
         assert exc.value.step_index == 1
+
+    def test_non_converged_step_reports_its_index(self, scenario):
+        # the step from t = 0.04 at dt = 0.02 is the third: its index comes
+        # from the state's time, as t_new does
+        cfg, _ = scenario
+        assert cfg.grid.dt == 0.02
+        state = CouplingState(0.04, cfg.initial.wall_init.copy(), ())
+        with pytest.raises(NonConvergedError, match=r"at step 3 \(t = 0\.06\)") as exc:
+            advance(state, cfg, CouplerSettings(tol=1e-10, max_iter=2))
+        assert exc.value.step_index == 3
+        assert exc.value.time == 3 * cfg.grid.dt
 
     def test_heavily_damped_step_is_not_told_to_damp_more(self, scenario):
         # at relaxation 0.25 the residual falls by about 0.73 per iteration
@@ -186,10 +197,9 @@ class TestAdvanceStep:
         )
         assert hash(cfg.species[0]) == real_hash(cfg.species[0]) and calls  # the patch holds
         del calls[:]
-        for k in range(1, 4):
+        for _ in range(3):
             state = advance_step(
-                state, cfg.initial, CouplerSettings(), march_op, surface_op, cfg.kinetics,
-                cfg.grid, step_index=k,
+                state, cfg.initial, CouplerSettings(), march_op, surface_op, cfg.kinetics
             )
         assert state.time == 3 * cfg.grid.dt
         assert calls == []
@@ -305,10 +315,7 @@ class TestAffinePicardMap:
         state = initial_state(cfg)
         for k in range(1, grid.n_steps + 1):
             prev = state.wall
-            state = advance_step(
-                state, cfg.initial, settings, march_op, surface_op, cfg.kinetics, grid,
-                step_index=k,
-            )
+            state = advance_step(state, cfg.initial, settings, march_op, surface_op, cfg.kinetics)
             r = state.residual_history
             # successive differences contract by q, up to 4 ulps of the
             # wall's largest entry in each difference
@@ -317,7 +324,7 @@ class TestAffinePicardMap:
             # the exact fixed point (I - K)(w - prev) = a - prev, per species
             surface = surface_step(prev, eval_rates(cfg.kinetics, prev.T).T, surface_op)
             field = march_fluid(prev, cfg.initial, march_op)
-            a = step_wall(surface, flux_of(form, field, grid, march_op))
+            a = step_wall(surface, flux_of(form, field, march_op))
             exact = prev + np.stack(
                 [np.linalg.solve(np.eye(nn) - ki, d) for ki, d in zip(ks, a - prev)]
             )
@@ -517,8 +524,9 @@ class TestCouplerSettings:
             CouplerSettings(tol=0.0)
         with pytest.raises(ValueError):
             CouplerSettings(max_iter=0)
-        for max_iter in (2.5, 3.0, "3"):
+        for max_iter in (2.5, 3.0, "3", True, False):
             # not an iteration count: refused here, not by range() mid-run
+            # (a bool is an Integral, and True would run one iteration)
             with pytest.raises(ValueError, match="max_iter"):
                 CouplerSettings(max_iter=max_iter)
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 Each demo runs in its own process, from an empty directory that has a
 ``demos`` folder for the figures a demo saves when matplotlib is present.
 demos/03 is left out: it is the full shipped scenario, which the
-``scenario_run`` fixture already solves.
+``scenario_run`` fixture already solves; CI's console-script step runs the
+script itself.
 """
 
 import os

@@ -383,7 +383,7 @@ class TestMarchFluid:
             with pytest.raises(ValueError, match="shape"):
                 march_fluid(init.wall_init, init, op)
             with pytest.raises(ValueError, match="shape"):
-                wall_flux_integral(field, grid, op)
+                wall_flux_integral(field, op)
 
     @pytest.mark.parametrize("nr", [BLOCK_MAX_NR, BLOCK_MAX_NR + 1])  # both paths
     def test_field_is_stored_station_major(self, nr):
@@ -906,45 +906,41 @@ class TestWallFluxGradient:
         nr, nz = 16, 8
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.r[None, :, None] ** 2, (1, nr + 1, nz + 1)).copy()
-        flux = wall_flux_gradient(FluidField(vals), grid)
+        flux = wall_flux_gradient(FluidField(vals))
         assert np.allclose(flux, 2.0, atol=1e-13)
 
     def test_zero_for_constants(self):
-        grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         vals = np.full((1, 9, 9), 3.3)
-        assert np.all(wall_flux_gradient(FluidField(vals), grid) == 0.0)
+        assert np.all(wall_flux_gradient(FluidField(vals)) == 0.0)
 
     def test_second_order_on_cubic(self):
         errs = []
         for nr in (64, 128):
             grid = Grid(nr=nr, nz=4, dt=1.0, t_end=1.0)
             vals = np.broadcast_to(grid.r[None, :, None] ** 3, (1, nr + 1, 5)).copy()
-            flux = wall_flux_gradient(FluidField(vals), grid)
+            flux = wall_flux_gradient(FluidField(vals))
             errs.append(abs(flux[0, 0] - 3.0))
         assert errs[0] < 1e-3
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_small_grid_rejected(self):
-        grid = Grid(nr=1, nz=8, dt=1.0, t_end=1.0)
-        vals = np.ones((1, 2, 9))
+        vals = np.ones((1, 2, 9))  # nr = 1
         with pytest.raises(ValueError):
-            wall_flux_gradient(FluidField(vals), grid)
+            wall_flux_gradient(FluidField(vals))
 
-    def test_field_of_another_grid_rejected(self):
-        # an nr = 64 field read on an nr = 32 grid used to give a wrong flux
-        # (its nodes 30-32 taken for the wall and its neighbours) without an error
+    def test_spacing_comes_from_the_field(self):
+        # the field's shape fixes dr: a 64x16 field gives the one-sided
+        # stencil on its nodes 62-64 at dr = 1/64
         _, field = graetz(64, 16)
-        for grid in (unit_grid(32, 16), unit_grid(64, 8)):
-            with pytest.raises(ValueError, match="does not fit"):
-                wall_flux_gradient(field, grid)
+        v = field.values[0]
+        d1, d2 = v[64] - v[63], v[63] - v[62]
+        assert np.array_equal(wall_flux_gradient(field)[0], (3.0 * d1 - d2) / (2.0 * (1.0 / 64)))
 
     def test_same_flux_on_either_layout(self):
         rng = np.random.default_rng(9)
-        nr, nz = 24, 40
-        grid = unit_grid(nr, nz)
-        values = rng.uniform(-1.0, 1.0, (3, nr + 1, nz + 1))
-        flux = wall_flux_gradient(FluidField(values), grid)
-        assert np.array_equal(flux, wall_flux_gradient(FluidField(station_major(values)), grid))
+        values = rng.uniform(-1.0, 1.0, (3, 25, 41))
+        flux = wall_flux_gradient(FluidField(values))
+        assert np.array_equal(flux, wall_flux_gradient(FluidField(station_major(values))))
 
 
 class TestWallFluxIntegral:
@@ -952,21 +948,21 @@ class TestWallFluxIntegral:
         nr, nz = 64, 16
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        flux = wall_flux_integral(FluidField(vals), grid, march_operator(single(), grid))
+        flux = wall_flux_integral(FluidField(vals), march_operator(single(), grid))
         assert np.allclose(flux, 0.25, atol=1e-4)  # int r(1-r^2) dr = 1/4
 
     def test_zero_for_constants(self):
         grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         vals = np.full((1, 9, 9), 1.7)
         op = march_operator(single(), grid)
-        assert np.all(wall_flux_integral(FluidField(vals), grid, op) == 0.0)
+        assert np.all(wall_flux_integral(FluidField(vals), op) == 0.0)
 
     def test_beta_scaling(self):
         nr, nz = 32, 8
         grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         vals = np.broadcast_to(grid.z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        f1 = wall_flux_integral(FluidField(vals), grid, march_operator(single(beta=1.0), grid))
-        f2 = wall_flux_integral(FluidField(vals), grid, march_operator(single(beta=2.0), grid))
+        f1 = wall_flux_integral(FluidField(vals), march_operator(single(beta=1.0), grid))
+        f2 = wall_flux_integral(FluidField(vals), march_operator(single(beta=2.0), grid))
         assert np.allclose(f2, 0.5 * f1)
 
     def test_same_flux_on_either_layout(self):
@@ -977,8 +973,8 @@ class TestWallFluxIntegral:
         grid = unit_grid(nr, nz)
         values = rng.uniform(-1.0, 1.0, (3, nr + 1, nz + 1))
         op = march_operator(species_of((0.5, 1.0, 2.0)), grid)
-        flux = wall_flux_integral(FluidField(values), grid, op)
-        other = wall_flux_integral(FluidField(station_major(values)), grid, op)
+        flux = wall_flux_integral(FluidField(values), op)
+        other = wall_flux_integral(FluidField(station_major(values)), op)
         assert np.abs(other - flux).max() <= 1e-14 * np.abs(flux).max()
 
     def test_cross_method_consistency_on_resolved_window(self):
@@ -987,8 +983,8 @@ class TestWallFluxIntegral:
         gaps = []
         for nr, nz in ((64, 128), (128, 256)):
             grid, field = graetz(nr, nz)
-            g = wall_flux_gradient(field, grid)[0]
-            q = wall_flux_integral(field, grid, march_operator(single(), grid))[0]
+            g = wall_flux_gradient(field)[0]
+            q = wall_flux_integral(field, march_operator(single(), grid))[0]
             k0 = nz // 4
             d = (g - q)[k0:-1]
             gaps.append(float(np.sqrt(grid.dz * np.sum(d * d))))
@@ -1003,7 +999,7 @@ def windowed_flux_gap(nr, nz, beta, c0, amps):
     wall = c0 + sum(a * (1.0 - np.cos((m + 1) * np.pi * grid.z)) / 2.0 for m, a in enumerate(amps))
     op = march_operator(single(beta), grid)
     field = march((beta,), grid, np.full((1, nr + 1), c0), wall[None, :], op)
-    d = (wall_flux_gradient(field, grid) - wall_flux_integral(field, grid, op))[0]
+    d = (wall_flux_gradient(field) - wall_flux_integral(field, op))[0]
     d = d[math.ceil(0.25 * nz):-1]
     return math.sqrt(grid.dz * np.sum(d * d))
 

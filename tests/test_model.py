@@ -143,7 +143,7 @@ class TestSpeciesPlan:
         field = march_fluid(wall, init, march_op)
         assert np.array_equal(field.values, march_fluid(wall, init, from_list[0]).values)
         assert np.array_equal(
-            wall_flux_integral(field, grid, march_op), wall_flux_integral(field, grid, from_list[0])
+            wall_flux_integral(field, march_op), wall_flux_integral(field, from_list[0])
         )
         stepped = step_wall(surface_step(wall, rates, surface_op), flux)
         assert np.array_equal(stepped, step_wall(surface_step(wall, rates, from_list[1]), flux))
