@@ -12,8 +12,6 @@ import numpy as np
 from graetzcat import (
     CouplerSettings,
     CouplingState,
-    Grid,
-    InitialData,
     SpeciesParams,
     advance_step,
     contraction_margin,
@@ -30,17 +28,15 @@ for gamma in (0.25, 0.5, 1.0, 1.4, 2.0, 4.0):
 
 # one coupled step on smooth data, watching the residuals
 nr, nz = 32, 64
-grid = Grid(nr=nr, nz=nz, dt=0.02, t_end=0.02)
+dt = 0.02
 species = (SpeciesParams("s", 1.0, 1.0, 1.0, -1),)
-r = grid.r
-init = InitialData(
-    inlet=(1.0 - r * r)[None, :].copy(), wall_init=np.zeros((1, nz + 1))
-)
-march_op = march_operator(species, grid)
-surface_op = surface_operator(species, nz + 1, grid.dt)
-state = CouplingState(0.0, init.wall_init, ())
+r = np.linspace(0.0, 1.0, nr + 1)
+inlet = (1.0 - r * r)[None, :]
+march_op = march_operator(species, nr, nz)
+surface_op = surface_operator(species, nz + 1, dt)
+state = CouplingState(0.0, np.zeros((1, nz + 1)), ())
 
-new = advance_step(state, init, CouplerSettings(), march_op, surface_op, zero_model([2.0]))
+new = advance_step(state, inlet, CouplerSettings(), march_op, surface_op, zero_model([2.0]))
 print("\nPicard residuals for one step (mu = 1, margin 0.824):")
 for m, res in enumerate(new.residual_history, start=1):
     print(f"  iteration {m}: {res:.3e}")

@@ -37,7 +37,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupler import CouplerSettings, NonConvergedError, RunReport, run_simulation
+from .coupler import (
+    CouplerSettings,
+    NonConvergedError,
+    RunReport,
+    run_simulation,
+    warn_reaction_guard,
+)
 from .fluid_march import (
     MarchOperator,
     march_fluid,
@@ -479,19 +485,16 @@ def write_report(report: RunReport, path: Path | str) -> None:
 # refinement study
 
 
-def _graetz_setup(nr: int, nz: int) -> tuple[InitialData, MarchOperator]:
-    grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
+def _graetz_march(nr: int, nz: int) -> tuple[FluidField, MarchOperator]:
+    """The unit-inlet, cold-wall march on (nr, nz), and its operator."""
     params = (SpeciesParams(name="c", beta_f=1.0, gamma_s=1.0, theta_s=1.0, delta=-1),)
-    init = InitialData(
-        inlet=np.ones((1, nr + 1)), wall_init=np.zeros((1, nz + 1))
-    )
-    return init, march_operator(params, grid)
+    op = march_operator(params, nr, nz)
+    return march_fluid(np.zeros((1, nz + 1)), np.ones((1, nr + 1)), op), op
 
 
 def graetz_centerline(nr: int, nz: int) -> float:
     """Outlet centerline value of the unit-inlet, cold-wall marching test."""
-    init, op = _graetz_setup(nr, nz)
-    field = march_fluid(init.wall_init, init, op)
+    field, _ = _graetz_march(nr, nz)
     return float(field.values[0, 0, -1])
 
 
@@ -507,8 +510,7 @@ def flux_identity_gap(nr: int, nz: int, z_min: float = 0.0) -> float:
     fixed window away from that corner measures the schemes rather than the
     data.
     """
-    init, op = _graetz_setup(nr, nz)
-    field = march_fluid(init.wall_init, init, op)
+    field, op = _graetz_march(nr, nz)
     g = wall_flux_gradient(field)[0]
     q = wall_flux_integral(field, op)[0]
     k0 = max(1, int(math.ceil(z_min * nz)))
@@ -639,6 +641,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "check":
         hypo = verify_hypotheses(cfg.kinetics, cfg.species, seed=args.seed)
         _, lam = estimate_lipschitz(cfg.kinetics, seed=args.seed)
+        warn_reaction_guard(cfg.grid.dt, lam)
         for line in _a_priori_lines(contraction_margin(cfg.species), hypo, lam):
             print(line)
         for worst, tag in (
@@ -668,8 +671,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    final_op = march_operator(cfg.species, cfg.grid)
-    final_fluid = march_fluid(trajectory[-1].wall, cfg.initial, final_op)
+    final_op = march_operator(cfg.species, cfg.grid.nr, cfg.grid.nz)
+    final_fluid = march_fluid(trajectory[-1].wall, cfg.initial.inlet, final_op)
     write_snapshot_csv(final_fluid, cfg.species_names, out_dir / "snapshot_final.csv")
     write_probe_csv(
         run_report.probe_times, run_report.probe_values, cfg.species_names, out_dir / "probe.csv"

@@ -34,14 +34,7 @@ from .fluid_march import (
     wall_flux_integral,
 )
 from .kinetics import HypothesisReport, KineticsModel, estimate_lipschitz, eval_rates, verify_hypotheses
-from .model import (
-    ContractionDiagnostics,
-    FluidField,
-    InitialData,
-    ModelConfig,
-    contraction_margin,
-    validate_config,
-)
+from .model import ContractionDiagnostics, FluidField, ModelConfig, contraction_margin, validate_config
 from .qualcheck import (
     EnvelopeCheck,
     NonnegReport,
@@ -113,6 +106,18 @@ class NonConvergedError(RuntimeError):
         )
 
 
+def warn_reaction_guard(dt: float, lam: float) -> None:
+    """Log a warning when dt exceeds the reaction stability guard 0.5/lambda
+    of the explicit reaction terms; ``run_simulation`` and ``check`` call it."""
+    if lam > 0.0 and dt > 0.5 / lam:
+        log.warning(
+            "dt = %g exceeds the reaction stability guard 0.5/lambda = %g; "
+            "explicit reaction terms may destabilize the step",
+            dt,
+            0.5 / lam,
+        )
+
+
 def _flux_of(form: str, fluid: FluidField, march_op: MarchOperator) -> np.ndarray:
     if form == "gradient":
         return wall_flux_gradient(fluid)
@@ -121,7 +126,7 @@ def _flux_of(form: str, fluid: FluidField, march_op: MarchOperator) -> np.ndarra
 
 def advance_step(
     state: CouplingState,
-    init: InitialData,
+    inlet: np.ndarray,
     settings: CouplerSettings,
     march_op: MarchOperator,
     surface_op: SurfaceOperator,
@@ -130,14 +135,15 @@ def advance_step(
 ) -> CouplingState:
     """Advance the coupled system one surface_op.dt by damped fixed-point iteration.
 
-    The operators are the run's, built for its species and grid.  The step
-    is the k-th, k = round(state.time / dt) + 1, the index a non-converged
-    step reports.  The iteration starts from the previous wall (or an
-    explicit guess: the converged answer must not depend on it, which the
-    uniqueness probe exercises).  Rates are evaluated once, at the previous
-    time level, and with them the part of the surface step that no
-    iteration changes.  Each iterate's field is dropped once its flux is
-    taken; the state returned carries the converged wall alone.
+    The inlet profiles (ns, nr+1) and the operators are the run's, built
+    for its species and grid.  The step is the k-th, k = round(state.time
+    / dt) + 1, the index a non-converged step reports.  The iteration
+    starts from the previous wall (or an explicit guess: the converged
+    answer must not depend on it, which the uniqueness probe exercises).
+    Rates are evaluated once, at the previous time level, and with them
+    the part of the surface step that no iteration changes.  Each
+    iterate's field is dropped once its flux is taken; the state returned
+    carries the converged wall alone.
     """
     dt = surface_op.dt
     # on the grid k dt, so the levels do not drift with the step count
@@ -154,7 +160,7 @@ def advance_step(
     residuals: list[float] = []
     converged = False
     for _ in range(settings.max_iter):
-        flux = _flux_of(settings.flux_form, march_fluid(iterate, init, march_op), march_op)
+        flux = _flux_of(settings.flux_form, march_fluid(iterate, inlet, march_op), march_op)
         stepped = step_wall(surface, flux)
         new = iterate + settings.relaxation * (stepped - iterate)
         residual = float(np.abs(new - iterate).max())
@@ -237,26 +243,19 @@ def run_simulation(
     diagnostics = contraction_margin(params)
     hypo = verify_hypotheses(kinetics, params, seed=seed)
     k_vec, lam = estimate_lipschitz(kinetics, seed=seed)
-    if lam > 0.0 and grid.dt > 0.5 / lam:
-        log.warning(
-            "dt = %g exceeds the reaction stability guard 0.5/lambda = %g; "
-            "explicit reaction terms may destabilize the step",
-            grid.dt,
-            0.5 / lam,
-        )
+    warn_reaction_guard(grid.dt, lam)
 
-    march_op = march_operator(params, grid)
+    march_op = march_operator(params, grid.nr, grid.nz)
     surface_op = surface_operator(params, grid.nz + 1, grid.dt)
 
     state = CouplingState(0.0, cfg.initial.wall_init.copy(), ())
 
     trajectory: list[Snapshot] = []
-    iterations: list[int] = []
     reaction_ended = math.inf
 
     def record(st: CouplingState) -> None:
         nonlocal reaction_ended
-        fluid = march_fluid(st.wall, cfg.initial, march_op)
+        fluid = march_fluid(st.wall, cfg.initial.inlet, march_op)
         rates = eval_rates(kinetics, st.wall.T).T
         flux = _flux_of(settings.flux_form, fluid, march_op)
         rhs = surface_rhs(st.wall, flux, rates, surface_op)
@@ -274,8 +273,7 @@ def run_simulation(
 
     record(state)
     for _ in range(grid.n_steps):
-        state = advance_step(state, cfg.initial, settings, march_op, surface_op, kinetics)
-        iterations.append(state.iterations_last_step)
+        state = advance_step(state, cfg.initial.inlet, settings, march_op, surface_op, kinetics)
         record(state)
 
     nonneg = check_nonnegativity(trajectory)
@@ -297,7 +295,7 @@ def run_simulation(
         hypothesis_report=hypo,
         lipschitz=tuple(float(v) for v in k_vec),
         lam=lam,
-        iterations=tuple(iterations),
+        iterations=tuple(len(s.residuals) for s in trajectory[1:]),
         nonneg=nonneg,
         envelope_checks=tuple(env_checks),
         energy_slopes=energy_slopes,

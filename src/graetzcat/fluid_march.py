@@ -102,7 +102,7 @@ the folded kernel carries a zero column per station for the wall node
 blocks.  The station loop flushes FLUSH whole stations at a time.
 
 ``march_operator`` builds what a run needs once, from its species and
-grid: on the block path one ``BlockKernel`` that stacks every species'
+(nr, nz): on the block path one ``BlockKernel`` that stacks every species'
 carry columns and folded block, on the station path one ``RadialOperator``
 over every species, and the beta divisor of the integral form.  Every
 march of the run is handed that ``MarchOperator``.
@@ -117,9 +117,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import (
-    FluidField, Grid, InitialData, SpeciesParams, read_only_column, species_errors
-)
+from .model import FluidField, SpeciesParams, read_only_column, species_errors
 
 # Stations one block product advances, set from timings (CHANGES.md), and
 # the largest radial grid and diffusion number beta nr^2 / nz that march by
@@ -146,8 +144,9 @@ class RadialOperator:
     g matrices stand block-diagonally in one, zero between rows; ``d``,
     ``e`` are its LDL^T factor from one ``dpttrf`` (D's diagonal and L's
     subdiagonal), which LAPACK solves for each row bitwise as alone on
-    finite data, and ``face`` (g, nr) is each row's beta r_f / dr.
-    ``build`` makes them read-only.
+    finite data, and ``face`` (g, nr) is each row's beta r_f / dr, on the
+    nodes r_j = j/nr with dr = 1/nr and dz = 1/nz.  ``build`` makes them
+    read-only.
 
     For nr <= BLOCK_MAX_NR the march uses the factor only through
     ``impulse_block``, which marches unit impulses through it once; the
@@ -160,12 +159,12 @@ class RadialOperator:
     e: np.ndarray
 
     @classmethod
-    def build(cls, grid: Grid, betas: Sequence[float]) -> "RadialOperator":
+    def build(cls, nr: int, nz: int, betas: Sequence[float]) -> "RadialOperator":
         beta = np.array(betas, dtype=float).reshape(-1, 1)
         if not np.all(beta > 0.0):
             raise ValueError(f"betas {beta[:, 0].tolist()} must be positive")
-        nr, dr, dz = grid.nr, grid.dr, grid.dz
-        r = grid.r
+        dr, dz = 1.0 / nr, 1.0 / nz
+        r = np.linspace(0.0, 1.0, nr + 1)
         conv = (1.0 - r * r) / dz
         face_r = (np.arange(nr) + 0.5) * dr
 
@@ -181,7 +180,9 @@ class RadialOperator:
         sub[:, :-1] = beta * (-face_r[: nr - 1] / dr)
 
         diag = vol * conv[:nr] + beta * k_diag
-        d, e, info = dpttrf(diag.reshape(-1), sub.reshape(-1)[:-1])
+        # LAPACK's wrappers take one subdiagonal entry at least: a 1x1
+        # matrix (nr = 1, one species) passes its zero coupling
+        d, e, info = dpttrf(diag.reshape(-1), sub.reshape(-1)[: max(diag.size - 1, 1)])
         if info:  # cannot happen for beta > 0: SPD by design
             raise RuntimeError(f"radial marching matrix lost positive definiteness (info={info})")
 
@@ -211,8 +212,7 @@ def impulse_block(nr: int, nz: int, beta: float, block: int) -> np.ndarray:
     # a drop into station m + 1: ones up to station m, zeros after
     values[nr:, 0, :nr] = 1.0
     wall[nr:] = np.arange(block + 1) <= np.arange(block)[:, None]
-    # the operator does not depend on the time grid: dt and t_end are placeholders
-    op = RadialOperator.build(Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), [beta] * n)
+    op = RadialOperator.build(nr, nz, [beta] * n)
     _march_stations(values, wall, op)
     # C - w: C itself, or 1 - 1 before the drop
     qt = (values[:, 1:, :nr] - wall[:, 1:, None]).reshape(n, block * nr)
@@ -311,25 +311,27 @@ class MarchOperator:
     block: int
 
 
-def march_operator(params: Sequence[SpeciesParams], grid: Grid) -> MarchOperator:
-    """The march operator of the species on the grid's (nr, nz); species
-    that ``species_errors`` rejects raise ValueError.
+def march_operator(params: Sequence[SpeciesParams], nr: int, nz: int) -> MarchOperator:
+    """The march operator of the species on the (nr, nz) grid; nr or nz
+    below 1, or species that ``species_errors`` rejects, raise ValueError.
 
     The block path takes nr <= BLOCK_MAX_NR and diffusion numbers up to
     DIFFUSION_MAX, the station path the rest.
     """
+    if nr < 1 or nz < 1:
+        raise ValueError(f"march grid nr = {nr}, nz = {nz} needs nr >= 1 and nz >= 1")
     if errors := species_errors(params):
         raise ValueError(errors[0])
     betas = [s.beta_f for s in params]
-    nr, nz = grid.nr, grid.nz
     if nr <= BLOCK_MAX_NR and max(betas) * nr * nr / nz <= DIFFUSION_MAX:
         kernel = _block_kernel(nr, nz, tuple(betas))
         return MarchOperator(nr, nz, kernel, read_only_column(betas), kernel.block)
-    return MarchOperator(nr, nz, RadialOperator.build(grid, betas), read_only_column(betas), 1)
+    return MarchOperator(nr, nz, RadialOperator.build(nr, nz, betas), read_only_column(betas), 1)
 
 
-def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> FluidField:
-    """March every species down the cylinder against the wall trace (ns, nz+1).
+def march_fluid(wall: np.ndarray, inlet: np.ndarray, op: MarchOperator) -> FluidField:
+    """March every species from the inlet profiles (ns, nr+1) down the
+    cylinder against the wall trace (ns, nz+1).
 
     The z = 0 column of the field equals the inlet samples (except the
     corner node, which belongs to the trace), and the r = 1 row equals the
@@ -339,12 +341,12 @@ def march_fluid(wall: np.ndarray, init: InitialData, op: MarchOperator) -> Fluid
     ns, nr, nz = len(op.beta), op.nr, op.nz
     if wall.shape != (ns, nz + 1):
         raise ValueError(f"wall shape {wall.shape} != {(ns, nz + 1)}")
-    if init.inlet.shape != (ns, nr + 1):
-        raise ValueError(f"inlet shape {init.inlet.shape} != {(ns, nr + 1)}")
+    if inlet.shape != (ns, nr + 1):
+        raise ValueError(f"inlet shape {inlet.shape} != {(ns, nr + 1)}")
 
     # station-major, the block path's stations rounded up to whole blocks
     buf = np.empty((ns, nz + 1 + (-nz % op.block), nr + 1))
-    buf[:, 0] = init.inlet
+    buf[:, 0] = inlet
     if isinstance(op.kernel, RadialOperator):
         _march_stations(buf, wall, op.kernel)
     else:

@@ -73,28 +73,13 @@ def read_only_column(values: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid: nodes r_j = j/nr, z_k = k/nz, time step dt."""
+    """The [grid] of a config: nr x nz cells on the unit cylinder (nodes
+    r_j = j/nr, z_k = k/nz) and the time step dt up to t_end."""
 
     nr: int
     nz: int
     dt: float
     t_end: float
-
-    @property
-    def dr(self) -> float:
-        return 1.0 / self.nr
-
-    @property
-    def dz(self) -> float:
-        return 1.0 / self.nz
-
-    @property
-    def r(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.nr + 1)
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.nz + 1)
 
     @property
     def n_steps(self) -> int:

@@ -90,9 +90,11 @@ def _diffusion_factor(nn: int, dt: float, thetas: Sequence[float]) -> tuple[np.n
 
 
 def surface_operator(params: Sequence[SpeciesParams], nn: int, dt: float) -> SurfaceOperator:
-    """The surface operator of the species on nn nodes with time step dt; a
-    dt that is not finite and > 0 (NaN included) or a constant that
-    ``species_errors`` rejects raises ValueError."""
+    """The surface operator of the species on nn nodes with time step dt;
+    nn below 3, a dt that is not finite and > 0 (NaN included) or a
+    constant that ``species_errors`` rejects raises ValueError."""
+    if nn < 3:
+        raise ValueError(f"surface grid nn = {nn} needs nn >= 3")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt = {dt} must be finite and > 0")
     if errors := species_errors(params):

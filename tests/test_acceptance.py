@@ -37,7 +37,7 @@ from graetzcat.cli_io import (
 from graetzcat.coupler import CouplerSettings, CouplingState, advance_step, run_simulation
 from graetzcat.fluid_march import march_fluid, march_operator, wall_flux_gradient
 from graetzcat.kinetics import KineticsModel, eval_rates, verify_hypotheses
-from graetzcat.model import Grid, InitialData, SpeciesParams
+from graetzcat.model import SpeciesParams
 from graetzcat.qualcheck import CHECK_TOL
 from graetzcat.wall_evolve import step_wall, surface_operator, surface_step
 
@@ -65,11 +65,10 @@ def test_c02_discrete_maximum_principle():
     worst = 0.0
     for _ in range(100):
         nr, nz = 24, 48
-        grid = Grid(nr=nr, nz=nz, dt=0.01, t_end=0.01)
         inlet = rng.uniform(0.3, 0.7, (1, nr + 1))
         wallv = rng.uniform(0.3, 0.7, (1, nz + 1))
         params = (SpeciesParams("s", float(rng.uniform(0.2, 3.0)), 1.0, 1.0, -1),)
-        field = march_fluid(wallv, InitialData(inlet, wallv), march_operator(params, grid))
+        field = march_fluid(wallv, inlet, march_operator(params, nr, nz))
         data_lo = min(inlet.min(), wallv.min())
         data_hi = max(inlet.max(), wallv.max())
         worst = max(worst, data_lo - field.values.min(), field.values.max() - data_hi)
@@ -159,16 +158,16 @@ def test_c07_uniqueness_probe(scenario):
     cfg, settings = scenario
     text = SCENARIO_CFG.read_text().replace("t_end = 60", "t_end = 2")
     cfg, settings = parse_config(text, SCENARIO_CFG.parent)
-    march_op = march_operator(cfg.species, cfg.grid)
+    march_op = march_operator(cfg.species, cfg.grid.nr, cfg.grid.nz)
     surface_op = surface_operator(cfg.species, cfg.grid.nz + 1, cfg.grid.dt)
     step_args = (march_op, surface_op, cfg.kinetics)
     state = CouplingState(0.0, cfg.initial.wall_init.copy(), ())
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
-        base = advance_step(state, cfg.initial, settings, *step_args)
+        base = advance_step(state, cfg.initial.inlet, settings, *step_args)
         guess = state.wall + rng.uniform(-0.5, 0.5, state.wall.shape)
-        probed = advance_step(state, cfg.initial, settings, *step_args, initial_guess=guess)
+        probed = advance_step(state, cfg.initial.inlet, settings, *step_args, initial_guess=guess)
         worst = max(worst, float(np.max(np.abs(base.wall - probed.wall))))
         state = base
     ok = worst <= 1e-8
@@ -262,10 +261,10 @@ def test_c09b_final_wall_is_the_discrete_steady_state(scenario_run):
     assert settings.flux_form == "gradient"
     grid, species = cfg.grid, cfg.species
     ns, nn = len(species), grid.nz + 1
-    op = march_operator(species, grid)
+    op = march_operator(species, grid.nr, grid.nz)
 
     def flux(wall, inlet):
-        return wall_flux_gradient(march_fluid(wall, InitialData(inlet, wall), op))
+        return wall_flux_gradient(march_fluid(wall, inlet, op))
 
     f0 = flux(np.zeros((ns, nn)), cfg.initial.inlet)
     g = np.empty((ns, nn, nn))

@@ -30,7 +30,7 @@ from graetzcat.cli_io import (
 )
 from graetzcat.coupler import CouplerSettings, run_simulation
 from graetzcat.kinetics import co_oxidation, linear_consumption, zero_model
-from graetzcat.model import FluidField, Grid
+from graetzcat.model import FluidField
 from graetzcat.qualcheck import NonnegReport
 
 from conftest import SCENARIO_CFG, constant_config, raised, station_major
@@ -237,11 +237,13 @@ class TestWriters:
         assert [z for _, z in rows] == [f"{k / 6:.9g}" for k in range(7) for _ in range(5)]
 
     def test_snapshot_csv_bytes_match_the_per_value_writer(self, tmp_path):
-        def per_value(field, grid, species_names, path):
-            r, z, v = grid.r, grid.z, field.values
+        def per_value(field, species_names, path):
+            v = field.values
+            nr, nz = v.shape[1] - 1, v.shape[2] - 1
+            r, z = np.linspace(0.0, 1.0, nr + 1), np.linspace(0.0, 1.0, nz + 1)
             lines = ["r,z," + ",".join(species_names)]
-            for k in range(grid.nz + 1):
-                for j in range(grid.nr + 1):
+            for k in range(nz + 1):
+                for j in range(nr + 1):
                     cells = [r[j], z[k]] + [v[i, j, k] for i in range(len(species_names))]
                     lines.append(",".join(f"{c:.9g}" for c in cells))
             path.write_text("\n".join(lines) + "\n")
@@ -250,11 +252,10 @@ class TestWriters:
         specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 123456789.5]
         # one species fewer than the field holds, and four species at nr = 64
         for nr, names in ((5, ("CO", "O2", "T")), (64, ("CO", "O2", "CO2", "T"))):
-            grid = Grid(nr=nr, nz=7, dt=0.1, t_end=0.1)
-            shape = (4, grid.nr + 1, grid.nz + 1)
+            shape = (4, nr + 1, 8)
             values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
             values.flat[rng.choice(values.size, len(specials), replace=False)] = specials
-            per_value(FluidField(values), grid, names, tmp_path / "old.csv")
+            per_value(FluidField(values), names, tmp_path / "old.csv")
             # r-major, and station-major as march_fluid stores the field
             for field in (FluidField(values), FluidField(station_major(values))):
                 write_snapshot_csv(field, names, tmp_path / "new.csv")
@@ -642,6 +643,28 @@ class TestCli:
             "WARNING graetzcat: dt = 0.05 exceeds the reaction stability guard "
             "0.5/lambda = 0.004; explicit reaction terms may destabilize the step"
         ]
+
+    def test_check_and_simulate_log_the_same_stability_guard(self, tmp_path):
+        # the shipped config at dt = 0.05 is past its guard 0.5/lambda; both
+        # commands compute lambda, and both log the guard once
+        text = SCENARIO_CFG.read_text().replace("dt = 0.02", "dt = 0.05")
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(text.replace("t_end = 60", "t_end = 0.1"))
+        src = str(Path(graetzcat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        guard = (
+            "WARNING graetzcat: dt = 0.05 exceeds the reaction stability guard "
+            "0.5/lambda = 0.0219264; explicit reaction terms may destabilize the step"
+        )
+        for args in (("check",), ("simulate", "--out", str(tmp_path / "o"))):
+            proc = subprocess.run(
+                [sys.executable, "-m", "graetzcat.cli_io", *args, "--config", str(cfg)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            assert proc.returncode == 4, proc.stderr  # H3 and the CO2 envelope fail
+            assert proc.stderr.splitlines().count(guard) == 1, proc.stderr
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert (

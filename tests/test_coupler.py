@@ -30,7 +30,10 @@ from conftest import constant_config, mirrored_d2
 
 def operators(cfg):
     grid = cfg.grid
-    return march_operator(cfg.species, grid), surface_operator(cfg.species, grid.nz + 1, grid.dt)
+    return (
+        march_operator(cfg.species, grid.nr, grid.nz),
+        surface_operator(cfg.species, grid.nz + 1, grid.dt),
+    )
 
 
 def initial_state(cfg):
@@ -39,12 +42,13 @@ def initial_state(cfg):
 
 def field_of(state, cfg):
     """The bulk field of a state: the march of its wall."""
-    return march_fluid(state.wall, cfg.initial, operators(cfg)[0]).values
+    return march_fluid(state.wall, cfg.initial.inlet, operators(cfg)[0]).values
 
 
 def advance(state, cfg, settings, **kwargs):
     """advance_step on operators built for cfg's species and grid."""
-    return advance_step(state, cfg.initial, settings, *operators(cfg), cfg.kinetics, **kwargs)
+    inlet = cfg.initial.inlet
+    return advance_step(state, inlet, settings, *operators(cfg), cfg.kinetics, **kwargs)
 
 
 def short_scenario(scenario, t_end, nr=32, nz=64, dt=0.02):
@@ -69,10 +73,10 @@ def copies(s, n):
     return tuple(dataclasses.replace(s, name=f"{s.name}_{j}") for j in range(n))
 
 
-def marched_flux(form, s, wall, inlet, grid):
+def marched_flux(form, s, wall, inlet):
     """The flux of each row of wall and inlet, each marched as species s."""
-    op = march_operator(copies(s, len(wall)), grid)
-    return flux_of(form, march_fluid(wall, InitialData(inlet, wall), op), op)
+    op = march_operator(copies(s, len(wall)), inlet.shape[1] - 1, wall.shape[1] - 1)
+    return flux_of(form, march_fluid(wall, inlet, op), op)
 
 
 def picard_matrix(s, grid, form):
@@ -87,7 +91,7 @@ def picard_matrix(s, grid, form):
     wall with zero reaction and diffusion.
     """
     nn = grid.nz + 1
-    g = marched_flux(form, s, np.eye(nn), np.zeros((nn, grid.nr + 1)), grid)
+    g = marched_flux(form, s, np.eye(nn), np.zeros((nn, grid.nr + 1)))
     zero = np.zeros((nn, nn))
     free = surface_step(zero, zero, surface_operator(copies(s, nn), nn, grid.dt))
     return step_wall(free, g).T  # row j of g is G's column j
@@ -199,7 +203,7 @@ class TestAdvanceStep:
         del calls[:]
         for _ in range(3):
             state = advance_step(
-                state, cfg.initial, CouplerSettings(), march_op, surface_op, cfg.kinetics
+                state, cfg.initial.inlet, CouplerSettings(), march_op, surface_op, cfg.kinetics
             )
         assert state.time == 3 * cfg.grid.dt
         assert calls == []
@@ -225,7 +229,7 @@ class TestAdvanceStep:
         diffs = []
         for nr, nz in ((32, 64), (64, 128)):
             grid = Grid(nr=nr, nz=nz, dt=0.01, t_end=0.01)
-            r = grid.r
+            r = np.linspace(0.0, 1.0, nr + 1)
             species = (SpeciesParams("c", 1.0, 1.0, 1.0, -1),)
             init = InitialData(
                 inlet=(1.0 - r * r)[None, :].copy(), wall_init=np.zeros((1, nz + 1))
@@ -315,7 +319,9 @@ class TestAffinePicardMap:
         state = initial_state(cfg)
         for k in range(1, grid.n_steps + 1):
             prev = state.wall
-            state = advance_step(state, cfg.initial, settings, march_op, surface_op, cfg.kinetics)
+            state = advance_step(
+                state, cfg.initial.inlet, settings, march_op, surface_op, cfg.kinetics
+            )
             r = state.residual_history
             # successive differences contract by q, up to 4 ulps of the
             # wall's largest entry in each difference
@@ -323,7 +329,7 @@ class TestAffinePicardMap:
             assert all(b <= q * a + 4.0 * ulp for a, b in zip(r, r[1:])), (k, r)
             # the exact fixed point (I - K)(w - prev) = a - prev, per species
             surface = surface_step(prev, eval_rates(cfg.kinetics, prev.T).T, surface_op)
-            field = march_fluid(prev, cfg.initial, march_op)
+            field = march_fluid(prev, cfg.initial.inlet, march_op)
             a = step_wall(surface, flux_of(form, field, march_op))
             exact = prev + np.stack(
                 [np.linalg.solve(np.eye(nn) - ki, d) for ki, d in zip(ks, a - prev)]
@@ -439,8 +445,8 @@ class TestRunSimulation:
             _, traj = run_simulation(cfg, CouplerSettings(flux_form=form))
 
             for i, s in enumerate(species):
-                g = marched_flux(form, s, np.eye(nn), np.zeros((nn, nr + 1)), grid).T
-                f0 = marched_flux(form, s, np.zeros((1, nn)), init.inlet[i : i + 1], grid)[0]
+                g = marched_flux(form, s, np.eye(nn), np.zeros((nn, nr + 1))).T
+                f0 = marched_flux(form, s, np.zeros((1, nn)), init.inlet[i : i + 1])[0]
                 a = s.gamma_s * g + k * np.eye(nn) - s.theta_s * mirrored_d2(nz)
                 w = np.linalg.solve(a, -s.gamma_s * f0)
                 assert np.abs(traj[-1].wall[i] - w).max() <= 2e-13 * np.abs(w).max(), (nr, i)
@@ -463,10 +469,10 @@ class TestRunSimulation:
         _, traj = run_simulation(cfg, settings)
         grid, species, nn = cfg.grid, cfg.species, nz + 1
         unit = np.eye(nn), np.zeros((nn, nr + 1))
-        g = np.stack([marched_flux("integral", s, *unit, grid).T for s in species])
+        g = np.stack([marched_flux("integral", s, *unit).T for s in species])
         f0 = np.concatenate(
             [
-                marched_flux("integral", s, np.zeros((1, nn)), cfg.initial.inlet[i : i + 1], grid)
+                marched_flux("integral", s, np.zeros((1, nn)), cfg.initial.inlet[i : i + 1])
                 for i, s in enumerate(species)
             ]
         )

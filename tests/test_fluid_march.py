@@ -19,7 +19,7 @@ from graetzcat.fluid_march import (
     wall_flux_gradient,
     wall_flux_integral,
 )
-from graetzcat.model import FluidField, Grid, InitialData, SpeciesParams
+from graetzcat.model import FluidField, SpeciesParams
 
 from conftest import station_major
 
@@ -48,21 +48,16 @@ def single(beta=1.0):
     return (SpeciesParams("c", beta, 1.0, 1.0, -1),)
 
 
-def unit_grid(nr, nz):
-    return Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
-
-
 def graetz(nr, nz, inlet=None, wall=None, beta=1.0):
-    grid = unit_grid(nr, nz)
+    """The march of one species, by default the unit-inlet, cold-wall one."""
     if inlet is None:
         inlet = np.ones((1, nr + 1))
     if wall is None:
         wall = np.zeros((1, nz + 1))
-    field = march_fluid(wall, InitialData(inlet, wall.copy()), march_operator(single(beta), grid))
-    return grid, field
+    return march_fluid(wall, inlet, march_operator(single(beta), nr, nz))
 
 
-def stencil(grid):
+def stencil(nr, nz):
     """The finite-volume pieces of the marching matrix over the nr interior
     nodes: (mass, k_diag, k_sup, face).
 
@@ -72,20 +67,20 @@ def stencil(grid):
     volume-scaled diffusion matrix K has k_diag on its diagonal and k_sup
     off it.
     """
-    nr, dr = grid.nr, grid.dr
-    r = grid.r[:nr]
+    dr, dz = 1.0 / nr, 1.0 / nz
+    r = np.linspace(0.0, 1.0, nr + 1)[:nr]
     vol = r * dr
     vol[0] = dr * dr / 8.0
     face = (np.arange(nr) + 0.5) * dr
     k_diag = np.empty(nr)
     k_diag[0] = face[0] / dr
     k_diag[1:] = (face[:-1] + face[1:]) / dr
-    return vol * ((1.0 - r * r) / grid.dz), k_diag, -face[:-1] / dr, face
+    return vol * ((1.0 - r * r) / dz), k_diag, -face[:-1] / dr, face
 
 
-def marching_matrix(grid, beta):
+def marching_matrix(nr, nz, beta):
     """(diagonal, superdiagonal) of the symmetric matrix mass + beta K."""
-    mass, k_diag, k_sup, _ = stencil(grid)
+    mass, k_diag, k_sup, _ = stencil(nr, nz)
     return mass + beta * k_diag, beta * k_sup
 
 
@@ -98,20 +93,22 @@ def m_matrix(diag, sup):
     return bool(np.all(sup <= 0.0) and np.all(diag > 0.0) and np.all(diag - off >= -1e-15 * diag))
 
 
-def reference_march(wall, inlet, betas, grid):
-    """The march as one LAPACK dptsv call per station and species.
+def reference_march(wall, inlet, betas):
+    """The march as one LAPACK dptsv call per station and species, on the
+    grid that the inlet (ns, nr + 1) and the wall (ns, nz + 1) fix.
 
     dptsv factors the species' stencil matrix afresh at every station
     (dpttrf) and solves with dpttrs, on the right-hand side of face
     differences: the face fluxes beta r_f (C_{i+1} - C_i) / dr, the axis
     face's flux being 0.
     """
-    nr, nz, dr = grid.nr, grid.nz, grid.dr
-    face = stencil(grid)[3]
+    nr, nz = inlet.shape[1] - 1, wall.shape[1] - 1
+    dr = 1.0 / nr
+    face = stencil(nr, nz)[3]
     values = np.empty((len(betas), nr + 1, nz + 1))
     values[:, :, 0] = inlet
     for i, beta in enumerate(betas):
-        diag, sup = marching_matrix(grid, beta)
+        diag, sup = marching_matrix(nr, nz, beta)
         for k in range(1, nz + 1):
             pad = np.append(values[i, :nr, k - 1], wall[i, k])
             flux = face * (beta / dr) * np.diff(pad)
@@ -123,17 +120,18 @@ def reference_march(wall, inlet, betas, grid):
     return values
 
 
-def extended_march(wall, inlet, beta, grid):
-    """The march of one species in extended precision, by Thomas elimination.
+def extended_march(wall, inlet, beta):
+    """The march of one species in extended precision, by Thomas elimination,
+    on the grid that its inlet (nr + 1) and wall (nz + 1) fix.
 
     An independent check of the float64 LDL^T station loop: the stencil's
     matrix and right-hand side, another elimination, and np.longdouble
     arithmetic, whose rounding is far below float64's where it has more
     bits than float64 (x86-64: 64-bit mantissa).
     """
-    nr, nz = grid.nr, grid.nz
-    diag, sup = (a.astype(np.longdouble) for a in marching_matrix(grid, beta))
-    face = stencil(grid)[3].astype(np.longdouble) * beta * nr
+    nr, nz = len(inlet) - 1, len(wall) - 1
+    diag, sup = (a.astype(np.longdouble) for a in marching_matrix(nr, nz, beta))
+    face = stencil(nr, nz)[3].astype(np.longdouble) * beta * nr
     # forward elimination of the (fixed) matrix, once
     piv, ratio = np.empty(nr, np.longdouble), np.empty(nr - 1, np.longdouble)
     piv[0] = diag[0]
@@ -169,7 +167,7 @@ def graetz_modes(nr):
     so lambda_0^2 is taken as the Rayleigh quotient of its mode, with K
     applied in face-difference form.
     """
-    mass, k_diag, k_sup, face = stencil(unit_grid(nr, 1))
+    mass, k_diag, k_sup, face = stencil(nr, 1)
     s = 1.0 / np.sqrt(mass)
     mu, v = eigh_tridiagonal(
         k_diag * s * s, k_sup * s[:-1] * s[1:], select="i", select_range=(0, 1)
@@ -183,9 +181,10 @@ def species_of(betas):
     return tuple(SpeciesParams(f"s{i}", b, 1.0, 1.0, -1) for i, b in enumerate(betas))
 
 
-def march(betas, grid, inlet, wall, op=None):
-    op = op or march_operator(species_of(betas), grid)
-    return march_fluid(wall, InitialData(inlet, wall.copy()), op)
+def march(betas, inlet, wall, op=None):
+    """The march of the species from inlet (ns, nr + 1) against wall (ns, nz + 1)."""
+    op = op or march_operator(species_of(betas), inlet.shape[1] - 1, wall.shape[1] - 1)
+    return march_fluid(wall, inlet, op)
 
 
 def scaled_data(rng, ns, nr, nz, lo=-1.0):
@@ -201,10 +200,10 @@ def assert_near(values, want, inlet, wall, rel):
     assert np.all(err <= rel * data), err / data
 
 
-def station_operator(betas, grid):
+def station_operator(betas, nr, nz):
     """The march operator with every species on the station path, whatever nr is."""
     with mock.patch.object(fluid_march, "BLOCK_MAX_NR", 0):
-        return march_operator(species_of(betas), grid)
+        return march_operator(species_of(betas), nr, nz)
 
 
 class TestRadialOperator:
@@ -214,10 +213,10 @@ class TestRadialOperator:
     @pytest.mark.parametrize("beta", [0.3, 1.0, 4.7, 1e-6, 1e8])
     @pytest.mark.parametrize("nr,nz", [(8, 8), (32, 64), (100, 16), (1024, 64), (1024, 8192)])
     def test_m_matrix_structure(self, beta, nr, nz):
-        assert m_matrix(*marching_matrix(unit_grid(nr, nz), beta))
+        assert m_matrix(*marching_matrix(nr, nz, beta))
 
     def test_m_matrix_witness_can_fail(self):
-        diag, sup = marching_matrix(unit_grid(10, 8), 1.0)
+        diag, sup = marching_matrix(10, 8, 1.0)
         # a positive off-diagonal of the same size: every row stays dominant
         flipped = sup.copy()
         flipped[4] = -flipped[4]
@@ -228,27 +227,26 @@ class TestRadialOperator:
         assert not m_matrix(low, sup)
 
     def test_axis_row_symmetry_closure(self):
-        grid = unit_grid(10, 8)
-        diag, sup = marching_matrix(grid, 2.0)
+        dr, dz = 1.0 / 10, 1.0 / 8
+        diag, sup = marching_matrix(10, 8, 2.0)
         # the axis cell, volume dr^2/8, with conv + 4 beta (C_0 - C_1)/dr^2
-        assert diag[0] == pytest.approx(grid.dr**2 / 8.0 * (1.0 / grid.dz + 4.0 * 2.0 / grid.dr**2))
+        assert diag[0] == pytest.approx(dr**2 / 8.0 * (1.0 / dz + 4.0 * 2.0 / dr**2))
         assert sup[0] == pytest.approx(-2.0 / 2.0)
 
     @pytest.mark.kernel
     def test_rejects_nonpositive_beta(self):
         for beta in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
-                RadialOperator.build(unit_grid(8, 8), (1.0, beta))
+                RadialOperator.build(8, 8, (1.0, beta))
 
 
 class TestMarchFluid:
     def test_constants_are_exact_fixed_points(self):
         nr, nz = 16, 24
-        grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
         c = np.array([0.37, 500.0])
         params = (SpeciesParams("a", 1.0, 1, 1, -1), SpeciesParams("b", 2.5, 1, 1, 1))
-        init = InitialData(np.tile(c[:, None], (1, nr + 1)), np.tile(c[:, None], (1, nz + 1)))
-        field = march_fluid(init.wall_init, init, march_operator(params, grid))
+        inlet, wall = np.tile(c[:, None], (1, nr + 1)), np.tile(c[:, None], (1, nz + 1))
+        field = march_fluid(wall, inlet, march_operator(params, nr, nz))
         assert np.array_equal(field.values, np.tile(c[:, None, None], (1, nr + 1, nz + 1)))
 
     def test_trace_and_inlet_are_bitwise(self):
@@ -257,7 +255,7 @@ class TestMarchFluid:
         for nr in (12, BLOCK_MAX_NR + 1):  # both paths
             inlet = rng.uniform(0.0, 1.0, (1, nr + 1))
             wall = rng.uniform(0.0, 1.0, (1, nz + 1))
-            field = march((1.0,), unit_grid(nr, nz), inlet, wall)
+            field = march((1.0,), inlet, wall)
             assert np.array_equal(field.values[:, nr, :], wall)
             # the inlet column is exact away from the corner, which the trace owns
             assert np.array_equal(field.values[:, :nr, 0], inlet[:, :nr])
@@ -268,7 +266,7 @@ class TestMarchFluid:
             nr, nz = 16, 32
             inlet = rng.uniform(0.3, 0.7, (1, nr + 1))
             wall = rng.uniform(0.3, 0.7, (1, nz + 1))
-            _, field = graetz(nr, nz, inlet, wall, beta=float(rng.uniform(0.2, 3.0)))
+            field = graetz(nr, nz, inlet, wall, beta=float(rng.uniform(0.2, 3.0)))
             lo = min(inlet.min(), wall.min())
             hi = max(inlet.max(), wall.max())
             assert field.values.min() >= lo - 1e-10
@@ -276,8 +274,8 @@ class TestMarchFluid:
 
     def test_centerline_against_fine_reference(self):
         # modest version of the refinement oracle (the full one is acceptance)
-        fine = graetz(512, 1024)[1].values[0, 0, -1]
-        coarse = graetz(64, 128)[1].values[0, 0, -1]
+        fine = graetz(512, 1024).values[0, 0, -1]
+        coarse = graetz(64, 128).values[0, 0, -1]
         assert abs(coarse - fine) < 1e-3
 
     def test_species_batching_matches_single_solves(self):
@@ -287,14 +285,13 @@ class TestMarchFluid:
         batches = [(1.7,) * g for g in range(1, 5)] + [(1.7, 0.9, 1.7, 2.3)]
         for nr in (10, BLOCK_MAX_NR + 1):
             for nz in (BLOCK - 2, 3 * BLOCK + 5):
-                grid = unit_grid(nr, nz)
                 for betas in batches:
                     g = len(betas)
                     inlet = rng.uniform(0.0, 1.0, (g, nr + 1))
                     wall = rng.uniform(0.0, 1.0, (g, nz + 1))
-                    batched = march(betas, grid, inlet, wall)
+                    batched = march(betas, inlet, wall)
                     for i in range(g):
-                        solo = march(betas[i : i + 1], grid, inlet[i : i + 1], wall[i : i + 1])
+                        solo = march(betas[i : i + 1], inlet[i : i + 1], wall[i : i + 1])
                         assert np.array_equal(batched.values[i], solo.values[0]), (nr, nz, betas, i)
 
     @pytest.mark.parametrize(
@@ -313,20 +310,18 @@ class TestMarchFluid:
         # station with it; dptsv factors it afresh, so bitwise equality says
         # the engine marches the stencil's matrix on the stencil's fluxes
         rng = np.random.default_rng(nr * nz + len(betas))
-        grid = Grid(nr=nr, nz=nz, dt=0.1, t_end=1.0)
         inlet, wall = scaled_data(rng, len(betas), nr, nz, lo=0.0)
-        values = march(betas, grid, inlet, wall).values
-        assert np.array_equal(values, reference_march(wall, inlet, betas, grid))
+        values = march(betas, inlet, wall).values
+        assert np.array_equal(values, reference_march(wall, inlet, betas))
 
     @pytest.mark.parametrize("nz", [2 * BLOCK + 3, *KERNEL_STATION_COUNTS])
     def test_large_radial_grids_take_the_station_path(self, nz):
         rng = np.random.default_rng(6)
         betas = (1.0, 2.0, 1.0)
         nr = BLOCK_MAX_NR + 1
-        grid = Grid(nr=nr, nz=nz, dt=0.1, t_end=1.0)
-        inlet, wall = rng.uniform(0.0, 1.0, (3, nr + 1)), rng.uniform(0.0, 1.0, (3, grid.nz + 1))
-        field = march(betas, grid, inlet, wall)
-        assert np.array_equal(field.values, reference_march(wall, inlet, betas, grid))
+        inlet, wall = rng.uniform(0.0, 1.0, (3, nr + 1)), rng.uniform(0.0, 1.0, (3, nz + 1))
+        field = march(betas, inlet, wall)
+        assert np.array_equal(field.values, reference_march(wall, inlet, betas))
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than float64 here"
@@ -335,12 +330,11 @@ class TestMarchFluid:
     def test_station_path_matches_an_extended_precision_march(self, nr, nz):
         rng = np.random.default_rng(nr)
         betas = (0.05, 1.0, 20.0)
-        grid = Grid(nr=nr, nz=nz, dt=0.1, t_end=1.0)
         inlet, wall = scaled_data(rng, len(betas), nr, nz)
-        values = march(betas, grid, inlet, wall).values
+        values = march(betas, inlet, wall).values
         for i, beta in enumerate(betas):
             one = slice(i, i + 1)
-            want = extended_march(wall[i], inlet[i], beta, grid)[None]
+            want = extended_march(wall[i], inlet[i], beta)[None]
             assert_near(values[one], want, inlet[one], wall[one], 1e-12)
 
     @pytest.mark.parametrize("nr", [32, BLOCK_MAX_NR])
@@ -349,39 +343,28 @@ class TestMarchFluid:
         # each carry taken from the one before: errors would accumulate down
         # the march
         rng = np.random.default_rng(nr)
-        grid = Grid(nr=nr, nz=1024, dt=1.0, t_end=1.0)
         for betas in ((0.3, 0.3, 2.5), (0.8, 1.0, 1.25, 2.0)):
-            inlet, wall = scaled_data(rng, len(betas), nr, grid.nz)
-            values = march(betas, grid, inlet, wall).values
-            assert_near(values, reference_march(wall, inlet, betas, grid), inlet, wall, 1e-13)
-
-    def test_march_does_not_depend_on_the_time_grid(self):
-        rng = np.random.default_rng(7)
-        betas = (1.2, 1.2, 3.4)
-        for nr in (12, BLOCK_MAX_NR + 1):  # both paths
-            inlet, wall = rng.uniform(0.0, 1.0, (3, nr + 1)), rng.uniform(0.0, 1.0, (3, 21))
-            fields = [
-                march(betas, Grid(nr=nr, nz=20, dt=dt, t_end=t_end), inlet, wall).values
-                for dt, t_end in ((0.1, 1.0), (0.25, 2.0))
-            ]
-            assert np.array_equal(*fields), nr
+            inlet, wall = scaled_data(rng, len(betas), nr, 1024)
+            values = march(betas, inlet, wall).values
+            assert_near(values, reference_march(wall, inlet, betas), inlet, wall, 1e-13)
 
     def test_shape_mismatch_rejected(self):
-        op = march_operator(single(), Grid(nr=8, nz=8, dt=1.0, t_end=1.0))
-        with pytest.raises(ValueError):
-            march_fluid(np.zeros((1, 5)), InitialData(np.ones((1, 9)), np.zeros((1, 9))), op)
+        op = march_operator(single(), 8, 8)
+        with pytest.raises(ValueError, match="wall shape"):
+            march_fluid(np.zeros((1, 5)), np.ones((1, 9)), op)
+        with pytest.raises(ValueError, match="inlet shape"):
+            march_fluid(np.zeros((1, 9)), np.ones((1, 5)), op)
 
     def test_operator_of_another_grid_or_species_count_rejected(self):
-        grid = unit_grid(8, 8)
-        field = march((1.0,), grid, np.ones((1, 9)), np.zeros((1, 9)))
-        init = InitialData(np.ones((1, 9)), np.zeros((1, 9)))
+        inlet, wall = np.ones((1, 9)), np.zeros((1, 9))
+        field = march((1.0,), inlet, wall)
         for op in (
-            march_operator(species_of((1.0, 1.0)), grid),
-            march_operator(single(), unit_grid(8, 12)),
-            march_operator(single(), unit_grid(10, 8)),
+            march_operator(species_of((1.0, 1.0)), 8, 8),
+            march_operator(single(), 8, 12),
+            march_operator(single(), 10, 8),
         ):
             with pytest.raises(ValueError, match="shape"):
-                march_fluid(init.wall_init, init, op)
+                march_fluid(wall, inlet, op)
             with pytest.raises(ValueError, match="shape"):
                 wall_flux_integral(field, op)
 
@@ -391,7 +374,7 @@ class TestMarchFluid:
         rng = np.random.default_rng(nr)
         nz = 2 * BLOCK + 3
         inlet, wall = rng.uniform(0.0, 1.0, (2, nr + 1)), rng.uniform(0.0, 1.0, (2, nz + 1))
-        values = march((0.5, 2.0), unit_grid(nr, nz), inlet, wall).values
+        values = march((0.5, 2.0), inlet, wall).values
         assert values.shape == (2, nr + 1, nz + 1)
         assert values.strides[1] == values.itemsize  # a station's nodes are contiguous
         assert values.strides[2] == (nr + 1) * values.itemsize
@@ -411,10 +394,9 @@ class TestMarchFluid:
     )
     def test_matches_reference_march_bitwise(self, betas, nr, nz):
         rng = np.random.default_rng(nr * nz + len(betas))
-        grid = Grid(nr=nr, nz=nz, dt=0.1, t_end=1.0)
         inlet, wall = scaled_data(rng, len(betas), nr, nz, lo=0.0)
-        values = march(betas, grid, inlet, wall, station_operator(betas, grid)).values
-        assert np.array_equal(values, reference_march(wall, inlet, betas, grid))
+        values = march(betas, inlet, wall, station_operator(betas, nr, nz)).values
+        assert np.array_equal(values, reference_march(wall, inlet, betas))
 
     @pytest.mark.kernel
     def test_matches_reference_march_on_small_radial_grids(self):
@@ -423,15 +405,14 @@ class TestMarchFluid:
         rng = np.random.default_rng(5)
         betas = (1.0, 2.0, 1.0)
         for nr in range(4, 20):
-            grid = Grid(nr=nr, nz=5, dt=0.1, t_end=1.0)
             inlet, wall = rng.uniform(0.0, 1.0, (3, nr + 1)), rng.uniform(0.0, 1.0, (3, 6))
-            values = march(betas, grid, inlet, wall, station_operator(betas, grid)).values
-            assert np.array_equal(values, reference_march(wall, inlet, betas, grid)), nr
+            values = march(betas, inlet, wall, station_operator(betas, nr, 5)).values
+            assert np.array_equal(values, reference_march(wall, inlet, betas)), nr
 
     @pytest.mark.kernel
     @pytest.mark.parametrize("nr,nz,beta", [(4, 4, 1.0), (12, 40, 0.3), (BLOCK_MAX_NR, 64, 2.5)])
     def test_impulse_block_is_the_station_march_of_its_impulses(self, nr, nz, beta):
-        op = RadialOperator.build(unit_grid(nr, nz), (beta,))  # stations at the nz grid's dz
+        op = RadialOperator.build(nr, nz, (beta,))  # stations at the nz grid's dz
         for b in (BLOCK, BLOCK // 2):  # both block sizes the march takes
             qt = impulse_block(nr, nz, beta, b)
             assert qt.shape == (nr + b, b * nr)
@@ -451,10 +432,8 @@ class TestMarchFluid:
                 assert np.array_equal(qt[nr + m].reshape(b, nr), want), (b, m)
             # causal: a drop into station m + 1 leaves the stations before it at 0
             assert np.all(qt[nr:].reshape(b, b, nr)[np.tril_indices(b, -1)] == 0.0)
-        # the kernel folded from it is built once per (nr, nz, betas), whatever the time grid
-        ops = [
-            march_operator(single(beta), Grid(nr=nr, nz=nz, dt=dt, t_end=1.0)) for dt in (0.1, 0.25)
-        ]
+        # the kernel folded from it is built once per (nr, nz, betas)
+        ops = [march_operator(single(beta), nr, nz) for _ in range(2)]
         assert ops[1].kernel is ops[0].kernel
 
     @pytest.mark.kernel
@@ -478,7 +457,7 @@ class TestMarchFluid:
         dpttrf = fluid_march.dpttrf
         monkeypatch.setattr(fluid_march, "dpttrf", lambda *a: factored.append(a) or dpttrf(*a))
         nr = BLOCK_MAX_NR + 1
-        op = march_operator(params, Grid(nr=nr, nz=20, dt=0.1, t_end=1.0))
+        op = march_operator(params, nr, 20)
         assert len(factored) == 1
         solver = op.kernel
         assert isinstance(solver, RadialOperator) and op.block == 1
@@ -486,18 +465,18 @@ class TestMarchFluid:
         assert solver.d.shape == (3 * nr,) and solver.e.shape == (3 * nr - 1,)
         assert np.all(solver.e[nr - 1 :: nr] == 0.0)
         # each species' block of the factor is that species' factor alone
-        alone = RadialOperator.build(unit_grid(nr, 20), (3.4,))
+        alone = RadialOperator.build(nr, 20, (3.4,))
         assert np.array_equal(solver.d[nr : 2 * nr], alone.d)
         assert np.array_equal(solver.e[nr : 2 * nr - 1], alone.e)
         assert np.array_equal(solver.face[1], alone.face[0])
         # the block path: one kernel over every species, its carries the last
         # station of each beta's impulse block; the kernel is kept for the
-        # process and built once per (nr, nz, betas), whatever the time grid.
-        # Two distinct betas at nr = 64 would take 1.3 MB at BLOCK, so B halves
+        # process and built once per (nr, nz, betas).  Two distinct betas at
+        # nr = 64 would take 1.3 MB at BLOCK, so B halves
         fluid_march._block_kernel.cache_clear()
         for nr, nz, b in ((12, 20, BLOCK), (BLOCK_MAX_NR, 64, BLOCK // 2)):
-            for dt in (0.1, 0.25):
-                op = march_operator(params, Grid(nr=nr, nz=nz, dt=dt, t_end=1.0))
+            for _ in range(2):
+                op = march_operator(params, nr, nz)
                 assert isinstance(op.kernel, BlockKernel) and op.block == b
                 for i, beta in enumerate((1.2, 3.4, 1.2)):
                     qt = impulse_block(nr, nz, beta, b)
@@ -519,7 +498,7 @@ class TestMarchFluid:
         rng = np.random.default_rng(nz)
         betas = (1.0, 2.0, 1.0, 0.5)
         inlet, wall = rng.uniform(0.0, 1.0, (4, nr + 1)), rng.uniform(0.0, 1.0, (4, nz + 1))
-        march(betas, unit_grid(nr, nz), inlet, wall)
+        march(betas, inlet, wall)
         assert calls == [(4 * nr,)] * nz
 
     @pytest.mark.kernel
@@ -551,7 +530,23 @@ class TestMarchOperator:
         # and to raise a misleading maximum-principle error on the block path
         params = single() + (SpeciesParams("bad", beta, 1.0, 1.0, -1),)
         with pytest.raises(ValueError, match="species.bad.beta_f"):
-            march_operator(params, unit_grid(nr, 8))
+            march_operator(params, nr, 8)
+
+    def test_sizes_it_cannot_build_rejected(self):
+        # nr or nz = 0 used to raise ZeroDivisionError and a negative size
+        # to fail in numpy; each is now a ValueError that names it
+        for nr, nz in ((0, 8), (8, 0), (0, 0), (-1, 8), (8, -3)):
+            with pytest.raises(ValueError, match=rf"nr = {nr}, nz = {nz} needs nr >= 1 and "):
+                march_operator(single(), nr, nz)
+        # nr = 1 marches on either path (beta = 300 at nz = 1 is past
+        # DIFFUSION_MAX: the station path on a 1x1 system).  Its one interior
+        # node, volume 1/8 and face 1/2, falls by nz / (nz + 4 beta) per
+        # station under a cold wall
+        for beta, nz in ((1.0, 1), (1.0, 3), (300.0, 1)):
+            op = march_operator(single(beta), 1, nz)
+            assert isinstance(op.kernel, RadialOperator) == (beta / nz > DIFFUSION_MAX)
+            axis = march_fluid(np.zeros((1, nz + 1)), np.ones((1, 2)), op).values[0, 0]
+            assert axis == pytest.approx((nz / (nz + 4.0 * beta)) ** np.arange(nz + 1), rel=1e-14)
 
     @pytest.mark.kernel
     def test_kernels_follow_the_path(self):
@@ -564,7 +559,7 @@ class TestMarchOperator:
             (BLOCK_MAX_NR, 31, RadialOperator),
             (BLOCK_MAX_NR + 1, 1024, RadialOperator),
         ):
-            op = march_operator(params, unit_grid(nr, nz))
+            op = march_operator(params, nr, nz)
             assert isinstance(op, MarchOperator) and (op.nr, op.nz) == (nr, nz)
             assert isinstance(op.kernel, kind), (nr, nz)
         assert 2.0 * BLOCK_MAX_NR**2 / 32 == DIFFUSION_MAX
@@ -577,11 +572,10 @@ class TestMarchOperator:
             ((1.0,), 64, 128),
             ((1.0,), 64, 8192),
         ):
-            op = march_operator(species_of(betas), unit_grid(nr, nz))
+            op = march_operator(species_of(betas), nr, nz)
             assert isinstance(op.kernel, BlockKernel), (betas, nr, nz)
         # the block march's worst draw, at a diffusion number of 13,230
-        assert isinstance(march_operator(species_of((0.05, 20.0)), unit_grid(63, 6)).kernel,
-                          RadialOperator)
+        assert isinstance(march_operator(species_of((0.05, 20.0)), 63, 6).kernel, RadialOperator)
 
     @pytest.mark.kernel
     @pytest.mark.parametrize(
@@ -596,7 +590,7 @@ class TestMarchOperator:
     def test_block_size_follows_the_kernel_bytes(self, betas, nr, nz, block):
         distinct = len(set(betas)) * (nr + BLOCK) * BLOCK * nr * 8
         assert (distinct > KERNEL_BYTES) == (block < BLOCK)
-        kernel = march_operator(species_of(betas), unit_grid(nr, nz)).kernel
+        kernel = march_operator(species_of(betas), nr, nz).kernel
         assert kernel.block == block
         assert kernel.carry.shape == (len(betas), nr + block, nr)
         assert kernel.out.shape == (len(betas), nr + block + 1, block * (nr + 1))
@@ -611,13 +605,12 @@ class TestMarchOperator:
             fluid_march, "_march_blocks", lambda *a: calls.append(a[2].out.shape) or blocks(*a)
         )
         nr, nz = 16, 40
-        grid = unit_grid(nr, nz)
         rng = np.random.default_rng(8)
         inlet, wall = rng.uniform(0.0, 1.0, (4, nr + 1)), rng.uniform(0.0, 1.0, (4, nz + 1))
-        march((0.8, 1.0, 1.25, 2.0), grid, inlet, wall)
+        march((0.8, 1.0, 1.25, 2.0), inlet, wall)
         assert calls == [(4, nr + BLOCK + 1, BLOCK * (nr + 1))]
         for betas in ((0.8, 1.0, 1.25, 2.0), (1.5,) * 4):
-            kernel = march_operator(species_of(betas), grid).kernel
+            kernel = march_operator(species_of(betas), nr, nz).kernel
             for arr in (kernel.carry, kernel.out):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -629,7 +622,7 @@ class TestMarchOperator:
         assert np.array_equal(kernel.carry[0], qt[:, -nr:])
         assert np.all(qt >= 0.0)
         # a second operator on the same grid and betas shares the first one's kernel
-        again = march_operator(species_of((1.5,) * 4), grid).kernel
+        again = march_operator(species_of((1.5,) * 4), nr, nz).kernel
         assert again is kernel
 
     @pytest.mark.kernel
@@ -644,7 +637,7 @@ class TestMarchOperator:
         fluid_march._block_kernel.cache_clear()  # so the build runs under the tracer
         tracemalloc.start()
         try:
-            kernel = march_operator(species_of(betas), unit_grid(nr, nz)).kernel
+            kernel = march_operator(species_of(betas), nr, nz).kernel
             held, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             impulse_block(nr, nz, betas[0], kernel.block)
@@ -676,7 +669,7 @@ class TestGraetzOracle:
         exact = graetz_modes(4000)[1][0]
 
         def error(nr, nz):
-            return graetz(nr, nz)[1].values[0, 0, -1] / exact - 1.0
+            return graetz(nr, nz).values[0, 0, -1] / exact - 1.0
 
         assert error(32, 64) == pytest.approx(0.4811, abs=5e-5)
         assert error(32, 1024) == pytest.approx(0.0312, abs=5e-5)
@@ -685,7 +678,7 @@ class TestGraetzOracle:
             assert error(nr, nz) == pytest.approx(model, rel=0.02), (nr, nz)
 
 
-def uniformized_propagator(grid, beta):
+def uniformized_propagator(nr, nz, beta):
     """(dz A, E, psi, s, m): the stencil's station step exact in z, by
     uniformization (Moler & Van Loan, SIAM Review 45, 2003).
 
@@ -700,14 +693,14 @@ def uniformized_propagator(grid, beta):
     The series stops at its m-th term, the first whose entries are all at
     most 2^-60.
     """
-    mass, k_diag, k_sup, _ = stencil(grid)  # mass carries the 1 / dz
-    n = grid.nr
+    mass, k_diag, k_sup, _ = stencil(nr, nz)  # mass carries the 1 / dz
+    n = nr
     i = np.arange(n)
     h = np.zeros((n + 1, n + 1))
     h[i, i] = -beta * k_diag / mass
     h[i[:-1], i[1:]] = -beta * k_sup / mass[:-1]
     h[i[1:], i[:-1]] = -beta * k_sup / mass[1:]
-    h[:n, n] = grid.dz
+    h[:n, n] = 1.0 / nz
     c = -h.diagonal().min()
     s = max(0, math.ceil(math.log2(2.0 * c)))
     x = (h + c * np.eye(n + 1)) / 2.0**s
@@ -720,7 +713,7 @@ def uniformized_propagator(grid, beta):
     t *= math.exp(-c / 2.0**s)
     for _ in range(s):
         t = t @ t
-    return h[:n, :n], t[:n, :n], t[:n, n] / grid.dz, s, m
+    return h[:n, :n], t[:n, :n], t[:n, n] / (1.0 / nz), s, m
 
 
 class TestUniformizedPropagator:
@@ -737,7 +730,7 @@ class TestUniformizedPropagator:
         # backward Euler errs by +48.11 % at 32x64 and +0.45 % at 64x8192;
         # what is left is the 4.94 dr^2 term of the march's error model
         exact = graetz_modes(4000)[1][0]
-        _, e, _, _, _ = uniformized_propagator(unit_grid(nr, nz), 1.0)
+        _, e, _, _, _ = uniformized_propagator(nr, nz, 1.0)
         assert e.min() == pytest.approx(min_e, rel=1e-4)
         d = np.ones(nr)  # unit inlet, cold wall: the wall never moves
         for _ in range(nz):
@@ -750,7 +743,7 @@ class TestUniformizedPropagator:
         # the M-matrix test's grids with nr <= 100 (128x8192 is checked
         # below); its nr = 1024 grids take 24-52 dense 1025x1025 squarings
         # per beta, about 19 s for the ten on a 2-core host
-        _, e, psi, _, _ = uniformized_propagator(unit_grid(nr, nz), beta)
+        _, e, psi, _, _ = uniformized_propagator(nr, nz, beta)
         assert np.all(e >= 0.0) and np.all(psi >= 0.0)
 
     @pytest.mark.parametrize("nr, nz", [(32, 64), (32, 1024), (64, 8192), (128, 8192)])
@@ -759,7 +752,7 @@ class TestUniformizedPropagator:
         # matrix dz A with nonpositive row sums; rounding leaves the computed
         # dz A's row sums up to `excess` above 0 (about u c), and E 1 reaches
         # 1 + 1.15e-14 at 32x1024 and 1 + 2.55e-14 at 64x8192
-        ha, e, psi, s, m = uniformized_propagator(unit_grid(nr, nz), 1.0)
+        ha, e, psi, s, m = uniformized_propagator(nr, nz, 1.0)
         u = 2.0**-53
         excess = max(0.0, max(math.fsum(row) for row in ha))
         # first-order relative rounding of every computed entry: the series
@@ -777,7 +770,7 @@ class TestUniformizedPropagator:
         assert np.all(gap <= 3.0 * delta * (np.abs(ha) @ psi + e1 + 1.0))
 
     def test_constant_data_stays_a_bitwise_fixed_point(self):
-        _, e, psi, _, _ = uniformized_propagator(unit_grid(32, 64), 1.0)
+        _, e, psi, _, _ = uniformized_propagator(32, 64, 1.0)
         c = 0.37
         wall = np.full(65, c)
         d = np.full(32, c) - wall[0]
@@ -801,7 +794,7 @@ def assert_in_data_envelope(nr, nz, betas, seed):
     width = rng.uniform(1e-3, 10.0, (ns, 1))
     inlet = lo + width * rng.uniform(0.0, 1.0, (ns, nr + 1))
     wall = lo + width * rng.uniform(0.0, 1.0, (ns, nz + 1))
-    values = march(betas, Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), inlet, wall).values
+    values = march(betas, inlet, wall).values
     data = np.concatenate([inlet, wall], axis=1)
     slack = 1e-12 * np.abs(data).max(axis=1)
     assert np.all(values.min(axis=(1, 2)) >= data.min(axis=1) - slack)
@@ -810,7 +803,7 @@ def assert_in_data_envelope(nr, nz, betas, seed):
 
 def assert_constant_fixed_point(nr, nz, betas, seed):
     c = np.random.default_rng(seed).uniform(-1e3, 1e3, (len(betas), 1))
-    field = march(betas, Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0), np.tile(c, nr + 1), np.tile(c, nz + 1))
+    field = march(betas, np.tile(c, nr + 1), np.tile(c, nz + 1))
     assert np.array_equal(field.values, np.broadcast_to(c[:, :, None], field.values.shape))
 
 
@@ -837,9 +830,8 @@ def test_station_march_stays_in_the_data_envelope(nr, nz, betas, seed):
 @example(63, 6, [0.05, 20.0], 1)
 def test_block_march_matches_reference_march(nr, nz, betas, seed):
     inlet, wall = scaled_data(np.random.default_rng(seed), len(betas), nr, nz)
-    grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
-    values = march(betas, grid, inlet, wall).values
-    assert_near(values, reference_march(wall, inlet, betas, grid), inlet, wall, 1e-13)
+    values = march(betas, inlet, wall).values
+    assert_near(values, reference_march(wall, inlet, betas), inlet, wall, 1e-13)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -857,17 +849,16 @@ def test_folded_block_march(nr, betas, nz, seed):
     # whatever the other species' data (alone it may march another block
     # size, so it is compared in the batch); constant data kept exactly
     ns = len(betas)
-    grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
     rng = np.random.default_rng(seed)
     inlet, wall = scaled_data(rng, ns, nr, nz)
-    values = march(betas, grid, inlet, wall).values
-    assert_near(values, reference_march(wall, inlet, betas, grid), inlet, wall, 1e-13)
+    values = march(betas, inlet, wall).values
+    assert_near(values, reference_march(wall, inlet, betas), inlet, wall, 1e-13)
     for i in range(ns):
         other_inlet, other_wall = scaled_data(rng, ns, nr, nz)
         other_inlet[i], other_wall[i] = inlet[i], wall[i]
-        assert np.array_equal(march(betas, grid, other_inlet, other_wall).values[i], values[i]), i
+        assert np.array_equal(march(betas, other_inlet, other_wall).values[i], values[i]), i
     c = rng.uniform(-1e3, 1e3, (ns, 1))
-    constant = march(betas, grid, np.tile(c, nr + 1), np.tile(c, nz + 1)).values
+    constant = march(betas, np.tile(c, nr + 1), np.tile(c, nz + 1)).values
     assert np.array_equal(constant, np.broadcast_to(c[:, :, None], constant.shape))
 
 
@@ -895,17 +886,16 @@ def test_station_march_keeps_constant_data_exactly(nr, nz, betas, seed):
 def test_station_march_matches_per_species_reference(nr, nz, betas, seed):
     # one factor over every species, zero between them: each species is
     # bitwise its own march, whatever its neighbours
-    grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
     inlet, wall = scaled_data(np.random.default_rng(seed), len(betas), nr, nz)
-    values = march(betas, grid, inlet, wall).values
-    assert np.array_equal(values, reference_march(wall, inlet, betas, grid))
+    values = march(betas, inlet, wall).values
+    assert np.array_equal(values, reference_march(wall, inlet, betas))
 
 
 class TestWallFluxGradient:
     def test_exact_for_radial_quadratics(self):
         nr, nz = 16, 8
-        grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
-        vals = np.broadcast_to(grid.r[None, :, None] ** 2, (1, nr + 1, nz + 1)).copy()
+        r = np.linspace(0.0, 1.0, nr + 1)
+        vals = np.broadcast_to(r[None, :, None] ** 2, (1, nr + 1, nz + 1)).copy()
         flux = wall_flux_gradient(FluidField(vals))
         assert np.allclose(flux, 2.0, atol=1e-13)
 
@@ -916,8 +906,8 @@ class TestWallFluxGradient:
     def test_second_order_on_cubic(self):
         errs = []
         for nr in (64, 128):
-            grid = Grid(nr=nr, nz=4, dt=1.0, t_end=1.0)
-            vals = np.broadcast_to(grid.r[None, :, None] ** 3, (1, nr + 1, 5)).copy()
+            r = np.linspace(0.0, 1.0, nr + 1)
+            vals = np.broadcast_to(r[None, :, None] ** 3, (1, nr + 1, 5)).copy()
             flux = wall_flux_gradient(FluidField(vals))
             errs.append(abs(flux[0, 0] - 3.0))
         assert errs[0] < 1e-3
@@ -931,7 +921,7 @@ class TestWallFluxGradient:
     def test_spacing_comes_from_the_field(self):
         # the field's shape fixes dr: a 64x16 field gives the one-sided
         # stencil on its nodes 62-64 at dr = 1/64
-        _, field = graetz(64, 16)
+        field = graetz(64, 16)
         v = field.values[0]
         d1, d2 = v[64] - v[63], v[63] - v[62]
         assert np.array_equal(wall_flux_gradient(field)[0], (3.0 * d1 - d2) / (2.0 * (1.0 / 64)))
@@ -946,23 +936,22 @@ class TestWallFluxGradient:
 class TestWallFluxIntegral:
     def test_linear_in_z(self):
         nr, nz = 64, 16
-        grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
-        vals = np.broadcast_to(grid.z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        flux = wall_flux_integral(FluidField(vals), march_operator(single(), grid))
+        z = np.linspace(0.0, 1.0, nz + 1)
+        vals = np.broadcast_to(z[None, None, :], (1, nr + 1, nz + 1)).copy()
+        flux = wall_flux_integral(FluidField(vals), march_operator(single(), nr, nz))
         assert np.allclose(flux, 0.25, atol=1e-4)  # int r(1-r^2) dr = 1/4
 
     def test_zero_for_constants(self):
-        grid = Grid(nr=8, nz=8, dt=1.0, t_end=1.0)
         vals = np.full((1, 9, 9), 1.7)
-        op = march_operator(single(), grid)
+        op = march_operator(single(), 8, 8)
         assert np.all(wall_flux_integral(FluidField(vals), op) == 0.0)
 
     def test_beta_scaling(self):
         nr, nz = 32, 8
-        grid = Grid(nr=nr, nz=nz, dt=1.0, t_end=1.0)
-        vals = np.broadcast_to(grid.z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        f1 = wall_flux_integral(FluidField(vals), march_operator(single(beta=1.0), grid))
-        f2 = wall_flux_integral(FluidField(vals), march_operator(single(beta=2.0), grid))
+        z = np.linspace(0.0, 1.0, nz + 1)
+        vals = np.broadcast_to(z[None, None, :], (1, nr + 1, nz + 1)).copy()
+        f1 = wall_flux_integral(FluidField(vals), march_operator(single(beta=1.0), nr, nz))
+        f2 = wall_flux_integral(FluidField(vals), march_operator(single(beta=2.0), nr, nz))
         assert np.allclose(f2, 0.5 * f1)
 
     def test_same_flux_on_either_layout(self):
@@ -970,9 +959,8 @@ class TestWallFluxIntegral:
         # layout, so the two agree to rounding, not bitwise
         rng = np.random.default_rng(10)
         nr, nz = 48, 40
-        grid = unit_grid(nr, nz)
         values = rng.uniform(-1.0, 1.0, (3, nr + 1, nz + 1))
-        op = march_operator(species_of((0.5, 1.0, 2.0)), grid)
+        op = march_operator(species_of((0.5, 1.0, 2.0)), nr, nz)
         flux = wall_flux_integral(FluidField(values), op)
         other = wall_flux_integral(FluidField(station_major(values)), op)
         assert np.abs(other - flux).max() <= 1e-14 * np.abs(flux).max()
@@ -982,12 +970,12 @@ class TestWallFluxIntegral:
         # the inlet corner, where the marched solution is resolved
         gaps = []
         for nr, nz in ((64, 128), (128, 256)):
-            grid, field = graetz(nr, nz)
+            field = graetz(nr, nz)
             g = wall_flux_gradient(field)[0]
-            q = wall_flux_integral(field, march_operator(single(), grid))[0]
+            q = wall_flux_integral(field, march_operator(single(), nr, nz))[0]
             k0 = nz // 4
             d = (g - q)[k0:-1]
-            gaps.append(float(np.sqrt(grid.dz * np.sum(d * d))))
+            gaps.append(float(np.sqrt((1.0 / nz) * np.sum(d * d))))
         assert gaps[1] < 0.55 * gaps[0]
 
 
@@ -995,13 +983,13 @@ def windowed_flux_gap(nr, nz, beta, c0, amps):
     """L2(z >= 1/4) gap between the two wall-flux forms on the interior
     nodes, as convergence_study windows it, for a constant inlet c0 and a
     wall of c0 plus the modes amps[m] (1 - cos((m + 1) pi z)) / 2."""
-    grid = unit_grid(nr, nz)
-    wall = c0 + sum(a * (1.0 - np.cos((m + 1) * np.pi * grid.z)) / 2.0 for m, a in enumerate(amps))
-    op = march_operator(single(beta), grid)
-    field = march((beta,), grid, np.full((1, nr + 1), c0), wall[None, :], op)
+    z = np.linspace(0.0, 1.0, nz + 1)
+    wall = c0 + sum(a * (1.0 - np.cos((m + 1) * np.pi * z)) / 2.0 for m, a in enumerate(amps))
+    op = march_operator(single(beta), nr, nz)
+    field = march((beta,), np.full((1, nr + 1), c0), wall[None, :], op)
     d = (wall_flux_gradient(field) - wall_flux_integral(field, op))[0]
     d = d[math.ceil(0.25 * nz):-1]
-    return math.sqrt(grid.dz * np.sum(d * d))
+    return math.sqrt((1.0 / nz) * np.sum(d * d))
 
 
 @settings(max_examples=60, deadline=None, database=None)

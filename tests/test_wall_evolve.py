@@ -221,6 +221,17 @@ class TestStepWall:
             with pytest.raises(ValueError, match="dt = "):
                 surface_operator(params(), 9, dt)
 
+    def test_node_counts_it_cannot_build_rejected(self):
+        # nn = 0, 1 and 2 used to raise IndexError, ZeroDivisionError and an
+        # f2py array-size error; each is now a ValueError that names it
+        for nn in (-1, 0, 1, 2):
+            with pytest.raises(ValueError, match=rf"nn = {nn} needs nn >= 3"):
+                surface_operator(params(), nn, 0.1)
+        # nn = 3 steps, bitwise as the reference does
+        wall, flux, rates = np.random.default_rng(12).standard_normal((3, 2, 3))
+        inp = (wall, flux, rates, 0.1, params(theta=0.7, n=2))
+        assert np.array_equal(step(*inp), reference_step(*inp))
+
     def test_bad_theta_rejected(self):
         # a NaN theta used to step to an all-NaN wall without an error
         for theta in (np.nan, -1e-3, np.inf):
