@@ -27,15 +27,17 @@ print(f"species: {', '.join(names)}")
 d = report.diagnostics
 print(f"coupling contraction: mu = {d.mu:.3f} (threshold {d.threshold:.3f}), "
       f"satisfied = {d.satisfied}")
-print(f"fixed-point iterations per step: worst {max(report.iterations)}")
+iterations = [len(s.residuals) for s in trajectory[1:]]
+print(f"fixed-point iterations per step: worst {max(iterations)}")
 
 print("\noutlet (z = 1) wall values over time:")
-times = np.array(report.probe_times)
+times = np.array([s.time for s in trajectory])
+outlet = np.array([s.wall[:, -1] for s in trajectory])  # (levels, species)
 marks = [0.0, 1.0, 5.0, 15.0, 30.0, times[-1]]
 print("  t      " + "".join(f"{n:>12}" for n in names))
 for t_mark in marks:
     i = int(np.argmin(np.abs(times - t_mark)))
-    row = "".join(f"{report.probe_values[s][i]:12.6f}" for s in range(len(names)))
+    row = "".join(f"{v:12.6f}" for v in outlet[i])
     print(f"  {times[i]:6.1f}{row}")
 
 print(f"\nevolution settled (wall rates below 1e-8) at t = {report.reaction_ended:.2f}")
@@ -44,8 +46,8 @@ print("data-derived envelopes:")
 for c in report.envelope_checks:
     print(f"  {c.species:>4} {c.item:<12} {'ok' if c.passed else 'exceeded'}")
 
-co_drop = report.probe_values[0][0] - report.probe_values[0][-1]
-t_rise = report.probe_values[3][-1] - report.probe_values[3][0]
+co_drop = outlet[0, 0] - outlet[-1, 0]
+t_rise = outlet[-1, 3] - outlet[0, 3]
 print(f"\nCO converted at the outlet: {co_drop:.6f}")
 print(f"wall temperature rise at the outlet: {t_rise:.3f}")
 
@@ -57,7 +59,7 @@ try:
 
     fig, axes = plt.subplots(2, 2, figsize=(10, 6), sharex=True)
     for ax, i in zip(axes.flat, range(4)):
-        ax.plot(times, report.probe_values[i])
+        ax.plot(times, outlet[:, i])
         ax.set(title=names[i], xlabel="t")
     fig.suptitle("outlet wall values")
     fig.tight_layout()

@@ -21,8 +21,9 @@ Profile values are either ``const:<number>`` or ``file:<path>`` where the
 file holds one decimal per line, one line per grid node.  Unknown keys are
 errors (typo protection); defaults exist only for the [coupler] section.
 
-Exit codes of the CLI: 0 all checks passed, 2 config error, 3 coupling did
-not converge, 4 a quality check failed.
+Exit codes of the CLI: 0 all checks passed, 2 config or usage error (an
+output that cannot be written included), 3 coupling did not converge, 4 a
+quality check failed.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .coupler import (
     CouplerSettings,
     NonConvergedError,
     RunReport,
+    Snapshot,
     run_simulation,
     warn_reaction_guard,
 )
@@ -388,17 +390,21 @@ def write_snapshot_csv(field: FluidField, species_names: Sequence[str], path: Pa
 
 
 def write_probe_csv(
-    times: Sequence[float],
-    values: Sequence[Sequence[float]],
+    trajectory: Sequence[Snapshot],
     species_names: Sequence[str],
     path: Path | str,
+    every: int = 1,
 ) -> None:
-    """Outlet series: header t,<species...>, one row per sampled time, values as ``%.9g``."""
-    ns = len(species_names)
-    row = "%.9g," * ns + "%.9g\n"
+    """Outlet (z = 1) series: header t,<species...>, then one row for every
+    ``every``-th level of the trajectory and for the last, values as ``%.9g``."""
+    if every < 1:
+        raise ValueError(f"every = {every} must be >= 1")
+    row = "%.9g," * len(species_names) + "%.9g\n"
     lines = ["t," + ",".join(species_names) + "\n"]
-    for n, t in enumerate(times):
-        lines.append(row % (t, *(values[i][n] for i in range(ns))))
+    last = len(trajectory) - 1
+    for k, snap in enumerate(trajectory):
+        if k % every == 0 or k == last:
+            lines.append(row % (snap.time, *snap.wall[:, -1].tolist()))
     Path(path).write_text("".join(lines))
 
 
@@ -418,9 +424,11 @@ def _a_priori_lines(diag: ContractionDiagnostics, hypo: HypothesisReport, lam: f
     ]
 
 
-def write_report(report: RunReport, path: Path | str) -> None:
-    """Human-readable summary with a machine-parsable KEY=VALUE footer."""
-    path = Path(path)
+def write_report(report: RunReport, trajectory: Sequence[Snapshot], path: Path | str) -> None:
+    """Human-readable summary with a machine-parsable KEY=VALUE footer; the
+    iteration counts and the final outlet values come from the trajectory."""
+    iterations = [len(snap.residuals) for snap in trajectory[1:]]
+    outlet = trajectory[-1].wall[:, -1].tolist()
     d = report.diagnostics
     h = report.hypothesis_report
     n = report.nonneg
@@ -429,9 +437,8 @@ def write_report(report: RunReport, path: Path | str) -> None:
         "=================",
         "",
         f"species: {', '.join(report.species)}",
-        f"steps taken: {len(report.iterations)}",
-        f"fixed-point iterations: max {max(report.iterations) if report.iterations else 0}, "
-        f"total {sum(report.iterations)}",
+        f"steps taken: {len(iterations)}",
+        f"fixed-point iterations: max {max(iterations, default=0)}, total {sum(iterations)}",
         "",
         "contraction diagnostics",
         f"  mu = {d.mu!r}  (threshold 2/sqrt(e) = {d.threshold:.9f})",
@@ -466,7 +473,7 @@ def write_report(report: RunReport, path: Path | str) -> None:
         "outlet probe (z = 1), final values",
     ]
     for i, name in enumerate(report.species):
-        lines.append(f"  {name}: {report.probe_values[i][-1]!r}")
+        lines.append(f"  {name}: {outlet[i]!r}")
     lines += ["", "---"]
 
     footer = _a_priori_lines(d, h, report.lam)
@@ -474,11 +481,11 @@ def write_report(report: RunReport, path: Path | str) -> None:
     for c in report.envelope_checks:
         footer.append(f"ENVELOPE_{c.species}_{c.item.upper()}={'PASS' if c.passed else 'FAIL'}")
     footer.append(f"REACTION_ENDED={report.reaction_ended!r}")
-    footer.append(f"MAX_ITERATIONS={max(report.iterations) if report.iterations else 0}")
+    footer.append(f"MAX_ITERATIONS={max(iterations, default=0)}")
     for i, name in enumerate(report.species):
-        footer.append(f"OUTLET_{name}={report.probe_values[i][-1]!r}")
+        footer.append(f"OUTLET_{name}={outlet[i]!r}")
 
-    path.write_text("\n".join(lines + footer) + "\n")
+    Path(path).write_text("\n".join(lines + footer) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +519,7 @@ def flux_identity_gap(nr: int, nz: int, z_min: float = 0.0) -> float:
     """
     field, op = _graetz_march(nr, nz)
     g = wall_flux_gradient(field)[0]
-    q = wall_flux_integral(field, op)[0]
+    q = wall_flux_integral(field, op.beta)[0]
     k0 = max(1, int(math.ceil(z_min * nz)))
     diff = (g - q)[k0:-1]
     return float(np.sqrt((1.0 / nz) * np.sum(diff * diff)))
@@ -664,20 +671,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         p_sim.error(f"--out {args.out}: cannot create the output directory ({exc.strerror})")
     try:
-        run_report, trajectory = run_simulation(
-            cfg, settings, seed=args.seed, probe_every=args.probe_every
-        )
+        run_report, trajectory = run_simulation(cfg, settings, seed=args.seed)
     except NonConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
     final_op = march_operator(cfg.species, cfg.grid.nr, cfg.grid.nz)
     final_fluid = march_fluid(trajectory[-1].wall, cfg.initial.inlet, final_op)
-    write_snapshot_csv(final_fluid, cfg.species_names, out_dir / "snapshot_final.csv")
-    write_probe_csv(
-        run_report.probe_times, run_report.probe_values, cfg.species_names, out_dir / "probe.csv"
-    )
-    write_report(run_report, out_dir / "report.txt")
+    names = cfg.species_names
+    for name, write in (
+        ("snapshot_final.csv", lambda path: write_snapshot_csv(final_fluid, names, path)),
+        ("probe.csv", lambda path: write_probe_csv(trajectory, names, path, args.probe_every)),
+        ("report.txt", lambda path: write_report(run_report, trajectory, path)),
+    ):
+        try:
+            write(out_dir / name)
+        except OSError as exc:
+            p_sim.error(f"--out {args.out}: cannot write {name} ({exc.strerror})")
 
     return 0 if run_report.checks_pass else 4
 

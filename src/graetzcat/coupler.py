@@ -121,7 +121,7 @@ def warn_reaction_guard(dt: float, lam: float) -> None:
 def _flux_of(form: str, fluid: FluidField, march_op: MarchOperator) -> np.ndarray:
     if form == "gradient":
         return wall_flux_gradient(fluid)
-    return wall_flux_integral(fluid, march_op)
+    return wall_flux_integral(fluid, march_op.beta)
 
 
 def advance_step(
@@ -183,7 +183,7 @@ def advance_step(
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Reduced view of one accepted time level, enough for all checkers."""
+    """Reduced view of one accepted time level, enough for all checkers and writers."""
 
     time: float
     wall: np.ndarray                  # (ns, nz+1)
@@ -194,20 +194,19 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything a run measured; ``write_report`` writes it out."""
+    """What a run decided: its a-priori diagnostics and its verdicts.  The
+    per-level data (walls, residuals, outlet values) lives in the trajectory
+    returned beside it; ``write_report`` reads both."""
 
     species: tuple[str, ...]
     diagnostics: ContractionDiagnostics
     hypothesis_report: HypothesisReport
     lipschitz: tuple[float, ...]
     lam: float
-    iterations: tuple[int, ...]
     nonneg: NonnegReport
     envelope_checks: tuple[EnvelopeCheck, ...]
     energy_slopes: tuple[float, ...]
     reaction_ended: float
-    probe_times: tuple[float, ...]
-    probe_values: tuple[tuple[float, ...], ...]  # per species, outlet series
 
     @property
     def checks_pass(self) -> bool:
@@ -218,23 +217,20 @@ def run_simulation(
     cfg: ModelConfig,
     settings: CouplerSettings = CouplerSettings(),
     seed: int = 0,
-    probe_every: int = 1,
 ) -> tuple[RunReport, list[Snapshot]]:
     """Drive the scenario from t = 0 to t_end and collect every verdict.
 
     Returns the report plus the per-step snapshot trajectory.  The
     REACTION_ENDED time is the first level at which the surface equation's
     right-hand side is below 1e-8 everywhere, i.e. the state has stopped
-    evolving to that tolerance.  An invalid config or a probe_every below 1
-    raises ValueError; the validation warnings are the caller's to report
-    (the CLI prints them).  The march and surface operators are built once
-    here and handed to every step and every recorded level.
+    evolving to that tolerance.  An invalid config raises ValueError; the
+    validation warnings are the caller's to report (the CLI prints them).
+    The march and surface operators are built once here and handed to
+    every step and every recorded level.
     """
     report = validate_config(cfg)
     if not report.ok:
         raise ValueError("invalid configuration: " + "; ".join(report.errors))
-    if probe_every < 1:
-        raise ValueError(f"probe_every = {probe_every} must be >= 1")
 
     params = cfg.species
     grid = cfg.grid
@@ -280,27 +276,15 @@ def run_simulation(
     env_checks = check_envelopes(trajectory, cfg.initial, lam, params)
     energy_slopes = tuple(float(a) for a in energy_growth_report(trajectory))
 
-    probe_idx = list(range(0, len(trajectory), probe_every))
-    if probe_idx[-1] != len(trajectory) - 1:
-        probe_idx.append(len(trajectory) - 1)
-    probe_times = tuple(trajectory[i].time for i in probe_idx)
-    probe_values = tuple(
-        tuple(float(trajectory[i].wall[s, -1]) for i in probe_idx)
-        for s in range(len(params))
-    )
-
     run_report = RunReport(
         species=cfg.species_names,
         diagnostics=diagnostics,
         hypothesis_report=hypo,
         lipschitz=tuple(float(v) for v in k_vec),
         lam=lam,
-        iterations=tuple(len(s.residuals) for s in trajectory[1:]),
         nonneg=nonneg,
         envelope_checks=tuple(env_checks),
         energy_slopes=energy_slopes,
         reaction_ended=reaction_ended,
-        probe_times=probe_times,
-        probe_values=probe_values,
     )
     return run_report, trajectory

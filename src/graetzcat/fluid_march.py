@@ -475,19 +475,20 @@ def _radial_quadrature(nr: int) -> np.ndarray:
     return r * (1.0 - r * r) * trap
 
 
-def wall_flux_integral(field: FluidField, op: MarchOperator) -> np.ndarray:
+def wall_flux_integral(field: FluidField, beta: np.ndarray) -> np.ndarray:
     """dC/dr at r = 1 via (1/beta) int_0^1 dC/dz r(1-r^2) dr.
 
     Trapezoid in r, then centered z-differences inside and one-sided at
     the ends: the r-integral of each station first, so no field-sized
     z-derivative is formed.  The field's shape gives dr = 1/nr and
-    dz = 1/nz; ``op`` gives each species' beta and must fit the field.
+    dz = 1/nz; ``beta`` is the (ns, 1) column of the species' betas, a
+    march operator's ``beta``, one row per species of the field.
     """
     v = field.values
     nr, nz = v.shape[1] - 1, v.shape[2] - 1
     if nz < 2:
         raise ValueError("integral extraction needs nz >= 2")
-    if v.shape != (len(op.beta), op.nr + 1, op.nz + 1):
-        raise ValueError(f"field shape {v.shape} does not fit the march operator")
+    if beta.shape != (v.shape[0], 1):
+        raise ValueError(f"beta shape {beta.shape} does not fit a field of {v.shape[0]} species")
     moment = np.einsum("ijk,j->ik", v, _radial_quadrature(nr))
-    return np.gradient(moment, 1.0 / nz, axis=1) / op.beta
+    return np.gradient(moment, 1.0 / nz, axis=1) / beta

@@ -28,7 +28,7 @@ from graetzcat.cli_io import (
     write_report,
     write_snapshot_csv,
 )
-from graetzcat.coupler import CouplerSettings, run_simulation
+from graetzcat.coupler import CouplerSettings, Snapshot, run_simulation
 from graetzcat.kinetics import co_oxidation, linear_consumption, zero_model
 from graetzcat.model import FluidField
 from graetzcat.qualcheck import NonnegReport
@@ -61,6 +61,15 @@ delta = 1
 inlet = const:1.0
 wall_init = const:1.0
 """
+
+
+def outlet_levels(times, values):
+    """One snapshot per time whose wall ends in values[i][n] for species i;
+    the probe writer reads nothing else of a level."""
+    return [
+        Snapshot(t, np.array([[0.0, v[n]] for v in values]), None, None, ())
+        for n, t in enumerate(times)
+    ]
 
 
 def issues_of(text, base="."):
@@ -263,12 +272,17 @@ class TestWriters:
 
     def test_probe_csv_empty_series_is_header_only(self, tmp_path):
         out = tmp_path / "probe.csv"
-        write_probe_csv([], [[], []], ("x", "y"), out)
+        write_probe_csv([], ("x", "y"), out)
         assert out.read_text() == "t,x,y\n"
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_probe_csv_every_below_one_rejected(self, every, tmp_path):
+        with pytest.raises(ValueError, match=f"every = {every} must be >= 1"):
+            write_probe_csv([], ("x",), tmp_path / "p.csv", every)
 
     def test_probe_csv_column_order(self, tmp_path):
         out = tmp_path / "probe.csv"
-        write_probe_csv([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], ("CO", "O2"), out)
+        write_probe_csv(outlet_levels([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]), ("CO", "O2"), out)
         lines = out.read_text().splitlines()
         assert lines[0] == "t,CO,O2"
         assert lines[1] == "0,1,3"
@@ -276,15 +290,15 @@ class TestWriters:
     def test_probe_csv_values_are_nine_significant_digits(self, tmp_path):
         values = [1.0 / 3.0, -0.0, 5e-324, -1e308, 123456789.5, math.inf, math.nan]
         out = tmp_path / "probe.csv"
-        write_probe_csv([0.1 * n for n in range(len(values))], [values], ("x",), out)
+        write_probe_csv(outlet_levels([0.1 * n for n in range(len(values))], [values]), ("x",), out)
         rows = [f"{0.1 * n:.9g},{v:.9g}" for n, v in enumerate(values)]
         assert out.read_text() == "t,x\n" + "\n".join(rows) + "\n"
 
     def test_report_footer_values(self, tmp_path):
         cfg = constant_config(t_end=0.05)
-        report, _ = run_simulation(cfg, CouplerSettings())
+        report, traj = run_simulation(cfg, CouplerSettings())
         out = tmp_path / "report.txt"
-        write_report(report, out)
+        write_report(report, traj, out)
         text = out.read_text()
         assert "THRESHOLD=1.213061319" in text
         assert "SATISFIED=true" in text
@@ -292,11 +306,11 @@ class TestWriters:
         assert "NONNEG=PASS" in text
         # byte-determinism of the writer itself
         out2 = tmp_path / "report2.txt"
-        write_report(report, out2)
+        write_report(report, traj, out2)
         assert out.read_bytes() == out2.read_bytes()
         # a failing nonnegativity line names its worst point like the envelopes'
         assert "\n  nonnegativity: PASS (0 violations)\n" in text
-        write_report(dataclasses.replace(report, nonneg=NonnegReport(3, 1, 0.25, 0.04)), out)
+        write_report(dataclasses.replace(report, nonneg=NonnegReport(3, 1, 0.25, 0.04)), traj, out)
         text = out.read_text()
         assert "\n  nonnegativity: FAIL (3 violations) (worst s1 0.25 at t = 0.04)\n" in text
         assert "\nNONNEG=FAIL\n" in text
@@ -524,6 +538,38 @@ class TestCli:
         assert exc.value.code == 2
         errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
         assert errors == [f"graetzcat simulate: error: --probe-every {every}: must be >= 1"]
+
+    def test_probe_every_keeps_every_kth_level_and_the_last(self, tmp_path):
+        # 10 steps, 11 levels: at 4 the rows of levels 0, 4, 8 and 10 of the
+        # full series, byte for byte; the other two files do not thin
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SCENARIO_CFG.read_text().replace("t_end = 60\n", "t_end = 0.2\n"))
+        for every in ("1", "4"):
+            out = str(tmp_path / every)
+            assert self.run_cli(
+                "simulate", "--config", str(cfg), "--out", out, "--probe-every", every
+            ) == 4
+        full = (tmp_path / "1" / "probe.csv").read_bytes().splitlines(keepends=True)
+        assert len(full) == 1 + 11
+        rows = [full[0]] + [full[1 + k] for k in (0, 4, 8, 10)]
+        assert (tmp_path / "4" / "probe.csv").read_bytes() == b"".join(rows)
+        for name in ("report.txt", "snapshot_final.csv"):
+            assert (tmp_path / "4" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["snapshot_final.csv", "probe.csv", "report.txt"])
+    def test_unwritable_output_exit_two(self, name, tmp_path, capsys):
+        # a directory in the way of an output file ended in a traceback, exit 1
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINIMAL)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert errors == [
+            f"graetzcat simulate: error: --out {out}: cannot write {name} (Is a directory)"
+        ]
 
     def test_config_error_exit_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

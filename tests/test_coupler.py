@@ -65,7 +65,7 @@ def short_scenario(scenario, t_end, nr=32, nz=64, dt=0.02):
 def flux_of(form, field, op):
     if form == "gradient":
         return wall_flux_gradient(field)
-    return wall_flux_integral(field, op)
+    return wall_flux_integral(field, op.beta)
 
 
 def copies(s, n):
@@ -218,9 +218,9 @@ class TestAdvanceStep:
         monkeypatch.setattr(
             wall_evolve, "_mirrored_second_difference", lambda *a: calls.append(a) or real(*a)
         )
-        report, _ = run_simulation(cfg, settings)
+        _, traj = run_simulation(cfg, settings)
         n_steps = cfg.grid.n_steps
-        assert n_steps == 3 and min(report.iterations) >= 2
+        assert n_steps == 3 and min(len(s.residuals) for s in traj[1:]) >= 2
         assert len(calls) == 2 * n_steps + 1
 
     def test_flux_form_robustness_under_refinement(self):
@@ -349,18 +349,17 @@ class TestRunSimulation:
         report, traj = run_simulation(cfg, CouplerSettings())
         assert report.reaction_ended == 0.0
         assert all(np.array_equal(s.wall, cfg.initial.wall_init) for s in traj)
-        assert set(report.iterations) == {1}
+        assert {len(s.residuals) for s in traj[1:]} == {1}
         assert report.nonneg.passed
         assert all(c.passed for c in report.envelope_checks)
 
     def test_time_levels_are_exact_multiples_of_dt(self):
         # 0.02 is not a binary fraction: summing it drifts off k * dt
         cfg = constant_config(nr=8, nz=8, dt=0.02, t_end=2.0)
-        report, traj = run_simulation(cfg, CouplerSettings())
+        _, traj = run_simulation(cfg, CouplerSettings())
         assert len(traj) == 101
         for k, snap in enumerate(traj):
             assert snap.time == k * 0.02
-        assert report.probe_times[-1] == 100 * 0.02
 
     def test_determinism_bitwise(self, scenario):
         cfg, settings = short_scenario(scenario, 0.5)
@@ -369,20 +368,7 @@ class TestRunSimulation:
         for a, b in zip(t1, t2):
             assert np.array_equal(a.wall, b.wall)
             assert a.residuals == b.residuals
-        assert r1.probe_values == r2.probe_values
         assert r1.reaction_ended == r2.reaction_ended
-
-    def test_probe_thinning_keeps_ends(self, scenario):
-        cfg, settings = short_scenario(scenario, 0.2)
-        report, traj = run_simulation(cfg, settings, probe_every=4)
-        assert report.probe_times[0] == 0.0
-        assert report.probe_times[-1] == pytest.approx(traj[-1].time)
-        assert len(report.probe_times) < len(traj)
-
-    @pytest.mark.parametrize("every", [0, -1])
-    def test_probe_every_below_one_rejected(self, every):
-        with pytest.raises(ValueError, match="probe_every"):
-            run_simulation(constant_config(nr=8, nz=8, t_end=0.02), probe_every=every)
 
     def test_invalid_config_rejected(self):
         cfg = constant_config()
@@ -408,12 +394,12 @@ class TestRunSimulation:
         run_simulation(cfg, settings)  # what a first run fills once is not counted
         tracemalloc.start()
         try:
-            report, _ = run_simulation(cfg, settings)
+            _, traj = run_simulation(cfg, settings)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         field = 8 * len(cfg.species) * (nr + 1) * (nz + 1)  # 1.33 MB
-        assert len(report.iterations) == 2 and min(report.iterations) > 1
+        assert len(traj) == 3 and min(len(s.residuals) for s in traj[1:]) > 1
         assert peak < field + 6e5, (peak, field)
 
     @pytest.mark.parametrize("form", ["gradient", "integral"])

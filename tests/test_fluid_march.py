@@ -365,8 +365,9 @@ class TestMarchFluid:
         ):
             with pytest.raises(ValueError, match="shape"):
                 march_fluid(wall, inlet, op)
-            with pytest.raises(ValueError, match="shape"):
-                wall_flux_integral(field, op)
+        # the integral form reads only the betas, one per species
+        with pytest.raises(ValueError, match="beta shape"):
+            wall_flux_integral(field, march_operator(species_of((1.0, 1.0)), 8, 8).beta)
 
     @pytest.mark.parametrize("nr", [BLOCK_MAX_NR, BLOCK_MAX_NR + 1])  # both paths
     def test_field_is_stored_station_major(self, nr):
@@ -938,20 +939,20 @@ class TestWallFluxIntegral:
         nr, nz = 64, 16
         z = np.linspace(0.0, 1.0, nz + 1)
         vals = np.broadcast_to(z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        flux = wall_flux_integral(FluidField(vals), march_operator(single(), nr, nz))
+        flux = wall_flux_integral(FluidField(vals), march_operator(single(), nr, nz).beta)
         assert np.allclose(flux, 0.25, atol=1e-4)  # int r(1-r^2) dr = 1/4
 
     def test_zero_for_constants(self):
         vals = np.full((1, 9, 9), 1.7)
         op = march_operator(single(), 8, 8)
-        assert np.all(wall_flux_integral(FluidField(vals), op) == 0.0)
+        assert np.all(wall_flux_integral(FluidField(vals), op.beta) == 0.0)
 
     def test_beta_scaling(self):
         nr, nz = 32, 8
         z = np.linspace(0.0, 1.0, nz + 1)
         vals = np.broadcast_to(z[None, None, :], (1, nr + 1, nz + 1)).copy()
-        f1 = wall_flux_integral(FluidField(vals), march_operator(single(beta=1.0), nr, nz))
-        f2 = wall_flux_integral(FluidField(vals), march_operator(single(beta=2.0), nr, nz))
+        f1 = wall_flux_integral(FluidField(vals), march_operator(single(beta=1.0), nr, nz).beta)
+        f2 = wall_flux_integral(FluidField(vals), march_operator(single(beta=2.0), nr, nz).beta)
         assert np.allclose(f2, 0.5 * f1)
 
     def test_same_flux_on_either_layout(self):
@@ -961,8 +962,8 @@ class TestWallFluxIntegral:
         nr, nz = 48, 40
         values = rng.uniform(-1.0, 1.0, (3, nr + 1, nz + 1))
         op = march_operator(species_of((0.5, 1.0, 2.0)), nr, nz)
-        flux = wall_flux_integral(FluidField(values), op)
-        other = wall_flux_integral(FluidField(station_major(values)), op)
+        flux = wall_flux_integral(FluidField(values), op.beta)
+        other = wall_flux_integral(FluidField(station_major(values)), op.beta)
         assert np.abs(other - flux).max() <= 1e-14 * np.abs(flux).max()
 
     def test_cross_method_consistency_on_resolved_window(self):
@@ -972,7 +973,7 @@ class TestWallFluxIntegral:
         for nr, nz in ((64, 128), (128, 256)):
             field = graetz(nr, nz)
             g = wall_flux_gradient(field)[0]
-            q = wall_flux_integral(field, march_operator(single(), nr, nz))[0]
+            q = wall_flux_integral(field, march_operator(single(), nr, nz).beta)[0]
             k0 = nz // 4
             d = (g - q)[k0:-1]
             gaps.append(float(np.sqrt((1.0 / nz) * np.sum(d * d))))
@@ -987,7 +988,7 @@ def windowed_flux_gap(nr, nz, beta, c0, amps):
     wall = c0 + sum(a * (1.0 - np.cos((m + 1) * np.pi * z)) / 2.0 for m, a in enumerate(amps))
     op = march_operator(single(beta), nr, nz)
     field = march((beta,), np.full((1, nr + 1), c0), wall[None, :], op)
-    d = (wall_flux_gradient(field) - wall_flux_integral(field, op))[0]
+    d = (wall_flux_gradient(field) - wall_flux_integral(field, op.beta))[0]
     d = d[math.ceil(0.25 * nz):-1]
     return math.sqrt((1.0 / nz) * np.sum(d * d))
 

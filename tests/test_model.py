@@ -146,7 +146,7 @@ class TestSpeciesPlan:
         field = march_fluid(wall, inlet, march_op)
         assert np.array_equal(field.values, march_fluid(wall, inlet, from_list[0]).values)
         assert np.array_equal(
-            wall_flux_integral(field, march_op), wall_flux_integral(field, from_list[0])
+            wall_flux_integral(field, march_op.beta), wall_flux_integral(field, from_list[0].beta)
         )
         stepped = step_wall(surface_step(wall, rates, surface_op), flux)
         assert np.array_equal(stepped, step_wall(surface_step(wall, rates, from_list[1]), flux))
@@ -291,6 +291,39 @@ class TestSpeciesRules:
         captured = capsys.readouterr()
         assert not out.exists() and captured.out == ""
         error = f"config error: species.{name}.name = {name} must be an identifier"
+        assert captured.err.splitlines().count(error) == 2, captured.err
+
+    @pytest.mark.parametrize("name", ["r", "z", "t"])
+    def test_every_consumer_rejects_a_csv_column_name(self, name):
+        # a species named z gave snapshot_final.csv the header r,z,z,..., and
+        # csv.DictReader returned its value for the coordinate z
+        cfg = constant_config(nr=8, nz=8)
+        bad = dataclasses.replace(cfg.species[0], name=name)
+        report = validate_config(dataclasses.replace(cfg, species=(bad,) + cfg.species[1:]))
+        message = f"species.{name}.name = {name} must be none of the CSV columns r, z, t"
+        assert report.errors == (message,)
+        ok = species("ok", gamma=4.0)
+        for params in ((ok, bad), (bad, ok)):
+            for build in (
+                lambda: march_operator(params, cfg.grid.nr, cfg.grid.nz),
+                lambda: surface_operator(params, cfg.grid.nz + 1, cfg.grid.dt),
+                lambda: contraction_margin(params),
+            ):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    build()
+
+    @pytest.mark.parametrize("name", ["r", "z", "t"])
+    def test_the_cli_refuses_a_csv_column_name(self, name, tmp_path, capsys):
+        text = SCENARIO_CFG.read_text().replace("[species.CO]", f"[species.{name}]")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace("box.CO = 0, 0.05\n", ""))
+        out = tmp_path / "out"
+        assert cli_io.main(["check", "--config", str(cfg)]) == 2
+        assert cli_io.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        rule = "must be none of the CSV columns r, z, t"
+        error = f"config error: species.{name}.name = {name} {rule}"
         assert captured.err.splitlines().count(error) == 2, captured.err
 
     def test_every_consumer_rejects_a_repeated_name(self):
